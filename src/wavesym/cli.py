@@ -127,7 +127,7 @@ def _grid(config: RunConfig, key) -> GridSpec:
 
 def stage_derive(config: RunConfig) -> dict:
     ds = extract_determining(opaque_vectorfield(), Generic())
-    implication = reference_implication_report(ds)
+    implication, check = reference_implication_report(ds)
     return {
         "determining_system": ds.serializable(),
         "n_equations": len(ds),
@@ -137,6 +137,7 @@ def stage_derive(config: RunConfig) -> dict:
         "conditions_not_implied": sorted(
             n for n, v in implication.items() if not v["implied"]
         ),
+        "implication_check": check,
         "passed": True,  # reporting stage; disagreements live in the flags
     }
 
@@ -271,6 +272,8 @@ def _report_residual(r: ResidualReport) -> dict:
 def stage_verify(config: RunConfig, csv_dir: str | None) -> dict:
     import os
 
+    for case in ("i", "ii"):  # K, c, L, e1 = 0 leave a family undefined
+        _family(RunConfig(**{**config.__dict__, "case": case}))
     out: dict = {"reductions": {}, "csv_files": []}
     ok = True
     for case_id, gen in (("i", "v1"), ("i", "v4"), ("ii", "v1"), ("ii", "v4")):
@@ -481,11 +484,14 @@ def _config_from_args(args) -> RunConfig:
         except ValueError as err:
             raise ConfigError(f"bad --box: {err}") from None
     case = args.case or file_cfg.get("case") or ("generic" if args.command == "derive" else "i")
+    degree = args.degree if args.degree is not None else file_cfg.get("degree", 2)
+    if degree < 0:
+        raise ConfigError(f"bad --degree: {degree} < 0")
     return RunConfig(
         command=args.command,
         case=case,
         generator=args.generator or file_cfg.get("generator", "v1"),
-        degree=args.degree if args.degree is not None else file_cfg.get("degree", 2),
+        degree=degree,
         params=params,
         grid_n=grid_n,
         box=box,

@@ -18,14 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .expr import (
-    Expr, Fn, Param, Pow, Product, Rat, Sum,
+    Expr, Fn, Pow, Product, Rat, Sum,
     RAT0, RAT1, add, atoms_of, base, collect, collect_atoms, diff,
-    eval_numeric, expand, fn, fn_nodes_of, format_expr, jet, jets_of, mul,
+    eval_mod, expand, fn, fn_nodes_of, format_expr, jet, jets_of, mul,
     neg, param, pow_, sub, substitute, vanishes,
 )
 from .jet import prolong_coeff_second, total_derivative
 from .liealg import VectorField
-from .linalg import nullspace
+from .linalg import echelon_mod_p, nullspace, reduce_mod_p
 from . import reference
 
 __all__ = [
@@ -37,6 +37,9 @@ __all__ = [
 ]
 
 X, Y, T, U = base("x"), base("y"), base("t"), jet("")
+# the implication report's rank test: field size and number of points
+PRIME = 2**31 - 1
+N_POINTS = 2
 
 
 class DetSysError(Exception):
@@ -55,10 +58,6 @@ class FFamily:
 
     def fu_expr(self) -> Expr:
         return diff(self.f_expr(), U)
-
-    def bind_f(self, e: Expr) -> Expr:
-        """Replace the opaque head f(u) and its derivatives by this family."""
-        return substitute(e, {fn("f", [U]): self.f_expr()})
 
 
 @dataclass(frozen=True)
@@ -321,26 +320,25 @@ def _linear_decomposition(e: Expr, unknown_names) -> dict:
 
 def reference_implication_report(
     ds: DeterminingSystem,
-    n_samples: int = 50,
-    tol: float = 1e-9,
     seed: int = 7,
     prolong_order: int = 2,
-) -> dict:
-    """Check that every bundled determining condition vanishes modulo the
-    engine-derived system.
+) -> tuple:
+    """Decide whether each bundled determining condition is implied by the
+    engine-derived system.  Returns ({name: {"implied", "route"}}, check).
 
     The derived system is first closed under differential consequences up
     to ``prolong_order`` (each equation differentiated with respect to
     x, y, t, u), since the reference's simplified conditions use such
-    consequences.  Symbolic route first: a derived expression equal to the
-    condition up to a nonzero rational or parameter-monomial factor.
-    Remaining conditions are verified numerically: at each sample the
-    derived system and the condition become linear forms in the opaque
-    component derivatives, and the condition's form must lie in the row
-    span of the derived forms (least-squares residual below tol)."""
+    consequences.  Symbolic route: the condition, or its negative, is one
+    of the derived equations (normal forms are canonical).  Modular route:
+    every equation is a linear form in the opaque component derivatives
+    whose coefficients are polynomials in u and the derivatives of f.  At
+    N_POINTS seeded random points over GF(p), p = PRIME = 2^31 - 1, the
+    condition is implied iff adding its row leaves the rank of the derived
+    rows unchanged at every point.  By the Schwartz-Zippel lemma a point
+    gives a rank below the generic one with probability at most
+    (rank + 1) * degree / p; ``check`` carries that bound and its inputs."""
     import random
-
-    import numpy as np
 
     if not isinstance(ds.family, Generic):
         raise DetSysError("implication report applies to the generic family")
@@ -365,83 +363,52 @@ def reference_implication_report(
         derived.extend(nxt)
         frontier = nxt
 
-    def strip_monomial(e):
-        if type(e) is Product:
-            kept = [
-                f for f in e.factors
-                if not (
-                    type(f) is Rat
-                    or type(f) is Param
-                    or (type(f) is Pow and type(f.expbase) is Param)
-                )
-            ]
-            return mul(*kept) if kept else RAT1
-        return e
+    report = {
+        n: {"implied": True, "route": "symbolic"}
+        for n, ce in conds.items() if ce in seen or expand(neg(ce)) in seen
+    }
+    unmatched = [n for n in conds if n not in report]
+    names = ("xi", "eta", "tau", "phi")
+    decomps = [_linear_decomposition(e, names) for e in derived]
+    cond_decomps = [_linear_decomposition(conds[n], names) for n in unmatched]
+    coeffs = {ce for d in decomps + cond_decomps for ce in d.values()}
+    col = {node: i for i, node in enumerate(sorted(
+        {node for d in decomps + cond_decomps for node in d}, key=Expr.sort_key))}
+    atoms = sorted({a for ce in coeffs for a in atoms_of(ce)}, key=Expr.sort_key)
+    fnodes = {f for ce in coeffs for f in fn_nodes_of(ce)}
+    fkeys = sorted({(f.name, f.didx) for f in fnodes})
+    variables = {*atoms, *fnodes}
+    degree = max((sum(k for _, k in mono)
+                  for ce in coeffs for mono in collect_atoms(ce, variables)), default=0)
 
-    report: dict = {}
-    unmatched = []
-    for name, ce in conds.items():
-        hit = None
-        for de in derived:
-            for a, b in ((ce, de), (ce, expand(neg(de)))):
-                diffs = expand(sub(a, b))
-                if diffs == RAT0:
-                    hit = "symbolic"
-                    break
-            if hit:
-                break
-        if hit:
-            report[name] = {"implied": True, "route": "symbolic"}
-        else:
-            unmatched.append(name)
+    rng = random.Random(seed)
+    ranks = []
+    implied = dict.fromkeys(unmatched, True)
+    for _ in range(N_POINTS):
+        point = {a: rng.randrange(1, PRIME) for a in atoms}
+        fvals = {k: rng.randrange(1, PRIME) for k in fkeys}
 
-    if unmatched:
-        names = ("xi", "eta", "tau", "phi")
-        exprs = derived + [conds[n] for n in unmatched]
-        decomps = [_linear_decomposition(e, names) for e in exprs]
-        unknown_nodes = sorted(
-            {node for d in decomps for node in d}, key=Expr.sort_key
-        )
-        node_index = {node: i for i, node in enumerate(unknown_nodes)}
-        sample_atoms = sorted(
-            {a for d in decomps for ce in d.values() for a in atoms_of(ce)},
-            key=Expr.sort_key,
-        )
-        sample_fn_keys = sorted(
-            {
-                (fnode.name, fnode.didx)
-                for d in decomps
-                for ce in d.values()
-                for fnode in fn_nodes_of(ce)
-            }
-        )
-        ok = {n: True for n in unmatched}
-        rng = random.Random(seed)
-        for _ in range(n_samples):
-            point = {a: rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0)) for a in sample_atoms}
-            fvals = {k: rng.uniform(0.5, 2.0) * rng.choice((-1.0, 1.0)) for k in sample_fn_keys}
+        def row(d):
+            return {col[node]: eval_mod(ce, point, fvals, PRIME) for node, ce in d.items()}
 
-            def fns(name, didx, args):
-                return fvals[(name, didx)]
-
-            numeric = []
-            for d in decomps:
-                row = [0.0] * len(unknown_nodes)
-                for node, ce in d.items():
-                    row[node_index[node]] = eval_numeric(ce, point, fns)
-                numeric.append(row)
-            mat = np.array(numeric[: len(derived)], dtype=float).T  # cols = derived rows
-            for i, name in enumerate(unmatched):
-                b = np.array(numeric[len(derived) + i], dtype=float)
-                if not np.any(b):
-                    continue
-                lam, *_ = np.linalg.lstsq(mat, b, rcond=None)
-                resid = np.linalg.norm(mat @ lam - b)
-                if resid > tol * (1.0 + np.linalg.norm(b)):
-                    ok[name] = False
-        for name in unmatched:
-            report[name] = {"implied": ok[name], "route": "numeric"}
-    return report
+        pivots = echelon_mod_p((row(d) for d in decomps), PRIME)
+        ranks.append(len(pivots))
+        for name, d in zip(unmatched, cond_decomps):
+            if reduce_mod_p(row(d), pivots, PRIME):
+                implied[name] = False
+    for name in unmatched:
+        report[name] = {"implied": implied[name], "route": "modular"}
+    check = {
+        "prime": PRIME,
+        "seed": seed,
+        "points": N_POINTS,
+        "rows": len(derived),
+        "unknowns": len(col),
+        "ranks": ranks,
+        "max_entry_degree": degree,
+        "wrong_rank_bound_per_point": (max(ranks, default=0) + 1) * degree / PRIME,
+    }
+    return report, check
 
 
 # ---------------------------------------------------------------------------

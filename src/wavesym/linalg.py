@@ -10,11 +10,15 @@ parameter-monomial content after every update to keep entries small.
 All operations treat the parameters appearing in entries as generic nonzero
 values; solutions therefore live in the field of rational functions of the
 parameters, with exact rational coefficients.
+
+For rank tests at a point, ``echelon_mod_p`` and ``reduce_mod_p`` eliminate
+sparse rows ``{col: residue}`` over GF(p).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .expr import (
     Expr, Param, Pow, Product, Rat, Sum,
@@ -23,6 +27,7 @@ from .expr import (
 
 __all__ = [
     "strip_row_content", "row_reduce", "nullspace", "solve_span", "rank",
+    "echelon_mod_p", "reduce_mod_p",
 ]
 
 
@@ -251,3 +256,39 @@ def solve_span(vectors: list, target: list):
         # row reads piv*lam_pc + s = augmented entry
         coeffs[pc] = _entry(div(add(echelon[r][k], neg(s)), echelon[r][pc]))
     return coeffs
+
+
+def reduce_mod_p(row: dict, pivots: dict, p: int) -> dict:
+    """Remainder of a sparse row {col: residue} modulo the echelon rows
+    ``pivots`` ({pivot col: row with entry 1 there and none to its left})
+    over GF(p).  The remainder is empty iff the row lies in their span."""
+    row = {c: v % p for c, v in row.items() if v % p}
+    cols = list(row)
+    heapify(cols)
+    while cols:
+        col = heappop(cols)
+        a = row.get(col)
+        if a is None or col not in pivots:
+            continue
+        for c, v in pivots[col].items():
+            if c not in row:
+                heappush(cols, c)
+            w = (row.get(c, 0) - a * v) % p
+            if w:
+                row[c] = w
+            else:
+                row.pop(c, None)
+    return row
+
+
+def echelon_mod_p(rows, p: int) -> dict:
+    """Echelon form over GF(p) of sparse rows {col: residue}, as
+    {pivot col: row scaled to 1 there}; its length is the rank."""
+    pivots: dict = {}
+    for r in rows:
+        r = reduce_mod_p(r, pivots, p)
+        if r:
+            col = min(r)
+            scale = pow(r[col], -1, p)
+            pivots[col] = {c: v * scale % p for c, v in r.items()}
+    return pivots

@@ -114,7 +114,7 @@ def _rotation_evidence(case_id, theta=0.1):
 def test_criterion_01_determining_system_fidelity():
     v = opaque_vectorfield()
     ds = extract_determining(v, Generic())
-    report = reference_implication_report(ds, n_samples=50, tol=1e-9)
+    report, _ = reference_implication_report(ds)
     not_implied = {n for n, r in report.items() if not r["implied"]}
     n_implied = len(report) - len(not_implied)
 

@@ -21,6 +21,16 @@ class TestExitCodes:
         assert main(["classify", "--case", "i", "--param", "nonsense"]) == 2
         assert main(["verify", "--grid", "4"]) == 2
 
+    def test_zero_family_parameter_in_verify_is_2(self, capsys):
+        assert main(["verify", "--param", "c=0"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "c must be nonzero" in err
+
+    def test_negative_degree_is_2(self, capsys):
+        assert main(["classify", "--case", "i", "--degree", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--degree" in err
+
     def test_degree_zero_classify_fails_with_note(self, tmp_path):
         code, report = run(tmp_path, "classify", "--case", "i", "--degree", "0")
         assert code == 1
@@ -76,6 +86,9 @@ class TestReportContents:
         assert stage["conditions_not_implied"] == [
             "eta_no_x", "tau_t_matches_phi_u", "xi_no_y",
         ]
+        check = stage["implication_check"]
+        assert check["ranks"] == [223, 223]
+        assert check["wrong_rank_bound_per_point"] < 1e-6
 
     def test_verify_writes_convergence_csv(self, tmp_path):
         code, report = run(tmp_path, "verify")

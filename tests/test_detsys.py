@@ -3,7 +3,8 @@
 import pytest
 
 from wavesym.detsys import (
-    AnsatzSpec, DetSysError, ExponentialCase, Generic, PowerCase, UTag,
+    AnsatzSpec, DeterminingSystem, DetSysError, ExponentialCase, Generic,
+    PowerCase, UTag,
     ansatz_solve, check_reference_system, extract_determining,
     invariance_residual, model_residual, on_shell, opaque_vectorfield,
     reference_implication_report, split_u_dependence,
@@ -45,7 +46,7 @@ class TestFamilies:
         # e1 = 1/3 gives f = L*(u/3 + e2)^3, a genuine polynomial
         fam = PowerCase(e1=rat(1, 3))
         f = fam.f_expr()
-        assert not any(True for _ in ())  # structural: no exp/ln nodes left
+        assert f == mul(param("L"), pow_(add(div(U, 3), e2), 3))
         from wavesym.expr import Exp, Ln, _walk
         assert not [n for n in _walk(f) if type(n) in (Exp, Ln)]
 
@@ -190,11 +191,39 @@ class TestReferenceSystem:
 
     def test_implication_report(self):
         ds = extract_determining(opaque_vectorfield(), Generic())
-        rep = reference_implication_report(ds)
+        rep, check = reference_implication_report(ds)
         not_implied = {n for n, v in rep.items() if not v["implied"]}
         # exactly the documented defects: the rotation-excluding split and
         # the tau_t = phi_u slip
         assert not_implied == {"xi_no_y", "eta_no_x", "tau_t_matches_phi_u"}
+        # conditions that are derived equations themselves need no rank test
+        symbolic = {n for n, v in rep.items() if v["route"] == "symbolic"}
+        assert symbolic == {"tau_wave_balance", "phi_scale_x", "phi_scale_y",
+                            "phi_wave_balance"}
+        assert {v["route"] for n, v in rep.items() if n not in symbolic} == {"modular"}
+        p = check["prime"]
+        assert p == 2**31 - 1 and check["points"] == 2
+        assert (check["rows"], check["unknowns"]) == (412, 276)
+        assert check["ranks"] == [223, 223]
+        # every coefficient is linear in u and the derivatives of f
+        assert check["max_entry_degree"] == 1
+        assert check["wrong_rank_bound_per_point"] == 224 / p
+
+    def test_implication_verdicts_seed_independent(self):
+        ds = extract_determining(opaque_vectorfield(), Generic())
+        reports = [reference_implication_report(ds, seed=s)[0] for s in range(5)]
+        assert all(r == reports[0] for r in reports)
+
+    def test_implication_sees_a_dropped_equation(self):
+        # without phi_tt - f*(phi_xx + phi_yy), the coefficient of the jet
+        # monomial 1, the reference's phi wave balance no longer follows
+        ds = extract_determining(opaque_vectorfield(), Generic())
+        kept = [(k, e) for k, e in ds.entries if str(k) != "1"]
+        assert len(kept) == len(ds) - 1
+        rep, check = reference_implication_report(DeterminingSystem(ds.family, kept))
+        assert not rep["phi_wave_balance"]["implied"]
+        assert rep["phi_wave_balance"]["route"] == "modular"
+        assert all(r < 223 for r in check["ranks"])
 
 
 class TestAnsatzSolve:

@@ -6,14 +6,14 @@ import pytest
 
 from conftest import rand_expr, rand_raw_tree
 from wavesym.expr import (
-    Exp, Fn, Jet, Ln, Param, Pow, Product, Rat, Sum,
+    Base, Exp, Fn, Jet, Ln, Param, Pow, Product, Rat, Sum,
     RAT0, RAT1, T, U, X, Y,
     add, base, clear_sum_denominators, collect, collect_atoms, diff, div,
-    equal_numeric, eval_numeric, exp_, expand, fn, format_expr, jet, ln_,
+    equal_numeric, eval_mod, eval_numeric, exp_, expand, fn, format_expr, jet, ln_,
     mul, neg, normalize, param, pow_, rat, sub, substitute, vanishes,
     EvalDomainError, NonPolynomialError, SingularError, UnboundAtomError,
 )
-from wavesym.expr import SingularSubstitutionError
+from wavesym.expr import SingularSubstitutionError, atoms_of, fn_nodes_of
 
 a, b, c = param("a"), param("b"), param("c")
 K = param("K")
@@ -236,6 +236,61 @@ class TestNumeric:
             eval_numeric(ln_(X), {X: -1.0})
         with pytest.raises(EvalDomainError):
             eval_numeric(pow_(X, -1), {X: 0.0})
+
+    def test_eval_mod_matches_exact_evaluation(self, rng):
+        p = 2**31 - 1
+
+        def exact(n, point, fvals):
+            t = type(n)
+            if t is Rat:
+                return n.value
+            if t in (Param, Base, Jet):
+                return point[n]
+            if t is Fn:
+                return fvals[(n.name, n.didx)]
+            if t is Sum:
+                return sum(exact(x, point, fvals) for x in n.terms)
+            if t is Product:
+                v = Fraction(1)
+                for x in n.factors:
+                    v *= exact(x, point, fvals)
+                return v
+            if t is Pow and n.exp.denominator == 1:
+                return exact(n.expbase, point, fvals) ** int(n.exp)
+            raise NonPolynomialError(str(n))
+
+        def residue(q):
+            return q.numerator * pow(q.denominator, -1, p) % p
+
+        checked = 0
+        for _ in range(600):
+            e = rand_expr(rng, 3)
+            point = {x: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for x in atoms_of(e)}
+            fvals = {(f.name, f.didx): Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                     for f in fn_nodes_of(e)}
+            mpoint = {x: residue(q) for x, q in point.items()}
+            mfvals = {k: residue(q) for k, q in fvals.items()}
+            try:
+                want = exact(e, point, fvals)
+            except (NonPolynomialError, ZeroDivisionError):
+                with pytest.raises((NonPolynomialError, EvalDomainError)):
+                    eval_mod(e, mpoint, mfvals, p)
+                continue
+            assert eval_mod(e, mpoint, mfvals, p) == residue(want), format_expr(e)
+            checked += 1
+        assert checked >= 100
+
+    def test_eval_mod_zero_denominator(self):
+        p = 101
+        with pytest.raises(EvalDomainError):
+            eval_mod(pow_(sub(X, Y), -2), {X: 5, Y: 5 + p}, {}, p)
+        with pytest.raises(EvalDomainError):
+            eval_mod(mul(rat(1, p), X), {X: 1}, {}, p)
+        assert eval_mod(pow_(X, -1), {X: 2}, {}, p) == 51
+        with pytest.raises(NonPolynomialError):
+            eval_mod(exp_(X), {X: 1}, {}, p)
+        with pytest.raises(UnboundAtomError):
+            eval_mod(fn("f", [X]), {X: 1}, {}, p)
 
     def test_equal_numeric_inverse_pair(self):
         assert equal_numeric(exp_(ln_(X)), X, box=(0.1, 10.0))

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 from wavesym.expr import RAT0, RAT1, add, expand, mul, neg, param, pow_, rat
-from wavesym.linalg import nullspace, param_content, rank, solve_span, strip_row_content
+from wavesym.linalg import (
+    echelon_mod_p, nullspace, param_content, rank, reduce_mod_p, solve_span,
+    strip_row_content,
+)
 
 c, K = param("c"), param("K")
 
@@ -77,6 +80,25 @@ def test_random_homogeneous_systems(rng):
             for row in rows:
                 s = add(*[mul(a, b) for a, b in zip(row, v)])
                 assert expand(s) == RAT0
+
+
+def test_mod_p_rank_matches_exact_rank(rng):
+    # small integer entries: the rank over GF(p) is the rank over Q unless
+    # p divides a minor, which the large prime rules out here
+    p = 2**31 - 1
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[rng.choice([0, 0, 1, -2, 3]) for _ in range(ncols)] for _ in range(nrows)]
+        pivots = echelon_mod_p(({j: v for j, v in enumerate(r) if v} for r in rows), p)
+        assert len(pivots) == rank([[rat(v) for v in r] for r in rows], ncols)
+        combo = {}
+        for r in rows:
+            k = rng.randint(-3, 3)
+            for j, v in enumerate(r):
+                combo[j] = combo.get(j, 0) + k * v
+        assert reduce_mod_p(combo, pivots, p) == {}
+        unit = {ncols: 1}  # a column no row touches
+        assert reduce_mod_p(unit, pivots, p) == unit
 
 
 def test_param_content_and_strip():
