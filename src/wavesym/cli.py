@@ -31,7 +31,7 @@ from .detsys import (
 from .expr import format_expr, param, rat
 from .liealg import commutator_table, decompose_field, jacobi_check
 from .numverify import (
-    DEFAULT_PARAMS, GridSpec, NumVerifyError, ResidualReport, default_grid,
+    DEFAULT_PARAMS, GridSpec, NumVerifyError, default_grid,
     fd_residual, first_integral_drift, flow_transport_check,
     reconstruct_case_i_v4, verify_reduction_numeric,
 )
@@ -265,15 +265,14 @@ def stage_reduce(config: RunConfig) -> dict:
     return out
 
 
-def _report_residual(r: ResidualReport) -> dict:
-    return r.to_dict()
-
-
 def stage_verify(config: RunConfig, csv_dir: str | None) -> dict:
     import os
 
     for case in ("i", "ii"):  # K, c, L, e1 = 0 leave a family undefined
         _family(RunConfig(**{**config.__dict__, "case": case}))
+    p4 = _numeric_params(config, ("i", "v4"))
+    if p4["m"] == 0 and p4["p"] == 0:
+        raise ConfigError("--param m, p: m and p cannot both vanish")
     out: dict = {"reductions": {}, "csv_files": []}
     ok = True
     for case_id, gen in (("i", "v1"), ("i", "v4"), ("ii", "v1"), ("ii", "v4")):
@@ -284,7 +283,7 @@ def stage_verify(config: RunConfig, csv_dir: str | None) -> dict:
             tol=config.tol,
             ode_step=config.ode_step,
         )
-        out["reductions"][f"{case_id}_{gen}"] = _report_residual(r)
+        out["reductions"][f"{case_id}_{gen}"] = r.to_dict()
         ok = ok and r.passed
         if r.convergence and csv_dir is not None:
             path = os.path.join(csv_dir, f"convergence_{case_id}_{gen}.csv")
@@ -302,7 +301,7 @@ def stage_verify(config: RunConfig, csv_dir: str | None) -> dict:
     p = _numeric_params(config, ("i", "v4"))
     u, f = reconstruct_case_i_v4(p, grid)
     base_rep = fd_residual(u, grid, f, tol=config.tol)
-    out["explicit_solution"] = _report_residual(base_rep)
+    out["explicit_solution"] = base_rep.to_dict()
     ok = ok and base_rep.passed
     m, pp = p["m"], p["p"]
     bad = dict(p)
@@ -423,6 +422,11 @@ def _emit(report: dict, config: RunConfig) -> None:
 # argument parsing
 
 
+CASES = ("i", "ii", "generic")
+GENERATORS = ("v1", "v2", "v3", "v4", "v5")
+FORMATS = ("text", "json")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="wavesym",
@@ -432,75 +436,95 @@ def _build_parser() -> argparse.ArgumentParser:
             "verification."
         ),
     )
+    # no defaults here: an unset flag falls back to the config file, then
+    # to RunConfig
     ap.add_argument("command", choices=["derive", "classify", "reduce", "verify", "report-all"])
-    ap.add_argument("--case", default=None, choices=["i", "ii", "generic"])
-    ap.add_argument("--generator", default="v1",
-                    choices=["v1", "v2", "v3", "v4", "v5"])
-    ap.add_argument("--degree", type=int, default=2)
+    ap.add_argument("--case", choices=CASES)
+    ap.add_argument("--generator", choices=GENERATORS)
+    ap.add_argument("--degree", type=int)
     ap.add_argument("--param", action="append", default=[],
                     metavar="NAME=RATIONAL", help="family/solution parameter")
-    ap.add_argument("--grid", default="21,21,21", metavar="NX,NY,NT")
-    ap.add_argument("--box", default=None,
-                    metavar="X0,X1,Y0,Y1,T0,T1")
-    ap.add_argument("--tol", type=float, default=1e-6)
-    ap.add_argument("--eps", type=float, default=0.3)
-    ap.add_argument("--ode-step", type=float, default=1e-5)
-    ap.add_argument("--format", dest="fmt", default="text", choices=["text", "json"])
-    ap.add_argument("--out", default=None)
-    ap.add_argument("--config", default=None, help="JSON config file (flags win)")
+    ap.add_argument("--grid", metavar="NX,NY,NT")
+    ap.add_argument("--box", metavar="X0,X1,Y0,Y1,T0,T1")
+    ap.add_argument("--tol", type=float)
+    ap.add_argument("--eps", type=float)
+    ap.add_argument("--ode-step", type=float)
+    ap.add_argument("--format", dest="fmt", choices=FORMATS)
+    ap.add_argument("--out")
+    ap.add_argument("--config", help="JSON config file (flags win)")
     return ap
 
 
+def _one_of(choices):
+    def parse(value):
+        if value not in choices:
+            raise ValueError(f"{value!r} is not one of {', '.join(choices)}")
+        return value
+    return parse
+
+
+def _parse_grid(text) -> tuple:
+    grid_n = tuple(int(x) for x in text.split(","))
+    if len(grid_n) != 3 or min(grid_n) < 3:
+        raise ValueError("grid needs three axis counts >= 3")
+    return grid_n
+
+
+def _parse_box(text) -> tuple:
+    vals = [float(x) for x in text.split(",")]
+    if len(vals) != 6:
+        raise ValueError("need six numbers")
+    box = ((vals[0], vals[1]), (vals[2], vals[3]), (vals[4], vals[5]))
+    if any(lo >= hi for lo, hi in box):
+        raise ValueError("each interval needs lo < hi")
+    return box
+
+
+# config-file key -> (flag attribute, RunConfig field, parser)
+SETTINGS = {
+    "case": ("case", "case", _one_of(CASES)),
+    "generator": ("generator", "generator", _one_of(GENERATORS)),
+    "degree": ("degree", "degree", int),
+    "grid": ("grid", "grid_n", _parse_grid),
+    "box": ("box", "box", _parse_box),
+    "tol": ("tol", "tol", float),
+    "eps": ("eps", "eps", float),
+    "ode_step": ("ode_step", "ode_step", float),
+    "format": ("fmt", "fmt", _one_of(FORMATS)),
+}
+
+
 def _config_from_args(args) -> RunConfig:
+    """One merge: a flag wins over the config file's value, which wins over
+    the RunConfig default."""
     file_cfg = {}
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
     params = {}
-    for kv in file_cfg.get("params", []):
-        name, _, value = kv.partition("=")
-        params[name] = _parse_rational(value)
-    for kv in args.param:
-        name, _, value = kv.partition("=")
-        if not _:
+    for kv in [*file_cfg.get("params", []), *args.param]:
+        name, sep, value = kv.partition("=")
+        if not sep:
             raise ConfigError(f"--param needs NAME=VALUE, got {kv!r}")
         params[name] = _parse_rational(value)
-    try:
-        grid_n = tuple(int(x) for x in (args.grid or file_cfg.get("grid", "21,21,21")).split(","))
-        if len(grid_n) != 3 or min(grid_n) < 3:
-            raise ValueError("grid needs three axis counts >= 3")
-    except ValueError as err:
-        raise ConfigError(f"bad --grid: {err}") from None
-    box = None
-    box_text = args.box or file_cfg.get("box")
-    if box_text:
-        try:
-            vals = [float(x) for x in box_text.split(",")]
-            if len(vals) != 6:
-                raise ValueError("need six numbers")
-            box = ((vals[0], vals[1]), (vals[2], vals[3]), (vals[4], vals[5]))
-            if any(lo >= hi for lo, hi in box):
-                raise ValueError("each interval needs lo < hi")
-        except ValueError as err:
-            raise ConfigError(f"bad --box: {err}") from None
-    case = args.case or file_cfg.get("case") or ("generic" if args.command == "derive" else "i")
-    degree = args.degree if args.degree is not None else file_cfg.get("degree", 2)
-    if degree < 0:
-        raise ConfigError(f"bad --degree: {degree} < 0")
-    return RunConfig(
-        command=args.command,
-        case=case,
-        generator=args.generator or file_cfg.get("generator", "v1"),
-        degree=degree,
-        params=params,
-        grid_n=grid_n,
-        box=box,
-        tol=args.tol,
-        eps=args.eps,
-        ode_step=args.ode_step,
-        fmt=args.fmt,
-        out=args.out,
-    )
+    fields = {}
+    for key, (attr, name, parse) in SETTINGS.items():
+        value = getattr(args, attr)
+        if value is None:
+            value = file_cfg.get(key)
+        if value is not None:
+            try:
+                fields[name] = parse(value)
+            except (AttributeError, TypeError, ValueError) as err:
+                raise ConfigError(f"bad --{key.replace('_', '-')}: {err}") from None
+    if args.command == "derive":
+        fields.setdefault("case", "generic")
+    config = RunConfig(command=args.command, params=params, out=args.out, **fields)
+    if config.degree < 0:
+        raise ConfigError(f"bad --degree: {config.degree} < 0")
+    if config.ode_step <= 0:
+        raise ConfigError(f"bad --ode-step: {config.ode_step} must be positive")
+    return config
 
 
 def main(argv=None) -> int:

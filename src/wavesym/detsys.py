@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .expr import (
-    Expr, Fn, Pow, Product, Rat, Sum,
-    RAT0, RAT1, add, atoms_of, base, collect, collect_atoms, diff,
-    eval_mod, expand, fn, fn_nodes_of, format_expr, jet, jets_of, mul,
-    neg, param, pow_, sub, substitute, vanishes,
+    Expr, ExprError, Fn, Pow, Product, Rat, Sum,
+    RAT0, RAT1, add, atoms_of, base, clear_denominators, collect,
+    collect_atoms, diff, eval_mod, expand, fn, fn_nodes_of, format_expr,
+    jet, jets_of, mul, neg, param, pow_, sub, substitute, vanishes,
 )
 from .jet import prolong_coeff_second, total_derivative
 from .liealg import VectorField
@@ -172,37 +172,28 @@ class UTag:
         return "*".join(parts) if parts else "1"
 
 
-def split_u_dependence(e: Expr) -> dict:
-    """Split an expression (free of jets of order >= 1) by its u-dependence.
+def split_u_dependence(coeffs: list) -> list:
+    """Split expressions (free of jets of order >= 1) by their u-dependence.
 
-    Negative powers of u-dependent bases are first cleared by multiplying
-    through (legitimate for a homogeneous equation: the bases are nonzero
-    wherever the family is defined).  Returns {UTag: coefficient} with
-    coefficients free of u."""
-    e = expand(e)
-    for _ in range(3):
-        need: dict = {}
-        terms = e.terms if type(e) is Sum else (e,)
-        for term in terms:
-            factors = term.factors if type(term) is Product else (term,)
-            for f in factors:
-                if type(f) is Pow and f.exp < 0 and U in atoms_of(f.expbase):
-                    k = int(-f.exp) if f.exp.denominator == 1 else 0
-                    if k:
-                        need[f.expbase] = max(need.get(f.expbase, 0), k)
-        if not need:
-            break
-        mult = [pow_(b, k) for b, k in sorted(
-            need.items(), key=lambda bk: bk[0].sort_key())]
-        e = add(*[expand(mul(term, *mult)) for term in terms])
-    else:
-        raise DetSysError("could not clear u-dependent denominators")
+    Negative integer powers of u-dependent bases are first cleared by
+    multiplying every expression through by one shared product of bases
+    (legitimate for homogeneous equations: the bases are nonzero wherever
+    the family is defined).  The coefficients of one jet monomial must be
+    cleared together, or their pieces would not share u-tags.  Returns one
+    {UTag: coefficient} per expression, with coefficients free of u."""
+    try:
+        cleared = clear_denominators(coeffs, lambda b, q: (
+            int(q) if q.denominator == 1 and U in atoms_of(b) else 0))
+    except ExprError:
+        raise DetSysError("could not clear u-dependent denominators") from None
+    return [_split_cleared(e) for e in cleared]
 
+
+def _split_cleared(e: Expr) -> dict:
     out: dict = {}
-    terms = e.terms if type(e) is Sum else (e,)
     if e == RAT0:
         return {}
-    for term in terms:
+    for term in e.terms if type(e) is Sum else (e,):
         factors = term.factors if type(term) is Product else (term,)
         upow = 0
         markers = []
@@ -250,13 +241,17 @@ class DeterminingSystem:
         return out
 
 
+def _jet_coefficients(v: VectorField, fam: FFamily) -> dict:
+    """On-shell invariance residual of v collected over jet monomials."""
+    res = expand(on_shell(invariance_residual(v, fam), fam))
+    return collect(res, {j for j in jets_of(res) if j.order >= 1})
+
+
 def extract_determining(v: VectorField, fam: FFamily | None = None) -> DeterminingSystem:
     """On-shell invariance residual collected over jet monomials; for a
     concrete family each coefficient is further split by u-dependence."""
     fam = fam or Generic()
-    res = expand(on_shell(invariance_residual(v, fam), fam))
-    variables = {j for j in jets_of(res) if j.order >= 1}
-    table = collect(res, variables)
+    table = _jet_coefficients(v, fam)
     entries = []
     for key in sorted(table):
         coeff = table[key]
@@ -264,7 +259,7 @@ def extract_determining(v: VectorField, fam: FFamily | None = None) -> Determini
             if expand(coeff) != RAT0:
                 entries.append((key, expand(coeff)))
         else:
-            pieces = split_u_dependence(coeff)
+            (pieces,) = split_u_dependence([coeff])
             for tag in sorted(pieces):
                 entries.append(((key, tag), pieces[tag]))
     return DeterminingSystem(fam, entries)
@@ -457,14 +452,29 @@ def _mono_expr(m) -> Expr:
     return mul(pow_(X, i), pow_(Y, j), pow_(T, k))
 
 
+def _elementary_field(cname: str, m) -> VectorField:
+    """One ansatz component set to one monomial, the others zero."""
+    mono = _mono_expr(m)
+    comps = dict.fromkeys(("xi", "eta", "tau", "phi"), RAT0)
+    if cname == "alpha":
+        comps["phi"] = mul(mono, U)
+    else:
+        comps["phi" if cname == "beta" else cname] = mono
+    return VectorField(**comps)
+
+
 def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
     """Solve the determining system for a concrete family with polynomial
     components: xi, eta, tau are polynomials of the given degree in
     (x, y, t) and phi = alpha*u + beta with polynomial alpha, beta.
 
-    The homogeneous linear system for the ansatz coefficients is solved by
-    exact elimination over the parameter field; family parameters are
-    treated as generic nonzero values."""
+    The invariance condition is linear in the generator, so column j of the
+    determining matrix is built from the on-shell residual of the j-th
+    elementary field (one component times one monomial) alone.  Rows are
+    keyed by jet monomial, u-tag and (x, y, t) monomial, in that order;
+    identical rows are kept once.  The homogeneous system is solved by exact
+    elimination over the parameter field; family parameters are treated as
+    generic nonzero values."""
     if isinstance(fam, Generic):
         raise DetSysError("ansatz_solve needs a concrete family (exponential or power)")
     spec = spec or AnsatzSpec()
@@ -482,53 +492,29 @@ def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
         if (cname, m) not in tail
     ] + [cm for cm in tail if cm[1] in monos]
 
-    unknown_of = {cm: param(f"uk{i}") for i, cm in enumerate(columns)}
-    col_index = {unknown_of[cm]: i for i, cm in enumerate(columns)}
-    unknown_set = set(col_index)
+    by_jet: dict = {}  # jet monomial -> {column: coefficient}
+    for j, cm in enumerate(columns):
+        for key, coeff in _jet_coefficients(_elementary_field(*cm), fam).items():
+            by_jet.setdefault(key, {})[j] = coeff
+    rows: dict = {}  # frozen row -> row, in first-seen order
+    for key in sorted(by_jet):
+        cols = by_jet[key]
+        table: dict = {}  # (u-tag, xyt monomial) -> {column: entry}
+        for j, pieces in zip(cols, split_u_dependence(list(cols.values()))):
+            for tag, piece in pieces.items():
+                for xyt, entry in collect_atoms(piece, {X, Y, T}).items():
+                    table.setdefault((tag, xyt), {})[j] = expand(entry)
+        for tag, xyt in sorted(table, key=lambda k: (
+                k[0], tuple((a.sort_key(), p) for a, p in k[1]))):
+            row = table[tag, xyt]
+            rows.setdefault(frozenset(row.items()), row)
 
-    def comp_expr(cname):
-        return add(*[
-            mul(unknown_of[(cname, m)], _mono_expr(m))
-            for m in monos
-            if (cname, m) in unknown_of
-        ])
-
-    v = VectorField(
-        comp_expr("xi"),
-        comp_expr("eta"),
-        comp_expr("tau"),
-        add(mul(comp_expr("alpha"), U), comp_expr("beta")),
-    )
-
-    ds = extract_determining(v, fam)
-    n = len(columns)
-    rows = []
-    seen = set()
-    for _, piece in ds.entries:
-        for _, cexpr in sorted(
-            collect_atoms(piece, {X, Y, T}).items(),
-            key=lambda kv: tuple((a.sort_key(), p) for a, p in kv[0]),
-        ):
-            lin = collect_atoms(cexpr, unknown_set)
-            row = [RAT0] * n
-            for key, entry in lin.items():
-                if key == ():
-                    raise DetSysError("determining system is not homogeneous")
-                if len(key) != 1 or key[0][1] != 1:
-                    raise DetSysError("determining system is not linear in the unknowns")
-                row[col_index[key[0][0]]] = expand(entry)
-            sig = tuple(row)
-            if sig not in seen:
-                seen.add(sig)
-                rows.append(row)
-
-    vecs = nullspace(rows, n)
     basis = []
-    for vec in vecs:
+    for vec in nullspace(list(rows.values()), len(columns)):
         parts = {"xi": [], "eta": [], "tau": [], "alpha": [], "beta": []}
-        for (cname, m), entry in zip(columns, vec):
-            if entry != RAT0:
-                parts[cname].append(mul(entry, _mono_expr(m)))
+        for j, entry in vec.items():
+            cname, m = columns[j]
+            parts[cname].append(mul(entry, _mono_expr(m)))
         basis.append(
             VectorField(
                 add(*parts["xi"]),
@@ -541,4 +527,4 @@ def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
     certificate = all(
         vanishes(on_shell(invariance_residual(b, fam), fam)) for b in basis
     )
-    return SolutionSpace(fam, spec, basis, certificate, n, len(rows))
+    return SolutionSpace(fam, spec, basis, certificate, len(columns), len(rows))

@@ -34,10 +34,10 @@ __all__ = [
     "rat", "param", "base", "jet", "fn",
     "add", "mul", "pow_", "exp_", "ln_", "neg", "sub", "div",
     "normalize", "expand", "diff", "substitute", "collect", "collect_atoms",
-    "clear_sum_denominators", "vanishes",
+    "clear_denominators", "clear_sum_denominators", "vanishes",
     "eval_numeric", "eval_mod", "equal_numeric", "random_point", "default_fn_sampler",
     "format_expr", "atoms_of", "jets_of", "fn_nodes_of", "max_jet_order",
-    "contains", "rational_content",
+    "rational_content",
     "RAT0", "RAT1", "X", "Y", "T", "U",
     "ExprError", "SingularError", "NonPolynomialError",
     "UnboundAtomError", "EvalDomainError",
@@ -833,10 +833,6 @@ def max_jet_order(e: Expr) -> int:
     return max((n.order for n in jets_of(e)), default=-1)
 
 
-def contains(e: Expr, target: Expr) -> bool:
-    return any(n == target for n in _walk(_as_expr(e)))
-
-
 def rational_content(e: Expr) -> Fraction:
     """gcd of the rational coefficients of an expanded expression's terms
     (sign taken from the first term); 0 for the zero expression."""
@@ -906,34 +902,43 @@ class MonomialKey:
         return f"MonomialKey({self})"
 
 
-def clear_sum_denominators(e: Expr) -> Expr:
-    """Multiply through by positive powers of Sum-shaped bases occurring with
-    negative exponents until none remains, expanding at each step.  The
-    result vanishes identically iff the input does (the cleared bases are
-    nonzero wherever the input is defined)."""
-    from math import ceil
+def clear_denominators(exprs, power) -> list:
+    """Multiply every expression of ``exprs`` through by one shared product
+    of base powers, expanding, until no negative power is left to clear.
 
-    e = expand(_as_expr(e))
+    ``power(base, q)`` gives, for a factor base^(-q) with q > 0, the power of
+    base needed to clear it, 0 to leave it.  Each base is raised to the
+    largest power any term of any of the expressions needs, so all of them
+    are scaled by the same factor, nonzero wherever they are defined."""
+    exprs = [expand(_as_expr(e)) for e in exprs]
     for _ in range(6):
         need: dict = {}
-        terms = e.terms if type(e) is Sum else (e,)
-        for term in terms:
-            factors = term.factors if type(term) is Product else (term,)
-            for f in factors:
-                if type(f) is Pow and f.exp < 0 and type(f.expbase) is Sum:
-                    k = ceil(-f.exp)
-                    if k > need.get(f.expbase, 0):
-                        need[f.expbase] = k
+        term_lists = [e.terms if type(e) is Sum else (e,) for e in exprs]
+        for terms in term_lists:
+            for term in terms:
+                for f in term.factors if type(term) is Product else (term,):
+                    if type(f) is Pow and f.exp < 0:
+                        k = power(f.expbase, -f.exp)
+                        if k > need.get(f.expbase, 0):
+                            need[f.expbase] = k
         if not need:
-            return e
+            return exprs
         # merge the clearing powers into each term separately so that
         # base^(-k) * base^k cancels before any distribution happens
         mult = [
             pow_(b, k)
             for b, k in sorted(need.items(), key=lambda bk: bk[0].sort_key())
         ]
-        e = add(*[expand(mul(term, *mult)) for term in terms])
-    raise ExprError("could not clear sum denominators")
+        exprs = [add(*[expand(mul(t, *mult)) for t in terms]) for terms in term_lists]
+    raise ExprError("could not clear denominators")
+
+
+def clear_sum_denominators(e: Expr) -> Expr:
+    """Clear every negative power of a Sum-shaped base (a fractional one to
+    the next integer).  The result vanishes identically iff the input does."""
+    from math import ceil
+
+    return clear_denominators([e], lambda b, q: ceil(q) if type(b) is Sum else 0)[0]
 
 
 def vanishes(e: Expr) -> bool:

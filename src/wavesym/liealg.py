@@ -98,7 +98,8 @@ def bracket(v: VectorField, w: VectorField) -> VectorField:
 
 def _component_coordinates(fields):
     """Common coordinatisation of fields by polynomial coefficients of the
-    components over (x, y, t, u) monomials.  Returns (keys, vectors)."""
+    components over (x, y, t, u) monomials.  Returns (keys, vectors), the
+    vectors sparse {key index: coefficient}."""
     collected = [
         [collect_atoms(c, COORDS) for c in f.components] for f in fields
     ]
@@ -111,8 +112,10 @@ def _component_coordinates(fields):
                     seen.add((slot, k))
                     keys.append((slot, k))
     keys.sort(key=lambda sk: (sk[0], tuple((a.sort_key(), p) for a, p in sk[1])))
+    index = {sk: i for i, sk in enumerate(keys)}
     vectors = [
-        [comps[slot].get(k, RAT0) for slot, k in keys] for comps in collected
+        {index[slot, k]: e for slot, table in enumerate(comps) for k, e in table.items()}
+        for comps in collected
     ]
     return keys, vectors
 
@@ -174,8 +177,7 @@ def commutator_table(basis) -> CommutatorTable:
     basis = list(basis)
     n = len(basis)
     keys, vectors = _component_coordinates(basis)
-    m = len(keys)
-    if rank([list(v) for v in vectors], m) != n:
+    if rank(vectors, len(keys)) != n:
         raise LieAlgError("basis fields are linearly dependent")
     entries = {}
     for i in range(n):
@@ -183,9 +185,7 @@ def commutator_table(basis) -> CommutatorTable:
         for j in range(i + 1, n):
             br = bracket(basis[i], basis[j])
             _, brvec = _component_coordinates(basis + [br])
-            target = brvec[-1]
-            cols = [v + [RAT0] * (len(target) - len(v)) for v in brvec[:-1]]
-            coeffs = solve_span(cols, target)
+            coeffs = solve_span(brvec[:-1], brvec[-1])
             entries[(i, j)] = coeffs
             entries[(j, i)] = None if coeffs is None else [expand(neg(c)) for c in coeffs]
     return CommutatorTable(basis, entries)

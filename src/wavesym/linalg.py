@@ -1,10 +1,11 @@
 """Exact linear algebra over symbolic expression entries.
 
-Matrices are lists of rows of normalized, expanded expressions.  Forward
-elimination is fraction-free (cross-multiplication row updates, no entry is
-ever divided during the sweep), with deterministic pivoting that prefers
-rational entries, then parameter monomials, so that back-substitution only
-divides by simple quantities.  Rows are reduced by their rational and
+Rows are sparse, ``{col: entry}`` with only nonzero, normalized, expanded
+entries, so elimination never visits a zero.  Forward elimination is
+fraction-free (cross-multiplication row updates, no entry is ever divided
+during the sweep), with deterministic pivoting that prefers rational
+entries, then parameter monomials, so that back-substitution only divides by
+simple quantities.  Rows are reduced by their rational and
 parameter-monomial content after every update to keep entries small.
 
 All operations treat the parameters appearing in entries as generic nonzero
@@ -17,12 +18,14 @@ sparse rows ``{col: residue}`` over GF(p).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 from .expr import (
     Expr, Param, Pow, Product, Rat, Sum,
-    RAT0, RAT1, add, div, expand, mul, neg, pow_, rat, rational_content,
+    RAT0, RAT1, _frac_gcd, add, div, expand, mul, neg, pow_, rat,
+    rational_content,
 )
 
 __all__ = [
@@ -47,69 +50,42 @@ def _param_powers(term: Expr) -> dict:
     return out
 
 
+def _min_powers(powers) -> dict:
+    """Common parameter monomial of several {param: exponent} monomials
+    (an absent parameter has exponent 0), nonzero exponents only."""
+    powers = list(powers)
+    params = dict.fromkeys(p for pw in powers for p in pw)
+    common = {p: min(pw.get(p, 0) for pw in powers) for p in params}
+    return {p: q for p, q in common.items() if q != 0}
+
+
 def param_content(e: Expr) -> dict:
     """Common parameter monomial of all terms of an expanded expression,
     as {param: min exponent} with only nonzero exponents kept."""
     if e == RAT0:
         return {}
-    terms = e.terms if type(e) is Sum else (e,)
-    common: dict | None = None
-    for t in terms:
-        powers = _param_powers(t)
-        if common is None:
-            common = dict(powers)
-        else:
-            for p in list(common):
-                common[p] = min(common[p], powers.get(p, Fraction(0)))
-            for p in powers:
-                if p not in common:
-                    common[p] = min(Fraction(0), powers[p])
-    return {p: q for p, q in (common or {}).items() if q != 0}
+    return _min_powers(map(_param_powers, e.terms if type(e) is Sum else (e,)))
 
 
-def strip_row_content(row: list) -> list:
-    """Divide a row by its common rational content and parameter monomial.
-    Leaves the zero row unchanged."""
-    nonzero = [e for e in row if e != RAT0]
-    if not nonzero:
+def strip_row_content(row: dict) -> dict:
+    """Divide a sparse row by its common rational content and parameter
+    monomial, and give its first entry a positive leading term."""
+    if not row:
         return row
     g = Fraction(0)
-    for e in nonzero:
-        c = rational_content(e)
-        g = c if g == 0 else _gcd_frac(g, abs(c))
-    common: dict | None = None
-    for e in nonzero:
-        pc = param_content(e)
-        if common is None:
-            common = dict(pc)
-        else:
-            for p in list(common):
-                common[p] = min(common[p], pc.get(p, Fraction(0)))
-            for p in pc:
-                if p not in common:
-                    common[p] = min(Fraction(0), pc[p])
-    common = {p: q for p, q in (common or {}).items() if q != 0}
+    for e in row.values():
+        g = _frac_gcd(g, rational_content(e))
+    common = _min_powers(map(param_content, row.values()))
     scale = mul(
-        rat(Fraction(1) / abs(g)) if g not in (0, 1, -1) else RAT1,
+        rat(1 / g) if g not in (0, 1) else RAT1,
         *[pow_(p, -q) for p, q in common.items()],
     )
     if scale != RAT1:
-        row = [_entry(mul(scale, e)) if e != RAT0 else e for e in row]
-    # canonical sign: leading term of the first nonzero entry positive
-    first = next(e for e in row if e != RAT0)
-    if rational_content(first) < 0:
-        row = [_entry(neg(e)) if e != RAT0 else e for e in row]
+        row = {c: _entry(mul(scale, e)) for c, e in row.items()}
+    # canonical sign: leading term of the first entry positive
+    if rational_content(row[min(row)]) < 0:
+        row = {c: _entry(neg(e)) for c, e in row.items()}
     return row
-
-
-def _gcd_frac(a: Fraction, b: Fraction) -> Fraction:
-    from math import gcd, lcm
-
-    if a == 0:
-        return abs(b)
-    if b == 0:
-        return abs(a)
-    return Fraction(gcd(a.numerator, b.numerator), lcm(a.denominator, b.denominator))
 
 
 def _pivot_quality(e: Expr) -> int:
@@ -130,98 +106,82 @@ def _pivot_quality(e: Expr) -> int:
 
 
 def row_reduce(rows: list, ncols: int):
-    """Bring rows to (unnormalized) row-echelon form in place.
+    """Bring sparse rows over columns 0..ncols-1 (nonzero entries only) to
+    (unnormalized) row-echelon form.
 
-    Returns (echelon_rows, pivot_cols): echelon_rows[i] has its first
-    nonzero entry in column pivot_cols[i]."""
-    work = [strip_row_content([_entry(e) for e in r]) for r in rows]
-    work = [r for r in work if any(e != RAT0 for e in r)]
+    Returns (echelon_rows, pivot_cols): echelon_rows[i] has its first entry
+    in column pivot_cols[i].  Columns are taken in increasing order; the
+    pivot of a column is the row of best ``_pivot_quality``, the first such
+    row on ties."""
+    work = [strip_row_content({c: _entry(e) for c, e in r.items()}) for r in rows]
+    work = [r for r in work if r]
     echelon: list = []
     pivot_cols: list = []
-    for col in range(ncols):
+    while work:
+        col = min(min(r) for r in work)
         best = None
         for i, r in enumerate(work):
-            if r[col] == RAT0:
-                continue
-            q = _pivot_quality(r[col])
-            if best is None or q < best[0]:
-                best = (q, i)
-                if q == 0:
-                    break
-        if best is None:
-            continue
-        _, i = best
-        piv_row = work.pop(i)
+            if col in r:
+                q = _pivot_quality(r[col])
+                if best is None or q < best[0]:
+                    best = (q, i)
+                    if q == 0:
+                        break
+        piv_row = work.pop(best[1])
         piv = piv_row[col]
         echelon.append(piv_row)
         pivot_cols.append(col)
         for j, r in enumerate(work):
-            a = r[col]
-            if a == RAT0:
+            a = r.get(col)
+            if a is None:
                 continue
-            new = [
-                _entry(add(mul(piv, r[c]), neg(mul(a, piv_row[c]))))
-                for c in range(ncols)
-            ]
+            new = {}
+            for c in r.keys() | piv_row.keys():
+                e = _entry(add(mul(piv, r.get(c, RAT0)), neg(mul(a, piv_row.get(c, RAT0)))))
+                if e != RAT0:
+                    new[c] = e
             work[j] = strip_row_content(new)
-        work = [r for r in work if any(e != RAT0 for e in r)]
+        work = [r for r in work if r]
     return echelon, pivot_cols
 
 
 def nullspace(rows: list, ncols: int) -> list:
-    """Exact basis of the solution space of the homogeneous system.
+    """Exact basis of the solution space of the homogeneous system, as
+    sparse vectors {col: entry} in column order.
 
     Each basis vector corresponds to one free column (set to 1, the other
     free columns to 0) and is cleaned: parameter denominators cleared,
-    rational content removed, first nonzero coordinate given positive
-    leading coefficient."""
+    rational content removed, first coordinate given positive leading
+    coefficient."""
     echelon, pivot_cols = row_reduce(rows, ncols)
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis = []
-    for fc in free_cols:
-        sol = [RAT0] * ncols
-        sol[fc] = RAT1
-        for r in range(len(echelon) - 1, -1, -1):
-            pc = pivot_cols[r]
-            s = add(
-                *[
-                    mul(echelon[r][c], sol[c])
-                    for c in range(pc + 1, ncols)
-                    if echelon[r][c] != RAT0 and sol[c] != RAT0
-                ]
-            )
-            if s == RAT0:
-                sol[pc] = RAT0
-            else:
-                sol[pc] = _entry(neg(div(s, echelon[r][pc])))
-        basis.append(_clean_vector(sol))
+    for fc in sorted(set(range(ncols)).difference(pivot_cols)):
+        sol = {fc: RAT1}
+        for row, pc in zip(reversed(echelon), reversed(pivot_cols)):
+            s = add(*[mul(e, sol[c]) for c, e in row.items() if c in sol])
+            if s != RAT0:
+                sol[pc] = _entry(neg(div(s, row[pc])))
+        basis.append(_clean_vector(dict(sorted(sol.items()))))
     return basis
 
 
-def _clean_vector(vec: list) -> list:
-    nonzero = [e for e in vec if e != RAT0]
-    if not nonzero:
-        return vec
+def _clean_vector(vec: dict) -> dict:
     denom: dict = {}
-    for e in nonzero:
-        pc = param_content(e)
-        for p, q in pc.items():
+    for e in vec.values():
+        for p, q in param_content(e).items():
             if q < 0:
                 denom[p] = max(denom.get(p, Fraction(0)), -q)
     if denom:
         scale = mul(*[pow_(p, q) for p, q in denom.items()])
-        vec = [_entry(mul(scale, e)) if e != RAT0 else e for e in vec]
-        nonzero = [e for e in vec if e != RAT0]
+        vec = {c: _entry(mul(scale, e)) for c, e in vec.items()}
     g = Fraction(0)
-    for e in nonzero:
-        g = _gcd_frac(g, abs(rational_content(e)))
-    lead = rational_content(nonzero[0])
-    if g != 0:
-        s = Fraction(1) / g
-        if lead < 0:
-            s = -s
-        if s != 1:
-            vec = [_entry(mul(rat(s), e)) if e != RAT0 else e for e in vec]
+    for e in vec.values():
+        g = _frac_gcd(g, rational_content(e))
+    s = 1 / g
+    if rational_content(vec[min(vec)]) < 0:
+        s = -s
+    if s != 1:
+        vec = {c: _entry(mul(rat(s), e)) for c, e in vec.items()}
     return vec
 
 
@@ -229,32 +189,27 @@ def rank(rows: list, ncols: int) -> int:
     return len(row_reduce(rows, ncols)[0])
 
 
-def solve_span(vectors: list, target: list):
+def solve_span(vectors: list, target: dict):
     """Exact coordinates of ``target`` in the span of ``vectors``.
 
-    ``vectors`` are length-n coordinate lists; returns the coefficient list
-    or None when the target is outside the span."""
-    n = len(target)
+    Vectors and target are sparse coordinate maps {coordinate: entry};
+    returns the coefficient list or None when the target is outside the
+    span."""
     k = len(vectors)
-    if any(len(v) != n for v in vectors):
-        raise ValueError("inconsistent vector lengths")
-    # unknowns first, then the augmented column
-    rows = [[vectors[j][i] for j in range(k)] + [target[i]] for i in range(n)]
+    # one row per coordinate: the unknowns first, then the augmented column
+    by_coord = defaultdict(dict)
+    for j, v in enumerate([*vectors, target]):
+        for i, e in v.items():
+            by_coord[i][j] = e
+    rows = [by_coord[i] for i in sorted(by_coord)]
     echelon, pivot_cols = row_reduce(rows, k + 1)
     if k in pivot_cols:
         return None  # pivot in the augmented column: inconsistent
     coeffs = [RAT0] * k
-    for r in range(len(echelon) - 1, -1, -1):
-        pc = pivot_cols[r]
-        s = add(
-            *[
-                mul(echelon[r][c], coeffs[c])
-                for c in range(pc + 1, k)
-                if echelon[r][c] != RAT0 and coeffs[c] != RAT0
-            ]
-        )
+    for row, pc in zip(reversed(echelon), reversed(pivot_cols)):
+        s = add(*[mul(e, coeffs[c]) for c, e in row.items() if pc < c < k])
         # row reads piv*lam_pc + s = augmented entry
-        coeffs[pc] = _entry(div(add(echelon[r][k], neg(s)), echelon[r][pc]))
+        coeffs[pc] = _entry(div(add(row.get(k, RAT0), neg(s)), row[pc]))
     return coeffs
 
 

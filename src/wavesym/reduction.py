@@ -216,7 +216,7 @@ def proportional_mod_heads(
 
 
 def _strip(e: Expr) -> Expr:
-    return strip_row_content([expand(e)])[0]
+    return strip_row_content({0: expand(e)})[0]
 
 
 def reduce(spec: ReductionSpec, fam: FFamily | None = None) -> ReducedEquation:

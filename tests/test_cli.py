@@ -26,6 +26,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "c must be nonzero" in err
 
+    def test_both_m_and_p_zero_in_verify_is_2(self, capsys):
+        assert main(["verify", "--param", "m=0", "--param", "p=0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "m, p" in err
+
+    def test_zero_ode_step_is_2(self, capsys):
+        assert main(["verify", "--ode-step", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert "--ode-step" in err
+
     def test_negative_degree_is_2(self, capsys):
         assert main(["classify", "--case", "i", "--degree", "-1"]) == 2
         err = capsys.readouterr().err
@@ -104,6 +116,64 @@ class TestReportContents:
                            "--param", "c=3/2")
         assert code == 0
         assert report["config"]["params"] == {"c": "3/2"}
+
+
+class TestConfigFile:
+    # (config-file key, file value, echoed value, flag, flag value, echoed
+    # flag value); the echo key is the key itself except for grid
+    KEYS = [
+        ("degree", 1, 1, "--degree", "0", 0),
+        ("generator", "v4", "v4", "--generator", "v2", "v2"),
+        ("grid", "9,9,9", [9, 9, 9], "--grid", "5,5,5", [5, 5, 5]),
+        ("tol", 1e-5, 1e-5, "--tol", "1e-7", 1e-7),
+        ("eps", 0.2, 0.2, "--eps", "0.1", 0.1),
+        ("ode_step", 1e-4, 1e-4, "--ode-step", "1e-6", 1e-6),
+    ]
+
+    def echo(self, tmp_path, file_cfg, *flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"case": "ii", **file_cfg}))
+        args = ["classify", "--config", str(cfg), *flags]
+        if "degree" not in file_cfg and "--degree" not in flags:
+            args += ["--degree", "0"]
+        code, report = run(tmp_path, *args)
+        assert code in (0, 1)
+        return report["config"]
+
+    @pytest.mark.parametrize("key, value, echoed, flag, flag_value, flag_echoed",
+                             KEYS, ids=[k[0] for k in KEYS])
+    def test_file_value_wins_over_default(self, tmp_path, key, value, echoed,
+                                          flag, flag_value, flag_echoed):
+        config = self.echo(tmp_path, {key: value})
+        assert config["case"] == "ii"
+        assert config["grid_n" if key == "grid" else key] == echoed
+
+    @pytest.mark.parametrize("key, value, echoed, flag, flag_value, flag_echoed",
+                             KEYS, ids=[k[0] for k in KEYS])
+    def test_flag_wins_over_file_value(self, tmp_path, key, value, echoed,
+                                       flag, flag_value, flag_echoed):
+        config = self.echo(tmp_path, {key: value}, flag, flag_value)
+        assert config["grid_n" if key == "grid" else key] == flag_echoed
+
+    def test_format(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"format": "json", "degree": 0}))
+        main(["classify", "--config", str(cfg)])
+        assert json.loads(capsys.readouterr().out)["config"]["degree"] == 0
+        main(["classify", "--config", str(cfg), "--format", "text"])
+        assert capsys.readouterr().out.startswith("wavesym ")
+
+    def test_bad_file_value_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"generator": "v9"}))
+        assert main(["reduce", "--config", str(cfg)]) == 2
+        assert "--generator" in capsys.readouterr().err
+
+    def test_defaults_without_file(self, tmp_path):
+        code, report = run(tmp_path, "classify", "--degree", "0")
+        config = report["config"]
+        assert (config["case"], config["generator"], config["grid_n"]) == ("i", "v1", [21, 21, 21])
+        assert (config["tol"], config["eps"], config["ode_step"]) == (1e-6, 0.3, 1e-5)
 
 
 class TestDeterminism:

@@ -161,7 +161,7 @@ class TestSplitU:
             mul(param("B"), exp_(div(U, c))),
             param("C"),
         )
-        pieces = split_u_dependence(e)
+        (pieces,) = split_u_dependence([e])
         assert len(pieces) == 3
         powers = sorted((t.u_power, t.factor is not None) for t in pieces)
         assert powers == [(0, False), (0, True), (1, True)]
@@ -169,9 +169,24 @@ class TestSplitU:
     def test_denominator_clearing(self):
         g = add(mul(e1, U), e2)
         e = add(mul(param("A"), pow_(g, -1)), param("B"))
-        pieces = split_u_dependence(e)
+        (pieces,) = split_u_dependence([e])
         # multiplied through by g: A + B*(e1*u + e2) splits into u^0 and u^1
         assert {t.u_power for t in pieces} == {0, 1}
+
+    def test_shared_clearing(self):
+        # f carries no u-denominator, f' = f/(e1*u + e2) does: clearing both
+        # by the one multiplier g = e1*u + e2 puts A*f*g and B*f' on the same
+        # u-tags; clearing each alone would leave A*f unscaled, on tag f only
+        fam = PowerCase()
+        g = add(mul(e1, U), e2)
+        coeffs = [mul(param("A"), fam.f_expr()), mul(param("B"), fam.fu_expr())]
+        f_pieces, fu_pieces = split_u_dependence(coeffs)
+        assert {t.u_power for t in f_pieces} == {0, 1}
+        assert set(fu_pieces) <= set(f_pieces)
+        for coeff, pieces in zip(coeffs, (f_pieces, fu_pieces)):
+            back = add(*[mul(pow_(U, t.u_power), t.factor or RAT1, v)
+                         for t, v in pieces.items()])
+            assert expand(sub(back, mul(g, coeff))) == RAT0
 
 
 class TestReferenceSystem:
@@ -266,10 +281,17 @@ class TestAnsatzSolve:
         # the exponential family carries the planar conformal algebra: the
         # degree-d solution space holds the holomorphic polynomial fields of
         # degree <= d (2(d+1) real dimensions for d >= 1) plus the two
-        # t-generators, giving 3, 6, 8, 10 for d = 0..3
+        # t-generators, giving 3, 6, 8, 10, 12, 14 for d = 0..5
         dims = [ansatz_solve(ExponentialCase(), AnsatzSpec(d)).dimension
-                for d in (0, 1, 2, 3)]
-        assert dims == [3, 6, 8, 10]
+                for d in range(6)]
+        assert dims == [3, 6, 8, 10, 12, 14]
+
+    def test_power_dimension_series(self):
+        # the power family admits translations, rotation and two scalings
+        # and nothing of higher degree
+        dims = [ansatz_solve(PowerCase(), AnsatzSpec(d)).dimension
+                for d in range(1, 5)]
+        assert dims == [6, 6, 6, 6]
 
     def test_translation_floor_both_families(self):
         for fam in (ExponentialCase(), PowerCase()):

@@ -3,7 +3,9 @@
 import random
 from fractions import Fraction
 
-from wavesym.expr import RAT0, RAT1, add, expand, mul, neg, param, pow_, rat
+from wavesym.expr import (
+    RAT0, RAT1, add, expand, mul, neg, param, pow_, rat, sub, vanishes,
+)
 from wavesym.linalg import (
     echelon_mod_p, nullspace, param_content, rank, reduce_mod_p, solve_span,
     strip_row_content,
@@ -12,35 +14,42 @@ from wavesym.linalg import (
 c, K = param("c"), param("K")
 
 
+def sparse(row):
+    """Sparse row {col: entry} of a dense list, zeros dropped."""
+    return {j: e for j, e in enumerate(row) if expand(e) != RAT0}
+
+
+def dot(row, vec):
+    return expand(add(*[mul(e, vec.get(j, RAT0)) for j, e in enumerate(row)]))
+
+
 def test_rank_and_nullspace_rational():
     rows = [
         [rat(1), rat(2), rat(0)],
         [rat(2), rat(4), rat(0)],
         [rat(0), rat(0), rat(1)],
     ]
-    assert rank(rows, 3) == 2
-    basis = nullspace(rows, 3)
+    assert rank([sparse(r) for r in rows], 3) == 2
+    basis = nullspace([sparse(r) for r in rows], 3)
     assert len(basis) == 1
     v = basis[0]
     for row in rows:
-        s = add(*[mul(a, b) for a, b in zip(row, v)])
-        assert expand(s) == RAT0
+        assert dot(row, v) == RAT0
 
 
 def test_nullspace_with_parameters():
     # a - 2c*b = 0 has the solution line (2c, 1)
-    rows = [[RAT1, mul(-2, c)]]
+    rows = [{0: RAT1, 1: mul(-2, c)}]
     (v,) = nullspace(rows, 2)
-    assert [str(e) for e in v] == ["2*c", "1"]
+    assert {j: str(e) for j, e in v.items()} == {0: "2*c", 1: "1"}
 
 
 def test_nullspace_clears_denominators():
     rows = [[pow_(c, -1), neg(K)]]
-    (v,) = nullspace(rows, 2)
+    (v,) = nullspace([sparse(r) for r in rows], 2)
     # scaled to clear 1/c: (K*c, 1)
-    s = add(mul(rows[0][0], v[0]), mul(rows[0][1], v[1]))
-    assert expand(s) == RAT0
-    assert all("^(-" not in str(e) for e in v)
+    assert dot(rows[0], v) == RAT0
+    assert all("^(-" not in str(e) for e in v.values())
 
 
 def test_solve_span_recovers_coefficients(rng):
@@ -55,15 +64,14 @@ def test_solve_span_recovers_coefficients(rng):
             expand(add(mul(rat(a), vecs[0][i]), mul(rat(b), vecs[1][i])))
             for i in range(3)
         ]
-        coeffs = solve_span(vecs, target)
+        coeffs = solve_span([sparse(v) for v in vecs], sparse(target))
         assert coeffs is not None
         assert expand(coeffs[0]) == rat(a)
         assert expand(coeffs[1]) == rat(b)
 
 
 def test_solve_span_detects_outside():
-    vecs = [[rat(1), rat(0), rat(0)]]
-    assert solve_span(vecs, [rat(0), rat(1), rat(0)]) is None
+    assert solve_span([{0: rat(1)}], {1: rat(1)}) is None
 
 
 def test_random_homogeneous_systems(rng):
@@ -74,12 +82,38 @@ def test_random_homogeneous_systems(rng):
             [rat(Fraction(rng.randint(-3, 3), rng.randint(1, 2))) for _ in range(n)]
             for _ in range(m)
         ]
-        basis = nullspace(rows, n)
-        assert len(basis) == n - rank(rows, n)
+        basis = nullspace([sparse(r) for r in rows], n)
+        assert len(basis) == n - rank([sparse(r) for r in rows], n)
         for v in basis:
             for row in rows:
-                s = add(*[mul(a, b) for a, b in zip(row, v)])
-                assert expand(s) == RAT0
+                assert dot(row, v) == RAT0
+
+
+def test_row_order_does_not_change_rank_or_nullspace(rng):
+    # the pivot rule depends on the row order; the pivot columns, and so
+    # the basis vector of each free column up to a factor, do not
+    entries = [RAT0, RAT0, RAT1, rat(-2), c, K, add(mul(c, K), 1),
+               add(c, mul(-2, K)), pow_(c, -1)]
+    for _ in range(15):
+        n = rng.randint(2, 5)
+        rows = [[rng.choice(entries) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+        # a dependent row with parameter coefficients
+        a, b = rng.choice(entries[2:]), rng.choice(entries[2:])
+        rows.append([expand(add(mul(a, x), mul(b, y))) for x, y in zip(rows[0], rows[-1])])
+        rows = [sparse(r) for r in rows]
+        want_rank, want_basis = rank(rows, n), nullspace(rows, n)
+        for _ in range(3):
+            shuffled = rng.sample(rows, len(rows))
+            assert rank(shuffled, n) == want_rank
+            basis = nullspace(shuffled, n)
+            assert len(basis) == len(want_basis)
+            for got, want in zip(basis, want_basis):
+                # proportional as vectors over the rational functions of the
+                # parameters (content removal is not canonical for those)
+                p = min(want)
+                assert all(vanishes(sub(mul(got.get(j, RAT0), want[p]),
+                                        mul(want.get(j, RAT0), got.get(p, RAT0))))
+                           for j in got.keys() | want.keys())
 
 
 def test_mod_p_rank_matches_exact_rank(rng):
@@ -90,7 +124,7 @@ def test_mod_p_rank_matches_exact_rank(rng):
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
         rows = [[rng.choice([0, 0, 1, -2, 3]) for _ in range(ncols)] for _ in range(nrows)]
         pivots = echelon_mod_p(({j: v for j, v in enumerate(r) if v} for r in rows), p)
-        assert len(pivots) == rank([[rat(v) for v in r] for r in rows], ncols)
+        assert len(pivots) == rank([sparse([rat(v) for v in r]) for r in rows], ncols)
         combo = {}
         for r in rows:
             k = rng.randint(-3, 3)
@@ -105,5 +139,5 @@ def test_param_content_and_strip():
     e = add(mul(2, c, K), mul(4, c, pow_(K, 2)))
     content = param_content(expand(e))
     assert content == {c: 1, K: 1}
-    row = strip_row_content([expand(e)])
+    row = strip_row_content({0: expand(e)})
     assert str(row[0]) in ("1 + 2*K", "2*K + 1")
