@@ -273,6 +273,9 @@ def stage_verify(config: RunConfig, csv_dir: str | None) -> dict:
     p4 = _numeric_params(config, ("i", "v4"))
     if p4["m"] == 0 and p4["p"] == 0:
         raise ConfigError("--param m, p: m and p cannot both vanish")
+    pad = 8 * max(default_grid(case, "v1").h for case in ("i", "ii"))
+    if config.box and config.box[0][0] <= pad:  # v1 solutions live in y/x
+        raise ConfigError(f"bad --box: x0 must exceed 8*h = {pad!r}, got {config.box[0][0]!r}")
     out: dict = {"reductions": {}, "csv_files": []}
     ok = True
     for case_id, gen in (("i", "v1"), ("i", "v4"), ("ii", "v1"), ("ii", "v4")):
@@ -463,20 +466,26 @@ def _one_of(choices):
     return parse
 
 
-def _parse_grid(text) -> tuple:
-    grid_n = tuple(int(x) for x in text.split(","))
-    if len(grid_n) != 3 or min(grid_n) < 3:
-        raise ValueError("grid needs three axis counts >= 3")
-    return grid_n
+def _parse_grid(value) -> tuple:
+    """NX,NY,NT, or the report's config echo: a list of three ints."""
+    text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+    items = text.split(",")
+    if len(items) != 3 or not all(x.strip().isdigit() and int(x) >= 3 for x in items):
+        raise ValueError(f"expected NX,NY,NT or a list of three integers >= 3, got {value!r}")
+    return tuple(map(int, items))
 
 
-def _parse_box(text) -> tuple:
-    vals = [float(x) for x in text.split(",")]
-    if len(vals) != 6:
-        raise ValueError("need six numbers")
-    box = ((vals[0], vals[1]), (vals[2], vals[3]), (vals[4], vals[5]))
-    if any(lo >= hi for lo, hi in box):
-        raise ValueError("each interval needs lo < hi")
+def _parse_box(value) -> tuple:
+    """X0,X1,Y0,Y1,T0,T1, or the report's config echo: three [lo, hi] pairs."""
+    try:
+        text = value if isinstance(value, str) else ",".join(f"{lo},{hi}" for lo, hi in value)
+        vals = [float(x) for x in text.split(",")]
+    except (TypeError, ValueError):
+        vals = []
+    box = tuple(zip(vals[0::2], vals[1::2]))
+    if len(vals) != 6 or not all(lo < hi for lo, hi in box):
+        raise ValueError("expected X0,X1,Y0,Y1,T0,T1 or three [lo, hi] pairs "
+                         f"with lo < hi, got {value!r}")
     return box
 
 

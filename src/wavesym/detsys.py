@@ -16,12 +16,13 @@ polynomial ansatz the system is solved exactly over the parameter field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import perm, prod
 
 from .expr import (
     Expr, ExprError, Fn, Pow, Product, Rat, Sum,
     RAT0, RAT1, add, atoms_of, base, clear_denominators, collect,
     collect_atoms, diff, eval_mod, expand, fn, fn_nodes_of, format_expr,
-    jet, jets_of, mul, neg, param, pow_, sub, substitute, vanishes,
+    jet, jets_of, mul, neg, param, pow_, rat, sub, substitute, vanishes,
 )
 from .jet import prolong_coeff_second, total_derivative
 from .liealg import VectorField
@@ -31,8 +32,8 @@ from . import reference
 __all__ = [
     "DetSysError", "FFamily", "Generic", "ExponentialCase", "PowerCase",
     "UTag", "DeterminingSystem", "AnsatzSpec", "SolutionSpace",
-    "model_residual", "on_shell", "invariance_residual",
-    "opaque_vectorfield", "extract_determining", "split_u_dependence",
+    "model_residual", "on_shell", "invariance_residual", "opaque_vectorfield",
+    "opaque_affine_vectorfield", "extract_determining", "split_u_dependence",
     "check_reference_system", "reference_implication_report", "ansatz_solve",
 ]
 
@@ -154,6 +155,14 @@ def opaque_vectorfield() -> VectorField:
     )
 
 
+def opaque_affine_vectorfield() -> VectorField:
+    """Generator with opaque xi, eta, tau, alpha, beta of (x, y, t) and
+    phi = alpha*u + beta: the shape of the polynomial ansatz."""
+    xi, eta, tau, alpha, beta = (
+        fn(name, [X, Y, T]) for name in ("xi", "eta", "tau", "alpha", "beta"))
+    return VectorField(xi, eta, tau, add(mul(alpha, U), beta))
+
+
 @dataclass(frozen=True, order=True)
 class UTag:
     """u-dependence label of one determining coefficient: a plain power of u
@@ -241,17 +250,12 @@ class DeterminingSystem:
         return out
 
 
-def _jet_coefficients(v: VectorField, fam: FFamily) -> dict:
-    """On-shell invariance residual of v collected over jet monomials."""
-    res = expand(on_shell(invariance_residual(v, fam), fam))
-    return collect(res, {j for j in jets_of(res) if j.order >= 1})
-
-
 def extract_determining(v: VectorField, fam: FFamily | None = None) -> DeterminingSystem:
     """On-shell invariance residual collected over jet monomials; for a
     concrete family each coefficient is further split by u-dependence."""
     fam = fam or Generic()
-    table = _jet_coefficients(v, fam)
+    res = expand(on_shell(invariance_residual(v, fam), fam))
+    table = collect(res, {j for j in jets_of(res) if j.order >= 1})
     entries = []
     for key in sorted(table):
         coeff = table[key]
@@ -447,34 +451,20 @@ class SolutionSpace:
         return len(self.basis)
 
 
-def _mono_expr(m) -> Expr:
-    i, j, k = m
-    return mul(pow_(X, i), pow_(Y, j), pow_(T, k))
-
-
-def _elementary_field(cname: str, m) -> VectorField:
-    """One ansatz component set to one monomial, the others zero."""
-    mono = _mono_expr(m)
-    comps = dict.fromkeys(("xi", "eta", "tau", "phi"), RAT0)
-    if cname == "alpha":
-        comps["phi"] = mul(mono, U)
-    else:
-        comps["phi" if cname == "beta" else cname] = mono
-    return VectorField(**comps)
-
-
 def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
     """Solve the determining system for a concrete family with polynomial
     components: xi, eta, tau are polynomials of the given degree in
     (x, y, t) and phi = alpha*u + beta with polynomial alpha, beta.
 
-    The invariance condition is linear in the generator, so column j of the
-    determining matrix is built from the on-shell residual of the j-th
-    elementary field (one component times one monomial) alone.  Rows are
-    keyed by jet monomial, u-tag and (x, y, t) monomial, in that order;
-    identical rows are kept once.  The homogeneous system is solved by exact
-    elimination over the parameter field; family parameters are treated as
-    generic nonzero values."""
+    The determining PDEs are extracted once, from the generator whose
+    xi, eta, tau, alpha, beta are opaque functions of (x, y, t); each is a
+    linear form in component derivatives with coefficients free of
+    (x, y, t).  A term c * d^k(comp) sends column (comp, monomial m) to
+    c * (m)_k, a product of falling factorials, in row (equation, m - k).
+    Rows are keyed by jet monomial, u-tag and (x, y, t) monomial, in that
+    order; identical rows are kept once.  The homogeneous system is solved
+    by exact elimination over the parameter field; family parameters are
+    treated as generic nonzero values."""
     if isinstance(fam, Generic):
         raise DetSysError("ansatz_solve needs a concrete family (exponential or power)")
     spec = spec or AnsatzSpec()
@@ -491,30 +481,30 @@ def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
         for m in monos
         if (cname, m) not in tail
     ] + [cm for cm in tail if cm[1] in monos]
+    col_of = {cm: j for j, cm in enumerate(columns)}
 
-    by_jet: dict = {}  # jet monomial -> {column: coefficient}
-    for j, cm in enumerate(columns):
-        for key, coeff in _jet_coefficients(_elementary_field(*cm), fam).items():
-            by_jet.setdefault(key, {})[j] = coeff
     rows: dict = {}  # frozen row -> row, in first-seen order
-    for key in sorted(by_jet):
-        cols = by_jet[key]
-        table: dict = {}  # (u-tag, xyt monomial) -> {column: entry}
-        for j, pieces in zip(cols, split_u_dependence(list(cols.values()))):
-            for tag, piece in pieces.items():
-                for xyt, entry in collect_atoms(piece, {X, Y, T}).items():
-                    table.setdefault((tag, xyt), {})[j] = expand(entry)
-        for tag, xyt in sorted(table, key=lambda k: (
-                k[0], tuple((a.sort_key(), p) for a, p in k[1]))):
-            row = table[tag, xyt]
-            rows.setdefault(frozenset(row.items()), row)
+    for _, eq in extract_determining(opaque_affine_vectorfield(), fam).entries:
+        table: dict = {}  # xyt monomial -> {column: entry}
+        for node, c in _linear_decomposition(eq, comps).items():
+            if atoms_of(c) & {X, Y, T}:
+                raise DetSysError(f"coefficient {format_expr(c)} depends on x, y or t")
+            for m in monos:
+                n = tuple(a - b for a, b in zip(m, node.didx))
+                if min(n) >= 0:
+                    ff = prod(perm(a, b) for a, b in zip(m, node.didx))
+                    table.setdefault(n, {})[col_of[node.name, m]] = expand(mul(rat(ff), c))
+        # in the order of collect_atoms keys: by atom (x < y < t), then power
+        for n in sorted(table, key=lambda n: tuple(
+                (a.sort_key(), p) for a, p in zip((X, Y, T), n) if p)):
+            rows.setdefault(frozenset(table[n].items()), table[n])
 
     basis = []
     for vec in nullspace(list(rows.values()), len(columns)):
         parts = {"xi": [], "eta": [], "tau": [], "alpha": [], "beta": []}
         for j, entry in vec.items():
             cname, m = columns[j]
-            parts[cname].append(mul(entry, _mono_expr(m)))
+            parts[cname].append(mul(entry, pow_(X, m[0]), pow_(Y, m[1]), pow_(T, m[2])))
         basis.append(
             VectorField(
                 add(*parts["xi"]),

@@ -26,6 +26,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "c must be nonzero" in err
 
+    @pytest.mark.parametrize("box", ["0,1,1,2,1,2", "-1.5,-0.5,0.5,1.5,1,2"])
+    def test_box_reaching_x_le_0_in_verify_is_2(self, capsys, box):
+        # the y/x reconstructions need x0 - 8*h > 0; refused before any
+        # numeric work
+        assert main(["verify", f"--box={box}"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: bad --box:")
+
+    def test_singular_set_intrusion_in_verify_is_1(self, tmp_path, capsys):
+        # a box through t = 0 is a valid input that hits the planar
+        # solution's singular set: a failed check, not a config error
+        code, _ = run(tmp_path, "verify", "--box", "1,2,1,2,-0.5,0.5", "--grid", "5,5,5")
+        assert code == 1
+        assert "singular-set intrusion" in capsys.readouterr().err
+
     def test_both_m_and_p_zero_in_verify_is_2(self, capsys):
         assert main(["verify", "--param", "m=0", "--param", "p=0"]) == 2
         err = capsys.readouterr().err
@@ -168,6 +183,32 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"generator": "v9"}))
         assert main(["reduce", "--config", str(cfg)]) == 2
         assert "--generator" in capsys.readouterr().err
+
+    # the lists the report's config echo writes are accepted back
+    @pytest.mark.parametrize("key, value, echo_key", [
+        ("grid", [9, 9, 9], "grid_n"),
+        ("box", [[1.0, 1.5], [1.0, 1.5], [2.5, 3.0]], "box"),
+    ], ids=["grid", "box"])
+    def test_echoed_list_accepted(self, tmp_path, key, value, echo_key):
+        assert self.echo(tmp_path, {key: value})[echo_key] == value
+
+    @pytest.mark.parametrize("key, value, form", [
+        ("grid", [9, 9], "NX,NY,NT or a list of three integers >= 3"),
+        ("grid", [9.5, 9, 9], "NX,NY,NT or a list of three integers >= 3"),
+        ("grid", "9,9", "NX,NY,NT or a list of three integers >= 3"),
+        ("box", [[1, 0], [0, 1], [0, 1]], "three [lo, hi] pairs with lo < hi"),
+        ("box", [1, 2, 3, 4, 5, 6], "three [lo, hi] pairs"),
+        ("box", [[1, 2], [1, 2], [1, "t"]], "three [lo, hi] pairs"),
+        ("box", 5, "X0,X1,Y0,Y1,T0,T1"),
+    ], ids=["grid-short", "grid-float", "grid-text", "box-order", "box-flat",
+            "box-text-item", "box-scalar"])
+    def test_malformed_list_is_2(self, tmp_path, capsys, key, value, form):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main(["classify", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"config error: bad --{key}: expected") and form in err
 
     def test_defaults_without_file(self, tmp_path):
         code, report = run(tmp_path, "classify", "--degree", "0")

@@ -6,12 +6,12 @@ from wavesym.detsys import (
     AnsatzSpec, DeterminingSystem, DetSysError, ExponentialCase, Generic,
     PowerCase, UTag,
     ansatz_solve, check_reference_system, extract_determining,
-    invariance_residual, model_residual, on_shell, opaque_vectorfield,
-    reference_implication_report, split_u_dependence,
+    invariance_residual, model_residual, on_shell, opaque_affine_vectorfield,
+    opaque_vectorfield, reference_implication_report, split_u_dependence,
 )
 from wavesym.expr import (
-    RAT0, RAT1, T, U, X, Y, add, div, exp_, expand, fn, jet, jets_of, mul,
-    neg, param, pow_, rat, sub, vanishes,
+    RAT0, RAT1, T, U, X, Y, Fn, Product, Sum, add, atoms_of, div, exp_,
+    expand, fn, jet, jets_of, mul, neg, param, pow_, rat, sub, vanishes,
 )
 from wavesym.jet import total_derivative
 from wavesym.liealg import VectorField, decompose_field
@@ -141,6 +141,24 @@ class TestExtractDetermining:
         ds = extract_determining(opaque_vectorfield(), Generic())
         rows = ds.serializable()
         assert all(set(r) == {"origin_monomial", "expression_text"} for r in rows)
+
+    @pytest.mark.parametrize("fam", [ExponentialCase(), PowerCase()],
+                             ids=["exponential", "power"])
+    def test_opaque_affine_system_has_constant_coefficients(self, fam):
+        # the precondition of ansatz_solve's falling-factorial matrix: every
+        # term is one opaque component derivative times a coefficient free of
+        # x, y, t
+        ds = extract_determining(opaque_affine_vectorfield(), fam)
+        assert len(ds) == 19
+        comps = {"xi", "eta", "tau", "alpha", "beta"}
+        for _, e in ds.entries:
+            for term in e.terms if type(e) is Sum else (e,):
+                factors = term.factors if type(term) is Product else (term,)
+                nodes = [f for f in factors if type(f) is Fn]
+                assert len(nodes) == 1 and nodes[0].name in comps
+                assert len(nodes[0].args) == 3
+                rest = [f for f in factors if f is not nodes[0]]
+                assert not any(atoms_of(f) & {X, Y, T, U} for f in rest)
 
     def test_collect_reassembles_on_shell_residual(self):
         # brute-force oracle: the tagged coefficients, multiplied back onto
@@ -281,17 +299,50 @@ class TestAnsatzSolve:
         # the exponential family carries the planar conformal algebra: the
         # degree-d solution space holds the holomorphic polynomial fields of
         # degree <= d (2(d+1) real dimensions for d >= 1) plus the two
-        # t-generators, giving 3, 6, 8, 10, 12, 14 for d = 0..5
-        dims = [ansatz_solve(ExponentialCase(), AnsatzSpec(d)).dimension
-                for d in range(6)]
-        assert dims == [3, 6, 8, 10, 12, 14]
+        # t-generators, giving 3, 6, 8, ..., 20 for d = 0..8
+        spaces = [ansatz_solve(ExponentialCase(), AnsatzSpec(d)) for d in range(9)]
+        assert [s.dimension for s in spaces] == [3, 6, 8, 10, 12, 14, 16, 18, 20]
+        assert all(s.certificate for s in spaces)
+        assert [s.n_equations for s in spaces[2:6]] == [61, 152, 306, 544]
 
     def test_power_dimension_series(self):
         # the power family admits translations, rotation and two scalings
         # and nothing of higher degree
-        dims = [ansatz_solve(PowerCase(), AnsatzSpec(d)).dimension
-                for d in range(1, 5)]
-        assert dims == [6, 6, 6, 6]
+        spaces = [ansatz_solve(PowerCase(), AnsatzSpec(d)) for d in range(1, 9)]
+        assert [s.dimension for s in spaces] == [6] * 8
+        assert all(s.certificate for s in spaces)
+        assert [s.n_equations for s in spaces[1:5]] == [65, 162, 326, 579]
+
+    # str(b) of every degree-3 basis field, frozen so that a change of the
+    # matrix build, the elimination or the printer shows up as a diff
+    FROZEN_BASIS_3 = {
+        "exponential": [
+            "(-y)*d/dx + (x)*d/dy",
+            "(2*x*y)*d/dx + (y^2 - x^2)*d/dy + (4*c*y)*d/du",
+            "(x^2 - y^2)*d/dx + (2*x*y)*d/dy + (4*c*x)*d/du",
+            "(-y^3 + 3*y*x^2)*d/dx + (-x^3 + 3*x*y^2)*d/dy + (12*c*x*y)*d/du",
+            "(-x^3 + 3*x*y^2)*d/dx + (y^3 - 3*y*x^2)*d/dy + (-6*c*x^2 + 6*c*y^2)*d/du",
+            "(x)*d/dx + (y)*d/dy + (2*c)*d/du",
+            "(1)*d/dx",
+            "(1)*d/dy",
+            "(-t)*d/dt + (2*c)*d/du",
+            "(1)*d/dt",
+        ],
+        "power": [
+            "(-y)*d/dx + (x)*d/dy",
+            "(x)*d/dx + (y)*d/dy + (2*e1*u + 2*e2)*d/du",
+            "(1)*d/dx",
+            "(1)*d/dy",
+            "(-t)*d/dt + (2*e1*u + 2*e2)*d/du",
+            "(1)*d/dt",
+        ],
+    }
+
+    @pytest.mark.parametrize("name, fam", [("exponential", ExponentialCase()),
+                                           ("power", PowerCase())])
+    def test_degree_3_basis_text_frozen(self, name, fam):
+        space = ansatz_solve(fam, AnsatzSpec(3))
+        assert [str(b) for b in space.basis] == self.FROZEN_BASIS_3[name]
 
     def test_translation_floor_both_families(self):
         for fam in (ExponentialCase(), PowerCase()):
