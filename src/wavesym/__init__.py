@@ -6,10 +6,10 @@ tables, similarity reductions, and a numeric verification harness."""
 __version__ = "0.1.0"
 
 from .expr import (  # noqa: F401
-    Expr, MonomialKey,
+    Expr,
     rat, param, base, jet, fn,
     add, mul, pow_, exp_, ln_, neg, sub, div,
-    normalize, expand, diff, substitute, collect,
+    normalize, expand, diff, substitute, collect_atoms,
     eval_numeric, equal_numeric, format_expr,
     RAT0, RAT1, X, Y, T, U,
 )

@@ -31,8 +31,8 @@ from .detsys import (
 from .expr import format_expr, param, rat
 from .liealg import commutator_table, decompose_field, jacobi_check
 from .numverify import (
-    DEFAULT_PARAMS, GridSpec, NumVerifyError, default_grid,
-    fd_residual, first_integral_drift, flow_transport_check,
+    DEFAULT_PARAMS, MAX_ODE_STEPS, GridSpec, NumVerifyError, default_grid,
+    fd_residual, first_integral_drift, flow_transport_check, ode_margins,
     reconstruct_case_i_v4, verify_reduction_numeric,
 )
 from .reduction import (
@@ -240,15 +240,9 @@ def stage_reduce(config: RunConfig) -> dict:
     }
     checks = [all(inv.values()), eq.elimination_verified]
     checks.append(bool(eq.reference_verdict or eq.reference_verdict_e1_1))
-    if config.case == "i" and config.generator == "v1":
-        sep = separation_check("i")
-        neg_sep = separation_check("i", flip_constant_sign=True)
-        out["separation_identity"] = sep["identity"]
-        out["separation_negative_control_fails"] = not neg_sep["identity"]
-        checks += [sep["identity"], not neg_sep["identity"]]
-    if config.case == "ii" and config.generator == "v1":
-        sep = separation_check("ii")
-        neg_sep = separation_check("ii", flip_constant_sign=True)
+    if config.generator == "v1":
+        sep = separation_check(config.case)
+        neg_sep = separation_check(config.case, flip_constant_sign=True)
         out["separation_identity"] = sep["identity"]
         out["separation_negative_control_fails"] = not neg_sep["identity"]
         checks += [sep["identity"], not neg_sep["identity"]]
@@ -276,6 +270,13 @@ def stage_verify(config: RunConfig, csv_dir: str | None) -> dict:
     pad = 8 * max(default_grid(case, "v1").h for case in ("i", "ii"))
     if config.box and config.box[0][0] <= pad:  # v1 solutions live in y/x
         raise ConfigError(f"bad --box: x0 must exceed 8*h = {pad!r}, got {config.box[0][0]!r}")
+    for case in ("i", "ii"):
+        span = max(hi - lo for lo, hi in ode_margins(_grid(config, (case, "v1"))))
+        if not span / config.ode_step <= MAX_ODE_STEPS:
+            raise ConfigError(
+                f"bad --box or --ode-step: the ({case}, v1) reconstruction needs "
+                f"{span / config.ode_step:.3g} RK4 steps, more than {MAX_ODE_STEPS}; "
+                "raise x0 in --box or raise --ode-step")
     out: dict = {"reductions": {}, "csv_files": []}
     ok = True
     for case_id, gen in (("i", "v1"), ("i", "v4"), ("ii", "v1"), ("ii", "v4")):
@@ -531,7 +532,7 @@ def _config_from_args(args) -> RunConfig:
     config = RunConfig(command=args.command, params=params, out=args.out, **fields)
     if config.degree < 0:
         raise ConfigError(f"bad --degree: {config.degree} < 0")
-    if config.ode_step <= 0:
+    if not config.ode_step > 0:
         raise ConfigError(f"bad --ode-step: {config.ode_step} must be positive")
     return config
 

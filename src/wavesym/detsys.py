@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 from math import perm, prod
 
 from .expr import (
-    Expr, ExprError, Fn, Pow, Product, Rat, Sum,
-    RAT0, RAT1, add, atoms_of, base, clear_denominators, collect,
-    collect_atoms, diff, eval_mod, expand, fn, fn_nodes_of, format_expr,
-    jet, jets_of, mul, neg, param, pow_, rat, sub, substitute, vanishes,
+    Expr, ExprError, NonPolynomialError, Pow, Product, Rat, Sum,
+    RAT0, add, atoms_of, base, clear_denominators, collect_atoms, diff,
+    eval_mod, expand, fn, fn_nodes_of, format_expr, jet, jets_of, mul, neg,
+    param, pow_, rat, sub, substitute, vanishes,
 )
 from .jet import prolong_coeff_second, total_derivative
 from .liealg import VectorField
@@ -181,47 +181,33 @@ class UTag:
         return "*".join(parts) if parts else "1"
 
 
-def split_u_dependence(coeffs: list) -> list:
-    """Split expressions (free of jets of order >= 1) by their u-dependence.
+def split_u_dependence(e: Expr) -> dict:
+    """Split an expression (free of jets of order >= 1) by its u-dependence.
 
     Negative integer powers of u-dependent bases are first cleared by
-    multiplying every expression through by one shared product of bases
-    (legitimate for homogeneous equations: the bases are nonzero wherever
-    the family is defined).  The coefficients of one jet monomial must be
-    cleared together, or their pieces would not share u-tags.  Returns one
-    {UTag: coefficient} per expression, with coefficients free of u."""
+    multiplying through by a product of those bases (legitimate for
+    homogeneous equations: the bases are nonzero wherever the family is
+    defined).  Every u-dependent factor other than a positive power of u
+    (e.g. exp(u/c)) is a marker, collected like u itself.  Returns
+    {UTag: coefficient} with coefficients free of u."""
     try:
-        cleared = clear_denominators(coeffs, lambda b, q: (
+        (e,) = clear_denominators([e], lambda b, q: (
             int(q) if q.denominator == 1 and U in atoms_of(b) else 0))
     except ExprError:
         raise DetSysError("could not clear u-dependent denominators") from None
-    return [_split_cleared(e) for e in cleared]
-
-
-def _split_cleared(e: Expr) -> dict:
+    markers = {
+        f
+        for term in (e.terms if type(e) is Sum else (e,))
+        for f in (term.factors if type(term) is Product else (term,))
+        if U in atoms_of(f) and f != U and not (
+            type(f) is Pow and f.expbase == U and f.exp.denominator == 1 and f.exp > 0)
+    }
     out: dict = {}
-    if e == RAT0:
-        return {}
-    for term in e.terms if type(e) is Sum else (e,):
-        factors = term.factors if type(term) is Product else (term,)
-        upow = 0
-        markers = []
-        coeff_parts = []
-        for f in factors:
-            if f == U:
-                upow += 1
-            elif type(f) is Pow and f.expbase == U and f.exp.denominator == 1 and f.exp > 0:
-                upow += int(f.exp)
-            elif U in atoms_of(f):
-                markers.append(f)
-            else:
-                coeff_parts.append(f)
-        marker = mul(*markers) if markers else None
-        tag = UTag(upow, marker.sort_key() if marker is not None else (), marker)
-        contrib = mul(*coeff_parts) if coeff_parts else RAT1
-        prev = out.get(tag)
-        out[tag] = contrib if prev is None else add(prev, contrib)
-    return {k: v for k, v in out.items() if expand(v) != RAT0}
+    for key, coeff in collect_atoms(e, {U, *markers}).items():
+        found = [pow_(m, k) for m, k in key if m != U]
+        marker = mul(*found) if found else None
+        out[UTag(dict(key).get(U, 0), marker.sort_key() if found else (), marker)] = coeff
+    return out
 
 
 @dataclass
@@ -230,7 +216,7 @@ class DeterminingSystem:
     monomial (and, for concrete families, the u-dependence) it came from."""
 
     family: FFamily
-    entries: list  # [(MonomialKey | (MonomialKey, UTag), Expr), ...]
+    entries: list  # [(monomial text | (monomial text, UTag), Expr), ...]
 
     def __len__(self):
         return len(self.entries)
@@ -241,11 +227,8 @@ class DeterminingSystem:
     def serializable(self):
         out = []
         for key, e in self.entries:
-            if isinstance(key, tuple):
-                mono, tag = key
-                origin = str(mono) if str(tag) == "1" else f"{mono} ; {tag}"
-            else:
-                origin = str(key)
+            mono, tag = key if isinstance(key, tuple) else (key, "1")
+            origin = mono if str(tag) == "1" else f"{mono} ; {tag}"
             out.append({"origin_monomial": origin, "expression_text": format_expr(e)})
         return out
 
@@ -255,17 +238,18 @@ def extract_determining(v: VectorField, fam: FFamily | None = None) -> Determini
     concrete family each coefficient is further split by u-dependence."""
     fam = fam or Generic()
     res = expand(on_shell(invariance_residual(v, fam), fam))
-    table = collect(res, {j for j in jets_of(res) if j.order >= 1})
+    table = collect_atoms(res, {j for j in jets_of(res) if j.order >= 1})
     entries = []
-    for key in sorted(table):
-        coeff = table[key]
+    # by total degree, then jet by jet; an entry is keyed by the monomial's text
+    for key in sorted(table, key=lambda k: (
+            sum(p for _, p in k), tuple((j.sort_key(), p) for j, p in k))):
+        mono = format_expr(mul(*[pow_(j, p) for j, p in key]))
         if isinstance(fam, Generic):
-            if expand(coeff) != RAT0:
-                entries.append((key, expand(coeff)))
+            entries.append((mono, expand(table[key])))
         else:
-            (pieces,) = split_u_dependence([coeff])
+            pieces = split_u_dependence(table[key])
             for tag in sorted(pieces):
-                entries.append(((key, tag), pieces[tag]))
+                entries.append(((mono, tag), pieces[tag]))
     return DeterminingSystem(fam, entries)
 
 
@@ -290,31 +274,15 @@ def check_reference_system(v: VectorField, fam: FFamily | None = None) -> dict:
 def _linear_decomposition(e: Expr, unknown_names) -> dict:
     """Write an expression that is linear homogeneous in opaque nodes with
     heads in ``unknown_names`` as {node: coefficient expression}."""
-    e = expand(e)
-    out: dict = {}
-    if e == RAT0:
-        return out
-    terms = e.terms if type(e) is Sum else (e,)
-    for term in terms:
-        factors = term.factors if type(term) is Product else (term,)
-        nodes = []
-        rest = []
-        for f in factors:
-            if type(f) is Fn and f.name in unknown_names:
-                nodes.append(f)
-            elif type(f) is Pow and type(f.expbase) is Fn and f.expbase.name in unknown_names:
-                raise DetSysError(f"non-linear occurrence of {f.expbase.name}")
-            else:
-                rest.append(f)
-        if len(nodes) != 1:
-            raise DetSysError(
-                f"term {format_expr(term)} is not linear homogeneous in the components"
-            )
-        node = nodes[0]
-        coeff = mul(*rest) if rest else RAT1
-        prev = out.get(node)
-        out[node] = coeff if prev is None else add(prev, coeff)
-    return out
+    try:
+        table = collect_atoms(e, {n for n in fn_nodes_of(e) if n.name in unknown_names})
+    except NonPolynomialError as err:
+        raise DetSysError(f"not linear in the components: {err}") from None
+    for key in table:
+        if len(key) != 1 or key[0][1] != 1:
+            mono = format_expr(mul(*[pow_(n, p) for n, p in key]))
+            raise DetSysError(f"the {mono} terms are not linear homogeneous in the components")
+    return {key[0][0]: coeff for key, coeff in table.items()}
 
 
 def reference_implication_report(

@@ -30,10 +30,10 @@ from typing import Callable, Iterable, Mapping
 
 __all__ = [
     "Expr", "Rat", "Param", "Base", "Jet", "Fn", "Pow", "Exp", "Ln",
-    "Product", "Sum", "MonomialKey",
+    "Product", "Sum",
     "rat", "param", "base", "jet", "fn",
     "add", "mul", "pow_", "exp_", "ln_", "neg", "sub", "div",
-    "normalize", "expand", "diff", "substitute", "collect", "collect_atoms",
+    "normalize", "expand", "diff", "substitute", "collect_atoms",
     "clear_denominators", "clear_sum_denominators", "vanishes",
     "eval_numeric", "eval_mod", "equal_numeric", "random_point", "default_fn_sampler",
     "format_expr", "atoms_of", "jets_of", "fn_nodes_of", "max_jet_order",
@@ -55,7 +55,7 @@ class SingularError(ExprError):
 
 
 class NonPolynomialError(ExprError):
-    """Raised by collect() when a target variable occurs non-polynomially."""
+    """Raised by collect_atoms() when a target variable occurs non-polynomially."""
 
 
 class UnboundAtomError(ExprError):
@@ -725,7 +725,7 @@ class SingularSubstitutionError(SingularError):
 
 
 def substitute(e, bindings: Mapping[Expr, Expr]) -> Expr:
-    """Simultaneous substitution, then normalization.
+    """Simultaneous substitution of normalized expressions.
 
     Keys may be atoms (Param/Base/Jet) or opaque-function nodes.  A function
     key with an all-zero derivative index binds the *head*: every occurrence
@@ -736,8 +736,7 @@ def substitute(e, bindings: Mapping[Expr, Expr]) -> Expr:
     exact: dict = {}
     heads: dict = {}
     for k, v in bindings.items():
-        k = normalize(k)
-        v = normalize(_as_expr(v))
+        v = _as_expr(v)
         if isinstance(k, (Param, Base, Jet)):
             exact[k] = v
         elif isinstance(k, Fn):
@@ -754,7 +753,7 @@ def substitute(e, bindings: Mapping[Expr, Expr]) -> Expr:
             raise ExprError(f"substitution key must be an atom or function node: {k!r}")
 
     try:
-        return _sub(normalize(e), exact, heads)
+        return _sub(_as_expr(e), exact, heads)
     except SingularError as err:
         raise SingularSubstitutionError(str(err)) from err
 
@@ -866,42 +865,6 @@ def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
 # monomial collection
 
 
-class MonomialKey:
-    """Canonical multiset of (jet, positive power) pairs; () is the constant
-    monomial."""
-
-    __slots__ = ("powers",)
-
-    def __init__(self, powers: Iterable = ()):
-        self.powers = tuple(sorted(powers, key=lambda p: p[0].sort_key()))
-
-    def __hash__(self):
-        return hash(self.powers)
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialKey) and other.powers == self.powers
-
-    def __lt__(self, other):
-        return self._rank() < other._rank()
-
-    def _rank(self):
-        return (
-            sum(k for _, k in self.powers),
-            tuple((j.sort_key(), k) for j, k in self.powers),
-        )
-
-    def as_expr(self) -> Expr:
-        return mul(*[pow_(j, k) for j, k in self.powers]) if self.powers else RAT1
-
-    def __str__(self):
-        if not self.powers:
-            return "1"
-        return format_expr(self.as_expr())
-
-    def __repr__(self):
-        return f"MonomialKey({self})"
-
-
 def clear_denominators(exprs, power) -> list:
     """Multiply every expression of ``exprs`` through by one shared product
     of base powers, expanding, until no negative power is left to clear.
@@ -947,12 +910,15 @@ def vanishes(e: Expr) -> bool:
 
 
 def collect_atoms(e: Expr, variables) -> dict:
-    """Write ``e`` as a sum of monomial * coefficient over the given atoms.
+    """Write ``e`` as a sum of monomial * coefficient over the given
+    variables: atoms, or any other nodes that occur as factors of the
+    expanded terms (opaque function nodes, transcendental factors).
 
-    Keys are sorted tuples of (atom, positive power); the empty tuple is the
-    constant monomial.  Coefficients are free of the atoms.  Raises
-    NonPolynomialError if an atom occurs inside an exp/ln/function argument
-    or with a non-positive-integer exponent."""
+    Keys are sorted tuples of (variable, positive power); the empty tuple is
+    the constant monomial.  Coefficients are free of the variables.  Raises
+    NonPolynomialError if a variable occurs inside another factor (an
+    exp/ln/function argument, a power's base) or with a
+    non-positive-integer exponent."""
     variables = set(variables)
     e = expand(_as_expr(e))
     out: dict = {}
@@ -974,7 +940,7 @@ def collect_atoms(e: Expr, variables) -> dict:
                     )
                 powers[f.expbase] = powers.get(f.expbase, 0) + int(f.exp)
             else:
-                bad = variables & atoms_of(f)
+                bad = variables.intersection(_walk(f))
                 if bad:
                     raise NonPolynomialError(
                         f"non-polynomial dependence on {sorted(map(str, bad))} in {f}"
@@ -985,12 +951,6 @@ def collect_atoms(e: Expr, variables) -> dict:
         prev = out.get(key)
         out[key] = contrib if prev is None else add(prev, contrib)
     return {k: v for k, v in out.items() if v != RAT0}
-
-
-def collect(e: Expr, variables) -> dict:
-    """collect_atoms specialised to jet coordinates, keyed by MonomialKey."""
-    raw = collect_atoms(e, variables)
-    return {MonomialKey(k): v for k, v in raw.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .expr import (
-    Expr, RAT0, RAT1, add, atoms_of, base, diff, div, exp_, expand,
-    format_expr, jet, max_jet_order, mul, neg, normalize, param,
-    substitute, collect_atoms,
+    Expr, RAT0, RAT1, _as_expr, add, atoms_of, base, diff, div, exp_, expand,
+    format_expr, jet, max_jet_order, mul, neg, param, substitute, collect_atoms,
 )
 from .linalg import rank, solve_span
 
@@ -48,7 +47,7 @@ class VectorField:
 
     def __post_init__(self):
         for name, comp in self.items():
-            comp = normalize(comp)
+            comp = _as_expr(comp)
             if max_jet_order(comp) >= 1:
                 raise LieAlgError(
                     f"component {name} depends on a jet coordinate of order >= 1"

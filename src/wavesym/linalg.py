@@ -150,9 +150,9 @@ def nullspace(rows: list, ncols: int) -> list:
     sparse vectors {col: entry} in column order.
 
     Each basis vector corresponds to one free column (set to 1, the other
-    free columns to 0) and is cleaned: parameter denominators cleared,
-    rational content removed, first coordinate given positive leading
-    coefficient."""
+    free columns to 0) and is cleaned by ``strip_row_content``: the free
+    column's 1 makes every common parameter exponent <= 0, so dividing by
+    the common monomial clears the parameter denominators."""
     echelon, pivot_cols = row_reduce(rows, ncols)
     basis = []
     for fc in sorted(set(range(ncols)).difference(pivot_cols)):
@@ -161,28 +161,8 @@ def nullspace(rows: list, ncols: int) -> list:
             s = add(*[mul(e, sol[c]) for c, e in row.items() if c in sol])
             if s != RAT0:
                 sol[pc] = _entry(neg(div(s, row[pc])))
-        basis.append(_clean_vector(dict(sorted(sol.items()))))
+        basis.append(strip_row_content(dict(sorted(sol.items()))))
     return basis
-
-
-def _clean_vector(vec: dict) -> dict:
-    denom: dict = {}
-    for e in vec.values():
-        for p, q in param_content(e).items():
-            if q < 0:
-                denom[p] = max(denom.get(p, Fraction(0)), -q)
-    if denom:
-        scale = mul(*[pow_(p, q) for p, q in denom.items()])
-        vec = {c: _entry(mul(scale, e)) for c, e in vec.items()}
-    g = Fraction(0)
-    for e in vec.values():
-        g = _frac_gcd(g, rational_content(e))
-    s = 1 / g
-    if rational_content(vec[min(vec)]) < 0:
-        s = -s
-    if s != 1:
-        vec = {c: _entry(mul(rat(s), e)) for c, e in vec.items()}
-    return vec
 
 
 def rank(rows: list, ncols: int) -> int:

@@ -26,8 +26,11 @@ __all__ = [
     "NumVerifyError", "ODEProblem", "Trajectory", "GridSpec", "ResidualReport",
     "rk4_solve", "fd_residual", "verify_reduction_numeric",
     "first_integral_drift", "flow_transport_check", "compile_numeric",
-    "DEFAULT_PARAMS", "default_grid",
+    "DEFAULT_PARAMS", "default_grid", "ode_margins", "MAX_ODE_STEPS",
 ]
+
+# RK4 steps allowed per solve; the default grids and step need at most ~56k
+MAX_ODE_STEPS = 10**6
 
 
 class NumVerifyError(Exception):
@@ -86,6 +89,8 @@ class ODEProblem:
             raise NumVerifyError("step must be positive")
         if self.x1 <= self.x0:
             raise NumVerifyError("empty integration interval")
+        if not (self.x1 - self.x0) / self.step <= MAX_ODE_STEPS:
+            raise NumVerifyError(f"step {self.step!r} needs more than {MAX_ODE_STEPS} RK4 steps")
 
 
 @dataclass
@@ -253,7 +258,9 @@ def default_grid(case_id: str, generator: str) -> GridSpec:
     return _DEFAULT_GRIDS[(case_id, generator)]
 
 
-def _margins(grid: GridSpec):
+def ode_margins(grid: GridSpec):
+    """The (y/x, t) intervals the v1 reconstructions integrate over: the
+    box's range plus the finite-difference stencil's reach and a margin."""
     (x0, x1), (y0, y1), (t0, t1) = grid.box
     pad = 8 * grid.h
     r_lo = (y0 - pad) / (x1 + pad)
@@ -265,7 +272,7 @@ def reconstruct_case_i_v1(params: dict, grid: GridSpec, ode_step: float = 1e-5):
     """u = zeta1(y/x) + zeta2(t) + 2*c*ln(x) with the separated ODEs
     integrated by RK4; returns (u_callable, f_callable)."""
     K, c, c1 = params["K"], params["c"], params["c1"]
-    (r0, r1), (t0, t1) = _margins(grid)
+    (r0, r1), (t0, t1) = ode_margins(grid)
 
     def z1_rhs(r, z, zp):
         return -(c1 * math.exp(-z / c) + 2 * (r * zp - c)) / (r * r + 1.0)
@@ -309,7 +316,7 @@ def reconstruct_case_ii_v1(params: dict, grid: GridSpec, ode_step: float = 1e-5)
     if params.get("e1", 1.0) != 1.0 or params.get("e2", 0.0) != 0.0:
         raise NumVerifyError("the multiplicative reconstruction needs e1 = 1, e2 = 0")
     a, b = params["sig2_a"], params["sig2_b"]
-    (p0, p1), (t0, t1) = _margins(grid)
+    (p0, p1), (t0, t1) = ode_margins(grid)
 
     def s1_rhs(t, s, sp):
         return c_sep * s * s

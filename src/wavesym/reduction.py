@@ -219,6 +219,16 @@ def _strip(e: Expr) -> Expr:
     return strip_row_content({0: expand(e)})[0]
 
 
+def _jet_bindings(u_expr: Expr) -> dict:
+    """u and the second derivatives the model uses, for u = u_expr."""
+    return {
+        U: u_expr,
+        jet("tt"): diff(diff(u_expr, T), T),
+        jet("xx"): diff(diff(u_expr, X), X),
+        jet("yy"): diff(diff(u_expr, Y), Y),
+    }
+
+
 def reduce(spec: ReductionSpec, fam: FFamily | None = None) -> ReducedEquation:
     """Substitute the similarity ansatz into the model, restrict to the
     section, and return the reduced equation (common content removed).
@@ -227,14 +237,7 @@ def reduce(spec: ReductionSpec, fam: FFamily | None = None) -> ReducedEquation:
     power-law family the comparison is additionally made at e1 = 1, where
     the documented constant-factor and slot-order differences disappear."""
     fam = fam or spec.family
-    model = model_residual(fam)
-    binds = {
-        U: spec.ansatz,
-        jet("tt"): diff(diff(spec.ansatz, T), T),
-        jet("xx"): diff(diff(spec.ansatz, X), X),
-        jet("yy"): diff(diff(spec.ansatz, Y), Y),
-    }
-    residual = expand(substitute(model, binds))
+    residual = expand(substitute(model_residual(fam), _jet_bindings(spec.ansatz)))
     sectioned = _strip(expand(substitute(residual, spec.section)))
     if sectioned == RAT0:
         raise ReductionError("reduction degenerated to 0 = 0")
@@ -386,14 +389,7 @@ def explicit_solution(m: Expr, p: Expr, q: Expr, fam: ExponentialCase | None = N
     fam = fam or ExponentialCase()
     planar = add(mul(m, X), mul(p, Y), q)
     u_expr = mul(2, fam.c, ln_(mul(planar, pow_(T, -1))))
-    model = model_residual(fam)
-    binds = {
-        U: u_expr,
-        jet("tt"): diff(diff(u_expr, T), T),
-        jet("xx"): diff(diff(u_expr, X), X),
-        jet("yy"): diff(diff(u_expr, Y), Y),
-    }
-    residual = substitute(model, binds)
+    residual = substitute(model_residual(fam), _jet_bindings(u_expr))
     k_value = neg(pow_(add(pow_(m, 2), pow_(p, 2)), -1))
     constrained = substitute(residual, {fam.K: k_value})
     return {

@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -52,6 +53,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "--ode-step" in err
+
+    def test_nan_ode_step_is_2(self, capsys):
+        assert main(["verify", "--ode-step", "nan"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad --ode-step:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--box=0.0081,1,1,2,1,2", "--ode-step=1e-9"])
+    def test_too_many_ode_steps_in_verify_is_2(self, capsys, flag):
+        # the box passes the x0 check, but y/x then spans ~2e4 (or the step
+        # is tiny): RK4 would need ~1e9 steps, refused from the margins
+        # before any numeric work
+        start = time.perf_counter()
+        assert main(["verify", flag]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("config error: bad --box or --ode-step:")
 
     def test_negative_degree_is_2(self, capsys):
         assert main(["classify", "--case", "i", "--degree", "-1"]) == 2

@@ -8,10 +8,12 @@ from wavesym.detsys import (
     ansatz_solve, check_reference_system, extract_determining,
     invariance_residual, model_residual, on_shell, opaque_affine_vectorfield,
     opaque_vectorfield, reference_implication_report, split_u_dependence,
+    _linear_decomposition,
 )
 from wavesym.expr import (
-    RAT0, RAT1, T, U, X, Y, Fn, Product, Sum, add, atoms_of, div, exp_,
-    expand, fn, jet, jets_of, mul, neg, param, pow_, rat, sub, vanishes,
+    RAT0, RAT1, T, U, X, Y, Fn, Product, Sum, add, atoms_of, collect_atoms,
+    div, exp_, expand, fn, jet, jets_of, mul, neg, param, pow_, rat, sub,
+    substitute, vanishes,
 )
 from wavesym.jet import total_derivative
 from wavesym.liealg import VectorField, decompose_field
@@ -163,12 +165,11 @@ class TestExtractDetermining:
     def test_collect_reassembles_on_shell_residual(self):
         # brute-force oracle: the tagged coefficients, multiplied back onto
         # their jet monomials, reproduce the on-shell residual exactly
-        from wavesym.expr import collect
         v = opaque_vectorfield()
         res = expand(on_shell(invariance_residual(v, Generic()), Generic()))
         variables = {j for j in jets_of(res) if j.order >= 1}
-        table = collect(res, variables)
-        back = add(*[mul(k.as_expr(), coeff) for k, coeff in table.items()])
+        table = collect_atoms(res, variables)
+        back = add(*[mul(*[pow_(j, k) for j, k in key], coeff) for key, coeff in table.items()])
         assert expand(sub(back, res)) == RAT0
 
 
@@ -179,7 +180,7 @@ class TestSplitU:
             mul(param("B"), exp_(div(U, c))),
             param("C"),
         )
-        (pieces,) = split_u_dependence([e])
+        pieces = split_u_dependence(e)
         assert len(pieces) == 3
         powers = sorted((t.u_power, t.factor is not None) for t in pieces)
         assert powers == [(0, False), (0, True), (1, True)]
@@ -187,24 +188,45 @@ class TestSplitU:
     def test_denominator_clearing(self):
         g = add(mul(e1, U), e2)
         e = add(mul(param("A"), pow_(g, -1)), param("B"))
-        (pieces,) = split_u_dependence([e])
+        pieces = split_u_dependence(e)
         # multiplied through by g: A + B*(e1*u + e2) splits into u^0 and u^1
         assert {t.u_power for t in pieces} == {0, 1}
 
     def test_shared_clearing(self):
-        # f carries no u-denominator, f' = f/(e1*u + e2) does: clearing both
-        # by the one multiplier g = e1*u + e2 puts A*f*g and B*f' on the same
-        # u-tags; clearing each alone would leave A*f unscaled, on tag f only
+        # f carries no u-denominator, f' = f/(e1*u + e2) does: the one
+        # coefficient A*f + B*f' is cleared by the multiplier g = e1*u + e2,
+        # which scales both parts, so A*f*g and B*f' share u-tags
         fam = PowerCase()
         g = add(mul(e1, U), e2)
-        coeffs = [mul(param("A"), fam.f_expr()), mul(param("B"), fam.fu_expr())]
-        f_pieces, fu_pieces = split_u_dependence(coeffs)
-        assert {t.u_power for t in f_pieces} == {0, 1}
-        assert set(fu_pieces) <= set(f_pieces)
-        for coeff, pieces in zip(coeffs, (f_pieces, fu_pieces)):
-            back = add(*[mul(pow_(U, t.u_power), t.factor or RAT1, v)
-                         for t, v in pieces.items()])
-            assert expand(sub(back, mul(g, coeff))) == RAT0
+        A, B = param("A"), param("B")
+        f_part, fu_part = mul(A, fam.f_expr()), mul(B, fam.fu_expr())
+        pieces = split_u_dependence(add(f_part, fu_part))
+        assert {t.u_power for t in pieces} == {0, 1}
+        back = add(*[mul(pow_(U, t.u_power), t.factor or RAT1, v)
+                     for t, v in pieces.items()])
+        for part, other in ((f_part, B), (fu_part, A)):
+            assert expand(sub(substitute(back, {other: RAT0}), mul(g, part))) == RAT0
+
+
+class TestLinearDecomposition:
+    xi, eta = fn("xi", [X, Y, T]), fn("eta", [X, Y, T])
+
+    def test_linear_form(self):
+        xi_x = fn("xi", [X, Y, T], (1, 0, 0))
+        e = add(mul(param("A"), self.xi), mul(param("B"), xi_x), mul(U, self.xi))
+        assert _linear_decomposition(e, {"xi"}) == {
+            self.xi: add(param("A"), U), xi_x: param("B")}
+
+    @pytest.mark.parametrize("bad", ["square", "reciprocal", "product", "no component"])
+    def test_non_linear_terms_rejected(self, bad):
+        e = {
+            "square": pow_(self.xi, 2),
+            "reciprocal": pow_(self.xi, -1),
+            "product": mul(self.xi, self.eta),
+            "no component": add(self.xi, param("A")),
+        }[bad]
+        with pytest.raises(DetSysError):
+            _linear_decomposition(e, {"xi", "eta"})
 
 
 class TestReferenceSystem:

@@ -1,0 +1,33 @@
+"""Byte identity of the JSON reports against checked-in golden files.
+
+Each case runs one command through ``main`` and compares the written report
+byte for byte with ``tests/golden/<name>.json``.  A deliberate report change
+regenerates the file with
+``python -m wavesym <args> --format json --out tests/golden/<name>.json``."""
+
+from pathlib import Path
+
+import pytest
+
+from wavesym.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# name -> (arguments, exit code)
+CASES = {
+    "derive": (["derive"], 0),
+    "classify_i_d3": (["classify", "--case", "i", "--degree", "3"], 1),
+    "classify_ii_d3": (["classify", "--case", "ii", "--degree", "3"], 1),
+    "reduce_i_v1": (["reduce", "--case", "i", "--generator", "v1"], 0),
+    "reduce_i_v4": (["reduce", "--case", "i", "--generator", "v4"], 0),
+    "reduce_ii_v1": (["reduce", "--case", "ii", "--generator", "v1"], 0),
+    "reduce_ii_v4": (["reduce", "--case", "ii", "--generator", "v4"], 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_golden(tmp_path, name):
+    args, code = CASES[name]
+    out = tmp_path / f"{name}.json"
+    assert main(args + ["--format", "json", "--out", str(out)]) == code
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()

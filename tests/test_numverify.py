@@ -12,7 +12,7 @@ from wavesym.expr import (
 )
 from wavesym.liealg import VectorField
 from wavesym.numverify import (
-    DEFAULT_PARAMS, GridSpec, NumVerifyError, ODEProblem, compile_numeric,
+    DEFAULT_PARAMS, MAX_ODE_STEPS, GridSpec, NumVerifyError, ODEProblem, compile_numeric,
     default_grid, fd_residual, first_integral_drift, flow_transport_check,
     reconstruct_case_i_v4, rk4_solve, verify_reduction_numeric,
 )
@@ -63,6 +63,15 @@ class TestRK4:
     def test_blowup_guard(self):
         with pytest.raises(NumVerifyError):
             rk4_solve(ODEProblem(lambda s, y, yp: y * y, 0.0, 3.0, 0.0, 10.0, 1e-3, bound=1e3))
+
+    def test_step_cap(self):
+        # refused before any array is allocated; the cap itself is allowed
+        rhs = lambda s, y, yp: 0.0  # noqa: E731
+        with pytest.raises(NumVerifyError, match="RK4 steps"):
+            ODEProblem(rhs, 0.0, 0.0, 0.0, 1.0, 0.5 / MAX_ODE_STEPS)
+        with pytest.raises(NumVerifyError, match="RK4 steps"):
+            ODEProblem(rhs, 0.0, 0.0, 0.0, 1.0, 1e-320)
+        ODEProblem(rhs, 0.0, 0.0, 0.0, 1.0, 1.0 / MAX_ODE_STEPS)
 
     def test_first_integral_drift_order(self):
         out = first_integral_drift()
