@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -103,11 +104,16 @@ def _family(config: RunConfig):
     raise ConfigError(f"unknown case {config.case!r}")
 
 
+# --param names: the family parameters and those every reconstruction
+# takes, then the ones only one reconstruction has (see DEFAULT_PARAMS)
+SHARED_PARAMS = ("K", "c", "L", "e1", "e2", "c1", "c_sep", "m", "p", "q")
+PARAM_NAMES = SHARED_PARAMS + ("sig2_a", "sig2_b", "sig1_0", "harmonic_xy")
+
+
 def _numeric_params(config: RunConfig, key) -> dict:
     out = dict(DEFAULT_PARAMS[key])
     for name, value in config.params.items():
-        if name in out or name in ("K", "c", "L", "e1", "e2", "c1",
-                                   "c_sep", "m", "p", "q"):
+        if name in out or name in SHARED_PARAMS:
             out[name] = float(value)
     return out
 
@@ -271,7 +277,12 @@ def stage_verify(config: RunConfig, csv_dir: str | None) -> dict:
     if config.box and config.box[0][0] <= pad:  # v1 solutions live in y/x
         raise ConfigError(f"bad --box: x0 must exceed 8*h = {pad!r}, got {config.box[0][0]!r}")
     for case in ("i", "ii"):
-        span = max(hi - lo for lo, hi in ode_margins(_grid(config, (case, "v1"))))
+        spans = [hi - lo for lo, hi in ode_margins(_grid(config, (case, "v1")))]
+        if not config.ode_step < min(spans):
+            raise ConfigError(
+                f"bad --ode-step: {config.ode_step!r} is not shorter than the "
+                f"({case}, v1) reconstruction's interval of length {min(spans):.3g}")
+        span = max(spans)
         if not span / config.ode_step <= MAX_ODE_STEPS:
             raise ConfigError(
                 f"bad --box or --ode-step: the ({case}, v1) reconstruction needs "
@@ -467,13 +478,21 @@ def _one_of(choices):
     return parse
 
 
+# the finite-difference check holds three float64 coordinate arrays of
+# NX*NY*NT points; the benchmark's largest grid is 61^3 = 226,981 points
+MAX_GRID_POINTS = 2 * 10**6
+
+
 def _parse_grid(value) -> tuple:
     """NX,NY,NT, or the report's config echo: a list of three ints."""
     text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
     items = text.split(",")
     if len(items) != 3 or not all(x.strip().isdigit() and int(x) >= 3 for x in items):
         raise ValueError(f"expected NX,NY,NT or a list of three integers >= 3, got {value!r}")
-    return tuple(map(int, items))
+    grid = tuple(map(int, items))
+    if math.prod(grid) > MAX_GRID_POINTS:
+        raise ValueError(f"{math.prod(grid)} grid points, more than {MAX_GRID_POINTS}")
+    return grid
 
 
 def _parse_box(value) -> tuple:
@@ -511,11 +530,16 @@ def _config_from_args(args) -> RunConfig:
     if args.config:
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict) or not isinstance(file_cfg.get("params", []), list):
+            raise ConfigError("bad --config: expected a JSON object whose params are a list")
     params = {}
     for kv in [*file_cfg.get("params", []), *args.param]:
-        name, sep, value = kv.partition("=")
+        name, sep, value = str(kv).partition("=")
         if not sep:
             raise ConfigError(f"--param needs NAME=VALUE, got {kv!r}")
+        if name not in PARAM_NAMES:
+            raise ConfigError(f"bad --param: unknown name {name!r}, expected one of "
+                              f"{', '.join(PARAM_NAMES)}")
         params[name] = _parse_rational(value)
     fields = {}
     for key, (attr, name, parse) in SETTINGS.items():
@@ -532,8 +556,12 @@ def _config_from_args(args) -> RunConfig:
     config = RunConfig(command=args.command, params=params, out=args.out, **fields)
     if config.degree < 0:
         raise ConfigError(f"bad --degree: {config.degree} < 0")
-    if not config.ode_step > 0:
-        raise ConfigError(f"bad --ode-step: {config.ode_step} must be positive")
+    if not (math.isfinite(config.ode_step) and config.ode_step > 0):
+        raise ConfigError(f"bad --ode-step: {config.ode_step} must be finite and positive")
+    if not (math.isfinite(config.tol) and config.tol > 0):
+        raise ConfigError(f"bad --tol: {config.tol} must be finite and positive")
+    if not (math.isfinite(config.eps) and config.eps != 0):
+        raise ConfigError(f"bad --eps: {config.eps} must be finite and nonzero")
     return config
 
 

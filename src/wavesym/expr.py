@@ -17,7 +17,15 @@ The normal form is deliberately conservative:
   exp factors are extracted (``ln(a*exp(b)) -> ln(a) + b``), which is
   safe wherever the left side is defined;
 * products are not distributed over sums -- :func:`expand` does that on
-  demand.
+  demand.  The arguments of function, exp and ln nodes are always
+  expanded: ``fn``, ``exp_`` and ``ln_`` expand them when they build a node
+  and ``diff`` reuses them, so ``expand`` returns such nodes as they are.
+
+Every rebuild of a tree (``normalize``, ``expand``, ``substitute``) reads a
+node's children with ``_children`` and rebuilds it with ``_rebuild``.  A
+node of a normalized tree whose children come back unchanged is already in
+normal form and is kept as it is; ``normalize``, which takes raw trees,
+always rebuilds.
 
 No floating point number ever enters a tree; all numeric content is
 `fractions.Fraction`.
@@ -26,6 +34,7 @@ No floating point number ever enters a tree; all numeric content is
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import is_
 from typing import Callable, Iterable, Mapping
 
 __all__ = [
@@ -72,6 +81,14 @@ class Expr:
 
     def __hash__(self):
         return self._hash
+
+    def __eq__(self, other):
+        # the sort key spells out the whole tree, so equal keys are equal trees
+        return self is other or (
+            type(other) is type(self)
+            and other._hash == self._hash
+            and other._key == self._key
+        )
 
     def sort_key(self):
         return self._key
@@ -129,11 +146,6 @@ class Rat(Expr):
         self._hash = hash((0, value))
         self._key = (0, value)
 
-    def __eq__(self, other):
-        return self is other or (type(other) is Rat and other.value == self.value)
-
-    __hash__ = Expr.__hash__
-
 
 class Param(Expr):
     __slots__ = ("name",)
@@ -143,11 +155,6 @@ class Param(Expr):
         self.name = name
         self._hash = hash((1, name))
         self._key = (1, name)
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Param and other.name == self.name)
-
-    __hash__ = Expr.__hash__
 
 
 class Base(Expr):
@@ -161,11 +168,6 @@ class Base(Expr):
         self.name = name
         self._hash = hash((2, name))
         self._key = (2, _COORD_RANK.get(name, 3), name)
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Base and other.name == self.name)
-
-    __hash__ = Expr.__hash__
 
 
 MAX_JET_ORDER = 4
@@ -184,11 +186,6 @@ class Jet(Expr):
         self.idx = idx
         self._hash = hash((3, idx))
         self._key = (3, len(idx), tuple(_COORD_RANK[c] for c in idx))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Jet and other.idx == self.idx)
-
-    __hash__ = Expr.__hash__
 
     @property
     def order(self):
@@ -212,17 +209,6 @@ class Fn(Expr):
         self._hash = hash((4, name, didx, tuple(a._hash for a in args)))
         self._key = (4, name, didx, tuple(a._key for a in args))
 
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Fn
-            and other._hash == self._hash
-            and other.name == self.name
-            and other.didx == self.didx
-            and other.args == self.args
-        )
-
-    __hash__ = Expr.__hash__
-
 
 class Pow(Expr):
     __slots__ = ("expbase", "exp")
@@ -234,16 +220,6 @@ class Pow(Expr):
         self._hash = hash((5, expbase._hash, exp))
         self._key = (5, expbase._key, exp)
 
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Pow
-            and other._hash == self._hash
-            and other.exp == self.exp
-            and other.expbase == self.expbase
-        )
-
-    __hash__ = Expr.__hash__
-
 
 class Exp(Expr):
     __slots__ = ("arg",)
@@ -253,11 +229,6 @@ class Exp(Expr):
         self.arg = arg
         self._hash = hash((6, arg._hash))
         self._key = (6, arg._key)
-
-    def __eq__(self, other):
-        return self is other or (type(other) is Exp and other.arg == self.arg)
-
-    __hash__ = Expr.__hash__
 
 
 class Ln(Expr):
@@ -269,11 +240,6 @@ class Ln(Expr):
         self._hash = hash((7, arg._hash))
         self._key = (7, arg._key)
 
-    def __eq__(self, other):
-        return self is other or (type(other) is Ln and other.arg == self.arg)
-
-    __hash__ = Expr.__hash__
-
 
 class Product(Expr):
     __slots__ = ("factors",)
@@ -283,15 +249,6 @@ class Product(Expr):
         self.factors = factors
         self._hash = hash((8,) + tuple(f._hash for f in factors))
         self._key = (8, tuple(f._key for f in factors))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Product
-            and other._hash == self._hash
-            and other.factors == self.factors
-        )
-
-    __hash__ = Expr.__hash__
 
 
 class Sum(Expr):
@@ -303,15 +260,6 @@ class Sum(Expr):
         self._hash = hash((9,) + tuple(t._hash for t in terms))
         self._key = (9, tuple(t._key for t in terms))
 
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Sum
-            and other._hash == self._hash
-            and other.terms == self.terms
-        )
-
-    __hash__ = Expr.__hash__
-
 
 # ---------------------------------------------------------------------------
 # atom construction (interned)
@@ -321,7 +269,13 @@ _atom_cache: dict = {}
 
 
 def rat(p, q=None) -> Rat:
-    v = Fraction(p) if q is None else Fraction(p, q)
+    if q is None:
+        e = _rat_cache.get(p)  # an int or Fraction hashes like its value
+        if e is not None:
+            return e
+        v = Fraction(p)
+    else:
+        v = Fraction(p, q)
     e = _rat_cache.get(v)
     if e is None:
         e = _rat_cache[v] = Rat(v)
@@ -608,68 +562,96 @@ def div(a, b) -> Expr:
     return mul(_as_expr(a), pow_(b, Fraction(-1)))
 
 
+def _children(e: Expr) -> tuple:
+    """The args, terms, factors, base or argument of a node; () for an atom."""
+    t = type(e)
+    if t is Sum:
+        return e.terms
+    if t is Product:
+        return e.factors
+    if t is Fn:
+        return e.args
+    if t is Pow:
+        return (e.expbase,)
+    if t is Exp or t is Ln:
+        return (e.arg,)
+    return ()
+
+
+def _rebuild(e: Expr, kids) -> Expr:
+    """The node ``e`` with children ``kids``, through its normalizing
+    constructor."""
+    t = type(e)
+    if t is Sum:
+        return add(*kids)
+    if t is Product:
+        return mul(*kids)
+    if t is Fn:
+        return fn(e.name, kids, e.didx)
+    if t is Pow:
+        return pow_(kids[0], e.exp)
+    if t is Exp:
+        return exp_(kids[0])
+    if t is Ln:
+        return ln_(kids[0])
+    if t is Rat:
+        return rat(e.value)
+    if t is Jet:
+        return jet(e.idx)
+    if t is Param or t is Base:
+        return e
+    raise ExprError(f"unknown node {e!r}")
+
+
+def _reuse(e: Expr, kids) -> Expr:
+    """``e`` itself when every one of ``kids`` is its old child: a node of a
+    normalized tree whose children did not change is already in normal
+    form.  Otherwise the rebuilt node."""
+    if all(map(is_, kids, _children(e))):
+        return e
+    return _rebuild(e, kids)
+
+
+def _map(e: Expr, f) -> Expr:
+    """``e`` with ``f`` applied to each child of a normalized node."""
+    return _reuse(e, [f(k) for k in _children(e)])
+
+
 def normalize(e) -> Expr:
     """Rebuild an arbitrary tree through the normalizing constructors."""
     e = _as_expr(e)
-    t = type(e)
-    if t is Rat:
-        return rat(e.value)
-    if t in (Param, Base):
-        return e
-    if t is Jet:
-        return jet(e.idx)
-    if t is Fn:
-        return fn(e.name, tuple(normalize(a) for a in e.args), e.didx)
-    if t is Sum:
-        return add(*[normalize(x) for x in e.terms])
-    if t is Product:
-        return mul(*[normalize(x) for x in e.factors])
-    if t is Pow:
-        return pow_(normalize(e.expbase), e.exp)
-    if t is Exp:
-        return exp_(normalize(e.arg))
-    if t is Ln:
-        return ln_(normalize(e.arg))
-    raise ExprError(f"unknown node {e!r}")
+    return _rebuild(e, [normalize(k) for k in _children(e)])
 
 
 def expand(e) -> Expr:
     """Distribute products over sums and integer powers of sums.
 
     Input must already be normalized; output is normalized and fully
-    distributed (exp/ln/function arguments are expanded but stay opaque)."""
+    distributed.  exp/ln/function nodes are returned as they are: their
+    constructors expand the argument (see the module docstring)."""
     e = _as_expr(e)
     t = type(e)
-    if t in (Rat, Param, Base, Jet):
-        return e
-    if t is Fn:
-        return fn(e.name, tuple(expand(a) for a in e.args), e.didx)
     if t is Sum:
-        return add(*[expand(x) for x in e.terms])
-    if t is Product:
+        return _map(e, expand)
+    if t is not Product and t is not Pow:
+        return e
+    kids = [expand(k) for k in _children(e)]
+    if t is Product and any(type(f) is Sum for f in kids):
         terms = [RAT1]
-        for f in e.factors:
-            f = expand(f)
+        for f in kids:
             if type(f) is Sum:
                 terms = [mul(a, b) for a in terms for b in f.terms]
             else:
                 terms = [mul(a, f) for a in terms]
         return add(*terms)
-    if t is Pow:
-        b = expand(e.expbase)
-        if type(b) is Sum and e.exp.denominator == 1 and e.exp > 1:
-            # distribute term lists directly: mul(b, b) would re-merge the
-            # equal bases into Pow(b, 2) and loop
-            terms = [RAT1]
-            for _ in range(int(e.exp)):
-                terms = [mul(a, s) for a in terms for s in b.terms]
-            return add(*terms)
-        return pow_(b, e.exp)
-    if t is Exp:
-        return exp_(expand(e.arg))
-    if t is Ln:
-        return ln_(expand(e.arg))
-    raise ExprError(f"unknown node {e!r}")
+    if t is Pow and type(kids[0]) is Sum and e.exp.denominator == 1 and e.exp > 1:
+        # distribute term lists directly: mul(b, b) would re-merge the
+        # equal bases into Pow(b, 2) and loop
+        terms = [RAT1]
+        for _ in range(int(e.exp)):
+            terms = [mul(a, s) for a in terms for s in kids[0].terms]
+        return add(*terms)
+    return _reuse(e, kids)
 
 
 # ---------------------------------------------------------------------------
@@ -762,13 +744,10 @@ def _sub(e: Expr, exact, heads) -> Expr:
     hit = exact.get(e)
     if hit is not None:
         return hit
-    t = type(e)
-    if t in (Rat, Param, Base, Jet):
-        return e
-    if t is Fn:
-        new_args = tuple(_sub(a, exact, heads) for a in e.args)
+    if type(e) is Fn:
         bound = heads.get((e.name, len(e.args)))
         if bound is not None:
+            new_args = [_sub(a, exact, heads) for a in e.args]
             formals, rep = bound
             out = rep
             for slot, k in enumerate(e.didx):
@@ -780,18 +759,7 @@ def _sub(e: Expr, exact, heads) -> Expr:
             if renames:
                 out = _sub(out, renames, {})
             return out
-        return fn(e.name, new_args, e.didx)
-    if t is Sum:
-        return add(*[_sub(x, exact, heads) for x in e.terms])
-    if t is Product:
-        return mul(*[_sub(x, exact, heads) for x in e.factors])
-    if t is Pow:
-        return pow_(_sub(e.expbase, exact, heads), e.exp)
-    if t is Exp:
-        return exp_(_sub(e.arg, exact, heads))
-    if t is Ln:
-        return ln_(_sub(e.arg, exact, heads))
-    raise ExprError(f"unknown node {e!r}")
+    return _map(e, lambda k: _sub(k, exact, heads))
 
 
 # ---------------------------------------------------------------------------
@@ -799,21 +767,12 @@ def _sub(e: Expr, exact, heads) -> Expr:
 
 
 def _walk(e: Expr):
-    yield e
-    t = type(e)
-    if t is Fn:
-        for a in e.args:
-            yield from _walk(a)
-    elif t is Sum:
-        for x in e.terms:
-            yield from _walk(x)
-    elif t is Product:
-        for x in e.factors:
-            yield from _walk(x)
-    elif t is Pow:
-        yield from _walk(e.expbase)
-    elif t in (Exp, Ln):
-        yield from _walk(e.arg)
+    """Every node of the tree, in pre-order."""
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        yield e
+        stack.extend(reversed(_children(e)))
 
 
 def atoms_of(e: Expr) -> set:

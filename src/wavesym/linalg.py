@@ -34,10 +34,6 @@ __all__ = [
 ]
 
 
-def _entry(e) -> Expr:
-    return expand(e)
-
-
 def _param_powers(term: Expr) -> dict:
     """Exponent of each parameter factor in one expanded term."""
     out: dict = {}
@@ -81,10 +77,10 @@ def strip_row_content(row: dict) -> dict:
         *[pow_(p, -q) for p, q in common.items()],
     )
     if scale != RAT1:
-        row = {c: _entry(mul(scale, e)) for c, e in row.items()}
+        row = {c: expand(mul(scale, e)) for c, e in row.items()}
     # canonical sign: leading term of the first entry positive
     if rational_content(row[min(row)]) < 0:
-        row = {c: _entry(neg(e)) for c, e in row.items()}
+        row = {c: expand(neg(e)) for c, e in row.items()}
     return row
 
 
@@ -113,7 +109,7 @@ def row_reduce(rows: list, ncols: int):
     in column pivot_cols[i].  Columns are taken in increasing order; the
     pivot of a column is the row of best ``_pivot_quality``, the first such
     row on ties."""
-    work = [strip_row_content({c: _entry(e) for c, e in r.items()}) for r in rows]
+    work = [strip_row_content({c: expand(e) for c, e in r.items()}) for r in rows]
     work = [r for r in work if r]
     echelon: list = []
     pivot_cols: list = []
@@ -137,7 +133,7 @@ def row_reduce(rows: list, ncols: int):
                 continue
             new = {}
             for c in r.keys() | piv_row.keys():
-                e = _entry(add(mul(piv, r.get(c, RAT0)), neg(mul(a, piv_row.get(c, RAT0)))))
+                e = expand(add(mul(piv, r.get(c, RAT0)), neg(mul(a, piv_row.get(c, RAT0)))))
                 if e != RAT0:
                     new[c] = e
             work[j] = strip_row_content(new)
@@ -160,7 +156,7 @@ def nullspace(rows: list, ncols: int) -> list:
         for row, pc in zip(reversed(echelon), reversed(pivot_cols)):
             s = add(*[mul(e, sol[c]) for c, e in row.items() if c in sol])
             if s != RAT0:
-                sol[pc] = _entry(neg(div(s, row[pc])))
+                sol[pc] = expand(neg(div(s, row[pc])))
         basis.append(strip_row_content(dict(sorted(sol.items()))))
     return basis
 
@@ -189,7 +185,7 @@ def solve_span(vectors: list, target: dict):
     for row, pc in zip(reversed(echelon), reversed(pivot_cols)):
         s = add(*[mul(e, coeffs[c]) for c, e in row.items() if pc < c < k])
         # row reads piv*lam_pc + s = augmented entry
-        coeffs[pc] = _entry(div(add(row.get(k, RAT0), neg(s)), row[pc]))
+        coeffs[pc] = expand(div(add(row.get(k, RAT0), neg(s)), row[pc]))
     return coeffs
 
 

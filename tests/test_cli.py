@@ -71,6 +71,52 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert err.startswith("config error: bad --box or --ode-step:")
 
+    @pytest.mark.parametrize("flags, prefix", [
+        (["--ode-step", "inf"], "bad --ode-step:"),
+        (["--ode-step", "1"], "bad --ode-step:"),
+        (["--tol", "nan"], "bad --tol:"),
+        (["--tol", "-1"], "bad --tol:"),
+        (["--tol", "0"], "bad --tol:"),
+        (["--eps", "nan"], "bad --eps:"),
+        (["--eps", "inf"], "bad --eps:"),
+        (["--eps", "0"], "bad --eps:"),
+        (["--grid", "1000,1000,1000"], "bad --grid:"),
+        (["--grid", "127,127,125"], "bad --grid:"),
+    ], ids=lambda v: "=".join(v) if isinstance(v, list) else None)
+    def test_senseless_numeric_flag_in_verify_is_2(self, capsys, flags, prefix):
+        # a step wider than a reconstruction interval takes one RK4 step and
+        # fails the check; a huge grid would allocate before failing
+        start = time.perf_counter()
+        assert main(["verify", *flags]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"config error: {prefix}")
+
+    def test_senseless_config_file_value_is_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"tol": NaN}')
+        assert main(["verify", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: bad --tol:")
+
+    @pytest.mark.parametrize("text, prefix", [
+        ("[1]", "bad --config:"),
+        ('{"params": 5}', "bad --config:"),
+        ('{"params": [5]}', "--param needs NAME=VALUE"),
+    ], ids=["list", "params-int", "params-item-int"])
+    def test_config_file_of_wrong_shape_is_2(self, tmp_path, capsys, text, prefix):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["classify", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"config error: {prefix}")
+
+    def test_unknown_param_name_is_2(self, capsys):
+        assert main(["classify", "--case", "ii", "--param", "E1=2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: bad --param:")
+        assert "'E1'" in err and "e1, e2" in err and "harmonic_xy" in err
+
     def test_negative_degree_is_2(self, capsys):
         assert main(["classify", "--case", "i", "--degree", "-1"]) == 2
         err = capsys.readouterr().err
@@ -250,3 +296,48 @@ class TestDeterminism:
         assert "reduced_equation" in text
         assert "overall_pass: True" in text
         assert code == 0
+
+
+class TestConfigFuzz:
+    """Any argv over the command set and the value-taking flags gives a
+    RunConfig or a ConfigError; argparse may refuse it with exit 2."""
+
+    FLAGS = ["--case", "--generator", "--degree", "--param", "--grid", "--box",
+             "--tol", "--eps", "--ode-step", "--format"]
+
+    def test_config_from_args_raises_only_config_error(self):
+        from hypothesis import HealthCheck, given, settings, strategies as st
+
+        from wavesym.cli import (
+            PARAM_NAMES, ConfigError, RunConfig, _build_parser, _config_from_args,
+        )
+
+        commands = st.sampled_from(["derive", "classify", "reduce", "verify", "report-all"])
+        numbers = st.one_of(
+            st.integers(-10**6, 10**6).map(str),
+            st.floats(allow_nan=True, allow_infinity=True).map(repr),
+            st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "1/0", "1e999", "3/2"]))
+        values = st.one_of(
+            st.text(max_size=20),
+            numbers,
+            st.lists(numbers, min_size=1, max_size=7).map(",".join),
+            st.builds("{}={}".format, st.sampled_from(PARAM_NAMES + ("E1", "")),
+                      st.one_of(numbers, st.text(max_size=8))))
+        pair = st.tuples(st.sampled_from(self.FLAGS), values)
+
+        @settings(derandomize=True, max_examples=300, deadline=None,
+                  database=None, suppress_health_check=list(HealthCheck))
+        @given(commands, st.lists(pair, max_size=6))
+        def check(command, pairs):
+            argv = [command] + [f"{flag}={value}" for flag, value in pairs]
+            try:
+                args = _build_parser().parse_args(argv)
+            except SystemExit as exit_:
+                assert exit_.code == 2
+                return
+            try:
+                assert isinstance(_config_from_args(args), RunConfig)
+            except ConfigError:
+                pass
+
+        check()

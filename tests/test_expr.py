@@ -1,10 +1,11 @@
 """Expression core: normal form, exact arithmetic, calculus, collection."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import rand_expr, rand_raw_tree
+from conftest import rand_atom, rand_expr, rand_raw_tree
 from wavesym.expr import (
     Base, Exp, Fn, Jet, Ln, Param, Pow, Product, Rat, Sum,
     RAT0, RAT1, T, U, X, Y,
@@ -13,7 +14,7 @@ from wavesym.expr import (
     mul, neg, normalize, param, pow_, rat, sub, substitute, vanishes,
     EvalDomainError, NonPolynomialError, SingularError, UnboundAtomError,
 )
-from wavesym.expr import SingularSubstitutionError, atoms_of, fn_nodes_of
+from wavesym.expr import SingularSubstitutionError, _walk, atoms_of, fn_nodes_of
 
 a, b, c = param("a"), param("b"), param("c")
 K = param("K")
@@ -86,6 +87,11 @@ class TestNormalForm:
             pow_(RAT0, -1)
         with pytest.raises(SingularError):
             ln_(RAT0)
+
+    def test_rat_interns_int_and_fraction_arguments(self):
+        assert rat(Fraction(7919, 3)) is rat(7919, 3)
+        assert rat(104729) is rat(Fraction(104729))
+        assert type(rat(104723).value) is Fraction
 
     def test_idempotence_random(self, rng):
         for _ in range(250):
@@ -185,6 +191,155 @@ class TestSubstitute:
     def test_singular_substitution_reported(self):
         with pytest.raises(SingularSubstitutionError):
             substitute(pow_(X, -1), {X: RAT0})
+
+
+# The full-rebuild expand and substitution that the child map replaced:
+# every node goes back through its normalizing constructor.  Kept as
+# references for TestChildMap.
+
+
+def ref_expand(e):
+    t = type(e)
+    if t in (Rat, Param, Base, Jet):
+        return e
+    if t is Fn:
+        return fn(e.name, tuple(ref_expand(a) for a in e.args), e.didx)
+    if t is Sum:
+        return add(*[ref_expand(x) for x in e.terms])
+    if t is Product:
+        terms = [RAT1]
+        for f in e.factors:
+            f = ref_expand(f)
+            if type(f) is Sum:
+                terms = [mul(a, b) for a in terms for b in f.terms]
+            else:
+                terms = [mul(a, f) for a in terms]
+        return add(*terms)
+    if t is Pow:
+        b = ref_expand(e.expbase)
+        if type(b) is Sum and e.exp.denominator == 1 and e.exp > 1:
+            terms = [RAT1]
+            for _ in range(int(e.exp)):
+                terms = [mul(a, s) for a in terms for s in b.terms]
+            return add(*terms)
+        return pow_(b, e.exp)
+    if t is Exp:
+        return exp_(ref_expand(e.arg))
+    if t is Ln:
+        return ln_(ref_expand(e.arg))
+    raise AssertionError(f"unknown node {e!r}")
+
+
+def ref_sub(e, exact, heads):
+    hit = exact.get(e)
+    if hit is not None:
+        return hit
+    t = type(e)
+    if t in (Rat, Param, Base, Jet):
+        return e
+    if t is Fn:
+        new_args = tuple(ref_sub(a, exact, heads) for a in e.args)
+        bound = heads.get((e.name, len(e.args)))
+        if bound is not None:
+            formals, rep = bound
+            out = rep
+            for slot, k in enumerate(e.didx):
+                for _ in range(k):
+                    out = diff(out, formals[slot])
+            renames = {f: a for f, a in zip(formals, new_args) if f != a}
+            if renames:
+                out = ref_sub(out, renames, {})
+            return out
+        return fn(e.name, new_args, e.didx)
+    if t is Sum:
+        return add(*[ref_sub(x, exact, heads) for x in e.terms])
+    if t is Product:
+        return mul(*[ref_sub(x, exact, heads) for x in e.factors])
+    if t is Pow:
+        return pow_(ref_sub(e.expbase, exact, heads), e.exp)
+    if t is Exp:
+        return exp_(ref_sub(e.arg, exact, heads))
+    if t is Ln:
+        return ln_(ref_sub(e.arg, exact, heads))
+    raise AssertionError(f"unknown node {e!r}")
+
+
+def ref_walk(e):
+    yield e
+    t = type(e)
+    if t is Fn:
+        for a in e.args:
+            yield from ref_walk(a)
+    elif t is Sum:
+        for x in e.terms:
+            yield from ref_walk(x)
+    elif t is Product:
+        for x in e.factors:
+            yield from ref_walk(x)
+    elif t is Pow:
+        yield from ref_walk(e.expbase)
+    elif t in (Exp, Ln):
+        yield from ref_walk(e.arg)
+
+
+def outcome(f, *args):
+    """f(*args), or "singular" when it raised a SingularError."""
+    try:
+        return f(*args)
+    except SingularError:
+        return "singular"
+
+
+class TestChildMap:
+    """A node whose children come back unchanged is returned as it is; the
+    results equal the full rebuild's."""
+
+    @staticmethod
+    def trees(n_seeds=240):
+        for seed in range(n_seeds):
+            rng = random.Random(seed)
+            yield rng, rand_expr(rng, rng.randint(1, 5))
+
+    def test_expand_matches_full_rebuild(self):
+        for _, e in self.trees():
+            ex = expand(e)
+            want = ref_expand(e)
+            assert ex == want and str(ex) == str(want)
+            assert expand(ex) is ex
+
+    def test_substitute_matches_full_rebuild(self):
+        for rng, e in self.trees():
+            exact = {}
+            for _ in range(2):
+                k = rand_atom(rng)
+                if type(k) is not Rat:
+                    exact[k] = rand_expr(rng, 2)
+            f_rep = rand_expr(rng, 2)
+            got = outcome(substitute, e, {**exact, fn("f", [X]): f_rep})
+            want = outcome(ref_sub, e, exact, {("f", 1): ((X,), f_rep)})
+            assert got == want and str(got) == str(want)
+
+    def test_unused_binding_returns_the_tree(self):
+        for _, e in self.trees():
+            assert substitute(e, {param("unused"): RAT1}) is e
+            assert substitute(e, {fn("unused", [X]): X}) is e
+
+    def test_function_exp_ln_arguments_are_expanded(self):
+        for _, e in self.trees():
+            for tree in (e, expand(e)):
+                for n in ref_walk(tree):
+                    args = n.args if type(n) is Fn else (n.arg,) if type(n) in (Exp, Ln) else ()
+                    for arg in args:
+                        assert ref_expand(arg) == arg
+                        assert expand(arg) is arg
+
+    def test_walk_is_preorder_and_iterative(self):
+        for _, e in self.trees():
+            assert list(_walk(e)) == list(ref_walk(e))
+        deep = X
+        for _ in range(5000):
+            deep = Ln(deep)
+        assert sum(1 for _ in _walk(deep)) == 5001
 
 
 class TestCollect:
