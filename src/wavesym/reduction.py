@@ -26,7 +26,7 @@ from .expr import (
     Expr, RAT0, RAT1, add, atoms_of, base, default_fn_sampler, diff, div,
     eval_numeric, exp_, expand, fn, jet, ln_, mul,
     neg, param, pow_, random_point, sub, substitute, vanishes,
-    EvalDomainError,
+    EvalDomainError, Param,
 )
 from .detsys import ExponentialCase, FFamily, PowerCase, model_residual
 from .liealg import VectorField
@@ -161,36 +161,32 @@ def invariance_check(spec: ReductionSpec) -> dict:
     return out
 
 
-def proportional_mod_heads(
-    a: Expr,
-    b: Expr,
-    heads,
-    n_base: int = 30,
-    n_jet: int = 4,
-    tol: float = 1e-9,
-    seed: int = 11,
-    box=(0.6, 1.9),
-) -> bool:
+# proportional_mod_heads: sampled base points, head re-randomizations per
+# point, relative tolerance on the ratio, seed, and the sampling box
+N_BASE, N_JET, RATIO_TOL, SEED, BOX = 30, 4, 1e-9, 11, (0.6, 1.9)
+
+
+def proportional_mod_heads(a: Expr, b: Expr, heads) -> bool:
     """Are a and b proportional as equations in the opaque heads?
 
-    At each sampled base point the values of every head-derivative node are
-    re-randomized n_jet times; the ratio a/b must stay constant across the
-    jet samples (it may vary from base point to base point: that is the
-    cleared overall factor)."""
-    rng = random.Random(seed)
+    At each of N_BASE sampled base points the values of every head-derivative
+    node are re-randomized N_JET times; the ratio a/b must stay constant
+    across the jet samples (it may vary from base point to base point: that
+    is the cleared overall factor)."""
+    rng = random.Random(SEED)
     heads = set(heads)
     atoms = sorted(atoms_of(a) | atoms_of(b), key=Expr.sort_key)
-    other = default_fn_sampler(seed)
+    other = default_fn_sampler(SEED)
     done = 0
     attempts = 0
-    while done < n_base:
+    while done < N_BASE:
         attempts += 1
-        if attempts > 40 * n_base:
+        if attempts > 40 * N_BASE:
             raise ReductionError("sampling could not find enough usable points")
-        pt = random_point(atoms, rng, box)
+        pt = random_point(atoms, rng, BOX)
         ratios = []
         try:
-            for _ in range(n_jet):
+            for _ in range(N_JET):
                 table = {}
 
                 def fns(name, didx, args, _table=table):
@@ -209,7 +205,7 @@ def proportional_mod_heads(
         except EvalDomainError:
             continue
         r0 = ratios[0]
-        if any(abs(r - r0) > tol * (1.0 + abs(r0)) for r in ratios[1:]):
+        if any(abs(r - r0) > RATIO_TOL * (1.0 + abs(r0)) for r in ratios[1:]):
             return False
         done += 1
     return True
@@ -229,14 +225,9 @@ def _jet_bindings(u_expr: Expr) -> dict:
     }
 
 
-def reduce(spec: ReductionSpec, fam: FFamily | None = None) -> ReducedEquation:
+def _derive(spec: ReductionSpec, fam: FFamily) -> ReducedEquation:
     """Substitute the similarity ansatz into the model, restrict to the
-    section, and return the reduced equation (common content removed).
-
-    The result is compared against the bundled reference form; for the
-    power-law family the comparison is additionally made at e1 = 1, where
-    the documented constant-factor and slot-order differences disappear."""
-    fam = fam or spec.family
+    section, remove the common content, and check that nothing was lost."""
     residual = expand(substitute(model_residual(fam), _jet_bindings(spec.ansatz)))
     sectioned = _strip(expand(substitute(residual, spec.section)))
     if sectioned == RAT0:
@@ -250,24 +241,27 @@ def reduce(spec: ReductionSpec, fam: FFamily | None = None) -> ReducedEquation:
         if b != coord:
             unsection[b] = coord
     reconstructed = substitute(sectioned, unsection) if unsection else sectioned
-    verified = proportional_mod_heads(residual, reconstructed, {spec.dependent_name})
-    if not verified:
+    if not proportional_mod_heads(residual, reconstructed, {spec.dependent_name}):
         raise ReductionError(
             "ansatz failed to eliminate the original coordinates "
             f"for ({spec.case_id}, {spec.generator})"
         )
+    return ReducedEquation(spec.case_id, spec.generator, sectioned, True)
 
-    eq = ReducedEquation(spec.case_id, spec.generator, sectioned, verified)
+
+def reduce(spec: ReductionSpec, fam: FFamily | None = None) -> ReducedEquation:
+    """The derived reduced equation, compared against the bundled reference
+    form; for the power-law family the comparison is additionally made at
+    e1 = 1, where the documented constant-factor and slot-order differences
+    disappear."""
+    fam = fam or spec.family
+    eq = _derive(spec, fam)
     _compare_with_reference(eq, spec, fam)
     return eq
 
 
 def _at_e1_one(e: Expr, fam: PowerCase) -> Expr:
-    from .expr import Param
-
-    if isinstance(fam.e1, Param):
-        return substitute(e, {fam.e1: RAT1})
-    return e
+    return substitute(e, {fam.e1: RAT1}) if isinstance(fam.e1, Param) else e
 
 
 def _compare_with_reference(eq: ReducedEquation, spec: ReductionSpec, fam: FFamily):
@@ -298,61 +292,59 @@ def _compare_with_reference(eq: ReducedEquation, spec: ReductionSpec, fam: FFami
     eq.flags = tuple(flags)
 
 
-def separation_check(case_id: str, flip_constant_sign: bool = False) -> dict:
+def separation_check(case_id: str) -> dict:
     """Verify the separated solutions symbolically.
 
     Case i: omega = zeta1(r) + zeta2(s) with the two component ODEs turns
     the reduced equation into an identity.  Case ii (e1 = 1):
-    theta = sig1(q)*sig2(p) likewise.  ``flip_constant_sign`` negates the
-    separation constant in one component ODE as a negative control; the
-    residual must then fail to vanish."""
+    theta = sig1(q)*sig2(p) likewise.  As a negative control the separation
+    constant is negated in one component ODE; ``flipped_identity`` must then
+    be false.  The family stays symbolic: the case ii separation holds only
+    at e1 = 1."""
     if case_id == "i":
         fam = ExponentialCase()
-        spec = builtin_reduction("i", "v1", fam)
-        eq = reduce(spec, fam)
-        sep = reference.separation_case_i(fam.K, fam.c, param("c1"))
-        z1, z2 = sep["z1"], sep["z2"]
+        expr = _derive(builtin_reduction("i", "v1", fam), fam).expr
         c, c1 = fam.c, param("c1")
-        split = substitute(eq.expr, {fn("omega", [R, S]): add(z1(0), z2(0))})
-        sign = neg(RAT1) if flip_constant_sign else RAT1
-        rules = {
-            z1(2): mul(
-                neg(add(mul(sign, c1, exp_(neg(div(z1(0), c)))),
-                        mul(2, R, z1(1)), neg(mul(2, c)))),
-                pow_(add(pow_(R, 2), RAT1), -1),
-            ),
-            z2(2): neg(mul(fam.K, c1, exp_(div(z2(0), c)))),
-        }
-        residual = substitute(split, rules)
-        return {
-            "case": "i", "mode": sep["mode"],
-            "identity": vanishes(residual),
-            "residual": expand(residual),
-        }
-    if case_id == "ii":
+        sep = reference.separation_case_i(fam.K, c, c1)
+        z1, z2 = sep["z1"], sep["z2"]
+        head, split_value, case = fn("omega", [R, S]), add(z1(0), z2(0)), "i"
+
+        def rules(sign):
+            return {
+                z1(2): mul(
+                    neg(add(mul(sign, c1, exp_(neg(div(z1(0), c)))),
+                            mul(2, R, z1(1)), neg(mul(2, c)))),
+                    pow_(add(pow_(R, 2), RAT1), -1),
+                ),
+                z2(2): neg(mul(fam.K, c1, exp_(div(z2(0), c)))),
+            }
+    elif case_id == "ii":
         fam = PowerCase()
-        spec = builtin_reduction("ii", "v1", fam)
-        eq = reduce(spec, fam)
-        at1 = substitute(eq.expr, {fam.e1: RAT1})
+        expr = substitute(_derive(builtin_reduction("ii", "v1", fam), fam).expr,
+                          {fam.e1: RAT1})
         c_sep, L = param("c_sep"), fam.L
         sep = reference.separation_case_ii(L, c_sep)
         s1, s2 = sep["s1"], sep["s2"]
-        split = substitute(at1, {fn("theta", [P, Q]): mul(s1(0), s2(0))})
-        sign = neg(RAT1) if flip_constant_sign else RAT1
-        rules = {
-            s1(2): mul(sign, c_sep, pow_(s1(0), 2)),
-            s2(2): mul(
-                add(mul(2, P, s2(1)), neg(mul(2, s2(0))), div(c_sep, L)),
-                pow_(add(pow_(P, 2), RAT1), -1),
-            ),
-        }
-        residual = substitute(split, rules)
-        return {
-            "case": "ii (e1=1)", "mode": sep["mode"],
-            "identity": vanishes(residual),
-            "residual": expand(residual),
-        }
-    raise ReductionError(f"no separation for case {case_id!r}")
+        head, split_value, case = fn("theta", [P, Q]), mul(s1(0), s2(0)), "ii (e1=1)"
+
+        def rules(sign):
+            return {
+                s1(2): mul(sign, c_sep, pow_(s1(0), 2)),
+                s2(2): mul(
+                    add(mul(2, P, s2(1)), neg(mul(2, s2(0))), div(c_sep, L)),
+                    pow_(add(pow_(P, 2), RAT1), -1),
+                ),
+            }
+    else:
+        raise ReductionError(f"no separation for case {case_id!r}")
+    split = substitute(expr, {head: split_value})
+    residual = substitute(split, rules(RAT1))
+    return {
+        "case": case, "mode": sep["mode"],
+        "identity": vanishes(residual),
+        "flipped_identity": vanishes(substitute(split, rules(neg(RAT1)))),
+        "residual": expand(residual),
+    }
 
 
 def explicit_solution_residual(m: Expr, p: Expr, q: Expr, fam: ExponentialCase | None = None):
@@ -363,10 +355,9 @@ def explicit_solution_residual(m: Expr, p: Expr, q: Expr, fam: ExponentialCase |
     m^2 + p^2 to 1/K.  The derived constraint and its comparison with the
     reference's printed one (which has the opposite sign) are returned."""
     fam = fam or ExponentialCase()
-    spec = builtin_reduction("i", "v4", fam)
-    eq = reduce(spec, fam)
+    expr = _derive(builtin_reduction("i", "v4", fam), fam).expr
     planar = add(mul(m, X), mul(p, Y), q)
-    constraint = expand(substitute(eq.expr, {fn("h", [X, Y]): planar}))
+    constraint = expand(substitute(expr, {fn("h", [X, Y]): planar}))
     # reference claims m^2 + p^2 = 1/K; the derivation gives m^2 + p^2 = -1/K
     derived_zero_form = _strip(constraint)
     reference_zero_form = sub(add(pow_(m, 2), pow_(p, 2)), pow_(fam.K, -1))
@@ -379,7 +370,6 @@ def explicit_solution_residual(m: Expr, p: Expr, q: Expr, fam: ExponentialCase |
         "reference_constraint": reference_zero_form,
         "matches_reference": agrees,
         "flag": "explicit_constraint_sign",
-        "reduced_equation": eq,
     }
 
 

@@ -250,15 +250,13 @@ def test_criterion_05_reduced_equations():
 def test_criterion_06_separated_solutions():
     rep_i = separation_check("i")
     rep_ii = separation_check("ii")
-    neg_i = separation_check("i", flip_constant_sign=True)
-    neg_ii = separation_check("ii", flip_constant_sign=True)
     ok = (rep_i["identity"] and rep_ii["identity"]
-          and not neg_i["identity"] and not neg_ii["identity"])
+          and not rep_i["flipped_identity"] and not rep_ii["flipped_identity"])
     line(6, "separated solutions", ok,
          "additive (case i) and multiplicative (case ii, e1=1) separations "
          "are exact identities; flipped separation constant fails")
     assert rep_i["identity"] and rep_ii["identity"]
-    assert not neg_i["identity"] and not neg_ii["identity"]
+    assert not rep_i["flipped_identity"] and not rep_ii["flipped_identity"]
 
 
 def test_criterion_07_numeric_reconstruction():

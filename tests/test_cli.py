@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, report schema, determinism, artifacts."""
 
 import json
+import math
 import os
 import time
 
@@ -117,6 +118,41 @@ class TestExitCodes:
         assert err.count("\n") == 1 and err.startswith("config error: bad --param:")
         assert "'E1'" in err and "e1, e2" in err and "harmonic_xy" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--case", "i", "--param", "c=1e5000", "--degree", "0"],
+        ["classify", "--case", "i", "--param", "c=1e1000000000", "--degree", "0"],
+        ["reduce", "--case", "i", "--param", "c=1e400"],
+        ["reduce", "--case", "i", "--param", "K=1e-400"],
+        ["reduce", "--case", "ii", "--generator", "v4", "--param", "L=1e400"],
+        ["verify", "--param", "c=1e400", "--grid", "5,5,5"],
+        ["classify", "--case", "ii", "--param", "e1=1e-3000", "--degree", "0"],
+    ], ids=lambda argv: argv[0] + ":" + argv[argv.index("--param") + 1])
+    def test_param_out_of_float_range_is_2(self, capsys, argv):
+        # each stage evaluates the parameters as floats; 1e1000000000 is
+        # refused before a billion-digit integer is built
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: bad --param:")
+
+    def test_param_at_the_ends_of_the_float_range_accepted(self):
+        from wavesym.cli import _parse_rational
+
+        for text in ("0", "-0.0", "1e308", "-1.7e308", "2.3e-308", "1e-307", "3/2"):
+            value = _parse_rational("c", text)
+            assert value == 0 or 0 < abs(float(value)) < float("inf")
+
+    @pytest.mark.parametrize("out", ["missing/r.json", "."], ids=["no-directory", "directory"])
+    def test_unwritable_out_is_2(self, tmp_path, capsys, out):
+        # refused before the work, not after it with a traceback
+        start = time.perf_counter()
+        argv = ["classify", "--case", "i", "--degree", "0", "--out", str(tmp_path / out)]
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: bad --out:")
+
     def test_negative_degree_is_2(self, capsys):
         assert main(["classify", "--case", "i", "--degree", "-1"]) == 2
         err = capsys.readouterr().err
@@ -151,6 +187,30 @@ class TestExitCodes:
         code, report = run(tmp_path, "verify")
         assert code == 0
         assert report["stages"]["verify"]["passed"] is True
+
+    def test_verify_measures_the_planar_solution_once(self, tmp_path, monkeypatch):
+        # 4 reductions at two steps each, the violated-constraint control,
+        # 5 transported generators and the u*d/du control; the explicit
+        # solution is the (i, v4) reduction's residual
+        from wavesym import cli, numverify
+
+        calls = []
+        original = numverify.fd_residual
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(numverify, "fd_residual", counted)
+        monkeypatch.setattr(cli, "fd_residual", counted)
+        code, report = run(tmp_path, "verify")
+        assert code == 0
+        assert len(calls) == 15
+        stage = report["stages"]["verify"]
+        planar, i_v4 = stage["explicit_solution"], stage["reductions"]["i_v4"]
+        assert planar["max_residual"] == i_v4["max_residual"]
+        assert planar["rms_residual"] == i_v4["rms_residual"]
+        assert planar["convergence"] == [] and planar["convergence_factor"] is None
 
 
 class TestReportContents:
@@ -300,23 +360,47 @@ class TestDeterminism:
 
 class TestConfigFuzz:
     """Any argv over the command set and the value-taking flags gives a
-    RunConfig or a ConfigError; argparse may refuse it with exit 2."""
+    RunConfig or a ConfigError; argparse may refuse it with exit 2.  Every
+    --param value accepted is one each stage can evaluate as a float."""
 
     FLAGS = ["--case", "--generator", "--degree", "--param", "--grid", "--box",
              "--tol", "--eps", "--ode-step", "--format"]
 
+    @staticmethod
+    def numbers():
+        from hypothesis import strategies as st
+
+        return st.one_of(
+            st.integers(-10**6, 10**6).map(str),
+            st.floats(allow_nan=True, allow_infinity=True).map(repr),
+            st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "1/0", "1e999", "3/2"]),
+            st.builds("{}1e{}".format, st.sampled_from(["", "-"]), st.integers(-6000, 6000)))
+
+    @staticmethod
+    def check_config(argv):
+        from wavesym.cli import ConfigError, RunConfig, _build_parser, _config_from_args
+
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exit_:
+            assert exit_.code == 2
+            return
+        try:
+            config = _config_from_args(args)
+        except ConfigError:
+            return
+        assert isinstance(config, RunConfig)
+        for value in config.params.values():
+            f = float(value)
+            assert value == 0 or (0 < abs(f) < math.inf and abs(1 / f) < math.inf)
+
     def test_config_from_args_raises_only_config_error(self):
         from hypothesis import HealthCheck, given, settings, strategies as st
 
-        from wavesym.cli import (
-            PARAM_NAMES, ConfigError, RunConfig, _build_parser, _config_from_args,
-        )
+        from wavesym.cli import PARAM_NAMES
 
         commands = st.sampled_from(["derive", "classify", "reduce", "verify", "report-all"])
-        numbers = st.one_of(
-            st.integers(-10**6, 10**6).map(str),
-            st.floats(allow_nan=True, allow_infinity=True).map(repr),
-            st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "1/0", "1e999", "3/2"]))
+        numbers = self.numbers()
         values = st.one_of(
             st.text(max_size=20),
             numbers,
@@ -329,15 +413,22 @@ class TestConfigFuzz:
                   database=None, suppress_health_check=list(HealthCheck))
         @given(commands, st.lists(pair, max_size=6))
         def check(command, pairs):
-            argv = [command] + [f"{flag}={value}" for flag, value in pairs]
-            try:
-                args = _build_parser().parse_args(argv)
-            except SystemExit as exit_:
-                assert exit_.code == 2
-                return
-            try:
-                assert isinstance(_config_from_args(args), RunConfig)
-            except ConfigError:
-                pass
+            self.check_config([command] + [f"{flag}={value}" for flag, value in pairs])
+
+        check()
+
+    def test_param_magnitudes(self):
+        # most argv above stop in argparse before any --param is read; here
+        # every example reaches the --param parser
+        from hypothesis import HealthCheck, given, settings, strategies as st
+
+        from wavesym.cli import PARAM_NAMES
+
+        @settings(derandomize=True, max_examples=300, deadline=None,
+                  database=None, suppress_health_check=list(HealthCheck))
+        @given(st.lists(st.tuples(st.sampled_from(PARAM_NAMES), self.numbers()),
+                        min_size=1, max_size=3))
+        def check(params):
+            self.check_config(["reduce"] + [f"--param={n}={v}" for n, v in params])
 
         check()

@@ -373,3 +373,12 @@ class TestAnsatzSolve:
                 parts = [RAT0] * 4
                 parts[comp] = RAT1
                 assert decompose_field(space.basis, VectorField(*parts)) is not None
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: at e1 = 2 a fractional power splits one "
+                   "determining equation in two and a generator is lost")
+def test_power_family_dimension_at_concrete_exponent():
+    # t*d/dt - 2*(e1*u + e2)*d/du is a symmetry for every e1 != 0
+    space = ansatz_solve(PowerCase(param("L"), rat(2), rat(0)), AnsatzSpec(2))
+    assert space.dimension == 6

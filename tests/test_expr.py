@@ -480,3 +480,12 @@ class TestFormat:
     def test_derivative_heads(self):
         assert format_expr(fn("f", [U], (2,))) == "f''(u)"
         assert format_expr(fn("w", [X, Y], (1, 2))) == "w[1,2](x, y)"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: fractional powers of affine "
+                   "multiples of one base are not canonical")
+def test_fractional_powers_of_one_base_cancel():
+    u2 = mul(2, U)
+    assert vanishes(sub(mul(U, pow_(u2, Fraction(-1, 2))),
+                        mul(Fraction(1, 2), pow_(u2, Fraction(1, 2)))))

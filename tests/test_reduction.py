@@ -135,8 +135,30 @@ class TestSeparation:
         assert rep["identity"] and rep["mode"] == "multiplicative"
 
     def test_negative_controls(self):
-        assert not separation_check("i", flip_constant_sign=True)["identity"]
-        assert not separation_check("ii", flip_constant_sign=True)["identity"]
+        assert not separation_check("i")["flipped_identity"]
+        assert not separation_check("ii")["flipped_identity"]
+
+
+class TestWorkDoneOnce:
+    @pytest.mark.parametrize("case, gen, expect", [
+        ("i", "v1", 3), ("i", "v4", 3), ("ii", "v1", 4), ("ii", "v4", 3),
+    ])
+    def test_proportionality_checks_per_reduce_stage(self, monkeypatch, case, gen, expect):
+        # one elimination check per derivation (the stage's, the separation
+        # check's, the explicit constraint's) plus one per reference comparison
+        from wavesym import reduction
+        from wavesym.cli import RunConfig, stage_reduce
+
+        calls = []
+        original = reduction.proportional_mod_heads
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(reduction, "proportional_mod_heads", counted)
+        assert stage_reduce(RunConfig("reduce", case=case, generator=gen))["passed"]
+        assert len(calls) == expect
 
 
 class TestExplicitSolution:
