@@ -43,6 +43,16 @@ class TestExitCodes:
         assert code == 1
         assert "singular-set intrusion" in capsys.readouterr().err
 
+    def test_rk4_overflow_in_verify_is_1(self, tmp_path, capsys):
+        # with this step, e^(-z/c) overflows in the (i, v1) right-hand side
+        # before the state reaches the bound: still one failed-check line
+        code, _ = run(tmp_path, "verify", "--param", "c1=1e6", "--grid", "5,5,5",
+                      "--ode-step", "1e-4")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("check failed: trajectory exceeded bound")
+
     def test_both_m_and_p_zero_in_verify_is_2(self, capsys):
         assert main(["verify", "--param", "m=0", "--param", "p=0"]) == 2
         err = capsys.readouterr().err
@@ -430,5 +440,50 @@ class TestConfigFuzz:
                         min_size=1, max_size=3))
         def check(params):
             self.check_config(["reduce"] + [f"--param={n}={v}" for n, v in params])
+
+        check()
+
+
+class TestVerifyFuzz:
+    """verify end to end, in process, over small grids, ODE steps, boxes and
+    family parameters from 1e-6 to 1e6 in magnitude: every run ends in exit
+    0, 1 or 2 with no traceback."""
+
+    def test_verify_exit_codes(self, tmp_path):
+        import contextlib
+        import io
+
+        from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+        magnitudes = st.builds(lambda sign, e: repr(sign * 10.0**e),
+                               st.sampled_from([1, -1]), st.floats(-6, 6))
+        params = st.lists(st.tuples(
+            st.sampled_from(["c", "c1", "K", "L", "sig1_0", "c_sep"]), magnitudes), max_size=3)
+        grids = st.tuples(*[st.integers(3, 7)] * 3)
+        # x from 0 (refused) to 3, y and t across their singular sets
+        boxes = st.one_of(st.none(), st.tuples(
+            st.floats(0.0, 2.0), st.floats(0.1, 1.0), st.floats(-3.0, 2.0),
+            st.floats(0.1, 1.0), st.floats(-3.0, 2.0), st.floats(0.1, 1.0)))
+
+        @settings(derandomize=True, max_examples=25, deadline=None,
+                  database=None, suppress_health_check=list(HealthCheck))
+        @given(grids, st.floats(1e-4, 1e-2), boxes, params)
+        @example((5, 5, 5), 1e-4, None, [("c1", "1e6")])
+        def check(grid, ode_step, box, params):
+            argv = ["verify", "--grid", ",".join(map(str, grid)), "--ode-step", repr(ode_step),
+                    "--format", "json", "--out", str(tmp_path / "report.json")]
+            if box is not None:
+                x0, dx, y0, dy, t0, dt = box
+                argv.append("--box=" + ",".join(map(repr, (x0, x0 + dx, y0, y0 + dy, t0, t0 + dt))))
+            for name, value in params:
+                argv += ["--param", f"{name}={value}"]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exit_:
+                    code = exit_.code
+            assert code in (0, 1, 2), (argv, code)
+            assert "Traceback" not in err.getvalue(), argv
 
         check()

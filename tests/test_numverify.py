@@ -14,9 +14,23 @@ from wavesym.liealg import VectorField
 from wavesym.numverify import (
     DEFAULT_PARAMS, MAX_ODE_STEPS, GridSpec, NumVerifyError, ODEProblem, compile_numeric,
     default_grid, fd_residual, first_integral_drift, flow_transport_check,
-    reconstruct_case_i_v4, rk4_solve, verify_reduction_numeric,
+    reconstruct_case_i_v1, reconstruct_case_i_v4, reconstruct_case_ii_v1,
+    reconstruct_case_ii_v4, rk4_solve, verify_reduction_numeric,
 )
 from wavesym import reference
+
+
+def dense_residual(u, grid, f):
+    """(max, rms) of the FD residual on full 3-D meshgrids: the reference the
+    open-grid evaluation of fd_residual must match float for float."""
+    h = grid.h
+    Xg, Yg, Tg = np.meshgrid(*grid.axes(), indexing="ij")
+    u0 = u(Xg, Yg, Tg)
+    utt = (u(Xg, Yg, Tg + h) - 2 * u0 + u(Xg, Yg, Tg - h)) / h**2
+    uxx = (u(Xg + h, Yg, Tg) - 2 * u0 + u(Xg - h, Yg, Tg)) / h**2
+    uyy = (u(Xg, Yg + h, Tg) - 2 * u0 + u(Xg, Yg - h, Tg)) / h**2
+    res = np.broadcast_to(utt - f(u0) * (uxx + uyy), Xg.shape)
+    return float(np.max(np.abs(res))), float(np.sqrt(np.mean(res**2)))
 
 
 class TestRK4:
@@ -64,6 +78,40 @@ class TestRK4:
         with pytest.raises(NumVerifyError):
             rk4_solve(ODEProblem(lambda s, y, yp: y * y, 0.0, 3.0, 0.0, 10.0, 1e-3, bound=1e3))
 
+    def test_rhs_overflow_is_a_bound_failure(self):
+        # y'' = e^y from y = 700: the second stage's e^(~1e297) overflows in
+        # math.exp before the per-step bound check can see the state
+        with pytest.raises(NumVerifyError, match=r"exceeded bound 1000000.0 at x=0.001$"):
+            rk4_solve(ODEProblem(lambda s, y, yp: math.exp(y), 0.0, 700.0, 0.0, 1.0, 1e-3))
+
+    def test_matches_textbook_loop(self):
+        def rhs(s, y, yp):
+            return -(math.exp(-y) + 2 * (s * yp - 1.0)) / (s * s + 1.0) + y * yp
+
+        x0, x1, step = 0.3, 1.1, 7e-3
+        n = max(1, int(math.ceil((x1 - x0) / step)))
+        h = (x1 - x0) / n
+        x, y, yp = x0, 0.2, -0.4
+        xs, ys, yps = [x], [y], [yp]
+        for i in range(1, n + 1):
+            k1y, k1p = yp, rhs(x, y, yp)
+            k2y = yp + 0.5 * h * k1p
+            k2p = rhs(x + 0.5 * h, y + 0.5 * h * k1y, yp + 0.5 * h * k1p)
+            k3y = yp + 0.5 * h * k2p
+            k3p = rhs(x + 0.5 * h, y + 0.5 * h * k2y, yp + 0.5 * h * k2p)
+            k4y = yp + h * k3p
+            k4p = rhs(x + h, y + h * k3y, yp + h * k3p)
+            y = y + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
+            yp = yp + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
+            x = x0 + i * h
+            xs.append(x)
+            ys.append(y)
+            yps.append(yp)
+        tr = rk4_solve(ODEProblem(rhs, x0, 0.2, -0.4, x1, step))
+        assert np.array_equal(tr.xs, xs)
+        assert np.array_equal(tr.ys, ys)
+        assert np.array_equal(tr.yps, yps)
+
     def test_step_cap(self):
         # refused before any array is allocated; the cap itself is allowed
         rhs = lambda s, y, yp: 0.0  # noqa: E731
@@ -98,8 +146,28 @@ class TestFDResidual:
 
     def test_singular_set_intrusion_reported(self):
         grid = GridSpec(box=((0.5, 1.0), (0.5, 1.0), (-0.01, 0.01)))
-        with pytest.raises(NumVerifyError):
+        with pytest.raises(NumVerifyError) as err:
             fd_residual(lambda x, y, t: np.log(x / t), grid, lambda u: -np.exp(u))
+        # the first five non-finite points in C order: t < 0 at x = y = 0.5
+        assert str(err.value) == (
+            "singular-set intrusion at grid points [(0.5, 0.5, -0.01), "
+            "(0.5, 0.5, -0.009000000000000001), (0.5, 0.5, -0.008), "
+            "(0.5, 0.5, -0.007), (0.5, 0.5, -0.006)]")
+
+    @pytest.mark.parametrize("u,n", [
+        (lambda x, y, t: x**3, (21, 21, 21)),
+        # e^x at 31x17x9: the rms over the 31 distinct values alone differs
+        # from the dense mean in the last bit
+        (lambda x, y, t: np.exp(x), (31, 17, 9)),
+    ], ids=["x^3", "exp"])
+    def test_one_axis_solution_matches_dense_grid(self, u, n):
+        # u ignores y and t: the residual broadcasts from (n_x, 1, 1), and
+        # its rms must still average all n_x*n_y*n_t points in dense order
+        grid = GridSpec(n=n)
+        f = lambda uv: np.ones_like(uv)  # noqa: E731
+        r = fd_residual(u, grid, f)
+        assert (r.max_residual, r.rms_residual) == dense_residual(u, grid, f)
+        assert r.max_residual > 1.0
 
     def test_tightened_tolerance_fails(self):
         r = verify_reduction_numeric("i", "v4", tol=1e-12, refine_levels=0)
@@ -118,6 +186,16 @@ class TestReconstructions:
         r = verify_reduction_numeric(case_id, gen)
         assert r.passed, (case_id, gen, r.max_residual)
         assert 3.5 <= r.convergence_factor <= 4.5
+
+    @pytest.mark.parametrize("case_id,gen,build", [
+        ("i", "v1", reconstruct_case_i_v1), ("i", "v4", reconstruct_case_i_v4),
+        ("ii", "v1", reconstruct_case_ii_v1), ("ii", "v4", reconstruct_case_ii_v4),
+    ])
+    def test_open_grid_matches_dense_grid(self, case_id, gen, build):
+        grid = default_grid(case_id, gen)
+        u, f = build(dict(DEFAULT_PARAMS[case_id, gen]), grid)
+        r = fd_residual(u, grid, f)
+        assert (r.max_residual, r.rms_residual) == dense_residual(u, grid, f)
 
     def test_zero_separation_constant_degenerates_cleanly(self):
         # c1 = 0 makes zeta2'' = 0 and zeta1 integrable; still a solution
@@ -149,6 +227,26 @@ class TestFlowTransport:
         for v in reference.case_i_basis(rat(1)):
             out = flow_transport_check(self.u, self.f, v, 0.3, self.grid, base_report=self.base)
             assert out["within_factor"], str(v)
+
+    def test_transport_matches_dense_grid(self):
+        # the scaling x*d/dx + y*d/dy + 2c*d/du, rebuilt here as flow_transport_check
+        # builds it, measured on dense meshgrids
+        from wavesym.expr import base
+        from wavesym.liealg import EPS, flow
+
+        v = reference.case_i_basis(rat(1))[0]
+        eps, fm = 0.3, flow(v)
+        atoms = (base("x"), base("y"), base("t"), jet(""), EPS)
+        fwd = compile_numeric(fm.maps[3], atoms)
+        inv = [compile_numeric(m, atoms) for m in fm.inverse().maps[:3]]
+
+        def u_t(x, y, t):
+            w = [g(x, y, t, np.zeros_like(x), eps) for g in inv]
+            return fwd(*w, self.u(*w), eps)
+
+        out = flow_transport_check(self.u, self.f, v, eps, self.grid, base_report=self.base)
+        tr = out["transported"]
+        assert (tr.max_residual, tr.rms_residual) == dense_residual(u_t, self.grid, self.f)
 
     def test_non_symmetry_control(self):
         w = VectorField(RAT0, RAT0, RAT0, jet(""))
