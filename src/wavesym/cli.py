@@ -32,7 +32,7 @@ from .detsys import (
     opaque_vectorfield, reference_implication_report,
 )
 from .expr import RAT0, format_expr, jet, param, rat
-from .liealg import VectorField, commutator_table, decompose_field, jacobi_check
+from .liealg import VectorField, commutator_table, decompose_fields, jacobi_check
 from .numverify import (
     DEFAULT_PARAMS, MAX_ODE_STEPS, GridSpec, NumVerifyError, default_grid,
     fd_residual, first_integral_drift, flow_transport_check, ode_margins,
@@ -170,8 +170,7 @@ def stage_classify(config: RunConfig) -> dict:
         else reference.case_ii_basis(fam.e1, fam.e2)
     )
     containment = []
-    for k, rb in enumerate(refbasis):
-        coeffs = decompose_field(space.basis, rb)
+    for rb, coeffs in zip(refbasis, decompose_fields(space.basis, refbasis)):
         containment.append(
             {
                 "field": str(rb),

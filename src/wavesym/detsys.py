@@ -26,7 +26,9 @@ from .expr import (
 )
 from .jet import prolong_coeff_second, total_derivative
 from .liealg import VectorField
-from .linalg import echelon_mod_p, nullspace, reduce_mod_p
+from .linalg import (
+    annihilates, echelon_mod_p, independent_rows_mod_p, nullspace, reduce_mod_p,
+)
 from . import reference
 
 __all__ = [
@@ -34,13 +36,16 @@ __all__ = [
     "UTag", "DeterminingSystem", "AnsatzSpec", "SolutionSpace",
     "model_residual", "on_shell", "invariance_residual", "opaque_vectorfield",
     "opaque_affine_vectorfield", "extract_determining", "split_u_dependence",
-    "check_reference_system", "reference_implication_report", "ansatz_solve",
+    "check_reference_system", "reference_implication_report", "RowSelection",
+    "ansatz_solve",
 ]
 
 X, Y, T, U = base("x"), base("y"), base("t"), jet("")
-# the implication report's rank test: field size and number of points
+# rank tests over GF(PRIME): the implication report's number of points, and
+# the seed of the point at which ansatz_solve picks the rows it eliminates
 PRIME = 2**31 - 1
 N_POINTS = 2
+SELECTION_SEED = 11
 
 
 class DetSysError(Exception):
@@ -401,11 +406,26 @@ class AnsatzSpec:
         return out
 
 
+@dataclass(frozen=True)
+class RowSelection:
+    """The rows ``ansatz_solve`` eliminated: ``rows_kept`` of ``rows``,
+    independent over GF(prime) at the point drawn from ``seed``.
+    ``fallback`` is set when a dropped row did not vanish on the kept rows'
+    basis, so that every row was eliminated instead."""
+
+    prime: int
+    seed: int
+    rows: int
+    rows_kept: int
+    fallback: bool
+
+
 @dataclass
 class SolutionSpace:
     """Exact basis of the determining system's solution space under an
     ansatz, with a residual certificate (every basis field makes the on-shell
-    invariance residual normalize to zero)."""
+    invariance residual normalize to zero) and the record of the rows that
+    were eliminated."""
 
     family: FFamily
     spec: AnsatzSpec
@@ -413,10 +433,52 @@ class SolutionSpace:
     certificate: bool
     n_unknowns: int
     n_equations: int
+    selection: RowSelection
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
+
+
+def _rows_mod_p(rows: list, seed: int) -> list:
+    """The rows evaluated over GF(PRIME) at a point drawn from ``seed``,
+    one residue per parameter."""
+    import random
+
+    params = sorted({a for r in rows for e in r.values() for a in atoms_of(e)},
+                    key=Expr.sort_key)
+    rng = random.Random(seed)
+    point = {a: rng.randrange(1, PRIME) for a in params}
+    values: dict = {}
+    out = []
+    for r in rows:
+        row = {}
+        for c, e in r.items():
+            v = values.get(e)
+            if v is None:
+                v = values[e] = eval_mod(e, point, {}, PRIME)
+            row[c] = v
+        out.append(row)
+    return out
+
+
+def _select_and_solve(rows: list, ncols: int):
+    """Nullspace of the rows from the rows that are independent mod p.
+
+    The rows independent over GF(PRIME) at one seeded point span a space
+    that contains the row space only if the point is not special; the
+    kernel of the kept rows contains the true kernel either way.  Every
+    dropped row is then checked to vanish on the kept rows' basis, exactly;
+    that proves the two kernels equal.  If one does not, all rows are
+    eliminated."""
+    kept = independent_rows_mod_p(_rows_mod_p(rows, SELECTION_SEED), PRIME)
+    basis = nullspace([rows[i] for i in kept], ncols)
+    kept_set = set(kept)
+    fallback = not annihilates(
+        [r for i, r in enumerate(rows) if i not in kept_set], basis)
+    if fallback:
+        basis = nullspace(rows, ncols)
+    return basis, RowSelection(PRIME, SELECTION_SEED, len(rows), len(kept), fallback)
 
 
 def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
@@ -431,8 +493,9 @@ def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
     c * (m)_k, a product of falling factorials, in row (equation, m - k).
     Rows are keyed by jet monomial, u-tag and (x, y, t) monomial, in that
     order; identical rows are kept once.  The homogeneous system is solved
-    by exact elimination over the parameter field; family parameters are
-    treated as generic nonzero values."""
+    by exact elimination over the parameter field, of the rows that
+    ``_select_and_solve`` keeps; family parameters are treated as generic
+    nonzero values."""
     if isinstance(fam, Generic):
         raise DetSysError("ansatz_solve needs a concrete family (exponential or power)")
     spec = spec or AnsatzSpec()
@@ -467,8 +530,9 @@ def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
                 (a.sort_key(), p) for a, p in zip((X, Y, T), n) if p)):
             rows.setdefault(frozenset(table[n].items()), table[n])
 
+    vectors, selection = _select_and_solve(list(rows.values()), len(columns))
     basis = []
-    for vec in nullspace(list(rows.values()), len(columns)):
+    for vec in vectors:
         parts = {"xi": [], "eta": [], "tau": [], "alpha": [], "beta": []}
         for j, entry in vec.items():
             cname, m = columns[j]
@@ -485,4 +549,4 @@ def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
     certificate = all(
         vanishes(on_shell(invariance_residual(b, fam), fam)) for b in basis
     )
-    return SolutionSpace(fam, spec, basis, certificate, len(columns), len(rows))
+    return SolutionSpace(fam, spec, basis, certificate, len(columns), len(rows), selection)

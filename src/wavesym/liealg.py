@@ -7,6 +7,7 @@ one-parameter flows of affine generators live here."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .expr import (
     Expr, RAT0, RAT1, _as_expr, add, atoms_of, base, diff, div, exp_, expand,
@@ -17,7 +18,8 @@ from .linalg import rank, solve_span
 __all__ = [
     "VectorField", "CommutatorTable", "FlowMap", "LieAlgError",
     "FlowUnsupportedError", "COORDS", "EPS",
-    "bracket", "commutator_table", "jacobi_check", "flow",
+    "bracket", "commutator_table", "decompose_field", "decompose_fields",
+    "jacobi_check", "flow",
 ]
 
 
@@ -95,13 +97,16 @@ def bracket(v: VectorField, w: VectorField) -> VectorField:
     )
 
 
+def _collect(field: VectorField) -> list:
+    """Polynomial coefficients of each component over (x, y, t, u) monomials."""
+    return [collect_atoms(c, COORDS) for c in field.components]
+
+
 def _component_coordinates(fields):
     """Common coordinatisation of fields by polynomial coefficients of the
     components over (x, y, t, u) monomials.  Returns (keys, vectors), the
     vectors sparse {key index: coefficient}."""
-    collected = [
-        [collect_atoms(c, COORDS) for c in f.components] for f in fields
-    ]
+    collected = [_collect(f) for f in fields]
     keys = []
     seen = set()
     for comps in collected:
@@ -172,44 +177,67 @@ class CommutatorTable:
         return grid
 
 
+def _in_coordinates(keys, vectors, targets) -> list:
+    """Exact coordinates of each target in the span of ``vectors``, the
+    coordinatisation (keys, vectors) of a basis, or None when outside.
+
+    A target with a coefficient on a key no basis field has lies outside
+    the span.  Otherwise the basis keys coordinatise it as well, and the
+    solve is the one on the common coordinatisation of basis and target."""
+    index = {sk: i for i, sk in enumerate(keys)}
+    out = []
+    for target in targets:
+        items = [((slot, k), e) for slot, table in enumerate(_collect(target))
+                 for k, e in table.items()]
+        if all(sk in index for sk, _ in items):
+            out.append(solve_span(vectors, {index[sk]: e for sk, e in items}))
+        else:
+            out.append(None)
+    return out
+
+
 def commutator_table(basis) -> CommutatorTable:
     basis = list(basis)
     n = len(basis)
     keys, vectors = _component_coordinates(basis)
     if rank(vectors, len(keys)) != n:
         raise LieAlgError("basis fields are linearly dependent")
-    entries = {}
-    for i in range(n):
-        entries[(i, i)] = [RAT0] * n
-        for j in range(i + 1, n):
-            br = bracket(basis[i], basis[j])
-            _, brvec = _component_coordinates(basis + [br])
-            coeffs = solve_span(brvec[:-1], brvec[-1])
-            entries[(i, j)] = coeffs
-            entries[(j, i)] = None if coeffs is None else [expand(neg(c)) for c in coeffs]
+    pairs = list(combinations(range(n), 2))
+    coords = _in_coordinates(
+        keys, vectors, [bracket(basis[i], basis[j]) for i, j in pairs])
+    entries = {(i, i): [RAT0] * n for i in range(n)}
+    for (i, j), coeffs in zip(pairs, coords):
+        entries[(i, j)] = coeffs
+        entries[(j, i)] = None if coeffs is None else [expand(neg(c)) for c in coeffs]
     return CommutatorTable(basis, entries)
 
 
+def decompose_fields(basis, targets) -> list:
+    """Exact coordinates of each of ``targets`` in the span of ``basis``
+    (component polynomial coefficients are compared), or None when outside
+    the span.  The basis is coordinatised once for all targets."""
+    keys, vectors = _component_coordinates(list(basis))
+    return _in_coordinates(keys, vectors, targets)
+
+
 def decompose_field(basis, target: VectorField):
-    """Exact coordinates of ``target`` in the span of ``basis`` (component
-    polynomial coefficients are compared), or None when outside the span."""
-    _, vectors = _component_coordinates(list(basis) + [target])
-    return solve_span(vectors[:-1], vectors[-1])
+    """``decompose_fields`` for one target."""
+    return decompose_fields(basis, [target])[0]
 
 
 def jacobi_check(basis) -> dict:
     """Jacobi identity residuals for every triple; components must expand
-    to exactly zero."""
+    to exactly zero.  Each inner bracket [v_j, v_k], j < k, is computed
+    once; [v_k, v_i] enters as -[v_i, v_k]."""
     basis = list(basis)
     n = len(basis)
+    inner = {(j, k): bracket(basis[j], basis[k]) for j, k in combinations(range(n), 2)}
     report = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                s = bracket(basis[i], bracket(basis[j], basis[k])).plus(
-                    bracket(basis[j], bracket(basis[k], basis[i]))
-                ).plus(bracket(basis[k], bracket(basis[i], basis[j])))
-                report[(i, j, k)] = s.is_zero()
+    for i, j, k in combinations(range(n), 3):
+        s = bracket(basis[i], inner[j, k]).plus(
+            bracket(basis[j], inner[i, k].scaled(-1))
+        ).plus(bracket(basis[k], inner[i, j]))
+        report[(i, j, k)] = s.is_zero()
     return report
 
 

@@ -1,19 +1,31 @@
-"""Exact linear algebra over symbolic expression entries.
+"""Exact linear algebra over sparse rows of Laurent-polynomial entries.
 
-Rows are sparse, ``{col: entry}`` with only nonzero, normalized, expanded
-entries, so elimination never visits a zero.  Forward elimination is
-fraction-free (cross-multiplication row updates, no entry is ever divided
-during the sweep), with deterministic pivoting that prefers rational
-entries, then parameter monomials, so that back-substitution only divides by
-simple quantities.  Rows are reduced by their rational and
-parameter-monomial content after every update to keep entries small.
+Rows are sparse, ``{col: entry}`` with only nonzero entries, so elimination
+never visits a zero.  Entries are ``Expr`` values that are rational
+multiples of Laurent monomials in the parameters, and sums of them (e.g.
+``2*c``, ``K^(-1)``, ``1 + 4*e1``).  ``row_reduce`` converts them once into
+``LaurentRing`` polynomials, sparse ``{monomial: coefficient}`` maps, and
+runs the whole forward sweep there: no ``Expr`` arithmetic happens inside
+the elimination loop.  An entry outside the ring (an ``exp``, a fractional
+or symbolic power, a coordinate) raises ``ValueError``.
+
+The sweep is fraction-free (cross-multiplication row updates, no entry is
+ever divided), with deterministic pivoting that prefers constant entries,
+then parameter monomials, so that back-substitution only divides by simple
+quantities.  After every update a row is reduced by its content: the
+integer gcd of its coefficients and the common parameter monomial; the
+leading term of its first entry, in ``Expr`` term order, is made positive.
+The echelon rows are converted back to ``Expr`` for the back-substitution of
+``nullspace`` and ``solve_span``; they are the rows the same sweep gives
+over ``Expr`` entries.
 
 All operations treat the parameters appearing in entries as generic nonzero
 values; solutions therefore live in the field of rational functions of the
 parameters, with exact rational coefficients.
 
 For rank tests at a point, ``echelon_mod_p`` and ``reduce_mod_p`` eliminate
-sparse rows ``{col: residue}`` over GF(p).
+sparse rows ``{col: residue}`` over GF(p), and ``independent_rows_mod_p``
+picks the rows that are independent there.
 """
 
 from __future__ import annotations
@@ -21,17 +33,248 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
 from .expr import (
     Expr, Param, Pow, Product, Rat, Sum,
-    RAT0, RAT1, _frac_gcd, add, div, expand, mul, neg, pow_, rat,
-    rational_content,
+    RAT0, RAT1, _frac_gcd, add, clear_denominators, div, expand, format_expr,
+    mul, neg, pow_, rat, rational_content,
 )
 
 __all__ = [
-    "strip_row_content", "row_reduce", "nullspace", "solve_span", "rank",
-    "echelon_mod_p", "reduce_mod_p",
+    "LaurentRing", "strip_row_content", "row_reduce", "nullspace",
+    "solve_span", "rank", "annihilates",
+    "echelon_mod_p", "reduce_mod_p", "independent_rows_mod_p",
 ]
+
+
+# ---------------------------------------------------------------------------
+# the coefficient ring
+
+
+# A monomial prod(p_i^e_i) is one int, sum(e_i << SHIFT*i) with balanced
+# digits |e_i| < 2^(SHIFT-1), so multiplying monomials adds ints.
+_SHIFT = 32
+_MASK = (1 << _SHIFT) - 1
+_HALF = 1 << (_SHIFT - 1)
+
+
+class LaurentRing:
+    """Sparse Laurent polynomials ``{monomial: coefficient}`` in the
+    parameters met so far, with int (or Fraction) coefficients.
+
+    A parameter gets the next monomial digit when it is first met, so one
+    ring converts any number of entries.  Polynomials are never changed in
+    place once built; conversions both ways are memoized."""
+
+    def __init__(self):
+        self.params: list = []
+        self._digit: dict = {}
+        self._polys: dict = {}  # Expr -> poly
+        self._exprs: dict = {}  # frozenset(poly items) -> Expr
+        self._exps: dict = {}  # monomial -> exponent list
+        self._keys: dict = {}  # monomial -> sorted Expr sort keys of its factors
+
+    def poly(self, e: Expr) -> dict:
+        p = self._polys.get(e)
+        if p is None:
+            p = self._polys[e] = self._to_poly(e)
+        return p
+
+    def _to_poly(self, e: Expr) -> dict:
+        e = expand(e)
+        out = {}
+        if e == RAT0:
+            return out
+        for term in e.terms if type(e) is Sum else (e,):
+            k, m = Fraction(1), 0
+            for f in term.factors if type(term) is Product else (term,):
+                t = type(f)
+                if t is Rat:
+                    k = f.value
+                    continue
+                if t is Param:
+                    p, q = f, 1
+                elif t is Pow and type(f.expbase) is Param and f.exp.denominator == 1:
+                    p, q = f.expbase, int(f.exp)
+                else:
+                    raise ValueError(
+                        f"entry outside the Laurent-polynomial ring: {format_expr(e)}")
+                d = self._digit.get(p)
+                if d is None:
+                    d = self._digit[p] = len(self.params)
+                    self.params.append(p)
+                m += q << (_SHIFT * d)
+            out[m] = k.numerator if k.denominator == 1 else k
+        return out
+
+    def exponents(self, m: int) -> list:
+        """Exponent of each parameter (in ``params`` order) of a monomial."""
+        out = self._exps.get(m)
+        if out is None or len(out) < len(self.params):
+            out, r = [], m
+            for _ in self.params:
+                d = ((r + _HALF) & _MASK) - _HALF
+                out.append(d)
+                r = (r - d) >> _SHIFT
+            self._exps[m] = out
+        return out
+
+    def expr(self, p: dict) -> Expr:
+        key = frozenset(p.items())
+        e = self._exprs.get(key)
+        if e is None:
+            e = self._exprs[key] = add(*[
+                mul(rat(k), *[pow_(par, q) for par, q in zip(self.params, self.exponents(m)) if q])
+                for m, k in p.items()
+            ])
+        return e
+
+    def _factor_keys(self, m: int) -> tuple:
+        """Sorted ``Expr`` sort keys of the factors par^q of a monomial: a
+        ``Param``'s for q = 1, a ``Pow``'s otherwise."""
+        out = self._keys.get(m)
+        if out is None:
+            out = self._keys[m] = tuple(sorted(
+                par.sort_key() if q == 1 else (5, par.sort_key(), Fraction(q))
+                for par, q in zip(self.params, self.exponents(m)) if q))
+        return out
+
+    def _term_key(self, item) -> tuple:
+        """``Expr`` sort key of the term k*m, as ``mul`` builds it."""
+        m, k = item
+        fk = self._factor_keys(m)
+        if not fk:
+            return (0, Fraction(k))
+        if k == 1:
+            return fk[0] if len(fk) == 1 else (8, fk)
+        return (8, ((0, Fraction(k)),) + fk)
+
+    def leads_negative(self, p: dict) -> bool:
+        """Whether the first term of ``expr(p)`` has a negative coefficient."""
+        if len(p) == 1:
+            (k,) = p.values()
+            return k < 0
+        return min(p.items(), key=self._term_key)[1] < 0
+
+    def strip(self, row: dict) -> dict:
+        """A row of int polynomials divided by the gcd of its coefficients
+        and its common monomial, with its first entry's leading term
+        positive (``strip_row_content`` on the ``Expr`` row)."""
+        g = gcd(*[k for p in row.values() for k in p.values()])
+        monos = {m for p in row.values() for m in p}
+        if len(monos) == 1:
+            (shift,) = monos
+        else:
+            shift = 0
+            for d, low in enumerate(map(min, zip(*map(self.exponents, monos)))):
+                shift += low << (_SHIFT * d)
+        first = row[min(row)]
+        if g != 1 or shift:
+            first = {m - shift: k // g for m, k in first.items()}
+        if self.leads_negative(first):
+            g = -g
+        if g != 1 or shift:
+            row = {c: {m - shift: k // g for m, k in p.items()} for c, p in row.items()}
+        return row
+
+    def integral(self, row: dict) -> dict:
+        """A row of polynomials scaled to int coefficients and stripped."""
+        den = lcm(*[k.denominator for p in row.values() for k in p.values()])
+        if den != 1:
+            row = {c: {m: int(k * den) for m, k in p.items()} for c, p in row.items()}
+        return self.strip(row)
+
+
+def _pmul(p: dict, q: dict) -> dict:
+    """Product of two polynomials, as a new dict."""
+    if len(p) == 1:
+        ((m, k),) = p.items()
+        return {m + n: k * v for n, v in q.items()}
+    out: dict = {}
+    for m, k in p.items():
+        for n, v in q.items():
+            w = out.get(m + n, 0) + k * v
+            if w:
+                out[m + n] = w
+            else:
+                del out[m + n]
+    return out
+
+
+def _quality(p: dict) -> int:
+    """Pivot preference: 0 for a constant, 1 for a monomial, 2 otherwise."""
+    if len(p) == 1:
+        return 0 if 0 in p else 1
+    return 2
+
+
+def _update(piv: dict, row: dict, a: dict, prow: dict, col: int) -> dict:
+    """piv*row - a*prow, without column ``col`` (where it vanishes)."""
+    new = {c: _pmul(piv, e) for c, e in row.items() if c != col}
+    neg_a = {m: -k for m, k in a.items()}
+    for c, e in prow.items():
+        if c == col:
+            continue
+        t = _pmul(neg_a, e)
+        acc = new.get(c)
+        if acc is None:
+            new[c] = t
+            continue
+        for m, k in t.items():
+            w = acc.get(m, 0) + k
+            if w:
+                acc[m] = w
+            else:
+                del acc[m]
+        if not acc:
+            del new[c]
+    return new
+
+
+def _sweep(ring: LaurentRing, rows: list, ncols: int):
+    """Forward elimination in ``ring``; returns (echelon rows of int
+    polynomials, pivot columns).
+
+    Columns are taken in increasing order.  A row can hold the current
+    column only as its first entry, so rows wait in buckets by first
+    column; the pivot is the bucket's row of best ``_quality``, the earliest
+    input row on ties."""
+    work: dict = {}
+    buckets = defaultdict(list)
+    top = ncols
+    for i, r in enumerate(rows):
+        r = {c: p for c, p in ((c, ring.poly(e)) for c, e in r.items()) if p}
+        if r:
+            work[i] = ring.integral(r)
+            buckets[min(r)].append(i)
+            top = max(top, max(r) + 1)
+    echelon: list = []
+    pivot_cols: list = []
+    for col in range(top):
+        ids = buckets.pop(col, None)
+        if not ids:
+            continue
+        ids.sort()
+        pi = min(ids, key=lambda i: _quality(work[i][col]))
+        prow = work.pop(pi)
+        piv = prow[col]
+        echelon.append(prow)
+        pivot_cols.append(col)
+        for i in ids:
+            if i == pi:
+                continue
+            new = _update(piv, work[i], work[i][col], prow, col)
+            if new:
+                new = work[i] = ring.strip(new)
+                buckets[min(new)].append(i)
+            else:
+                del work[i]
+    return echelon, pivot_cols
+
+
+# ---------------------------------------------------------------------------
+# content of Expr rows
 
 
 def _param_powers(term: Expr) -> dict:
@@ -64,8 +307,10 @@ def param_content(e: Expr) -> dict:
 
 
 def strip_row_content(row: dict) -> dict:
-    """Divide a sparse row by its common rational content and parameter
-    monomial, and give its first entry a positive leading term."""
+    """Divide a sparse row of ``Expr`` entries by its common rational content
+    and parameter monomial, and give its first entry a positive leading
+    term.  Entries may lie outside the ring (this also cleans basis vectors
+    and single expressions)."""
     if not row:
         return row
     g = Fraction(0)
@@ -84,21 +329,8 @@ def strip_row_content(row: dict) -> dict:
     return row
 
 
-def _pivot_quality(e: Expr) -> int:
-    if type(e) is Rat:
-        return 0
-    if type(e) in (Param, Pow) and (
-        type(e) is Param or type(e.expbase) is Param
-    ):
-        return 1
-    if type(e) is Product and all(
-        type(f) is Rat
-        or type(f) is Param
-        or (type(f) is Pow and type(f.expbase) is Param)
-        for f in e.factors
-    ):
-        return 1
-    return 2
+# ---------------------------------------------------------------------------
+# elimination, nullspaces, spans
 
 
 def row_reduce(rows: list, ncols: int):
@@ -106,39 +338,11 @@ def row_reduce(rows: list, ncols: int):
     (unnormalized) row-echelon form.
 
     Returns (echelon_rows, pivot_cols): echelon_rows[i] has its first entry
-    in column pivot_cols[i].  Columns are taken in increasing order; the
-    pivot of a column is the row of best ``_pivot_quality``, the first such
-    row on ties."""
-    work = [strip_row_content({c: expand(e) for c, e in r.items()}) for r in rows]
-    work = [r for r in work if r]
-    echelon: list = []
-    pivot_cols: list = []
-    while work:
-        col = min(min(r) for r in work)
-        best = None
-        for i, r in enumerate(work):
-            if col in r:
-                q = _pivot_quality(r[col])
-                if best is None or q < best[0]:
-                    best = (q, i)
-                    if q == 0:
-                        break
-        piv_row = work.pop(best[1])
-        piv = piv_row[col]
-        echelon.append(piv_row)
-        pivot_cols.append(col)
-        for j, r in enumerate(work):
-            a = r.get(col)
-            if a is None:
-                continue
-            new = {}
-            for c in r.keys() | piv_row.keys():
-                e = expand(add(mul(piv, r.get(c, RAT0)), neg(mul(a, piv_row.get(c, RAT0)))))
-                if e != RAT0:
-                    new[c] = e
-            work[j] = strip_row_content(new)
-        work = [r for r in work if r]
-    return echelon, pivot_cols
+    in column pivot_cols[i].  The sweep runs in a ``LaurentRing`` (see the
+    module docstring); the echelon rows come back as ``Expr`` entries."""
+    ring = LaurentRing()
+    echelon, pivot_cols = _sweep(ring, rows, ncols)
+    return [{c: ring.expr(p) for c, p in r.items()} for r in echelon], pivot_cols
 
 
 def nullspace(rows: list, ncols: int) -> list:
@@ -162,7 +366,7 @@ def nullspace(rows: list, ncols: int) -> list:
 
 
 def rank(rows: list, ncols: int) -> int:
-    return len(row_reduce(rows, ncols)[0])
+    return len(_sweep(LaurentRing(), rows, ncols)[1])
 
 
 def solve_span(vectors: list, target: dict):
@@ -189,6 +393,51 @@ def solve_span(vectors: list, target: dict):
     return coeffs
 
 
+def _ring_vector(ring: LaurentRing, v: dict) -> dict:
+    """A vector in the ring, first cleared of its polynomial denominators
+    (all entries times one nonzero product of powers of them) if it has
+    any."""
+    try:
+        return {c: ring.poly(e) for c, e in v.items()}
+    except ValueError:
+        cols = list(v)
+        cleared = clear_denominators(
+            [v[c] for c in cols], lambda b, q: int(q) if type(b) is Sum else 0)
+        return {c: ring.poly(e) for c, e in zip(cols, cleared)}
+
+
+def annihilates(rows: list, vectors: list) -> bool:
+    """Whether every row vanishes on every vector, exactly: each product
+    row . vector is summed in a ``LaurentRing``.  False also when an entry
+    lies outside the ring, where the products cannot be summed there."""
+    ring = LaurentRing()
+    try:
+        vecs = [_ring_vector(ring, v) for v in vectors]
+        for r in rows:
+            r = [(c, ring.poly(e)) for c, e in r.items()]
+            for v in vecs:
+                acc: dict = {}
+                for c, e in r:
+                    w = v.get(c)
+                    if not w:
+                        continue
+                    for m, k in _pmul(e, w).items():
+                        s = acc.get(m, 0) + k
+                        if s:
+                            acc[m] = s
+                        else:
+                            del acc[m]
+                if acc:
+                    return False
+    except ValueError:
+        return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# elimination over GF(p)
+
+
 def reduce_mod_p(row: dict, pivots: dict, p: int) -> dict:
     """Remainder of a sparse row {col: residue} modulo the echelon rows
     ``pivots`` ({pivot col: row with entry 1 there and none to its left})
@@ -212,14 +461,29 @@ def reduce_mod_p(row: dict, pivots: dict, p: int) -> dict:
     return row
 
 
+def _add_row_mod_p(row: dict, pivots: dict, p: int) -> bool:
+    """Add a row's remainder to ``pivots`` as a new echelon row; False
+    when the row lies in their span."""
+    r = reduce_mod_p(row, pivots, p)
+    if not r:
+        return False
+    col = min(r)
+    scale = pow(r[col], -1, p)
+    pivots[col] = {c: v * scale % p for c, v in r.items()}
+    return True
+
+
 def echelon_mod_p(rows, p: int) -> dict:
     """Echelon form over GF(p) of sparse rows {col: residue}, as
     {pivot col: row scaled to 1 there}; its length is the rank."""
     pivots: dict = {}
     for r in rows:
-        r = reduce_mod_p(r, pivots, p)
-        if r:
-            col = min(r)
-            scale = pow(r[col], -1, p)
-            pivots[col] = {c: v * scale % p for c, v in r.items()}
+        _add_row_mod_p(r, pivots, p)
     return pivots
+
+
+def independent_rows_mod_p(rows, p: int) -> list:
+    """Indices of the rows {col: residue} that are independent over GF(p)
+    of the rows before them: a basis of the row space, taken greedily."""
+    pivots: dict = {}
+    return [i for i, r in enumerate(rows) if _add_row_mod_p(r, pivots, p)]

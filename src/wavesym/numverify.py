@@ -224,7 +224,11 @@ def fd_residual(u, grid: GridSpec, f, tol: float = 1e-6, h: float | None = None)
         pts = [tuple(float(a[k]) for a, k in zip(axes, i)) for i in bad]
         raise NumVerifyError(f"singular-set intrusion at grid points {pts}")
     mx = float(np.max(np.abs(res)))
-    rms = float(np.sqrt(np.mean(res**2)))
+    with np.errstate(over="ignore"):
+        rms = float(np.sqrt(np.mean(res**2)))
+    if np.isinf(rms) and np.isfinite(mx):
+        # the squares overflow; scaled by the maximum they cannot
+        rms = mx * float(np.sqrt(np.mean((res / mx) ** 2)))
     return ResidualReport(mx, rms, grid.meta(), tol, mx <= tol)
 
 

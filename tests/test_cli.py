@@ -53,6 +53,25 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("check failed: trajectory exceeded bound")
 
+    def test_overflowing_squares_give_a_finite_rms(self, tmp_path, capsys):
+        # L = 1e-300 makes the power-family residuals ~1e293, whose squares
+        # overflow: the rms is taken from the residuals scaled by their
+        # maximum, with no warning and no Infinity in the report
+        import warnings
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, report = run(tmp_path, "verify", "--param", "L=1e-300",
+                               "--grid", "5,5,5", "--ode-step", "1e-4")
+        assert code == 1
+        assert capsys.readouterr().err == "" and caught == []
+        assert "Infinity" not in (tmp_path / "report.json").read_text()
+        reductions = report["stages"]["verify"]["reductions"]
+        for case in ("ii_v1", "ii_v4"):
+            r = reductions[case]
+            assert math.isfinite(r["max_residual"]) and r["max_residual"] > 1e290
+            assert 0 < r["rms_residual"] <= r["max_residual"]
+
     def test_both_m_and_p_zero_in_verify_is_2(self, capsys):
         assert main(["verify", "--param", "m=0", "--param", "p=0"]) == 2
         err = capsys.readouterr().err

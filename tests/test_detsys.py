@@ -2,9 +2,10 @@
 
 import pytest
 
+from wavesym import detsys
 from wavesym.detsys import (
-    AnsatzSpec, DeterminingSystem, DetSysError, ExponentialCase, Generic,
-    PowerCase, UTag,
+    PRIME, SELECTION_SEED, AnsatzSpec, DeterminingSystem, DetSysError,
+    ExponentialCase, Generic, PowerCase, UTag,
     ansatz_solve, check_reference_system, extract_determining,
     invariance_residual, model_residual, on_shell, opaque_affine_vectorfield,
     opaque_vectorfield, reference_implication_report, split_u_dependence,
@@ -373,6 +374,63 @@ class TestAnsatzSolve:
                 parts = [RAT0] * 4
                 parts[comp] = RAT1
                 assert decompose_field(space.basis, VectorField(*parts)) is not None
+
+
+class TestRowSelection:
+    """ansatz_solve eliminates only the rows independent mod p at a seeded
+    point, and proves the choice by checking every dropped row on the
+    basis exactly."""
+
+    K, L = param("K"), param("L")
+    CONCRETE = {
+        "e1=2, e2=0": PowerCase(L, rat(2), rat(0)),
+        "e1=2, e2=1": PowerCase(L, rat(2), rat(1)),
+        "e1=1/2": PowerCase(L, rat(1, 2), e2),
+        "e1=-1/4": PowerCase(L, rat(-1, 4), e2),
+        "e1=3": PowerCase(L, rat(3), e2),
+        "e1=-4/3": PowerCase(L, rat(-4, 3), e2),
+        "c=3/2, K=-1": ExponentialCase(rat(-1), rat(3, 2)),
+        "K=2": ExponentialCase(rat(2), c),
+    }
+    CASES = (
+        [(name, fam, d) for name, fam in (("exponential", ExponentialCase()),
+                                         ("power", PowerCase())) for d in range(6)]
+        + [(name, fam, d) for name, fam in CONCRETE.items() for d in (2, 3)]
+    )
+
+    @pytest.mark.parametrize("name, fam, degree", CASES,
+                             ids=[f"{n}-d{d}" for n, _, d in CASES])
+    def test_kept_rows_are_the_rank(self, name, fam, degree):
+        space = ansatz_solve(fam, AnsatzSpec(degree))
+        sel = space.selection
+        assert (sel.prime, sel.seed, sel.rows) == (PRIME, SELECTION_SEED, space.n_equations)
+        assert not sel.fallback
+        assert sel.rows_kept == space.n_unknowns - space.dimension
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_bad_point_falls_back_to_all_rows(self, monkeypatch, degree):
+        # at e1 = -1/4 mod p the pivot 1 + 4*e1 vanishes: an independent row
+        # looks dependent there, the kept rows have a larger kernel, and the
+        # exact check of the dropped rows must notice
+        want = ansatz_solve(PowerCase(), AnsatzSpec(degree))
+        real = detsys.eval_mod
+
+        def at_bad_point(e, point, fvals, p):
+            return real(e, {**point, e1: -pow(4, -1, p) % p}, fvals, p)
+
+        monkeypatch.setattr(detsys, "eval_mod", at_bad_point)
+        got = ansatz_solve(PowerCase(), AnsatzSpec(degree))
+        assert got.selection.fallback
+        assert got.selection.rows_kept == want.selection.rows_kept - 1
+        assert [str(b) for b in got.basis] == [str(b) for b in want.basis]
+        if degree == 3:
+            assert [str(b) for b in got.basis] == TestAnsatzSolve.FROZEN_BASIS_3["power"]
+
+    def test_point_dropping_every_row_falls_back(self, monkeypatch):
+        monkeypatch.setattr(detsys, "eval_mod", lambda e, point, fvals, p: 0)
+        got = ansatz_solve(ExponentialCase(), AnsatzSpec(3))
+        assert got.selection.rows_kept == 0 and got.selection.fallback
+        assert [str(b) for b in got.basis] == TestAnsatzSolve.FROZEN_BASIS_3["exponential"]
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -18,6 +18,13 @@ CASES = {
     "derive": (["derive"], 0),
     "classify_i_d3": (["classify", "--case", "i", "--degree", "3"], 1),
     "classify_ii_d3": (["classify", "--case", "ii", "--degree", "3"], 1),
+    "classify_i_d5": (["classify", "--case", "i", "--degree", "5"], 1),
+    "classify_ii_d5": (["classify", "--case", "ii", "--degree", "5"], 1),
+    # the exceptional exponent of ROADMAP item 2: dimension 7
+    "classify_ii_d3_e1_m1o4": (
+        ["classify", "--case", "ii", "--degree", "3", "--param", "e1=-1/4"], 1),
+    "classify_i_d3_c3o2_Km1": (
+        ["classify", "--case", "i", "--degree", "3", "--param", "c=3/2", "--param", "K=-1"], 1),
     "reduce_i_v1": (["reduce", "--case", "i", "--generator", "v1"], 0),
     "reduce_i_v4": (["reduce", "--case", "i", "--generator", "v4"], 0),
     "reduce_ii_v1": (["reduce", "--case", "ii", "--generator", "v1"], 0),

@@ -1,13 +1,18 @@
-"""Exact elimination, nullspaces, and span membership over expression entries."""
+"""Exact elimination, nullspaces, and span membership over Laurent-polynomial
+entries."""
 
 import random
 from fractions import Fraction
 
+import pytest
+
 from wavesym.expr import (
-    RAT0, RAT1, add, expand, mul, neg, param, pow_, rat, sub, vanishes,
+    RAT0, RAT1, add, eval_mod, exp_, expand, mul, neg, param, pow_, rat,
+    rational_content, sub, vanishes,
 )
 from wavesym.linalg import (
-    echelon_mod_p, nullspace, param_content, rank, reduce_mod_p, solve_span,
+    LaurentRing, annihilates, echelon_mod_p, independent_rows_mod_p, nullspace,
+    param_content, rank, reduce_mod_p, row_reduce, solve_span,
     strip_row_content,
 )
 
@@ -141,3 +146,82 @@ def test_param_content_and_strip():
     assert content == {c: 1, K: 1}
     row = strip_row_content({0: expand(e)})
     assert str(row[0]) in ("1 + 2*K", "2*K + 1")
+
+
+# entries of the ring tests: rationals, monomials, polynomials, an inverse
+RING_ENTRIES = [RAT0, RAT0, RAT1, rat(-2), rat(3, 2), c, K, add(mul(c, K), 1),
+                add(c, mul(-2, K)), pow_(c, -1)]
+
+
+def random_ring_rows(rng, nrows, ncols):
+    return [sparse([rng.choice(RING_ENTRIES) for _ in range(ncols)]) for _ in range(nrows)]
+
+
+def test_ring_rank_matches_mod_p_rank(rng):
+    # the rank over the rational functions in c, K equals the rank at a
+    # random point mod p unless the point is a root of a minor, which the
+    # large prime makes unlikely (at most degree/p per minor)
+    p = 2**31 - 1
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        rows = random_ring_rows(rng, rng.randint(1, 6), n)
+        if rng.random() < 0.5 and len(rows) > 1:
+            # a dependent row with parameter coefficients
+            a, b = rng.choice(RING_ENTRIES[2:]), rng.choice(RING_ENTRIES[2:])
+            rows.append(sparse([expand(add(mul(a, r0.get(j, RAT0)), mul(b, r1.get(j, RAT0))))
+                                for j, (r0, r1) in enumerate(zip([rows[0]] * n, [rows[1]] * n))]))
+        point = {c: rng.randrange(1, p), K: rng.randrange(1, p)}
+        mod_rows = [{j: eval_mod(e, point, {}, p) for j, e in r.items()} for r in rows]
+        assert rank(rows, n) == len(echelon_mod_p(mod_rows, p))
+        assert len(independent_rows_mod_p(mod_rows, p)) == rank(rows, n)
+
+
+def test_echelon_rows_are_content_free(rng):
+    # the ring sweep strips every row as strip_row_content strips the Expr
+    # row: no integer or monomial content is left.  (The sign rule, leading
+    # term of the first entry positive, can flip a row it is applied to
+    # again, so a stripped row is fixed by strip_row_content up to sign.)
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        rows = random_ring_rows(rng, rng.randint(1, 5), n)
+        echelon, pivot_cols = row_reduce(rows, n)
+        assert pivot_cols == sorted(pivot_cols)
+        for row, pc in zip(echelon, pivot_cols):
+            assert min(row) == pc
+            assert strip_row_content(row) in (row, {j: expand(neg(e)) for j, e in row.items()})
+
+
+def test_ring_round_trip(rng):
+    ring = LaurentRing()
+    for _ in range(60):
+        e = expand(mul(*[rng.choice(RING_ENTRIES[2:]) for _ in range(rng.randint(1, 3))]))
+        p = ring.poly(e)
+        assert ring.expr(p) == e
+        # the first term in Expr order carries the sign of rational_content
+        assert ring.leads_negative(p) == (rational_content(e) < 0)
+
+
+def test_entry_outside_the_ring_refused():
+    with pytest.raises(ValueError) as err:
+        rank([{0: RAT1, 1: exp_(c)}], 2)
+    msg = str(err.value)
+    assert "\n" not in msg and msg.startswith("entry outside the Laurent-polynomial ring")
+    assert "exp(c)" in msg
+
+
+def test_annihilates():
+    rows = [{0: RAT1, 1: mul(-2, c)}, {1: add(mul(c, K), 1), 2: K}]
+    (v,) = nullspace(rows, 3)
+    # v has the denominator c*K + 1, cleared before the products are summed
+    assert "(1 + K*c)^(-1)" in str(v[0]) or "(K*c + 1)^(-1)" in str(v[0])
+    assert annihilates(rows, [v])
+    assert not annihilates(rows, [{0: RAT1}])
+    assert not annihilates(rows, [{j: mul(c, e) for j, e in v.items() if j}])
+    # a vector outside the ring cannot be checked there: not proved
+    assert not annihilates(rows, [{0: exp_(c)}])
+
+
+def test_independent_rows_mod_p():
+    p = 2**31 - 1
+    rows = [{0: 1}, {0: 2}, {1: 1}, {0: 3, 1: 5}, {2: p}, {2: 4}]
+    assert independent_rows_mod_p(rows, p) == [0, 2, 5]
