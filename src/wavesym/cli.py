@@ -164,11 +164,7 @@ def stage_classify(config: RunConfig) -> dict:
         raise ConfigError("classify needs --case i or ii")
     fam = _family(config)
     space = ansatz_solve(fam, AnsatzSpec(config.degree))
-    refbasis = (
-        reference.case_i_basis(fam.c)
-        if config.case == "i"
-        else reference.case_ii_basis(fam.e1, fam.e2)
-    )
+    refbasis = fam.reference_basis()
     containment = []
     for rb, coeffs in zip(refbasis, decompose_fields(space.basis, refbasis)):
         containment.append(

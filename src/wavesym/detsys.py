@@ -88,6 +88,9 @@ class ExponentialCase(FFamily):
     def f_expr(self) -> Expr:
         return reference.exponential_f(self.K, self.c)
 
+    def reference_basis(self) -> list:
+        return reference.case_i_basis(self.c)
+
 
 @dataclass(frozen=True)
 class PowerCase(FFamily):
@@ -103,6 +106,9 @@ class PowerCase(FFamily):
 
     def f_expr(self) -> Expr:
         return reference.power_f(self.L, self.e1, self.e2)
+
+    def reference_basis(self) -> list:
+        return reference.case_ii_basis(self.e1, self.e2)
 
 
 def model_residual(fam: FFamily | None = None) -> Expr:

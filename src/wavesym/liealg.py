@@ -18,8 +18,8 @@ from .linalg import rank, solve_span
 __all__ = [
     "VectorField", "CommutatorTable", "FlowMap", "LieAlgError",
     "FlowUnsupportedError", "COORDS", "EPS",
-    "bracket", "commutator_table", "decompose_field", "decompose_fields",
-    "jacobi_check", "flow",
+    "affine_parts", "bracket", "commutator_table", "decompose_field",
+    "decompose_fields", "jacobi_check", "flow",
 ]
 
 
@@ -259,12 +259,12 @@ class FlowMap:
         return "; ".join(f"{n} -> {format_expr(m)}" for n, m in zip(names, self.maps))
 
 
-def flow(v: VectorField) -> FlowMap:
-    """Exact flow of a generator whose components are affine and decoupled
-    (component k depends only on coordinate k), which covers every
-    generator of this equation's symmetry algebras and all their linear
-    combinations.  Coupled or non-affine fields are unsupported."""
-    maps = []
+def affine_parts(v: VectorField) -> tuple:
+    """``((a, b), ...)`` with component k equal to a*z + b in coordinate k
+    alone, a and b free of every coordinate.  The reference generators and
+    their linear combinations have this affine-decoupled form; a coupled or
+    non-affine field (the rotation, say) raises FlowUnsupportedError."""
+    parts = []
     coordset = set(COORDS)
     for comp, z in zip(v.components, COORDS):
         a = expand(diff(comp, z))
@@ -273,6 +273,15 @@ def flow(v: VectorField) -> FlowMap:
             raise FlowUnsupportedError(
                 f"component for {format_expr(z)} is not affine-decoupled: {format_expr(comp)}"
             )
+        parts.append((a, b))
+    return tuple(parts)
+
+
+def flow(v: VectorField) -> FlowMap:
+    """Exact flow of an affine-decoupled generator (``affine_parts``);
+    coupled or non-affine fields are unsupported."""
+    maps = []
+    for (a, b), z in zip(affine_parts(v), COORDS):
         if a == RAT0:
             maps.append(add(z, mul(EPS, b)))
         else:

@@ -1,14 +1,17 @@
 """Similarity reductions along the classified generators.
 
-For the scaling generator v1 and the t-scaling generator v4 of either
-family the module carries the invariants, the similarity ansatz, a
-symbolic re-derivation of the reduced equation, verification of the
-additive/multiplicative separations, and the explicit planar solution of
-the exponential case.  The reduced equation is always re-derived from
-scratch by substituting the ansatz into the model; the bundled reference
-forms are comparison targets only, and disagreements are reported, never
-silently adopted (the engine's derivation is authoritative once the
-internal consistency checks pass).
+``scaling_reduction`` builds every reduction from its generator
+lam*(x*d/dx + y*d/dy) + mu*t*d/dt + (alpha*u + beta)*d/du, whose
+coefficients fix the invariants, the section and the ansatz (Olver,
+*Applications of Lie Groups to Differential Equations*, §3);
+``builtin_reduction`` applies it to the reference basis fields under the
+names of ``REDUCTION_NAMES``.  The separated solutions are checked with the
+reference's own ODEs, and the planar solution of the exponential case in
+the model.  The reduced equation is always re-derived from scratch by
+substituting the ansatz into the model; the bundled reference forms are
+comparison targets only, and disagreements are reported, never silently
+adopted (the engine's derivation is authoritative once the internal
+consistency checks pass).
 
 Derivation route: the model residual's jets are replaced by derivatives of
 the ansatz, the family is substituted for f, and the result is restricted
@@ -23,24 +26,24 @@ import random
 from dataclasses import dataclass
 
 from .expr import (
-    Expr, RAT0, RAT1, add, atoms_of, base, default_fn_sampler, diff, div,
-    eval_numeric, exp_, expand, fn, jet, ln_, mul,
+    Expr, RAT0, RAT1, add, atoms_of, base, collect_atoms, default_fn_sampler,
+    diff, div, eval_numeric, exp_, expand, fn, fn_nodes_of, jet, ln_, mul,
     neg, param, pow_, random_point, sub, substitute, vanishes,
     EvalDomainError, Param,
 )
 from .detsys import ExponentialCase, FFamily, PowerCase, model_residual
-from .liealg import VectorField
+from .liealg import VectorField, affine_parts
 from .linalg import strip_row_content
 from . import reference
 
 __all__ = [
-    "ReductionError", "ReductionSpec", "TrivialInvariants", "ReducedEquation",
+    "ReductionError", "ReductionNames", "ReductionSpec", "TrivialInvariants",
+    "ReducedEquation", "REDUCTION_NAMES", "scaling_reduction",
     "builtin_reduction", "invariance_check", "reduce", "separation_check",
     "explicit_solution_residual", "explicit_solution", "proportional_mod_heads",
 ]
 
 X, Y, T, U = base("x"), base("y"), base("t"), jet("")
-R, S, P, Q = base("r"), base("s"), base("p"), base("q")
 
 
 class ReductionError(Exception):
@@ -58,11 +61,22 @@ class TrivialInvariants:
 
 
 @dataclass(frozen=True)
+class ReductionNames:
+    """How a reduction is reported, and what the reference prints for it."""
+
+    coords: tuple                     # names of the two invariant coordinates
+    dependent: str                    # the reduced unknown
+    exponential: bool = False         # unknown exp(invariant/k), not the invariant
+    reference: object = None          # family -> printed reduced form, or None
+    flags: tuple = ()                 # KNOWN_DISCREPANCIES keys
+
+
+@dataclass(frozen=True)
 class ReductionSpec:
     case_id: str
     generator: str
     invariant_coords: tuple           # ((name, expression in x,y,t), ...)
-    dependent_name: str
+    names: ReductionNames
     dependent_invariant: Expr         # expression in (x,y,t,u) the generator kills
     ansatz: Expr                      # u in terms of the invariant function
     section: dict                     # substitution onto the section
@@ -81,75 +95,79 @@ class ReducedEquation:
     flags: tuple = ()
 
 
-def _two(e):
-    return mul(2, e)
+REDUCTION_NAMES = {
+    ("i", "v1"): ReductionNames(
+        ("r", "s"), "omega",
+        reference=lambda fam: reference.reduced_form_case_i_v1(fam.K, fam.c)),
+    # h = t*exp(u/(2*c)) turns the planar solution into h = m*x + p*y + q
+    ("i", "v4"): ReductionNames(
+        ("x", "y"), "h", exponential=True,
+        reference=lambda fam: reference.reduced_form_case_i_v4(fam.K),
+        flags=("explicit_constraint_sign",)),
+    ("ii", "v1"): ReductionNames(
+        ("p", "q"), "theta",
+        reference=lambda fam: reference.reduced_form_case_ii_v1(fam.L, fam.e1),
+        flags=("power_case_shift_sign", "power_case_reduced_factor",
+               "power_case_slot_swap")),
+    # the printed form times -ell: the comparison allows jet-free factors only
+    ("ii", "v4"): ReductionNames(
+        ("x", "y"), "ell",
+        reference=lambda fam: mul(neg(fn("ell", [X, Y])),
+                                  reference.reduced_form_case_ii_v4(fam.L, fam.e1)),
+        flags=("power_case_reduced_factor",)),
+}
+
+
+def scaling_reduction(case_id: str, generator: str, field_: VectorField,
+                      fam: FFamily, names: ReductionNames | None):
+    """The similarity reduction along lam*(x*d/dx + y*d/dy) + mu*t*d/dt
+    + (alpha*u + beta)*d/du, or the translation invariants (the coordinates
+    whose component vanishes) of a field with no scaling part.  Section
+    s = x with invariants y/x and t*x^(-mu/lam), or s = t with x and y when
+    lam = 0; scale is lam or mu.  The dependent invariant is
+    (u + beta/alpha)*s^(-alpha/scale), else u - (beta/scale)*ln(s), or its
+    exponential s*exp(u/k), k = -beta/scale, when ``names.exponential``."""
+    parts = affine_parts(field_)
+    if all(a == RAT0 for a, _ in parts):
+        return TrivialInvariants(case_id, generator, tuple(
+            z for z, (_, b) in zip("xytu", parts) if b == RAT0))
+    (lam, bx), (lam_y, by), (mu, bt), (alpha, beta) = parts
+    if (lam_y, bx, by, bt) != (lam, RAT0, RAT0, RAT0) or lam == mu == RAT0:
+        raise ReductionError(f"({case_id}, {generator}) is not a scaling generator")
+    if lam != RAT0:
+        s, others, scale = X, (Y, T), lam
+        coords = (div(Y, X), mul(T, exp_(neg(mul(div(mu, lam), ln_(X))))))
+    else:
+        s, others, scale, coords = T, (X, Y), mu, (X, Y)
+    w = fn(names.dependent, coords)
+    if alpha != RAT0:
+        shift, power = div(beta, alpha), mul(div(alpha, scale), ln_(s))
+        dependent = mul(add(U, shift), exp_(neg(power)))
+        ansatz = sub(mul(w, exp_(power)), shift)
+    else:
+        drift = mul(div(beta, scale), ln_(s))
+        dependent, ansatz = sub(U, drift), add(w, drift)
+        if names.exponential:
+            k = neg(div(beta, scale))
+            dependent, ansatz = exp_(div(dependent, k)), mul(k, ln_(div(w, s)))
+    section = {s: RAT1}
+    section.update({z: base(n) for z, n in zip(others, names.coords) if base(n) != z})
+    return ReductionSpec(case_id, generator, tuple(zip(names.coords, coords)), names,
+                         dependent, ansatz, section, field_, fam)
 
 
 def builtin_reduction(case_id: str, generator: str, fam: FFamily | None = None):
-    """The reference reductions: (case, v1) and (case, v4) give genuine
-    similarity ansaetze; v2, v3, v5 give trivial translation invariants."""
-    if generator in ("v2", "v3", "v5"):
-        coords = {"v2": ("y", "t", "u"), "v3": ("x", "t", "u"), "v5": ("x", "y", "u")}
-        return TrivialInvariants(case_id, generator, coords[generator])
-
-    if case_id == "i":
-        fam = fam if isinstance(fam, ExponentialCase) else ExponentialCase()
-        c = fam.c
-        if generator == "v1":
-            w = fn("omega", [div(Y, X), T])
-            return ReductionSpec(
-                "i", "v1",
-                (("r", div(Y, X)), ("s", T)),
-                "omega",
-                sub(U, mul(_two(c), ln_(X))),
-                add(w, mul(_two(c), ln_(X))),
-                {X: RAT1, Y: R, T: S},
-                VectorField(X, Y, RAT0, _two(c)),
-                fam,
-            )
-        if generator == "v4":
-            h = fn("h", [X, Y])
-            return ReductionSpec(
-                "i", "v4",
-                (("x", X), ("y", Y)),
-                "h",
-                mul(T, exp_(div(U, _two(c)))),
-                mul(_two(c), ln_(mul(h, pow_(T, -1)))),
-                {T: RAT1},
-                VectorField(RAT0, RAT0, T, neg(_two(c))),
-                fam,
-            )
-    if case_id == "ii":
-        fam = fam if isinstance(fam, PowerCase) else PowerCase()
-        e1, e2 = fam.e1, fam.e2
-        shift = div(e2, e1)
-        if generator == "v1":
-            th = fn("theta", [div(Y, X), T])
-            grow = exp_(mul(_two(e1), ln_(X)))
-            return ReductionSpec(
-                "ii", "v1",
-                (("p", div(Y, X)), ("q", T)),
-                "theta",
-                mul(add(U, shift), exp_(neg(mul(_two(e1), ln_(X))))),
-                sub(mul(th, grow), shift),
-                {X: RAT1, Y: P, T: Q},
-                VectorField(X, Y, RAT0, add(mul(_two(e1), U), mul(2, e2))),
-                fam,
-            )
-        if generator == "v4":
-            ell = fn("ell", [X, Y])
-            decay = exp_(neg(mul(_two(e1), ln_(T))))
-            return ReductionSpec(
-                "ii", "v4",
-                (("x", X), ("y", Y)),
-                "ell",
-                mul(add(U, shift), exp_(mul(_two(e1), ln_(T)))),
-                sub(mul(ell, decay), shift),
-                {T: RAT1},
-                VectorField(RAT0, RAT0, T, neg(add(mul(_two(e1), U), mul(2, e2)))),
-                fam,
-            )
-    raise ReductionError(f"no built-in reduction for ({case_id}, {generator})")
+    """The reference's generator v1..v5 of family i or ii, reduced by
+    ``scaling_reduction`` under the names of ``REDUCTION_NAMES``: v1 and v4
+    give similarity ansaetze, v2, v3 and v5 translation invariants."""
+    family = {"i": ExponentialCase, "ii": PowerCase}.get(case_id)
+    generators = ("v1", "v2", "v3", "v4", "v5")
+    if family is None or generator not in generators:
+        raise ReductionError(f"no built-in reduction for ({case_id}, {generator})")
+    fam = fam if isinstance(fam, family) else family()
+    field_ = fam.reference_basis()[generators.index(generator)]
+    return scaling_reduction(case_id, generator, field_, fam,
+                             REDUCTION_NAMES.get((case_id, generator)))
 
 
 def invariance_check(spec: ReductionSpec) -> dict:
@@ -241,7 +259,7 @@ def _derive(spec: ReductionSpec, fam: FFamily) -> ReducedEquation:
         if b != coord:
             unsection[b] = coord
     reconstructed = substitute(sectioned, unsection) if unsection else sectioned
-    if not proportional_mod_heads(residual, reconstructed, {spec.dependent_name}):
+    if not proportional_mod_heads(residual, reconstructed, {spec.names.dependent}):
         raise ReductionError(
             "ansatz failed to eliminate the original coordinates "
             f"for ({spec.case_id}, {spec.generator})"
@@ -250,13 +268,20 @@ def _derive(spec: ReductionSpec, fam: FFamily) -> ReducedEquation:
 
 
 def reduce(spec: ReductionSpec, fam: FFamily | None = None) -> ReducedEquation:
-    """The derived reduced equation, compared against the bundled reference
-    form; for the power-law family the comparison is additionally made at
-    e1 = 1, where the documented constant-factor and slot-order differences
-    disappear."""
+    """The derived reduced equation, compared against the reference form of
+    its ``ReductionNames`` row; for the power-law family the comparison is
+    additionally made at e1 = 1, where the documented constant-factor and
+    slot-order differences disappear."""
     fam = fam or spec.family
     eq = _derive(spec, fam)
-    _compare_with_reference(eq, spec, fam)
+    names = spec.names
+    if names.reference is not None:
+        ref, heads = names.reference(fam), {names.dependent}
+        eq.reference_verdict = proportional_mod_heads(eq.expr, ref, heads)
+        if isinstance(fam, PowerCase):
+            eq.reference_verdict_e1_1 = proportional_mod_heads(
+                _at_e1_one(eq.expr, fam), _at_e1_one(ref, fam), heads)
+        eq.flags = names.flags
     return eq
 
 
@@ -264,86 +289,48 @@ def _at_e1_one(e: Expr, fam: PowerCase) -> Expr:
     return substitute(e, {fam.e1: RAT1}) if isinstance(fam.e1, Param) else e
 
 
-def _compare_with_reference(eq: ReducedEquation, spec: ReductionSpec, fam: FFamily):
-    flags = []
-    if spec.case_id == "i" and spec.generator == "v1":
-        ref = reference.reduced_form_case_i_v1(fam.K, fam.c)
-        eq.reference_verdict = proportional_mod_heads(eq.expr, ref, {"omega"})
-    elif spec.case_id == "i" and spec.generator == "v4":
-        ref = reference.reduced_form_case_i_v4(fam.K)
-        eq.reference_verdict = proportional_mod_heads(eq.expr, ref, {"h"})
-        flags.append("explicit_constraint_sign")
-    elif spec.case_id == "ii" and spec.generator == "v1":
-        ref = reference.reduced_form_case_ii_v1(fam.L, fam.e1)
-        eq.reference_verdict = proportional_mod_heads(eq.expr, ref, {"theta"})
-        eq.reference_verdict_e1_1 = proportional_mod_heads(
-            _at_e1_one(eq.expr, fam), _at_e1_one(ref, fam), {"theta"}
-        )
-        flags += ["power_case_shift_sign", "power_case_reduced_factor",
-                  "power_case_slot_swap"]
-    elif spec.case_id == "ii" and spec.generator == "v4":
-        ell = fn("ell", [X, Y])
-        ref = mul(neg(ell), reference.reduced_form_case_ii_v4(fam.L, fam.e1))
-        eq.reference_verdict = proportional_mod_heads(eq.expr, ref, {"ell"})
-        eq.reference_verdict_e1_1 = proportional_mod_heads(
-            _at_e1_one(eq.expr, fam), _at_e1_one(ref, fam), {"ell"}
-        )
-        flags += ["power_case_reduced_factor"]
-    eq.flags = tuple(flags)
+def _solved_for_top(ode: Expr) -> tuple:
+    """(d, value): the ODE solved for its highest derivative d, which it
+    contains linearly."""
+    top = max(fn_nodes_of(ode), key=lambda n: sum(n.didx))
+    parts = collect_atoms(ode, [top])
+    return top, neg(div(parts.get((), RAT0), parts[((top, 1),)]))
 
 
 def separation_check(case_id: str) -> dict:
     """Verify the separated solutions symbolically.
 
-    Case i: omega = zeta1(r) + zeta2(s) with the two component ODEs turns
-    the reduced equation into an identity.  Case ii (e1 = 1):
-    theta = sig1(q)*sig2(p) likewise.  As a negative control the separation
-    constant is negated in one component ODE; ``flipped_identity`` must then
-    be false.  The family stays symbolic: the case ii separation holds only
-    at e1 = 1."""
+    Case i: omega = zeta1(r) + zeta2(s), each component solved from its
+    reference ODE, turns the derived reduced equation into an identity.
+    Case ii (e1 = 1): theta = sig1(q)*sig2(p) likewise.  As a negative
+    control the separation constant is negated in the first ODE;
+    ``flipped_identity`` must then be false.  The family stays symbolic:
+    the case ii separation holds only at e1 = 1."""
     if case_id == "i":
-        fam = ExponentialCase()
-        expr = _derive(builtin_reduction("i", "v1", fam), fam).expr
-        c, c1 = fam.c, param("c1")
-        sep = reference.separation_case_i(fam.K, c, c1)
-        z1, z2 = sep["z1"], sep["z2"]
-        head, split_value, case = fn("omega", [R, S]), add(z1(0), z2(0)), "i"
-
-        def rules(sign):
-            return {
-                z1(2): mul(
-                    neg(add(mul(sign, c1, exp_(neg(div(z1(0), c)))),
-                            mul(2, R, z1(1)), neg(mul(2, c)))),
-                    pow_(add(pow_(R, 2), RAT1), -1),
-                ),
-                z2(2): neg(mul(fam.K, c1, exp_(div(z2(0), c)))),
-            }
+        fam, const, case = ExponentialCase(), param("c1"), "i"
+        sep = reference.separation_case_i(fam.K, fam.c, const)
     elif case_id == "ii":
-        fam = PowerCase()
-        expr = substitute(_derive(builtin_reduction("ii", "v1", fam), fam).expr,
-                          {fam.e1: RAT1})
-        c_sep, L = param("c_sep"), fam.L
-        sep = reference.separation_case_ii(L, c_sep)
-        s1, s2 = sep["s1"], sep["s2"]
-        head, split_value, case = fn("theta", [P, Q]), mul(s1(0), s2(0)), "ii (e1=1)"
-
-        def rules(sign):
-            return {
-                s1(2): mul(sign, c_sep, pow_(s1(0), 2)),
-                s2(2): mul(
-                    add(mul(2, P, s2(1)), neg(mul(2, s2(0))), div(c_sep, L)),
-                    pow_(add(pow_(P, 2), RAT1), -1),
-                ),
-            }
+        fam, const, case = PowerCase(), param("c_sep"), "ii (e1=1)"
+        sep = reference.separation_case_ii(fam.L, const)
     else:
         raise ReductionError(f"no separation for case {case_id!r}")
-    split = substitute(expr, {head: split_value})
-    residual = substitute(split, rules(RAT1))
+    spec = builtin_reduction(case_id, "v1", fam)
+    expr = _derive(spec, fam).expr
+    if case_id == "ii":
+        expr = _at_e1_one(expr, fam)
+    head = fn(spec.names.dependent, [base(n) for n in spec.names.coords])
+    split = substitute(expr, {head: sep["ansatz"]})
+    first, *rest = [sep[k] for k in sep if k.startswith("ode_")]
+
+    def residual(first_ode):
+        return substitute(split, dict(map(_solved_for_top, [first_ode, *rest])))
+
+    res = residual(first)
     return {
         "case": case, "mode": sep["mode"],
-        "identity": vanishes(residual),
-        "flipped_identity": vanishes(substitute(split, rules(neg(RAT1)))),
-        "residual": expand(residual),
+        "identity": vanishes(res),
+        "flipped_identity": vanishes(residual(substitute(first, {const: neg(const)}))),
+        "residual": expand(res),
     }
 
 
@@ -379,12 +366,12 @@ def explicit_solution(m: Expr, p: Expr, q: Expr, fam: ExponentialCase | None = N
     fam = fam or ExponentialCase()
     planar = add(mul(m, X), mul(p, Y), q)
     u_expr = mul(2, fam.c, ln_(mul(planar, pow_(T, -1))))
-    residual = substitute(model_residual(fam), _jet_bindings(u_expr))
     k_value = neg(pow_(add(pow_(m, 2), pow_(p, 2)), -1))
-    constrained = substitute(residual, {fam.K: k_value})
+    constrained = ExponentialCase(k_value, fam.c)
+    residual = substitute(model_residual(constrained), _jet_bindings(u_expr))
     return {
         "solution": u_expr,
         "k_constraint": k_value,
-        "residual_zero": vanishes(constrained),
-        "residual": expand(constrained),
+        "residual_zero": vanishes(residual),
+        "residual": expand(residual),
     }

@@ -197,8 +197,6 @@ def separation_case_i(K: Expr, c: Expr, c1: Expr) -> dict:
         "ansatz": add(z1(0), z2(0)),
         "ode_r": ode1,
         "ode_s": ode2,
-        "z1": z1,
-        "z2": z2,
     }
 
 
@@ -221,8 +219,6 @@ def separation_case_ii(L: Expr, c_sep: Expr) -> dict:
         "ansatz": mul(s1(0), s2(0)),
         "ode_q": ode_q,
         "ode_p": ode_p,
-        "s1": s1,
-        "s2": s2,
     }
 
 

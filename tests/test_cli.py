@@ -212,6 +212,16 @@ class TestExitCodes:
         assert stage["reference_match"] is True
         assert stage["separation_identity"] is True
 
+    @pytest.mark.parametrize("k", ["-1", "1/3"])
+    def test_planar_solution_at_concrete_K(self, tmp_path, capsys, k):
+        # the explicit solution binds K to -1/(m^2 + p^2) in a family of its
+        # own, so a concrete K is no substitution key
+        code, report = run(tmp_path, "reduce", "--case", "i", "--generator", "v4",
+                           "--param", f"K={k}")
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert report["stages"]["reduce"]["explicit_solution_residual_zero"] is True
+
     def test_verify_passes(self, tmp_path):
         code, report = run(tmp_path, "verify")
         assert code == 0
@@ -494,6 +504,43 @@ class TestVerifyFuzz:
             if box is not None:
                 x0, dx, y0, dy, t0, dt = box
                 argv.append("--box=" + ",".join(map(repr, (x0, x0 + dx, y0, y0 + dy, t0, t0 + dt))))
+            for name, value in params:
+                argv += ["--param", f"{name}={value}"]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exit_:
+                    code = exit_.code
+            assert code in (0, 1, 2), (argv, code)
+            assert "Traceback" not in err.getvalue(), argv
+
+        check()
+
+
+class TestReduceFuzz:
+    """reduce end to end, in process, over both families, every generator
+    and up to three family parameters drawn from a small set of rationals:
+    every run ends in exit 0, 1 or 2 with no traceback."""
+
+    def test_reduce_exit_codes(self, tmp_path):
+        import contextlib
+        import io
+
+        from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+        values = st.sampled_from(["0", "1", "-1", "2", "-2", "1/2", "-1/2", "3/2", "-1/4", "1/3"])
+        params = st.lists(st.tuples(st.sampled_from(["K", "c", "L", "e1", "e2"]), values),
+                          min_size=1, max_size=3)
+
+        @settings(derandomize=True, max_examples=20, deadline=None,
+                  database=None, suppress_health_check=list(HealthCheck))
+        @given(st.sampled_from(["i", "ii"]), st.sampled_from(["v1", "v2", "v3", "v4", "v5"]),
+               params)
+        @example("i", "v4", [("K", "-1")])
+        def check(case, generator, params):
+            argv = ["reduce", "--case", case, "--generator", generator,
+                    "--format", "json", "--out", str(tmp_path / "report.json")]
             for name, value in params:
                 argv += ["--param", f"{name}={value}"]
             err = io.StringIO()

@@ -29,6 +29,13 @@ CASES = {
     "reduce_i_v4": (["reduce", "--case", "i", "--generator", "v4"], 0),
     "reduce_ii_v1": (["reduce", "--case", "ii", "--generator", "v1"], 0),
     "reduce_ii_v4": (["reduce", "--case", "ii", "--generator", "v4"], 0),
+    # concrete parameters: the exp/ln shapes fold to powers and numbers
+    "reduce_ii_v1_e1_2": (
+        ["reduce", "--case", "ii", "--generator", "v1", "--param", "e1=2"], 1),
+    "reduce_ii_v4_e1_m1o4_e2_1": (
+        ["reduce", "--case", "ii", "--generator", "v4", "--param", "e1=-1/4", "--param", "e2=1"], 1),
+    "reduce_i_v1_c3o2_Km1": (
+        ["reduce", "--case", "i", "--generator", "v1", "--param", "c=3/2", "--param", "K=-1"], 0),
 }
 
 

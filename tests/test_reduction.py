@@ -1,6 +1,7 @@
 """Similarity reductions, separation identities, and the explicit solution."""
 
 import dataclasses
+from fractions import Fraction
 
 import pytest
 
@@ -10,17 +11,60 @@ from wavesym.expr import (
     ln_, mul, neg, param, pow_, rat, sub, substitute, vanishes,
 )
 from wavesym.reduction import (
-    ReductionError, TrivialInvariants, builtin_reduction, explicit_solution,
-    explicit_solution_residual, invariance_check, proportional_mod_heads,
-    reduce, separation_check,
+    ReductionError, ReductionNames, TrivialInvariants, builtin_reduction,
+    explicit_solution, explicit_solution_residual, invariance_check,
+    proportional_mod_heads, reduce, scaling_reduction, separation_check,
 )
 from wavesym import reference
 
 c = param("c")
 m, p, q = param("m"), param("p"), param("q")
 
+# symbolic families and the concrete ones the golden reports pin
+FAMILIES = {
+    "i": ("i", ExponentialCase()),
+    "i_c3o2_Km1": ("i", ExponentialCase(rat(-1), rat(3, 2))),
+    "ii": ("ii", PowerCase()),
+    "ii_e1_2": ("ii", PowerCase(e1=rat(2))),
+    "ii_e1_2_e2_1": ("ii", PowerCase(e1=rat(2), e2=rat(1))),
+    "ii_e1_m1o4_e2_1": ("ii", PowerCase(e1=rat(-1, 4), e2=rat(1))),
+}
+
+
+def _basis(case_id, fam):
+    if case_id == "i":
+        return reference.case_i_basis(fam.c)
+    return reference.case_ii_basis(fam.e1, fam.e2)
+
 
 class TestBuiltinSpecs:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_every_spec_passes_invariance(self, family):
+        case_id, fam = FAMILIES[family]
+        for gen in ("v1", "v4"):
+            spec = builtin_reduction(case_id, gen, fam)
+            assert spec.family == fam
+            assert all(invariance_check(spec).values()), gen
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("k", [1, 2, Fraction(1, 2)])
+    def test_combined_scaling_reduces(self, family, k):
+        # v1 + k*v4 scales x, y by 1 and t by k: self-similar in y/x and t/x^k;
+        # at k = 1 the u-parts cancel, otherwise u scales too
+        case_id, fam = FAMILIES[family]
+        v1, v4 = _basis(case_id, fam)[0], _basis(case_id, fam)[3]
+        spec = scaling_reduction(case_id, "v1+k*v4", v1.plus(v4.scaled(k)), fam,
+                                 ReductionNames(("r", "s"), "w"))
+        assert spec.invariant_coords == (("r", div(Y, X)), ("s", mul(T, pow_(X, -k))))
+        assert all(invariance_check(spec).values())
+        assert reduce(spec).elimination_verified
+
+    def test_not_a_scaling(self):
+        v1, v2 = reference.case_i_basis(c)[:2]
+        with pytest.raises(ReductionError):
+            scaling_reduction("i", "v1+v2", v1.plus(v2), ExponentialCase(),
+                              ReductionNames(("r", "s"), "w"))
+
     def test_case_i_v1_invariants(self):
         spec = builtin_reduction("i", "v1")
         assert spec.invariant_coords[0][1] == div(Y, X)
