@@ -39,7 +39,7 @@ from .numverify import (
     reconstruct_case_i_v4, verify_reduction_numeric,
 )
 from .reduction import (
-    ReductionError, TrivialInvariants, builtin_reduction,
+    GENERATORS, ReductionError, TrivialInvariants, builtin_reduction,
     explicit_solution, explicit_solution_residual, invariance_check, reduce,
     separation_check,
 )
@@ -182,7 +182,7 @@ def stage_classify(config: RunConfig) -> dict:
         (i, j, k, str(v)) for i, j, k, v in reference.STRUCTURE_TRIPLES
     ]
     table_match = triples == expected
-    jac = jacobi_check(refbasis)
+    jac = jacobi_check(refbasis, table.brackets)
     dimension_match = space.dimension == 5
     passed = (
         space.certificate
@@ -253,13 +253,13 @@ def stage_reduce(config: RunConfig) -> dict:
     checks = [all(inv.values()), eq.elimination_verified]
     checks.append(bool(eq.reference_verdict or eq.reference_verdict_e1_1))
     if config.generator == "v1":
-        sep = separation_check(config.case)
+        sep = separation_check(config.case, eq)
         out["separation_identity"] = sep["identity"]
         out["separation_negative_control_fails"] = not sep["flipped_identity"]
         checks += [sep["identity"], not sep["flipped_identity"]]
     if config.case == "i" and config.generator == "v4":
         m, p, q = param("m"), param("p"), param("q")
-        con = explicit_solution_residual(m, p, q, fam)
+        con = explicit_solution_residual(m, p, q, fam, eq)
         sol = explicit_solution(m, p, q, fam)
         out["explicit_constraint"] = format_expr(con["constraint"])
         out["explicit_constraint_reference"] = format_expr(con["reference_constraint"])
@@ -441,7 +441,6 @@ def _emit(report: dict, config: RunConfig) -> None:
 
 
 CASES = ("i", "ii", "generic")
-GENERATORS = ("v1", "v2", "v3", "v4", "v5")
 FORMATS = ("text", "json")
 
 

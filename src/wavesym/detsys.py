@@ -224,10 +224,12 @@ def split_u_dependence(e: Expr) -> dict:
 @dataclass
 class DeterminingSystem:
     """Expressions required to vanish identically, each tagged with the jet
-    monomial (and, for concrete families, the u-dependence) it came from."""
+    monomial (and, for concrete families, the u-dependence) it came from,
+    and the expanded on-shell residual they were collected from."""
 
     family: FFamily
     entries: list  # [(monomial text | (monomial text, UTag), Expr), ...]
+    residual: Expr | None = None
 
     def __len__(self):
         return len(self.entries)
@@ -261,7 +263,7 @@ def extract_determining(v: VectorField, fam: FFamily | None = None) -> Determini
             pieces = split_u_dependence(table[key])
             for tag in sorted(pieces):
                 entries.append(((mono, tag), pieces[tag]))
-    return DeterminingSystem(fam, entries)
+    return DeterminingSystem(fam, entries, res)
 
 
 def check_reference_system(v: VectorField, fam: FFamily | None = None) -> dict:
@@ -429,9 +431,10 @@ class RowSelection:
 @dataclass
 class SolutionSpace:
     """Exact basis of the determining system's solution space under an
-    ansatz, with a residual certificate (every basis field makes the on-shell
-    invariance residual normalize to zero) and the record of the rows that
-    were eliminated."""
+    ansatz, with a residual certificate (every basis field makes the full
+    on-shell invariance residual normalize to zero, read from the opaque
+    generator's residual, which is linear in the components) and the record
+    of the rows that were eliminated."""
 
     family: FFamily
     spec: AnsatzSpec
@@ -501,7 +504,9 @@ def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
     order; identical rows are kept once.  The homogeneous system is solved
     by exact elimination over the parameter field, of the rows that
     ``_select_and_solve`` keeps; family parameters are treated as generic
-    nonzero values."""
+    nonzero values.  The certificate evaluates the opaque generator's
+    on-shell residual at each basis field's component polynomials
+    (``_affine_residual``), so no field is prolonged again."""
     if isinstance(fam, Generic):
         raise DetSysError("ansatz_solve needs a concrete family (exponential or power)")
     spec = spec or AnsatzSpec()
@@ -520,8 +525,9 @@ def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
     ] + [cm for cm in tail if cm[1] in monos]
     col_of = {cm: j for j, cm in enumerate(columns)}
 
+    ds = extract_determining(opaque_affine_vectorfield(), fam)
     rows: dict = {}  # frozen row -> row, in first-seen order
-    for _, eq in extract_determining(opaque_affine_vectorfield(), fam).entries:
+    for _, eq in ds.entries:
         table: dict = {}  # xyt monomial -> {column: entry}
         for node, c in _linear_decomposition(eq, comps).items():
             if atoms_of(c) & {X, Y, T}:
@@ -537,22 +543,35 @@ def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
             rows.setdefault(frozenset(table[n].items()), table[n])
 
     vectors, selection = _select_and_solve(list(rows.values()), len(columns))
-    basis = []
+    basis, polys = [], []
     for vec in vectors:
-        parts = {"xi": [], "eta": [], "tau": [], "alpha": [], "beta": []}
+        parts = {cname: [] for cname in comps}
         for j, entry in vec.items():
             cname, m = columns[j]
             parts[cname].append(mul(entry, pow_(X, m[0]), pow_(Y, m[1]), pow_(T, m[2])))
-        basis.append(
-            VectorField(
-                add(*parts["xi"]),
-                add(*parts["eta"]),
-                add(*parts["tau"]),
-                add(mul(add(*parts["alpha"]), U), add(*parts["beta"])),
-            )
-        )
+        poly = {cname: add(*terms) for cname, terms in parts.items()}
+        polys.append(poly)
+        basis.append(VectorField(
+            poly["xi"], poly["eta"], poly["tau"], add(mul(poly["alpha"], U), poly["beta"])))
 
-    certificate = all(
-        vanishes(on_shell(invariance_residual(b, fam), fam)) for b in basis
-    )
+    # every basis field's full on-shell invariance residual, read from the
+    # opaque generator's, which is linear in the components
+    form = _linear_decomposition(ds.residual, comps)
+    certificate = all(vanishes(_affine_residual(form, poly)) for poly in polys)
     return SolutionSpace(fam, spec, basis, certificate, len(columns), len(rows), selection)
+
+
+def _affine_residual(form: dict, comps: dict) -> Expr:
+    """The on-shell invariance residual of the field with xi, eta, tau,
+    alpha, beta = ``comps`` (polynomials in x, y, t), phi = alpha*u + beta.
+    ``form`` is that of the opaque affine generator, {component derivative
+    node: coefficient}: each node d^k(comp) becomes the polynomial's
+    derivative."""
+    terms = []
+    for node, c in form.items():
+        d = comps[node.name]
+        for z, k in zip((X, Y, T), node.didx):
+            for _ in range(k):
+                d = diff(d, z)
+        terms.append(mul(c, d))
+    return add(*terms)

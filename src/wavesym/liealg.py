@@ -129,10 +129,12 @@ class CommutatorTable:
     """All pairwise brackets of a basis, decomposed exactly in that basis.
 
     entries[(i, j)] is the coefficient list of [v_i, v_j], or None when the
-    bracket falls outside the span (non-closure)."""
+    bracket falls outside the span (non-closure); brackets[(i, j)], i < j,
+    is the bracket itself."""
 
     fields: list
     entries: dict
+    brackets: dict
 
     @property
     def n(self) -> int:
@@ -202,14 +204,13 @@ def commutator_table(basis) -> CommutatorTable:
     keys, vectors = _component_coordinates(basis)
     if rank(vectors, len(keys)) != n:
         raise LieAlgError("basis fields are linearly dependent")
-    pairs = list(combinations(range(n), 2))
-    coords = _in_coordinates(
-        keys, vectors, [bracket(basis[i], basis[j]) for i, j in pairs])
+    brackets = {(i, j): bracket(basis[i], basis[j]) for i, j in combinations(range(n), 2)}
+    coords = _in_coordinates(keys, vectors, list(brackets.values()))
     entries = {(i, i): [RAT0] * n for i in range(n)}
-    for (i, j), coeffs in zip(pairs, coords):
+    for (i, j), coeffs in zip(brackets, coords):
         entries[(i, j)] = coeffs
         entries[(j, i)] = None if coeffs is None else [expand(neg(c)) for c in coeffs]
-    return CommutatorTable(basis, entries)
+    return CommutatorTable(basis, entries, brackets)
 
 
 def decompose_fields(basis, targets) -> list:
@@ -225,13 +226,15 @@ def decompose_field(basis, target: VectorField):
     return decompose_fields(basis, [target])[0]
 
 
-def jacobi_check(basis) -> dict:
+def jacobi_check(basis, inner: dict | None = None) -> dict:
     """Jacobi identity residuals for every triple; components must expand
     to exactly zero.  Each inner bracket [v_j, v_k], j < k, is computed
-    once; [v_k, v_i] enters as -[v_i, v_k]."""
+    once, or taken from ``inner`` (a ``CommutatorTable``'s brackets of the
+    same basis); [v_k, v_i] enters as -[v_i, v_k]."""
     basis = list(basis)
     n = len(basis)
-    inner = {(j, k): bracket(basis[j], basis[k]) for j, k in combinations(range(n), 2)}
+    if inner is None:
+        inner = {(j, k): bracket(basis[j], basis[k]) for j, k in combinations(range(n), 2)}
     report = {}
     for i, j, k in combinations(range(n), 3):
         s = bracket(basis[i], inner[j, k]).plus(

@@ -32,13 +32,13 @@ from .expr import (
     EvalDomainError, Param,
 )
 from .detsys import ExponentialCase, FFamily, PowerCase, model_residual
-from .liealg import VectorField, affine_parts
+from .liealg import FlowUnsupportedError, VectorField, affine_parts
 from .linalg import strip_row_content
 from . import reference
 
 __all__ = [
     "ReductionError", "ReductionNames", "ReductionSpec", "TrivialInvariants",
-    "ReducedEquation", "REDUCTION_NAMES", "scaling_reduction",
+    "ReducedEquation", "GENERATORS", "REDUCTION_NAMES", "scaling_reduction",
     "builtin_reduction", "invariance_check", "reduce", "separation_check",
     "explicit_solution_residual", "explicit_solution", "proportional_mod_heads",
 ]
@@ -93,7 +93,11 @@ class ReducedEquation:
     reference_verdict: bool | None = None
     reference_verdict_e1_1: bool | None = None
     flags: tuple = ()
+    family: FFamily | None = None     # the family it was derived for
 
+
+# the names of the reference basis fields, in the order of reference_basis()
+GENERATORS = ("v1", "v2", "v3", "v4", "v5")
 
 REDUCTION_NAMES = {
     ("i", "v1"): ReductionNames(
@@ -127,7 +131,11 @@ def scaling_reduction(case_id: str, generator: str, field_: VectorField,
     lam = 0; scale is lam or mu.  The dependent invariant is
     (u + beta/alpha)*s^(-alpha/scale), else u - (beta/scale)*ln(s), or its
     exponential s*exp(u/k), k = -beta/scale, when ``names.exponential``."""
-    parts = affine_parts(field_)
+    try:
+        parts = affine_parts(field_)
+    except FlowUnsupportedError as err:
+        raise ReductionError(
+            f"({case_id}, {generator}) is not a scaling generator: {err}") from None
     if all(a == RAT0 for a, _ in parts):
         return TrivialInvariants(case_id, generator, tuple(
             z for z, (_, b) in zip("xytu", parts) if b == RAT0))
@@ -161,11 +169,10 @@ def builtin_reduction(case_id: str, generator: str, fam: FFamily | None = None):
     ``scaling_reduction`` under the names of ``REDUCTION_NAMES``: v1 and v4
     give similarity ansaetze, v2, v3 and v5 translation invariants."""
     family = {"i": ExponentialCase, "ii": PowerCase}.get(case_id)
-    generators = ("v1", "v2", "v3", "v4", "v5")
-    if family is None or generator not in generators:
+    if family is None or generator not in GENERATORS:
         raise ReductionError(f"no built-in reduction for ({case_id}, {generator})")
     fam = fam if isinstance(fam, family) else family()
-    field_ = fam.reference_basis()[generators.index(generator)]
+    field_ = fam.reference_basis()[GENERATORS.index(generator)]
     return scaling_reduction(case_id, generator, field_, fam,
                              REDUCTION_NAMES.get((case_id, generator)))
 
@@ -264,7 +271,17 @@ def _derive(spec: ReductionSpec, fam: FFamily) -> ReducedEquation:
             "ansatz failed to eliminate the original coordinates "
             f"for ({spec.case_id}, {spec.generator})"
         )
-    return ReducedEquation(spec.case_id, spec.generator, sectioned, True)
+    return ReducedEquation(spec.case_id, spec.generator, sectioned, True, family=fam)
+
+
+def _reduced_expr(case_id: str, generator: str, fam: FFamily,
+                  reduced: ReducedEquation | None) -> Expr:
+    """The reduced equation of (case_id, generator) for ``fam``: the one the
+    caller derived already when it is that reduction, else derived here."""
+    if reduced is not None and (reduced.case_id, reduced.generator, reduced.family) == (
+            case_id, generator, fam):
+        return reduced.expr
+    return _derive(builtin_reduction(case_id, generator, fam), fam).expr
 
 
 def reduce(spec: ReductionSpec, fam: FFamily | None = None) -> ReducedEquation:
@@ -297,7 +314,7 @@ def _solved_for_top(ode: Expr) -> tuple:
     return top, neg(div(parts.get((), RAT0), parts[((top, 1),)]))
 
 
-def separation_check(case_id: str) -> dict:
+def separation_check(case_id: str, reduced: ReducedEquation | None = None) -> dict:
     """Verify the separated solutions symbolically.
 
     Case i: omega = zeta1(r) + zeta2(s), each component solved from its
@@ -305,7 +322,8 @@ def separation_check(case_id: str) -> dict:
     Case ii (e1 = 1): theta = sig1(q)*sig2(p) likewise.  As a negative
     control the separation constant is negated in the first ODE;
     ``flipped_identity`` must then be false.  The family stays symbolic:
-    the case ii separation holds only at e1 = 1."""
+    the case ii separation holds only at e1 = 1.  ``reduced``, the caller's
+    (case_id, v1) reduction, is used when it is of that symbolic family."""
     if case_id == "i":
         fam, const, case = ExponentialCase(), param("c1"), "i"
         sep = reference.separation_case_i(fam.K, fam.c, const)
@@ -314,11 +332,11 @@ def separation_check(case_id: str) -> dict:
         sep = reference.separation_case_ii(fam.L, const)
     else:
         raise ReductionError(f"no separation for case {case_id!r}")
-    spec = builtin_reduction(case_id, "v1", fam)
-    expr = _derive(spec, fam).expr
+    expr = _reduced_expr(case_id, "v1", fam, reduced)
     if case_id == "ii":
         expr = _at_e1_one(expr, fam)
-    head = fn(spec.names.dependent, [base(n) for n in spec.names.coords])
+    names = REDUCTION_NAMES[case_id, "v1"]
+    head = fn(names.dependent, [base(n) for n in names.coords])
     split = substitute(expr, {head: sep["ansatz"]})
     first, *rest = [sep[k] for k in sep if k.startswith("ode_")]
 
@@ -334,15 +352,16 @@ def separation_check(case_id: str) -> dict:
     }
 
 
-def explicit_solution_residual(m: Expr, p: Expr, q: Expr, fam: ExponentialCase | None = None):
+def explicit_solution_residual(m: Expr, p: Expr, q: Expr, fam: ExponentialCase | None = None,
+                               reduced: ReducedEquation | None = None):
     """Substitute the planar profile h = m*x + p*y + q into the derived
-    reduced equation of (case i, v4).
+    reduced equation of (case i, v4), ``reduced`` when it is that of ``fam``.
 
     The second derivatives drop, leaving a constant constraint relating
     m^2 + p^2 to 1/K.  The derived constraint and its comparison with the
     reference's printed one (which has the opposite sign) are returned."""
     fam = fam or ExponentialCase()
-    expr = _derive(builtin_reduction("i", "v4", fam), fam).expr
+    expr = _reduced_expr("i", "v4", fam, reduced)
     planar = add(mul(m, X), mul(p, Y), q)
     constraint = expand(substitute(expr, {fn("h", [X, Y]): planar}))
     # reference claims m^2 + p^2 = 1/K; the derivation gives m^2 + p^2 = -1/K

@@ -9,11 +9,11 @@ from wavesym.detsys import (
     ansatz_solve, check_reference_system, extract_determining,
     invariance_residual, model_residual, on_shell, opaque_affine_vectorfield,
     opaque_vectorfield, reference_implication_report, split_u_dependence,
-    _linear_decomposition,
+    _affine_residual, _linear_decomposition,
 )
 from wavesym.expr import (
     RAT0, RAT1, T, U, X, Y, Fn, Product, Sum, add, atoms_of, collect_atoms,
-    div, exp_, expand, fn, jet, jets_of, mul, neg, param, pow_, rat, sub,
+    diff, div, exp_, expand, fn, jet, jets_of, mul, neg, param, pow_, rat, sub,
     substitute, vanishes,
 )
 from wavesym.jet import total_derivative
@@ -374,6 +374,108 @@ class TestAnsatzSolve:
                 parts = [RAT0] * 4
                 parts[comp] = RAT1
                 assert decompose_field(space.basis, VectorField(*parts)) is not None
+
+
+class TestResidualCertificate:
+    """ansatz_solve certifies each basis field from the opaque affine
+    generator's on-shell residual, a linear form in the component
+    derivatives, instead of prolonging the field again."""
+
+    COMPS = ("alpha", "beta", "tau", "eta", "xi")
+    FAMILIES = {
+        "exponential": ExponentialCase(),
+        "power": PowerCase(),
+        "c=3/2, K=-1": ExponentialCase(rat(-1), rat(3, 2)),
+        **{f"e1={v}": PowerCase(e1=rat(v)) for v in (
+            "2", "-2", "3", "-4/3", "-3/4", "1/4", "-1/4")},
+        "e1=2, e2=1": PowerCase(e1=rat(2), e2=rat(1)),
+    }
+    CASES = [(name, d) for name in FAMILIES for d in (2, 3)]
+
+    @classmethod
+    def _form(cls, fam):
+        ds = extract_determining(opaque_affine_vectorfield(), fam)
+        return _linear_decomposition(ds.residual, cls.COMPS)
+
+    @staticmethod
+    def _comps(v):
+        alpha = expand(diff(v.phi, U))
+        return {"xi": v.xi, "eta": v.eta, "tau": v.tau, "alpha": alpha,
+                "beta": expand(sub(v.phi, mul(alpha, U)))}
+
+    @staticmethod
+    def _field(comps):
+        return VectorField(comps["xi"], comps["eta"], comps["tau"],
+                           add(mul(comps["alpha"], U), comps["beta"]))
+
+    @pytest.mark.parametrize("name, degree", CASES, ids=[f"{n}-d{d}" for n, d in CASES])
+    def test_equals_the_prolonged_residual(self, name, degree):
+        # the same claim as prolonging each basis field: the certificate of
+        # every field, and the residual itself, also off the solution space
+        fam = self.FAMILIES[name]
+        form = self._form(fam)
+        space = ansatz_solve(fam, AnsatzSpec(degree))
+        verdicts = []
+        for b in space.basis:
+            comps = self._comps(b)
+            assert vanishes(sub(self._field(comps).phi, b.phi))
+            new = _affine_residual(form, comps)
+            old = on_shell(invariance_residual(b, fam), fam)
+            assert vanishes(new) == vanishes(old)
+            verdicts.append(vanishes(old))
+            comps["xi"] = add(comps["xi"], X)
+            wrong = self._field(comps)
+            assert expand(_affine_residual(form, comps)) == expand(
+                on_shell(invariance_residual(wrong, fam), fam))
+        assert space.certificate == all(verdicts)
+
+    @pytest.mark.parametrize("fam", [ExponentialCase(), PowerCase()])
+    @pytest.mark.parametrize("extra", [("xi", X), ("alpha", RAT1), ("tau", pow_(T, 2))],
+                             ids=["x*d/dx", "u*d/du", "t^2*d/dt"])
+    def test_a_non_symmetry_fails(self, fam, extra):
+        form = self._form(fam)
+        for b in ansatz_solve(fam, AnsatzSpec(2)).basis:
+            comps = self._comps(b)
+            assert vanishes(_affine_residual(form, comps))
+            comps[extra[0]] = add(comps[extra[0]], extra[1])
+            assert not vanishes(_affine_residual(form, comps))
+
+    @pytest.mark.parametrize("fam", [ExponentialCase(), PowerCase()])
+    def test_rotation_passes(self, fam):
+        rot = reference.rotation_field()
+        assert vanishes(_affine_residual(self._form(fam), self._comps(rot)))
+
+    def test_vector_outside_the_kernel_fails_the_solve(self, monkeypatch):
+        # column 0 is alpha's constant term: a u*d/du field joins the basis
+        real = detsys._select_and_solve
+
+        def with_u_du(rows, ncols):
+            vectors, selection = real(rows, ncols)
+            return vectors + [{0: RAT1}], selection
+
+        monkeypatch.setattr(detsys, "_select_and_solve", with_u_du)
+        space = ansatz_solve(ExponentialCase(), AnsatzSpec(2))
+        assert str(space.basis[-1]) == "(u)*d/du"
+        assert not space.certificate
+
+    SOLVES = [("exponential", ExponentialCase(), d) for d in (0, 3, 5)] + [
+        ("power", PowerCase(), d) for d in (1, 4)]
+
+    @pytest.mark.parametrize("name, fam, degree", SOLVES,
+                             ids=[f"{n}-d{d}" for n, _, d in SOLVES])
+    def test_three_prolongations_per_solve(self, monkeypatch, name, fam, degree):
+        # t,t and x,x and y,y of the opaque generator, whatever the dimension
+        calls = []
+        real = detsys.prolong_coeff_second
+
+        def counted(*args):
+            calls.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(detsys, "prolong_coeff_second", counted)
+        space = ansatz_solve(fam, AnsatzSpec(degree))
+        assert space.certificate and space.dimension >= 3
+        assert sorted(calls) == [("t", "t"), ("x", "x"), ("y", "y")]
 
 
 class TestRowSelection:

@@ -111,6 +111,33 @@ class TestJacobi:
         report = jacobi_check(reference.case_i_basis(c))
         assert len(report) == 10
 
+    @pytest.mark.parametrize("basis", [reference.case_i_basis(c),
+                                       reference.case_ii_basis(e1, e2)])
+    def test_table_brackets_give_the_same_report(self, basis):
+        table = commutator_table(basis)
+        assert sorted(table.brackets) == [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        assert jacobi_check(basis, table.brackets) == jacobi_check(basis)
+        # an inner bracket that is not [v_0, v_1] breaks the triples it enters
+        wrong = {**table.brackets, (0, 1): basis[0]}
+        assert not all(jacobi_check(basis, wrong).values())
+
+    def test_classify_brackets_each_pair_once(self, monkeypatch):
+        # 10 pairs for the table, whose brackets the Jacobi check reuses,
+        # and 3 outer brackets for each of the 10 triples
+        from wavesym import liealg
+        from wavesym.cli import RunConfig, stage_classify
+
+        calls = []
+        real = liealg.bracket
+
+        def counted(v, w):
+            calls.append((v, w))
+            return real(v, w)
+
+        monkeypatch.setattr(liealg, "bracket", counted)
+        assert stage_classify(RunConfig("classify", case="ii", degree=1))["jacobi_all_zero"]
+        assert len(calls) == 40
+
 
 class TestFlow:
     def test_translation(self):

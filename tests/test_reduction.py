@@ -10,8 +10,10 @@ from wavesym.expr import (
     RAT0, RAT1, T, U, X, Y, add, div, exp_, expand, fn, format_expr, jet,
     ln_, mul, neg, param, pow_, rat, sub, substitute, vanishes,
 )
+from wavesym.liealg import VectorField
 from wavesym.reduction import (
-    ReductionError, ReductionNames, TrivialInvariants, builtin_reduction,
+    GENERATORS, ReductionError, ReductionNames, ReductionSpec, TrivialInvariants,
+    builtin_reduction,
     explicit_solution, explicit_solution_residual, invariance_check,
     proportional_mod_heads, reduce, scaling_reduction, separation_check,
 )
@@ -64,6 +66,24 @@ class TestBuiltinSpecs:
         with pytest.raises(ReductionError):
             scaling_reduction("i", "v1+v2", v1.plus(v2), ExponentialCase(),
                               ReductionNames(("r", "s"), "w"))
+
+    def test_rotation_is_not_a_scaling(self):
+        # a coupled field: affine_parts refuses it, scaling_reduction reports
+        # that as a reduction error
+        rot = VectorField(neg(Y), X, RAT0, RAT0)
+        with pytest.raises(ReductionError, match="not a scaling generator"):
+            scaling_reduction("i", "rot", rot, ExponentialCase(), None)
+
+    def test_generator_names_are_shared(self):
+        from wavesym import cli, reduction
+
+        assert cli.GENERATORS is reduction.GENERATORS
+        for gen, field_ in zip(GENERATORS, reference.case_i_basis(c), strict=True):
+            out = builtin_reduction("i", gen)
+            if isinstance(out, ReductionSpec):
+                assert out.field_ == field_
+        with pytest.raises(ReductionError):
+            builtin_reduction("i", "v6")
 
     def test_case_i_v1_invariants(self):
         spec = builtin_reduction("i", "v1")
@@ -185,11 +205,12 @@ class TestSeparation:
 
 class TestWorkDoneOnce:
     @pytest.mark.parametrize("case, gen, expect", [
-        ("i", "v1", 3), ("i", "v4", 3), ("ii", "v1", 4), ("ii", "v4", 3),
+        ("i", "v1", 2), ("i", "v4", 2), ("ii", "v1", 3), ("ii", "v4", 3),
     ])
     def test_proportionality_checks_per_reduce_stage(self, monkeypatch, case, gen, expect):
-        # one elimination check per derivation (the stage's, the separation
-        # check's, the explicit constraint's) plus one per reference comparison
+        # one elimination check for the stage's derivation, which the
+        # separation check and the explicit constraint reuse, plus one per
+        # reference comparison
         from wavesym import reduction
         from wavesym.cli import RunConfig, stage_reduce
 
@@ -203,6 +224,42 @@ class TestWorkDoneOnce:
         monkeypatch.setattr(reduction, "proportional_mod_heads", counted)
         assert stage_reduce(RunConfig("reduce", case=case, generator=gen))["passed"]
         assert len(calls) == expect
+
+    @pytest.mark.parametrize("case, fam, other", [
+        ("i", ExponentialCase(), ExponentialCase(rat(-1), rat(3, 2))),
+        ("ii", PowerCase(), PowerCase(e1=rat(2))),
+    ], ids=["i", "ii"])
+    def test_separation_reuses_only_its_own_family(self, monkeypatch, case, fam, other):
+        # the symbolic family's v1 reduction is taken as it is; a concrete
+        # family's is not the one the separation needs, so it derives its own
+        from wavesym import reduction
+
+        own = reduce(builtin_reduction(case, "v1", fam))
+        foreign = reduce(builtin_reduction(case, "v1", other))
+        calls = []
+        original = reduction.proportional_mod_heads
+        monkeypatch.setattr(reduction, "proportional_mod_heads",
+                            lambda *args: calls.append(args) or original(*args))
+        reused = separation_check(case, own)
+        assert calls == []
+        assert reused == separation_check(case, foreign) == separation_check(case)
+        assert len(calls) == 2
+        assert reused["identity"] and not reused["flipped_identity"]
+
+    def test_explicit_constraint_reuses_only_its_own_family(self, monkeypatch):
+        from wavesym import reduction
+
+        fam = ExponentialCase(rat(-1), rat(3, 2))
+        own = reduce(builtin_reduction("i", "v4", fam))
+        calls = []
+        original = reduction.proportional_mod_heads
+        monkeypatch.setattr(reduction, "proportional_mod_heads",
+                            lambda *args: calls.append(args) or original(*args))
+        reused = explicit_solution_residual(m, p, q, fam, own)
+        assert calls == []
+        assert reused == explicit_solution_residual(m, p, q, fam)
+        assert reused != explicit_solution_residual(m, p, q, ExponentialCase(), own)
+        assert len(calls) == 2
 
 
 class TestExplicitSolution:
