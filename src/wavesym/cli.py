@@ -33,11 +33,6 @@ from .detsys import (
 )
 from .expr import RAT0, format_expr, jet, param, rat
 from .liealg import VectorField, commutator_table, decompose_fields, jacobi_check
-from .numverify import (
-    DEFAULT_PARAMS, MAX_ODE_STEPS, GridSpec, NumVerifyError, default_grid,
-    fd_residual, first_integral_drift, flow_transport_check, ode_margins,
-    reconstruct_case_i_v4, verify_reduction_numeric,
-)
 from .reduction import (
     GENERATORS, ReductionError, TrivialInvariants, builtin_reduction,
     explicit_solution, explicit_solution_residual, invariance_check, reduce,
@@ -122,6 +117,8 @@ PARAM_NAMES = SHARED_PARAMS + ("sig2_a", "sig2_b", "sig1_0", "harmonic_xy")
 
 
 def _numeric_params(config: RunConfig, key) -> dict:
+    from .numverify import DEFAULT_PARAMS
+
     out = dict(DEFAULT_PARAMS[key])
     for name, value in config.params.items():
         if name in out or name in SHARED_PARAMS:
@@ -129,7 +126,9 @@ def _numeric_params(config: RunConfig, key) -> dict:
     return out
 
 
-def _grid(config: RunConfig, key) -> GridSpec:
+def _grid(config: RunConfig, key):
+    from .numverify import GridSpec, default_grid
+
     g = default_grid(*key)
     return GridSpec(
         box=config.box or g.box,
@@ -271,6 +270,13 @@ def stage_reduce(config: RunConfig) -> dict:
 
 
 def stage_verify(config: RunConfig, csv_dir: str | None) -> dict:
+    # numpy is loaded here, by the only stage that needs it
+    from .numverify import (
+        MAX_ODE_STEPS, default_grid, fd_residual, first_integral_drift,
+        flow_transport_check, ode_margins, reconstruct_case_i_v4,
+        verify_reduction_numeric,
+    )
+
     for case in ("i", "ii"):  # K, c, L, e1 = 0 leave a family undefined
         _family(RunConfig(**{**config.__dict__, "case": case}))
     p4 = _numeric_params(config, ("i", "v4"))
@@ -568,7 +574,20 @@ def _config_from_args(args) -> RunConfig:
         raise ConfigError(f"bad --tol: {config.tol} must be finite and positive")
     if not (math.isfinite(config.eps) and config.eps != 0):
         raise ConfigError(f"bad --eps: {config.eps} must be finite and nonzero")
+    e1, e2 = params.get("e1", 1), params.get("e2", 0)
+    if config.command in ("verify", "report-all") and (e1, e2) != (1, 0):
+        raise ConfigError(f"--param e1, e2: the case ii reconstructions of {config.command} "
+                          f"need e1 = 1, e2 = 0, got e1 = {e1}, e2 = {e2}")
     return config
+
+
+def _check_failures() -> tuple:
+    """The errors main reports as a failed check.  NumVerifyError counts once
+    numverify is loaded, and only numverify raises it, so main need not
+    import numverify (and numpy) to catch it."""
+    numverify = sys.modules.get(f"{__package__}.numverify")
+    numeric = (numverify.NumVerifyError,) if numverify else ()
+    return (DetSysError, ReductionError) + numeric
 
 
 def main(argv=None) -> int:
@@ -602,7 +621,7 @@ def main(argv=None) -> int:
     except (ConfigError,) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (DetSysError, ReductionError, NumVerifyError) as err:
+    except _check_failures() as err:
         print(f"check failed: {err}", file=sys.stderr)
         return 1
 

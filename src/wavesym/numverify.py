@@ -34,6 +34,7 @@ __all__ = [
     "rk4_solve", "fd_residual", "verify_reduction_numeric",
     "first_integral_drift", "flow_transport_check", "compile_numeric",
     "DEFAULT_PARAMS", "default_grid", "ode_margins", "MAX_ODE_STEPS",
+    "ZETA1_RHS", "ZETA2_RHS", "SIG1_RHS",
 ]
 
 # RK4 steps allowed per solve; the default grids and step need at most ~56k
@@ -81,15 +82,20 @@ def compile_numeric(e: Expr, arg_atoms) -> callable:
 
 @dataclass
 class ODEProblem:
-    """Second-order initial value problem  y'' = rhs(x, y, y')."""
+    """Second-order initial value problem  y'' = rhs.
 
-    rhs: callable
+    ``rhs`` is Python source over x, y, yp, ``exp`` (``math.exp``) and the
+    names bound in ``consts``, which must not start with '_' (the loop's own
+    names do); ``rk4_solve`` inlines it in its loop."""
+
+    rhs: str
     x0: float
     y0: float
     yp0: float
     x1: float
     step: float = 1e-5
     bound: float = 1e6
+    consts: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.step <= 0:
@@ -126,38 +132,56 @@ class Trajectory:
         )
 
 
+# The classical RK4 step with the right-hand side {rhs} written out at each
+# stage, so a step makes no Python call.  Each stage binds x, y, yp to its
+# arguments; (_x, _y, _yp) is the state.  Returns the states and the index
+# of the step that left the bound or overflowed (None if none did).
+_RK4_LOOP = """\
+def _loop(_x0, _y, _yp, _h, _n, _bound, exp, {consts}):
+    _hh, _h6 = 0.5 * _h, _h / 6.0
+    _x, _ys, _yps, _i = _x0, [_y], [_yp], 0
+    try:
+        for _i in range(1, _n + 1):
+            x, y, yp = _x, _y, _yp
+            _k1y = yp
+            _k1p = {rhs}
+            x, y, yp = _x + _hh, _y + _hh * _k1y, _yp + _hh * _k1p
+            _k2y = yp
+            _k2p = {rhs}
+            y, yp = _y + _hh * _k2y, _yp + _hh * _k2p
+            _k3y = yp
+            _k3p = {rhs}
+            x, y, yp = _x + _h, _y + _h * _k3y, _yp + _h * _k3p
+            _k4y = yp
+            _k4p = {rhs}
+            _y = _y + _h6 * (_k1y + 2 * _k2y + 2 * _k3y + _k4y)
+            _yp = _yp + _h6 * (_k1p + 2 * _k2p + 2 * _k3p + _k4p)
+            _x = _x0 + _i * _h
+            if not (abs(_y) < _bound and abs(_yp) < _bound):
+                return _ys, _yps, _i
+            _ys.append(_y)
+            _yps.append(_yp)
+    except OverflowError:  # e.g. exp in the right-hand side, before the bound
+        return _ys, _yps, _i
+    return _ys, _yps, None
+"""
+
+
 def rk4_solve(problem: ODEProblem) -> Trajectory:
     """Classical 4th-order Runge-Kutta with a fixed step; rejects the run if
     the state exceeds the configured bound (blow-up guard), or if the
     right-hand side overflows on the way there."""
-    f = problem.rhs
+    scope: dict = {}
+    src = _RK4_LOOP.format(rhs=f"({problem.rhs})", consts=", ".join(problem.consts))
+    exec(src, scope)
     n = max(1, int(math.ceil((problem.x1 - problem.x0) / problem.step)))
     h = (problem.x1 - problem.x0) / n
-    hh, h6 = 0.5 * h, h / 6.0
-    x, y, yp = problem.x0, problem.y0, problem.yp0
-    xs, ys, yps = [x], [y], [yp]
-    try:
-        for i in range(1, n + 1):
-            k1y = yp
-            k1p = f(x, y, yp)
-            k2y = yp + hh * k1p
-            k2p = f(x + hh, y + hh * k1y, k2y)
-            k3y = yp + hh * k2p
-            k3p = f(x + hh, y + hh * k2y, k3y)
-            k4y = yp + h * k3p
-            k4p = f(x + h, y + h * k3y, k4y)
-            y = y + h6 * (k1y + 2 * k2y + 2 * k3y + k4y)
-            yp = yp + h6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-            x = problem.x0 + i * h
-            if not (abs(y) < problem.bound and abs(yp) < problem.bound):
-                raise NumVerifyError(f"trajectory exceeded bound {problem.bound} at x={x}")
-            xs.append(x)
-            ys.append(y)
-            yps.append(yp)
-    except OverflowError:  # e.g. math.exp in the right-hand side, before the bound
-        x = problem.x0 + i * h
-        raise NumVerifyError(f"trajectory exceeded bound {problem.bound} at x={x}") from None
-    return Trajectory(np.array(xs), np.array(ys), np.array(yps))
+    ys, yps, failed = scope["_loop"](problem.x0, problem.y0, problem.yp0, h, n,
+                                     problem.bound, math.exp, **problem.consts)
+    if failed is not None:
+        x = problem.x0 + failed * h
+        raise NumVerifyError(f"trajectory exceeded bound {problem.bound} at x={x}")
+    return Trajectory(problem.x0 + np.arange(n + 1) * h, np.array(ys), np.array(yps))
 
 
 @dataclass(frozen=True)
@@ -286,20 +310,22 @@ def ode_margins(grid: GridSpec):
     return (r_lo - 0.02, r_hi + 0.02), (t0 - pad - 0.02, t1 + pad + 0.02)
 
 
+# The separated ODEs of reference.separation_case_i (zeta1 in r = y/x, zeta2
+# in s = t) and separation_case_ii (sig1 in q = t), solved for the second
+# derivative, as RK4 right-hand sides over x, y = the solution, yp = y'
+ZETA1_RHS = "-(c1 * exp(-y / c) + 2 * (x * yp - c)) / (x * x + 1)"
+ZETA2_RHS = "-K * c1 * exp(y / c)"
+SIG1_RHS = "c_sep * y * y"
+
+
 def reconstruct_case_i_v1(params: dict, grid: GridSpec, ode_step: float = 1e-5):
     """u = zeta1(y/x) + zeta2(t) + 2*c*ln(x) with the separated ODEs
     integrated by RK4; returns (u_callable, f_callable)."""
     K, c, c1 = params["K"], params["c"], params["c1"]
     (r0, r1), (t0, t1) = ode_margins(grid)
-
-    def z1_rhs(r, z, zp):
-        return -(c1 * math.exp(-z / c) + 2 * (r * zp - c)) / (r * r + 1.0)
-
-    def z2_rhs(t, z, zp):
-        return -K * c1 * math.exp(z / c)
-
-    z1 = rk4_solve(ODEProblem(z1_rhs, r0, 0.0, 0.0, r1, ode_step))
-    z2 = rk4_solve(ODEProblem(z2_rhs, t0, 0.0, 0.0, t1, ode_step))
+    consts = {"K": K, "c": c, "c1": c1}
+    z1 = rk4_solve(ODEProblem(ZETA1_RHS, r0, 0.0, 0.0, r1, ode_step, consts=consts))
+    z2 = rk4_solve(ODEProblem(ZETA2_RHS, t0, 0.0, 0.0, t1, ode_step, consts=consts))
 
     def u(x, y, t):
         return z1(y / x) + z2(t) + 2 * c * np.log(x)
@@ -335,11 +361,8 @@ def reconstruct_case_ii_v1(params: dict, grid: GridSpec, ode_step: float = 1e-5)
         raise NumVerifyError("the multiplicative reconstruction needs e1 = 1, e2 = 0")
     a, b = params["sig2_a"], params["sig2_b"]
     (p0, p1), (t0, t1) = ode_margins(grid)
-
-    def s1_rhs(t, s, sp):
-        return c_sep * s * s
-
-    s1 = rk4_solve(ODEProblem(s1_rhs, t0, params["sig1_0"], 0.0, t1, ode_step))
+    s1 = rk4_solve(ODEProblem(SIG1_RHS, t0, params["sig1_0"], 0.0, t1, ode_step,
+                              consts={"c_sep": c_sep}))
 
     def sig2(p):
         return c_sep / (2 * L) + a * p + b * (p * p - 1.0)
@@ -405,16 +428,14 @@ def first_integral_drift(
     the conserved quantity E = zeta2'^2/2 + K*c1*c*e^(zeta2/c) drifts as
     O(step^4), so halving the step should shrink the drift ~16x."""
 
-    def rhs(t, z, zp):
-        return -K * c1 * math.exp(z / c)
-
     def energy(tr):
         e = tr.yps**2 / 2.0 + K * c1 * c * np.exp(tr.ys / c)
         return float(np.max(np.abs(e - e[0])))
 
     drift = {}
     for h in (step, step / 2):
-        tr = rk4_solve(ODEProblem(rhs, 0.0, 0.0, 0.0, span, h))
+        tr = rk4_solve(ODEProblem(ZETA2_RHS, 0.0, 0.0, 0.0, span, h,
+                                  consts={"K": K, "c": c, "c1": c1}))
         drift[h] = energy(tr)
     hs = sorted(drift, reverse=True)
     slope = math.log2(drift[hs[0]] / drift[hs[1]]) if drift[hs[1]] > 0 else float("inf")

@@ -78,6 +78,23 @@ class TestExitCodes:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert "m, p" in err
 
+    @pytest.mark.parametrize("command", ["verify", "report-all"])
+    @pytest.mark.parametrize("params", [["e1=2"], ["e2=1"], ["e1=1/2", "e2=-1"]])
+    def test_case_ii_exponent_off_one_in_numeric_commands_is_2(
+            self, tmp_path, monkeypatch, capsys, command, params):
+        # the case ii reconstructions hold at e1 = 1, e2 = 0 only: refused
+        # before any stage runs, so no report and no convergence CSV
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--out", str(tmp_path / "report.json")]
+        for p in params:
+            argv += ["--param", p]
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: --param e1, e2:")
+        assert os.listdir(tmp_path) == []
+
     def test_zero_ode_step_is_2(self, capsys):
         assert main(["verify", "--ode-step", "0"]) == 2
         err = capsys.readouterr().err
@@ -231,7 +248,7 @@ class TestExitCodes:
         # 4 reductions at two steps each, the violated-constraint control,
         # 5 transported generators and the u*d/du control; the explicit
         # solution is the (i, v4) reduction's residual
-        from wavesym import cli, numverify
+        from wavesym import numverify
 
         calls = []
         original = numverify.fd_residual
@@ -241,7 +258,6 @@ class TestExitCodes:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(numverify, "fd_residual", counted)
-        monkeypatch.setattr(cli, "fd_residual", counted)
         code, report = run(tmp_path, "verify")
         assert code == 0
         assert len(calls) == 15
@@ -250,6 +266,36 @@ class TestExitCodes:
         assert planar["max_residual"] == i_v4["max_residual"]
         assert planar["rms_residual"] == i_v4["rms_residual"]
         assert planar["convergence"] == [] and planar["convergence_factor"] is None
+
+
+class TestDeferredNumpy:
+    """Only the numeric stage needs numpy: in a fresh interpreter derive,
+    classify and reduce leave it unloaded, and verify loads it."""
+
+    SCRIPT = """
+import sys
+from wavesym.cli import main
+
+out = sys.argv[1]
+for argv in (["derive"], ["classify", "--degree", "1"], ["reduce"]):
+    assert main(argv + ["--out", out]) in (0, 1), argv
+    assert "numpy" not in sys.modules, argv
+assert main(["verify", "--grid", "5,5,5", "--out", out]) == 0
+assert "numpy" in sys.modules
+"""
+
+    def test_only_verify_imports_numpy(self, tmp_path):
+        import subprocess
+        import sys
+
+        import wavesym
+
+        src = os.path.dirname(os.path.dirname(wavesym.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, str(tmp_path / "r.json")],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestReportContents:

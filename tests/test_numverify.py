@@ -12,10 +12,11 @@ from wavesym.expr import (
 )
 from wavesym.liealg import VectorField
 from wavesym.numverify import (
-    DEFAULT_PARAMS, MAX_ODE_STEPS, GridSpec, NumVerifyError, ODEProblem, compile_numeric,
-    default_grid, fd_residual, first_integral_drift, flow_transport_check,
-    reconstruct_case_i_v1, reconstruct_case_i_v4, reconstruct_case_ii_v1,
-    reconstruct_case_ii_v4, rk4_solve, verify_reduction_numeric,
+    DEFAULT_PARAMS, MAX_ODE_STEPS, SIG1_RHS, ZETA1_RHS, ZETA2_RHS, GridSpec,
+    NumVerifyError, ODEProblem, compile_numeric, default_grid, fd_residual,
+    first_integral_drift, flow_transport_check, reconstruct_case_i_v1,
+    reconstruct_case_i_v4, reconstruct_case_ii_v1, reconstruct_case_ii_v4,
+    rk4_solve, verify_reduction_numeric,
 )
 from wavesym import reference
 
@@ -36,13 +37,13 @@ def dense_residual(u, grid, f):
 class TestRK4:
     def test_exact_on_linear_solution(self):
         # y'' = 0 with y(0) = 0, y'(0) = 1: RK4 reproduces y = s exactly
-        tr = rk4_solve(ODEProblem(lambda s, y, yp: 0.0, 0.0, 0.0, 1.0, 1.0, 0.1))
+        tr = rk4_solve(ODEProblem("0.0", 0.0, 0.0, 1.0, 1.0, 0.1))
         assert np.allclose(tr.ys, tr.xs, atol=1e-15)
         assert float(tr(0.537)) == pytest.approx(0.537, abs=1e-14)
 
     def test_exact_on_cubic(self):
         # y'' = 6s has solution y = s^3: exact for RK4 (degree <= 3)
-        tr = rk4_solve(ODEProblem(lambda s, y, yp: 6.0 * s, 0.0, 0.0, 0.0, 1.0, 0.05))
+        tr = rk4_solve(ODEProblem("6.0 * x", 0.0, 0.0, 0.0, 1.0, 0.05))
         assert np.allclose(tr.ys, tr.xs**3, atol=1e-13)
 
     def test_reproduces_quadratic_closed_form(self):
@@ -66,23 +67,22 @@ class TestRK4:
         def closed(pp):
             return cv / (2 * Lv) + av * pp + bv * (pp * pp - 1.0)
 
-        def rhs(pp, y, yp):
-            return (2 * pp * yp - 2 * y + cv / Lv) / (pp * pp + 1.0)
-
+        rhs = "(2 * x * yp - 2 * y + c / L) / (x * x + 1.0)"
         p0 = 0.3
-        tr = rk4_solve(ODEProblem(rhs, p0, closed(p0), av + 2 * bv * p0, 1.2, 1e-3))
+        tr = rk4_solve(ODEProblem(rhs, p0, closed(p0), av + 2 * bv * p0, 1.2, 1e-3,
+                                  consts={"c": cv, "L": Lv}))
         samples = np.linspace(p0, 1.2, 17)
         assert np.max(np.abs(tr(samples) - closed(samples))) < 1e-11
 
     def test_blowup_guard(self):
         with pytest.raises(NumVerifyError):
-            rk4_solve(ODEProblem(lambda s, y, yp: y * y, 0.0, 3.0, 0.0, 10.0, 1e-3, bound=1e3))
+            rk4_solve(ODEProblem("y * y", 0.0, 3.0, 0.0, 10.0, 1e-3, bound=1e3))
 
     def test_rhs_overflow_is_a_bound_failure(self):
         # y'' = e^y from y = 700: the second stage's e^(~1e297) overflows in
         # math.exp before the per-step bound check can see the state
         with pytest.raises(NumVerifyError, match=r"exceeded bound 1000000.0 at x=0.001$"):
-            rk4_solve(ODEProblem(lambda s, y, yp: math.exp(y), 0.0, 700.0, 0.0, 1.0, 1e-3))
+            rk4_solve(ODEProblem("exp(y)", 0.0, 700.0, 0.0, 1.0, 1e-3))
 
     def test_matches_textbook_loop(self):
         def rhs(s, y, yp):
@@ -107,14 +107,15 @@ class TestRK4:
             xs.append(x)
             ys.append(y)
             yps.append(yp)
-        tr = rk4_solve(ODEProblem(rhs, x0, 0.2, -0.4, x1, step))
+        src = "-(exp(-y) + 2 * (x * yp - 1.0)) / (x * x + 1.0) + y * yp"
+        tr = rk4_solve(ODEProblem(src, x0, 0.2, -0.4, x1, step))
         assert np.array_equal(tr.xs, xs)
         assert np.array_equal(tr.ys, ys)
         assert np.array_equal(tr.yps, yps)
 
     def test_step_cap(self):
         # refused before any array is allocated; the cap itself is allowed
-        rhs = lambda s, y, yp: 0.0  # noqa: E731
+        rhs = "0.0"
         with pytest.raises(NumVerifyError, match="RK4 steps"):
             ODEProblem(rhs, 0.0, 0.0, 0.0, 1.0, 0.5 / MAX_ODE_STEPS)
         with pytest.raises(NumVerifyError, match="RK4 steps"):
@@ -126,9 +127,32 @@ class TestRK4:
         assert 3.5 <= out["order_estimate"] <= 4.5
 
     def test_dense_eval_outside_interval(self):
-        tr = rk4_solve(ODEProblem(lambda s, y, yp: 0.0, 0.0, 0.0, 1.0, 1.0, 0.1))
+        tr = rk4_solve(ODEProblem("0.0", 0.0, 0.0, 1.0, 1.0, 0.1))
         with pytest.raises(NumVerifyError):
             tr(1.5)
+
+
+class TestSeparatedODEs:
+    """Each RK4 right-hand side is its reference ODE solved for the top
+    derivative.  The source is parsed as an expression (its integer
+    literals give the same IEEE operations as 1.0, 2.0), with x, y, yp
+    bound to the ODE's variable, solution and first derivative."""
+
+    @pytest.mark.parametrize("rhs, ode", [
+        (ZETA1_RHS, reference.separation_case_i(param("K"), param("c"), param("c1"))["ode_r"]),
+        (ZETA2_RHS, reference.separation_case_i(param("K"), param("c"), param("c1"))["ode_s"]),
+        (SIG1_RHS, reference.separation_case_ii(param("L"), param("c_sep"))["ode_q"]),
+    ], ids=["zeta1", "zeta2", "sig1"])
+    def test_rhs_is_the_reference_ode(self, rhs, ode):
+        from wavesym.expr import X, Y
+        from wavesym.parser import parse
+        from wavesym.reduction import _solved_for_top
+
+        top, value = _solved_for_top(ode)
+        sol = lambda k: fn(top.name, top.args, (k,))  # noqa: E731
+        parsed = substitute(parse(rhs), {X: top.args[0], Y: sol(0), param("yp"): sol(1)})
+        assert top == sol(2)
+        assert vanishes(sub(parsed, value))
 
 
 class TestFDResidual:
