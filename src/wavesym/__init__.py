@@ -10,7 +10,7 @@ from .expr import (  # noqa: F401
     rat, param, base, jet, fn,
     add, mul, pow_, exp_, ln_, neg, sub, div,
     normalize, expand, diff, substitute, collect_atoms,
-    eval_numeric, equal_numeric, format_expr,
+    eval_numeric, format_expr,
     RAT0, RAT1, X, Y, T, U,
 )
 from .parser import parse, ParseError  # noqa: F401

@@ -270,33 +270,12 @@ def stage_reduce(config: RunConfig) -> dict:
 
 
 def stage_verify(config: RunConfig, csv_dir: str | None) -> dict:
-    # numpy is loaded here, by the only stage that needs it
+    # numpy comes with numverify, which only verify and report-all load
     from .numverify import (
-        MAX_ODE_STEPS, default_grid, fd_residual, first_integral_drift,
-        flow_transport_check, ode_margins, reconstruct_case_i_v4,
-        verify_reduction_numeric,
+        fd_residual, first_integral_drift, flow_transport_check,
+        reconstruct_case_i_v4, verify_reduction_numeric,
     )
 
-    for case in ("i", "ii"):  # K, c, L, e1 = 0 leave a family undefined
-        _family(RunConfig(**{**config.__dict__, "case": case}))
-    p4 = _numeric_params(config, ("i", "v4"))
-    if p4["m"] == 0 and p4["p"] == 0:
-        raise ConfigError("--param m, p: m and p cannot both vanish")
-    pad = 8 * max(default_grid(case, "v1").h for case in ("i", "ii"))
-    if config.box and config.box[0][0] <= pad:  # v1 solutions live in y/x
-        raise ConfigError(f"bad --box: x0 must exceed 8*h = {pad!r}, got {config.box[0][0]!r}")
-    for case in ("i", "ii"):
-        spans = [hi - lo for lo, hi in ode_margins(_grid(config, (case, "v1")))]
-        if not config.ode_step < min(spans):
-            raise ConfigError(
-                f"bad --ode-step: {config.ode_step!r} is not shorter than the "
-                f"({case}, v1) reconstruction's interval of length {min(spans):.3g}")
-        span = max(spans)
-        if not span / config.ode_step <= MAX_ODE_STEPS:
-            raise ConfigError(
-                f"bad --box or --ode-step: the ({case}, v1) reconstruction needs "
-                f"{span / config.ode_step:.3g} RK4 steps, more than {MAX_ODE_STEPS}; "
-                "raise x0 in --box or raise --ode-step")
     out: dict = {"reductions": {}, "csv_files": []}
     ok = True
     reports = {}
@@ -574,11 +553,39 @@ def _config_from_args(args) -> RunConfig:
         raise ConfigError(f"bad --tol: {config.tol} must be finite and positive")
     if not (math.isfinite(config.eps) and config.eps != 0):
         raise ConfigError(f"bad --eps: {config.eps} must be finite and nonzero")
-    e1, e2 = params.get("e1", 1), params.get("e2", 0)
-    if config.command in ("verify", "report-all") and (e1, e2) != (1, 0):
+    if config.command in ("verify", "report-all"):
+        _check_verify_config(config)
+    return config
+
+
+def _check_verify_config(config: RunConfig) -> None:
+    """Refuse what ``stage_verify`` cannot run, before any stage does."""
+    from .numverify import MAX_ODE_STEPS, default_grid, ode_margins
+
+    e1, e2 = config.params.get("e1", 1), config.params.get("e2", 0)
+    if (e1, e2) != (1, 0):
         raise ConfigError(f"--param e1, e2: the case ii reconstructions of {config.command} "
                           f"need e1 = 1, e2 = 0, got e1 = {e1}, e2 = {e2}")
-    return config
+    for case in ("i", "ii"):  # K, c, L, e1 = 0 leave a family undefined
+        _family(RunConfig(**{**config.__dict__, "case": case}))
+    p4 = _numeric_params(config, ("i", "v4"))
+    if p4["m"] == 0 and p4["p"] == 0:
+        raise ConfigError("--param m, p: m and p cannot both vanish")
+    pad = 8 * max(default_grid(case, "v1").h for case in ("i", "ii"))
+    if config.box and config.box[0][0] <= pad:  # v1 solutions live in y/x
+        raise ConfigError(f"bad --box: x0 must exceed 8*h = {pad!r}, got {config.box[0][0]!r}")
+    for case in ("i", "ii"):
+        spans = [hi - lo for lo, hi in ode_margins(_grid(config, (case, "v1")))]
+        if not config.ode_step < min(spans):
+            raise ConfigError(
+                f"bad --ode-step: {config.ode_step!r} is not shorter than the "
+                f"({case}, v1) reconstruction's interval of length {min(spans):.3g}")
+        span = max(spans)
+        if not span / config.ode_step <= MAX_ODE_STEPS:
+            raise ConfigError(
+                f"bad --box or --ode-step: the ({case}, v1) reconstruction needs "
+                f"{span / config.ode_step:.3g} RK4 steps, more than {MAX_ODE_STEPS}; "
+                "raise x0 in --box or raise --ode-step")
 
 
 def _check_failures() -> tuple:

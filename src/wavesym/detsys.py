@@ -16,7 +16,7 @@ polynomial ansatz the system is solved exactly over the parameter field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import perm, prod
+from math import ceil, perm, prod
 
 from .expr import (
     Expr, ExprError, NonPolynomialError, Pow, Product, Rat, Sum,
@@ -195,15 +195,16 @@ class UTag:
 def split_u_dependence(e: Expr) -> dict:
     """Split an expression (free of jets of order >= 1) by its u-dependence.
 
-    Negative integer powers of u-dependent bases are first cleared by
-    multiplying through by a product of those bases (legitimate for
-    homogeneous equations: the bases are nonzero wherever the family is
-    defined).  Every u-dependent factor other than a positive power of u
-    (e.g. exp(u/c)) is a marker, collected like u itself.  Returns
+    Negative powers of u-dependent bases are first cleared, a fractional
+    one to the next integer, by multiplying through by a product of those
+    bases (legitimate for homogeneous equations: the bases are nonzero
+    wherever the family is defined); ``clear_denominators`` then writes
+    the fractional powers of each sum as one factor.  Every u-dependent
+    factor other than a positive power of u (e.g. exp(u/c), or
+    (2*u + 1)^(1/2)) is a marker, collected like u itself.  Returns
     {UTag: coefficient} with coefficients free of u."""
     try:
-        (e,) = clear_denominators([e], lambda b, q: (
-            int(q) if q.denominator == 1 and U in atoms_of(b) else 0))
+        (e,) = clear_denominators([e], lambda b, q: ceil(q) if U in atoms_of(b) else 0)
     except ExprError:
         raise DetSysError("could not clear u-dependent denominators") from None
     markers = {

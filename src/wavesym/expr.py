@@ -44,7 +44,7 @@ __all__ = [
     "add", "mul", "pow_", "exp_", "ln_", "neg", "sub", "div",
     "normalize", "expand", "diff", "substitute", "collect_atoms",
     "clear_denominators", "clear_sum_denominators", "vanishes",
-    "eval_numeric", "eval_mod", "equal_numeric", "random_point", "default_fn_sampler",
+    "eval_numeric", "eval_mod",
     "format_expr", "atoms_of", "jets_of", "fn_nodes_of", "max_jet_order",
     "rational_content",
     "RAT0", "RAT1", "X", "Y", "T", "U",
@@ -428,9 +428,28 @@ def pow_(b, q) -> Expr:
         return pow_(b.expbase, b.exp * q)
     if t is Exp:
         return exp_(mul(rat(q), b.arg))
-    if t is Product and q.denominator == 1:
-        return mul(*[pow_(f, q) for f in b.factors])
+    if t is Product:
+        if q.denominator == 1:
+            return mul(*[pow_(f, q) for f in b.factors])
+        return _product_pow(b, q)
     return Pow(b, q)
+
+
+def _product_pow(b: Product, q: Fraction) -> Expr:
+    """b^q for a product b and fractional q, in canonical form: the integer
+    part n of q and every factor that is itself a power (c^p or exp(a)) come
+    out, and the rest keeps its rational factor and the exponent
+    r = q - n in (0, 1): (2*u)^(-1/2) is 1/2*u^-1*(2*u)^(1/2), and
+    (2*w*x^(3/2))^(1/3) is x^(1/2)*(2*w)^(1/3).  The rational factor is not
+    split off as a power of its own, which elimination mod p could not
+    evaluate.  Like (c^p)^q = c^(p*q), this assumes the factors positive."""
+    n = q.numerator // q.denominator
+    r = q - n
+    powers = [f for f in b.factors if type(f) is Pow or type(f) is Exp]
+    if not powers:
+        return Pow(b, r) if n == 0 else mul(pow_(b, n), Pow(b, r))
+    rest = [f for f in b.factors if type(f) is not Pow and type(f) is not Exp]
+    return mul(pow_(b, n), *[pow_(f, r) for f in powers], pow_(mul(*rest), r))
 
 
 def mul(*es) -> Expr:
@@ -831,7 +850,12 @@ def clear_denominators(exprs, power) -> list:
     ``power(base, q)`` gives, for a factor base^(-q) with q > 0, the power of
     base needed to clear it, 0 to leave it.  Each base is raised to the
     largest power any term of any of the expressions needs, so all of them
-    are scaled by the same factor, nonzero wherever they are defined."""
+    are scaled by the same factor, nonzero wherever they are defined.
+
+    Then every fractional power q > 1 of a Sum base b is written as the
+    expanded b^floor(q) times b^(q - floor(q)), so the fractional powers of
+    one sum are all one factor: u*(2*u + 1)^(1/2) and (2*u + 1)^(3/2) become
+    multiples of the same (2*u + 1)^(1/2)."""
     exprs = [expand(_as_expr(e)) for e in exprs]
     for _ in range(6):
         need: dict = {}
@@ -844,7 +868,7 @@ def clear_denominators(exprs, power) -> list:
                         if k > need.get(f.expbase, 0):
                             need[f.expbase] = k
         if not need:
-            return exprs
+            return [add(*map(_split_sum_power, terms)) for terms in term_lists]
         # merge the clearing powers into each term separately so that
         # base^(-k) * base^k cancels before any distribution happens
         mult = [
@@ -853,6 +877,21 @@ def clear_denominators(exprs, power) -> list:
         ]
         exprs = [add(*[expand(mul(t, *mult)) for t in terms]) for terms in term_lists]
     raise ExprError("could not clear denominators")
+
+
+def _split_sum_power(term: Expr) -> Expr:
+    """``term`` with a factor b^q, b a Sum and q > 1 fractional, written as
+    the expanded b^floor(q) times b^(q - floor(q)) (see clear_denominators)."""
+    factors = term.factors if type(term) is Product else (term,)
+    for i, f in enumerate(factors):
+        if type(f) is Pow and type(f.expbase) is Sum and f.exp > 1 and f.exp.denominator != 1:
+            n = f.exp.numerator // f.exp.denominator
+            rest = (*factors[:i], Pow(f.expbase, f.exp - n), *factors[i + 1:])
+            whole = expand(pow_(f.expbase, n))
+            # b^n's terms are not b, so they do not merge back into the power
+            return add(*[_split_sum_power(mul(*rest, t))
+                         for t in (whole.terms if type(whole) is Sum else (whole,))])
+    return term
 
 
 def clear_sum_denominators(e: Expr) -> Expr:
@@ -864,7 +903,8 @@ def clear_sum_denominators(e: Expr) -> Expr:
 
 
 def vanishes(e: Expr) -> bool:
-    """Zero test modulo expansion and denominator clearing."""
+    """Zero test modulo expansion and denominator clearing, which also
+    writes the fractional powers of each sum as one factor."""
     return clear_sum_denominators(e) == RAT0
 
 
@@ -916,41 +956,12 @@ def collect_atoms(e: Expr, variables) -> dict:
 # numeric evaluation
 
 
-def default_fn_sampler(seed: int = 0) -> Callable:
-    """Deterministic smooth stand-in for opaque functions: every (name,
-    derivative-index) pair gets its own quadratic polynomial in the
-    arguments, so distinct heads/derivatives are independent."""
-    import random
-
-    cache: dict = {}
-
-    def call(name, didx, args):
-        key = (name, didx, len(args))
-        poly = cache.get(key)
-        if poly is None:
-            rng = random.Random(f"{seed}:{name}:{didx}:{len(args)}")
-            const = rng.uniform(-2, 2)
-            lin = [rng.uniform(-2, 2) for _ in args]
-            quad = [rng.uniform(-1, 1) for _ in args]
-            poly = cache[key] = (const, lin, quad)
-        const, lin, quad = poly
-        v = const
-        for a, c1, c2 in zip(args, lin, quad):
-            v += c1 * a + c2 * a * a
-        return v
-
-    return call
-
-
 def eval_numeric(e: Expr, point: Mapping[Expr, float], fns: Callable | None = None) -> float:
     """Evaluate at a point binding every atom to a float.
 
     ``fns(name, didx, arg_values)`` supplies values for opaque functions;
-    when omitted, the deterministic default sampler is used."""
+    without it an opaque function node raises UnboundAtomError."""
     import math
-
-    if fns is None:
-        fns = default_fn_sampler()
 
     def ev(n: Expr) -> float:
         t = type(n)
@@ -962,6 +973,8 @@ def eval_numeric(e: Expr, point: Mapping[Expr, float], fns: Callable | None = No
             except KeyError:
                 raise UnboundAtomError(f"unbound atom {n}") from None
         if t is Fn:
+            if fns is None:
+                raise UnboundAtomError(f"unbound function {n}")
             return float(fns(n.name, n.didx, tuple(ev(a) for a in n.args)))
         if t is Sum:
             return sum(ev(x) for x in n.terms)
@@ -1036,47 +1049,6 @@ def eval_mod(e: Expr, point: Mapping[Expr, int], fvals: Mapping[tuple, int], p: 
         raise NonPolynomialError(f"{format_expr(n)} has no value mod {p}")
 
     return ev(_as_expr(e))
-
-
-def random_point(atoms, rng, box=(0.3, 2.3)) -> dict:
-    lo, hi = box
-    return {a: rng.uniform(lo, hi) for a in sorted(atoms, key=Expr.sort_key)}
-
-
-def equal_numeric(
-    a: Expr,
-    b: Expr,
-    n_points: int = 20,
-    tol: float = 1e-9,
-    box=(0.3, 2.3),
-    seed: int = 0,
-    fns: Callable | None = None,
-) -> bool:
-    """Sample both expressions at random points and compare
-    |a - b| <= tol * (1 + |a|) everywhere.  Points raising domain errors are
-    resampled (up to a fixed retry budget)."""
-    import random
-
-    rng = random.Random(seed)
-    atoms = atoms_of(a) | atoms_of(b)
-    if fns is None:
-        fns = default_fn_sampler(seed)
-    done = 0
-    attempts = 0
-    while done < n_points:
-        attempts += 1
-        if attempts > 50 * n_points:
-            raise EvalDomainError("could not find enough in-domain sample points")
-        pt = random_point(atoms, rng, box)
-        try:
-            va = eval_numeric(a, pt, fns)
-            vb = eval_numeric(b, pt, fns)
-        except EvalDomainError:
-            continue
-        if abs(va - vb) > tol * (1.0 + abs(va)):
-            return False
-        done += 1
-    return True
 
 
 # ---------------------------------------------------------------------------

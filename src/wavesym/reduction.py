@@ -16,20 +16,20 @@ consistency checks pass).
 Derivation route: the model residual's jets are replaced by derivatives of
 the ansatz, the family is substituted for f, and the result is restricted
 to the section x = 1 (or t = 1), where the scaling factors collapse to 1
-and the invariant coordinates appear in the clear.  A sampling check then
-confirms the full residual is the sectioned equation times a factor that
-does not involve the reduced unknown's jets, i.e. nothing was lost."""
+and the invariant coordinates appear in the clear.  An exact identity
+(``proportional_mod_heads``) then confirms the full residual is the
+sectioned equation, taken back to the original coordinates, times a factor
+free of the reduced unknown, i.e. nothing was lost.  The comparisons with
+the reference forms are the same identity, so every verdict is exact."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from .expr import (
-    Expr, RAT0, RAT1, add, atoms_of, base, collect_atoms, default_fn_sampler,
-    diff, div, eval_numeric, exp_, expand, fn, fn_nodes_of, jet, ln_, mul,
-    neg, param, pow_, random_point, sub, substitute, vanishes,
-    EvalDomainError, Param,
+    Expr, RAT0, RAT1, add, base, collect_atoms, diff, div, exp_, expand, fn,
+    fn_nodes_of, jet, ln_, mul, neg, param, pow_, sub, substitute, vanishes,
+    Param,
 )
 from .detsys import ExponentialCase, FFamily, PowerCase, model_residual
 from .liealg import FlowUnsupportedError, VectorField, affine_parts
@@ -186,54 +186,22 @@ def invariance_check(spec: ReductionSpec) -> dict:
     return out
 
 
-# proportional_mod_heads: sampled base points, head re-randomizations per
-# point, relative tolerance on the ratio, seed, and the sampling box
-N_BASE, N_JET, RATIO_TOL, SEED, BOX = 30, 4, 1e-9, 11, (0.6, 1.9)
-
-
 def proportional_mod_heads(a: Expr, b: Expr, heads) -> bool:
-    """Are a and b proportional as equations in the opaque heads?
+    """Are a and b proportional as equations in the opaque heads, i.e. is
+    a = lam*b with lam free of every node of ``heads``?
 
-    At each of N_BASE sampled base points the values of every head-derivative
-    node are re-randomized N_JET times; the ratio a/b must stay constant
-    across the jet samples (it may vary from base point to base point: that
-    is the cleared overall factor)."""
-    rng = random.Random(SEED)
-    heads = set(heads)
-    atoms = sorted(atoms_of(a) | atoms_of(b), key=Expr.sort_key)
-    other = default_fn_sampler(SEED)
-    done = 0
-    attempts = 0
-    while done < N_BASE:
-        attempts += 1
-        if attempts > 40 * N_BASE:
-            raise ReductionError("sampling could not find enough usable points")
-        pt = random_point(atoms, rng, BOX)
-        ratios = []
-        try:
-            for _ in range(N_JET):
-                table = {}
-
-                def fns(name, didx, args, _table=table):
-                    if name in heads:
-                        key = (name, didx)
-                        if key not in _table:
-                            _table[key] = rng.uniform(0.4, 1.6) * rng.choice((-1, 1))
-                        return _table[key]
-                    return other(name, didx, args)
-
-                va = eval_numeric(a, pt, fns)
-                vb = eval_numeric(b, pt, fns)
-                if abs(vb) < 1e-12:
-                    raise EvalDomainError("degenerate sample")
-                ratios.append(va / vb)
-        except EvalDomainError:
-            continue
-        r0 = ratios[0]
-        if any(abs(r - r0) > RATIO_TOL * (1.0 + abs(r0)) for r in ratios[1:]):
-            return False
-        done += 1
-    return True
+    Every node of the heads (derivatives too) is renamed, omega to omega',
+    giving a' and b'; then a*b' - a'*b vanishes exactly when a/b takes the
+    same value for two independent choices of the heads."""
+    if vanishes(b):
+        raise ReductionError("proportionality to an expression that vanishes")
+    renames = {}
+    for name, arity in {(n.name, len(n.args)) for n in fn_nodes_of(a) | fn_nodes_of(b)}:
+        if name in heads:
+            formals = [base(f"_{i}") for i in range(arity)]
+            renames[fn(name, formals)] = fn(name + "'", formals)
+    a2, b2 = substitute(a, renames), substitute(b, renames)
+    return vanishes(sub(mul(a, b2), mul(a2, b)))
 
 
 def _strip(e: Expr) -> Expr:

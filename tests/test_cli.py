@@ -95,6 +95,25 @@ class TestExitCodes:
         assert err.count("\n") == 1 and err.startswith("config error: --param e1, e2:")
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("command", ["verify", "report-all"])
+    @pytest.mark.parametrize("flags, what", [
+        (["--param", "m=0", "--param", "p=0"], "m, p"),
+        (["--ode-step", "1"], "--ode-step"),
+        (["--box=0.005,1,1,2,1,2"], "--box"),
+        (["--param", "K=0"], "K must be nonzero"),
+    ], ids=["m=p=0", "ode-step", "box", "K=0"])
+    def test_verify_only_input_refused_before_any_stage(
+            self, monkeypatch, capsys, command, flags, what):
+        from wavesym import cli
+
+        stages = []
+        for name in ("stage_derive", "stage_classify", "stage_reduce", "stage_verify"):
+            monkeypatch.setattr(cli, name, lambda *a, _name=name: stages.append(_name))
+        assert main([command, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert what in err and stages == []
+
     def test_zero_ode_step_is_2(self, capsys):
         assert main(["verify", "--ode-step", "0"]) == 2
         err = capsys.readouterr().err

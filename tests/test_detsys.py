@@ -17,7 +17,7 @@ from wavesym.expr import (
     substitute, vanishes,
 )
 from wavesym.jet import total_derivative
-from wavesym.liealg import VectorField, decompose_field
+from wavesym.liealg import VectorField, decompose_field, decompose_fields
 from wavesym import reference
 
 c, e1, e2 = param("c"), param("e1"), param("e2")
@@ -535,10 +535,31 @@ class TestRowSelection:
         assert [str(b) for b in got.basis] == TestAnsatzSolve.FROZEN_BASIS_3["exponential"]
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 1: at e1 = 2 a fractional power splits one "
-                   "determining equation in two and a generator is lost")
 def test_power_family_dimension_at_concrete_exponent():
     # t*d/dt - 2*(e1*u + e2)*d/du is a symmetry for every e1 != 0
     space = ansatz_solve(PowerCase(param("L"), rat(2), rat(0)), AnsatzSpec(2))
     assert space.dimension == 6
+
+
+class TestConcreteExponents:
+    """A concrete e1 whose reciprocal is not an integer leaves a fractional
+    power of e1*u + e2 in f; its derivatives must be split over u as the
+    symbolic family is, with no spurious equation."""
+
+    EXPONENTS = [(rat(2), RAT0), (rat(-2), RAT0), (rat(3), RAT0), (rat(-4, 3), RAT0),
+                 (rat(-3, 4), RAT0), (rat(2), RAT1)]
+    CASES = [(e1_, e2_, d) for e1_, e2_ in EXPONENTS for d in (2, 3)]
+
+    @pytest.mark.parametrize("e1_, e2_, degree", CASES,
+                             ids=[f"e1={a}, e2={b}-d{d}" for a, b, d in CASES])
+    def test_dimension_six_with_the_t_scaling(self, e1_, e2_, degree):
+        space = ansatz_solve(PowerCase(param("L"), e1_, e2_), AnsatzSpec(degree))
+        assert space.dimension == 6 and space.certificate
+        t_scaling = VectorField(RAT0, RAT0, T, mul(-2, add(mul(e1_, U), e2_)))
+        assert decompose_fields(space.basis, [t_scaling])[0] is not None
+
+    @pytest.mark.parametrize("e2_", [RAT0, RAT1])
+    def test_opaque_extraction_has_the_symbolic_count(self, e2_):
+        ds = extract_determining(opaque_affine_vectorfield(),
+                                 PowerCase(param("L"), rat(2), e2_))
+        assert len(ds) == 19

@@ -23,6 +23,9 @@ CASES = {
     # the exceptional exponent of ROADMAP item 2: dimension 7
     "classify_ii_d3_e1_m1o4": (
         ["classify", "--case", "ii", "--degree", "3", "--param", "e1=-1/4"], 1),
+    # a concrete exponent with a fractional power: dimension 6
+    "classify_ii_d2_e1_2_e2_1": (
+        ["classify", "--case", "ii", "--degree", "2", "--param", "e1=2", "--param", "e2=1"], 1),
     "classify_i_d3_c3o2_Km1": (
         ["classify", "--case", "i", "--degree", "3", "--param", "c=3/2", "--param", "K=-1"], 1),
     "reduce_i_v1": (["reduce", "--case", "i", "--generator", "v1"], 0),
