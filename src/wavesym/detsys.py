@@ -27,7 +27,8 @@ from .expr import (
 from .jet import prolong_coeff_second, total_derivative
 from .liealg import VectorField
 from .linalg import (
-    annihilates, echelon_mod_p, independent_rows_mod_p, nullspace, reduce_mod_p,
+    LaurentRing, add_product, annihilates, echelon_mod_p, independent_rows_mod_p,
+    nullspace, reduce_mod_p,
 )
 from . import reference
 
@@ -432,9 +433,8 @@ class RowSelection:
 @dataclass
 class SolutionSpace:
     """Exact basis of the determining system's solution space under an
-    ansatz, with a residual certificate (every basis field makes the full
-    on-shell invariance residual normalize to zero, read from the opaque
-    generator's residual, which is linear in the components) and the record
+    ansatz, with a residual certificate (the full on-shell invariance
+    residual of every basis field is zero, see ``_certify``) and the record
     of the rows that were eliminated."""
 
     family: FFamily
@@ -455,21 +455,12 @@ def _rows_mod_p(rows: list, seed: int) -> list:
     one residue per parameter."""
     import random
 
-    params = sorted({a for r in rows for e in r.values() for a in atoms_of(e)},
-                    key=Expr.sort_key)
+    entries = {e for r in rows for e in r.values()}
     rng = random.Random(seed)
-    point = {a: rng.randrange(1, PRIME) for a in params}
-    values: dict = {}
-    out = []
-    for r in rows:
-        row = {}
-        for c, e in r.items():
-            v = values.get(e)
-            if v is None:
-                v = values[e] = eval_mod(e, point, {}, PRIME)
-            row[c] = v
-        out.append(row)
-    return out
+    point = {a: rng.randrange(1, PRIME)
+             for a in sorted({a for e in entries for a in atoms_of(e)}, key=Expr.sort_key)}
+    values = {e: eval_mod(e, point, {}, PRIME) for e in entries}
+    return [{c: values[e] for c, e in r.items()} for r in rows]
 
 
 def _select_and_solve(rows: list, ncols: int):
@@ -480,15 +471,16 @@ def _select_and_solve(rows: list, ncols: int):
     kernel of the kept rows contains the true kernel either way.  Every
     dropped row is then checked to vanish on the kept rows' basis, exactly;
     that proves the two kernels equal.  If one does not, all rows are
-    eliminated."""
+    eliminated.  Returns (ring, basis as int polynomials in it, selection)."""
+    ring = LaurentRing()
     kept = independent_rows_mod_p(_rows_mod_p(rows, SELECTION_SEED), PRIME)
-    basis = nullspace([rows[i] for i in kept], ncols)
+    basis = nullspace([rows[i] for i in kept], ncols, ring)
     kept_set = set(kept)
-    fallback = not annihilates(
-        [r for i, r in enumerate(rows) if i not in kept_set], basis)
+    fallback = not annihilates([{c: ring.poly(e) for c, e in r.items()}
+                                for i, r in enumerate(rows) if i not in kept_set], basis)
     if fallback:
-        basis = nullspace(rows, ncols)
-    return basis, RowSelection(PRIME, SELECTION_SEED, len(rows), len(kept), fallback)
+        basis = nullspace(rows, ncols, ring)
+    return ring, basis, RowSelection(PRIME, SELECTION_SEED, len(rows), len(kept), fallback)
 
 
 def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
@@ -506,8 +498,8 @@ def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
     by exact elimination over the parameter field, of the rows that
     ``_select_and_solve`` keeps; family parameters are treated as generic
     nonzero values.  The certificate evaluates the opaque generator's
-    on-shell residual at each basis field's component polynomials
-    (``_affine_residual``), so no field is prolonged again."""
+    on-shell residual at each basis vector in the elimination's ring
+    (``_certify``), so no field is prolonged again."""
     if isinstance(fam, Generic):
         raise DetSysError("ansatz_solve needs a concrete family (exponential or power)")
     spec = spec or AnsatzSpec()
@@ -543,36 +535,38 @@ def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
                 (a.sort_key(), p) for a, p in zip((X, Y, T), n) if p)):
             rows.setdefault(frozenset(table[n].items()), table[n])
 
-    vectors, selection = _select_and_solve(list(rows.values()), len(columns))
-    basis, polys = [], []
-    for vec in vectors:
-        parts = {cname: [] for cname in comps}
-        for j, entry in vec.items():
-            cname, m = columns[j]
-            parts[cname].append(mul(entry, pow_(X, m[0]), pow_(Y, m[1]), pow_(T, m[2])))
-        poly = {cname: add(*terms) for cname, terms in parts.items()}
-        polys.append(poly)
-        basis.append(VectorField(
-            poly["xi"], poly["eta"], poly["tau"], add(mul(poly["alpha"], U), poly["beta"])))
+    ring, vectors, selection = _select_and_solve(list(rows.values()), len(columns))
+    vectors = [{columns[j]: p for j, p in vec.items()} for vec in vectors]
 
-    # every basis field's full on-shell invariance residual, read from the
-    # opaque generator's, which is linear in the components
-    form = _linear_decomposition(ds.residual, comps)
-    certificate = all(vanishes(_affine_residual(form, poly)) for poly in polys)
+    def comp(vec, name):
+        return add(*[mul(ring.expr(p), pow_(X, m[0]), pow_(Y, m[1]), pow_(T, m[2]))
+                     for (cname, m), p in vec.items() if cname == name])
+
+    basis = [VectorField(comp(v, "xi"), comp(v, "eta"), comp(v, "tau"),
+                         add(mul(comp(v, "alpha"), U), comp(v, "beta"))) for v in vectors]
+    certificate = _certify(_linear_decomposition(ds.residual, comps), ring, vectors)
     return SolutionSpace(fam, spec, basis, certificate, len(columns), len(rows), selection)
 
 
-def _affine_residual(form: dict, comps: dict) -> Expr:
-    """The on-shell invariance residual of the field with xi, eta, tau,
-    alpha, beta = ``comps`` (polynomials in x, y, t), phi = alpha*u + beta.
-    ``form`` is that of the opaque affine generator, {component derivative
-    node: coefficient}: each node d^k(comp) becomes the polynomial's
-    derivative."""
-    terms = []
-    for node, c in form.items():
-        d = comps[node.name]
-        for z, k in zip((X, Y, T), node.didx):
-            for _ in range(k):
-                d = diff(d, z)
-        terms.append(mul(c, d))
-    return add(*terms)
+def _certify(form: dict, ring: LaurentRing, vectors: list) -> bool:
+    """Whether the on-shell invariance residual of every field vanishes, each
+    field {(component, (x, y, t) exponents m): polynomial in ``ring``}.
+    ``form``, the opaque affine generator's residual {d^k(component):
+    coefficient}, is linear in the components: a field's residual is the
+    row that sends (component, m) to the sum of coefficient * (m)_k *
+    (x, y, t)^(m - k) over its nodes, as the rows are built, times the field.
+    The coefficients are first cleared of their Sum denominators by one
+    factor, nonzero wherever the family is defined."""
+    cleared = clear_denominators(
+        list(form.values()), lambda b, q: ceil(q) if type(b) is Sum else 0)
+    terms = [(node.name, node.didx, ring.poly(c)) for node, c in zip(form, cleared)]
+    xyt = [next(iter(ring.poly(z))) for z in (X, Y, T)]
+    row: dict = {}
+    for cname, m in {key for vec in vectors for key in vec}:
+        entry = row[cname, m] = {}
+        for name, k, coef in terms:
+            n = [a - b for a, b in zip(m, k)]
+            if name == cname and min(n) >= 0:
+                shift = sum(a * z for a, z in zip(n, xyt))
+                add_product(entry, {shift: prod(map(perm, m, k))}, coef)
+    return annihilates([row], vectors)

@@ -34,6 +34,7 @@ No floating point number ever enters a tree; all numeric content is
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import is_
 from typing import Callable, Iterable, Mapping
 
@@ -438,24 +439,52 @@ def pow_(b, q) -> Expr:
 def _product_pow(b: Product, q: Fraction) -> Expr:
     """b^q for a product b and fractional q, in canonical form: the integer
     part n of q and every factor that is itself a power (c^p or exp(a)) come
-    out, and the rest keeps its rational factor and the exponent
-    r = q - n in (0, 1): (2*u)^(-1/2) is 1/2*u^-1*(2*u)^(1/2), and
-    (2*w*x^(3/2))^(1/3) is x^(1/2)*(2*w)^(1/3).  The rational factor is not
-    split off as a power of its own, which elimination mod p could not
-    evaluate.  Like (c^p)^q = c^(p*q), this assumes the factors positive."""
+    out, and the rest keeps the exponent r = q - n in (0, 1): (2*u)^(-1/2)
+    is 1/2*u^-1*(2*u)^(1/2), and (2*w*x^(3/2))^(1/3) is
+    x^(1/2)*(2*w)^(1/3).  A rational factor stays under the root, which
+    elimination mod p could not evaluate as a power of its own, but ``mul``
+    takes a positive one's perfect powers out.  Like (c^p)^q = c^(p*q), this assumes
+    the factors positive."""
     n = q.numerator // q.denominator
     r = q - n
     powers = [f for f in b.factors if type(f) is Pow or type(f) is Exp]
     if not powers:
-        return Pow(b, r) if n == 0 else mul(pow_(b, n), Pow(b, r))
+        if n == 0 and not (type(b.factors[0]) is Rat and b.factors[0].value > 0):
+            return Pow(b, r)
+        return mul(pow_(b, n), Pow(b, r))
     rest = [f for f in b.factors if type(f) is not Pow and type(f) is not Exp]
     return mul(pow_(b, n), *[pow_(f, r) for f in powers], pow_(mul(*rest), r))
 
 
+def _prime_powers(v: Fraction) -> dict:
+    """{factor: exponent} of a positive rational: its primes below 2^12,
+    and the rest of numerator and denominator as one factor each."""
+    out: dict = {}
+    for n, sign in ((v.numerator, 1), (v.denominator, -1)):
+        f = 2
+        while f * f <= n and f < 4096:
+            while n % f == 0:
+                n //= f
+                out[f] = out.get(f, 0) + sign
+            f += 1
+        if n > 1:
+            out[n] = out.get(n, 0) + sign
+    return out
+
+
 def mul(*es) -> Expr:
+    """The normalized product.  A power (w*g)^q with rational w > 0 counts
+    toward g's power, and w's factors f (``_prime_powers``) toward
+    prod(f^x_f); the powers of one g then become K * g^(E - 1/L) *
+    (c*g)^(1/L), L the lcm of the denominators of the x_f, K rational and c
+    an integer whose factors have exponents below L.  The form depends on
+    the value alone, so such products are associative: (4*u)^(1/2) is
+    2*u^(1/2), (8*u)^(1/2) is 2*(2*u)^(1/2) and (2*u)^(2/3) is
+    u^(1/3)*(4*u)^(1/3)."""
     coeff = Fraction(1)
     bases: dict = {}
     exp_args: list = []
+    roots: dict = {}  # g -> {factor f of the w's: x_f}
     stack = [_as_expr(e) for e in es]
     while stack:
         e = stack.pop()
@@ -467,8 +496,14 @@ def mul(*es) -> Expr:
         elif t is Product:
             stack.extend(e.factors)
         elif t is Pow:
-            acc = bases.get(e.expbase)
-            bases[e.expbase] = e.exp if acc is None else acc + e.exp
+            b = e.expbase
+            if type(b) is Product and type(b.factors[0]) is Rat and b.factors[0].value > 0:
+                b = b.factors[1] if len(b.factors) == 2 else Product(b.factors[1:])
+                ex = roots.setdefault(b, {})
+                for f, k in _prime_powers(e.expbase.factors[0].value).items():
+                    ex[f] = ex.get(f, 0) + k * e.exp
+            acc = bases.get(b)
+            bases[b] = e.exp if acc is None else acc + e.exp
         elif t is Exp:
             exp_args.append(e.arg)
         else:
@@ -476,6 +511,16 @@ def mul(*es) -> Expr:
             bases[e] = Fraction(1) if acc is None else acc + 1
 
     factors: list = []
+    for g, ex in roots.items():
+        den = lcm(*[x.denominator for x in ex.values()])
+        c = 1
+        for f, x in ex.items():
+            k = int(x * den) % den
+            c *= f ** k
+            coeff *= Fraction(f) ** int(x - Fraction(k, den))
+        if c != 1:
+            factors.append(Pow(_scale(g, Fraction(c)), Fraction(1, den)))
+            bases[g] -= Fraction(1, den)
     redo: list = []
     for b, q in bases.items():
         f = pow_(b, q)

@@ -11,13 +11,12 @@ or symbolic power, a coordinate) raises ``ValueError``.
 
 The sweep is fraction-free (cross-multiplication row updates, no entry is
 ever divided), with deterministic pivoting that prefers constant entries,
-then parameter monomials, so that back-substitution only divides by simple
-quantities.  After every update a row is reduced by its content: the
-integer gcd of its coefficients and the common parameter monomial; the
-leading term of its first entry, in ``Expr`` term order, is made positive.
-The echelon rows are converted back to ``Expr`` for the back-substitution of
-``nullspace`` and ``solve_span``; they are the rows the same sweep gives
-over ``Expr`` entries.
+then parameter monomials.  After every update a row is reduced by its
+content: the integer gcd of its coefficients and the common parameter
+monomial; the leading term of its first entry, in ``Expr`` term order, is
+made positive.  ``nullspace`` and ``solve_span`` back-substitute in the
+ring too, scaling the solution by a pivot instead of dividing by it;
+entries go back to ``Expr`` only in the results.
 
 All operations treat the parameters appearing in entries as generic nonzero
 values; solutions therefore live in the field of rational functions of the
@@ -37,13 +36,13 @@ from math import gcd, lcm
 
 from .expr import (
     Expr, Param, Pow, Product, Rat, Sum,
-    RAT0, RAT1, _frac_gcd, add, clear_denominators, div, expand, format_expr,
-    mul, neg, pow_, rat, rational_content,
+    RAT0, RAT1, _frac_gcd, add, div, expand, format_expr, mul, neg, pow_, rat,
+    rational_content,
 )
 
 __all__ = [
-    "LaurentRing", "strip_row_content", "row_reduce", "nullspace",
-    "solve_span", "rank", "annihilates",
+    "LaurentRing", "add_product", "strip_row_content", "row_reduce",
+    "nullspace", "solve_span", "rank", "annihilates",
     "echelon_mod_p", "reduce_mod_p", "independent_rows_mod_p",
 ]
 
@@ -61,19 +60,23 @@ _HALF = 1 << (_SHIFT - 1)
 
 class LaurentRing:
     """Sparse Laurent polynomials ``{monomial: coefficient}`` in the
-    parameters met so far, with int (or Fraction) coefficients.
+    variables met so far, with int (or Fraction) coefficients.
 
-    A parameter gets the next monomial digit when it is first met, so one
-    ring converts any number of entries.  Polynomials are never changed in
-    place once built; conversions both ways are memoized."""
+    A variable is a parameter or any other non-rational factor taken whole
+    (a coordinate, a jet, an ``exp``, a sum), b^(p/q) being (b^(1/q))^p.
+    Zero in independent variables means zero at any values of them, so
+    ``poly`` serves zero tests; rank needs independent variables, so
+    elimination takes ``param_poly``, parameters only.  A variable gets the
+    next monomial digit when it is first met; polynomials are never changed
+    in place, and conversions both ways are memoized."""
 
     def __init__(self):
-        self.params: list = []
+        self.variables: list = []
         self._digit: dict = {}
         self._polys: dict = {}  # Expr -> poly
+        self._outside: set = set()  # Exprs with a variable other than a parameter
         self._exprs: dict = {}  # frozenset(poly items) -> Expr
         self._exps: dict = {}  # monomial -> exponent list
-        self._keys: dict = {}  # monomial -> sorted Expr sort keys of its factors
 
     def poly(self, e: Expr) -> dict:
         p = self._polys.get(e)
@@ -81,39 +84,45 @@ class LaurentRing:
             p = self._polys[e] = self._to_poly(e)
         return p
 
+    def param_poly(self, e: Expr) -> dict:
+        """``poly(e)``, or ValueError if a variable is not a parameter."""
+        p = self.poly(e)
+        if e in self._outside:
+            raise ValueError(f"entry outside the Laurent-polynomial ring: {format_expr(e)}")
+        return p
+
     def _to_poly(self, e: Expr) -> dict:
-        e = expand(e)
         out = {}
-        if e == RAT0:
+        x = expand(e)
+        if x == RAT0:
             return out
-        for term in e.terms if type(e) is Sum else (e,):
+        for term in x.terms if type(x) is Sum else (x,):
             k, m = Fraction(1), 0
             for f in term.factors if type(term) is Product else (term,):
                 t = type(f)
                 if t is Rat:
                     k = f.value
                     continue
-                if t is Param:
-                    p, q = f, 1
-                elif t is Pow and type(f.expbase) is Param and f.exp.denominator == 1:
-                    p, q = f.expbase, int(f.exp)
-                else:
-                    raise ValueError(
-                        f"entry outside the Laurent-polynomial ring: {format_expr(e)}")
-                d = self._digit.get(p)
+                v, q = f, 1
+                if t is Pow:
+                    q, den = f.exp.numerator, f.exp.denominator
+                    v = f.expbase if den == 1 else Pow(f.expbase, Fraction(1, den))
+                d = self._digit.get(v)
                 if d is None:
-                    d = self._digit[p] = len(self.params)
-                    self.params.append(p)
+                    d = self._digit[v] = len(self.variables)
+                    self.variables.append(v)
+                if type(v) is not Param:
+                    self._outside.add(e)
                 m += q << (_SHIFT * d)
             out[m] = k.numerator if k.denominator == 1 else k
         return out
 
     def exponents(self, m: int) -> list:
-        """Exponent of each parameter (in ``params`` order) of a monomial."""
+        """Exponent of each variable (in ``variables`` order) of a monomial."""
         out = self._exps.get(m)
-        if out is None or len(out) < len(self.params):
+        if out is None or len(out) < len(self.variables):
             out, r = [], m
-            for _ in self.params:
+            for _ in self.variables:
                 d = ((r + _HALF) & _MASK) - _HALF
                 out.append(d)
                 r = (r - d) >> _SHIFT
@@ -125,37 +134,17 @@ class LaurentRing:
         e = self._exprs.get(key)
         if e is None:
             e = self._exprs[key] = add(*[
-                mul(rat(k), *[pow_(par, q) for par, q in zip(self.params, self.exponents(m)) if q])
+                mul(rat(k), *[pow_(v, q) for v, q in zip(self.variables, self.exponents(m)) if q])
                 for m, k in p.items()
             ])
         return e
-
-    def _factor_keys(self, m: int) -> tuple:
-        """Sorted ``Expr`` sort keys of the factors par^q of a monomial: a
-        ``Param``'s for q = 1, a ``Pow``'s otherwise."""
-        out = self._keys.get(m)
-        if out is None:
-            out = self._keys[m] = tuple(sorted(
-                par.sort_key() if q == 1 else (5, par.sort_key(), Fraction(q))
-                for par, q in zip(self.params, self.exponents(m)) if q))
-        return out
-
-    def _term_key(self, item) -> tuple:
-        """``Expr`` sort key of the term k*m, as ``mul`` builds it."""
-        m, k = item
-        fk = self._factor_keys(m)
-        if not fk:
-            return (0, Fraction(k))
-        if k == 1:
-            return fk[0] if len(fk) == 1 else (8, fk)
-        return (8, ((0, Fraction(k)),) + fk)
 
     def leads_negative(self, p: dict) -> bool:
         """Whether the first term of ``expr(p)`` has a negative coefficient."""
         if len(p) == 1:
             (k,) = p.values()
             return k < 0
-        return min(p.items(), key=self._term_key)[1] < 0
+        return rational_content(self.expr(p)) < 0
 
     def strip(self, row: dict) -> dict:
         """A row of int polynomials divided by the gcd of its coefficients
@@ -178,12 +167,17 @@ class LaurentRing:
             row = {c: {m - shift: k // g for m, k in p.items()} for c, p in row.items()}
         return row
 
-    def integral(self, row: dict) -> dict:
-        """A row of polynomials scaled to int coefficients and stripped."""
-        den = lcm(*[k.denominator for p in row.values() for k in p.values()])
-        if den != 1:
-            row = {c: {m: int(k * den) for m, k in p.items()} for c, p in row.items()}
-        return self.strip(row)
+
+def add_product(acc: dict, p: dict, q: dict) -> dict:
+    """``acc`` plus the product of two polynomials, in place."""
+    for m, k in p.items():
+        for n, v in q.items():
+            w = acc.get(m + n, 0) + k * v
+            if w:
+                acc[m + n] = w
+            else:
+                del acc[m + n]
+    return acc
 
 
 def _pmul(p: dict, q: dict) -> dict:
@@ -191,22 +185,12 @@ def _pmul(p: dict, q: dict) -> dict:
     if len(p) == 1:
         ((m, k),) = p.items()
         return {m + n: k * v for n, v in q.items()}
-    out: dict = {}
-    for m, k in p.items():
-        for n, v in q.items():
-            w = out.get(m + n, 0) + k * v
-            if w:
-                out[m + n] = w
-            else:
-                del out[m + n]
-    return out
+    return add_product({}, p, q)
 
 
 def _quality(p: dict) -> int:
     """Pivot preference: 0 for a constant, 1 for a monomial, 2 otherwise."""
-    if len(p) == 1:
-        return 0 if 0 in p else 1
-    return 2
+    return 2 if len(p) > 1 else int(0 not in p)
 
 
 def _update(piv: dict, row: dict, a: dict, prow: dict, col: int) -> dict:
@@ -214,20 +198,7 @@ def _update(piv: dict, row: dict, a: dict, prow: dict, col: int) -> dict:
     new = {c: _pmul(piv, e) for c, e in row.items() if c != col}
     neg_a = {m: -k for m, k in a.items()}
     for c, e in prow.items():
-        if c == col:
-            continue
-        t = _pmul(neg_a, e)
-        acc = new.get(c)
-        if acc is None:
-            new[c] = t
-            continue
-        for m, k in t.items():
-            w = acc.get(m, 0) + k
-            if w:
-                acc[m] = w
-            else:
-                del acc[m]
-        if not acc:
+        if c != col and not add_product(new.setdefault(c, {}), neg_a, e):
             del new[c]
     return new
 
@@ -244,9 +215,10 @@ def _sweep(ring: LaurentRing, rows: list, ncols: int):
     buckets = defaultdict(list)
     top = ncols
     for i, r in enumerate(rows):
-        r = {c: p for c, p in ((c, ring.poly(e)) for c, e in r.items()) if p}
+        r = {c: p for c, p in ((c, ring.param_poly(e)) for c, e in r.items()) if p}
         if r:
-            work[i] = ring.integral(r)
+            d = lcm(*[k.denominator for p in r.values() for k in p.values()])
+            work[i] = ring.strip({c: {m: int(d * k) for m, k in p.items()} for c, p in r.items()})
             buckets[min(r)].append(i)
             top = max(top, max(r) + 1)
     echelon: list = []
@@ -309,8 +281,7 @@ def param_content(e: Expr) -> dict:
 def strip_row_content(row: dict) -> dict:
     """Divide a sparse row of ``Expr`` entries by its common rational content
     and parameter monomial, and give its first entry a positive leading
-    term.  Entries may lie outside the ring (this also cleans basis vectors
-    and single expressions)."""
+    term.  Entries may lie outside the ring."""
     if not row:
         return row
     g = Fraction(0)
@@ -333,36 +304,61 @@ def strip_row_content(row: dict) -> dict:
 # elimination, nullspaces, spans
 
 
-def row_reduce(rows: list, ncols: int):
+def row_reduce(rows: list, ncols: int, ring: LaurentRing | None = None):
     """Bring sparse rows over columns 0..ncols-1 (nonzero entries only) to
     (unnormalized) row-echelon form.
 
     Returns (echelon_rows, pivot_cols): echelon_rows[i] has its first entry
     in column pivot_cols[i].  The sweep runs in a ``LaurentRing`` (see the
-    module docstring); the echelon rows come back as ``Expr`` entries."""
-    ring = LaurentRing()
+    module docstring); the echelon rows come back as ``Expr`` entries, or,
+    when a ``ring`` is given, stay in it as int polynomials."""
+    given, ring = ring, ring or LaurentRing()
     echelon, pivot_cols = _sweep(ring, rows, ncols)
-    return [{c: ring.expr(p) for c, p in r.items()} for r in echelon], pivot_cols
+    return (echelon if given else [{c: ring.expr(p) for c, p in r.items()} for r in echelon],
+            pivot_cols)
 
 
-def nullspace(rows: list, ncols: int) -> list:
+def _dot(row: dict, vec: dict) -> dict:
+    """The polynomial row . vec, both sparse maps of polynomials."""
+    acc: dict = {}
+    for c, e in row.items():
+        w = vec.get(c)
+        if w:
+            add_product(acc, e, w)
+    return acc
+
+
+def _back_substitute(echelon: list, pivot_cols: list, sol: dict) -> dict:
+    """Complete ``sol``, int polynomials on free columns, in place so that
+    every echelon row vanishes on it, last row first.  Fraction-free: a row
+    piv*x_pc + s with s nonzero scales ``sol`` by piv and sets x_pc = -s."""
+    for row, pc in zip(reversed(echelon), reversed(pivot_cols)):
+        s = _dot(row, sol)
+        if s:
+            piv = row[pc]
+            if piv != {0: 1}:
+                for c, w in sol.items():
+                    sol[c] = _pmul(piv, w)
+            sol[pc] = {m: -k for m, k in s.items()}
+    return sol
+
+
+def nullspace(rows: list, ncols: int, ring: LaurentRing | None = None) -> list:
     """Exact basis of the solution space of the homogeneous system, as
-    sparse vectors {col: entry} in column order.
+    sparse vectors {col: entry} in column order: ``Expr`` entries, or,
+    when a ``ring`` is given, int polynomials in it.
 
     Each basis vector corresponds to one free column (set to 1, the other
-    free columns to 0) and is cleaned by ``strip_row_content``: the free
-    column's 1 makes every common parameter exponent <= 0, so dividing by
-    the common monomial clears the parameter denominators."""
-    echelon, pivot_cols = row_reduce(rows, ncols)
-    basis = []
-    for fc in sorted(set(range(ncols)).difference(pivot_cols)):
-        sol = {fc: RAT1}
-        for row, pc in zip(reversed(echelon), reversed(pivot_cols)):
-            s = add(*[mul(e, sol[c]) for c, e in row.items() if c in sol])
-            if s != RAT0:
-                sol[pc] = expand(neg(div(s, row[pc])))
-        basis.append(strip_row_content(dict(sorted(sol.items()))))
-    return basis
+    free columns to 0), back-substituted and stripped (``LaurentRing.strip``).
+    Where only monomial pivots divide, that is the rational vector with its
+    denominators and content cleared; a polynomial pivot stays a factor."""
+    given, ring = ring, ring or LaurentRing()
+    echelon, pivot_cols = row_reduce(rows, ncols, ring)
+    basis = [
+        ring.strip(dict(sorted(_back_substitute(echelon, pivot_cols, {fc: {0: 1}}).items())))
+        for fc in sorted(set(range(ncols)).difference(pivot_cols))
+    ]
+    return basis if given else [{c: ring.expr(p) for c, p in v.items()} for v in basis]
 
 
 def rank(rows: list, ncols: int) -> int:
@@ -374,7 +370,8 @@ def solve_span(vectors: list, target: dict):
 
     Vectors and target are sparse coordinate maps {coordinate: entry};
     returns the coefficient list or None when the target is outside the
-    span."""
+    span.  The target's unknown starts at -1 in the back-substitution; each
+    coordinate is its entry divided by the pivots that scaled it, in ``Expr``."""
     k = len(vectors)
     # one row per coordinate: the unknowns first, then the augmented column
     by_coord = defaultdict(dict)
@@ -382,56 +379,19 @@ def solve_span(vectors: list, target: dict):
         for i, e in v.items():
             by_coord[i][j] = e
     rows = [by_coord[i] for i in sorted(by_coord)]
-    echelon, pivot_cols = row_reduce(rows, k + 1)
+    ring = LaurentRing()
+    echelon, pivot_cols = row_reduce(rows, k + 1, ring)
     if k in pivot_cols:
         return None  # pivot in the augmented column: inconsistent
-    coeffs = [RAT0] * k
-    for row, pc in zip(reversed(echelon), reversed(pivot_cols)):
-        s = add(*[mul(e, coeffs[c]) for c, e in row.items() if pc < c < k])
-        # row reads piv*lam_pc + s = augmented entry
-        coeffs[pc] = expand(div(add(row.get(k, RAT0), neg(s)), row[pc]))
-    return coeffs
-
-
-def _ring_vector(ring: LaurentRing, v: dict) -> dict:
-    """A vector in the ring, first cleared of its polynomial denominators
-    (all entries times one nonzero product of powers of them) if it has
-    any."""
-    try:
-        return {c: ring.poly(e) for c, e in v.items()}
-    except ValueError:
-        cols = list(v)
-        cleared = clear_denominators(
-            [v[c] for c in cols], lambda b, q: int(q) if type(b) is Sum else 0)
-        return {c: ring.poly(e) for c, e in zip(cols, cleared)}
+    sol = _back_substitute(echelon, pivot_cols, {k: {0: -1}})
+    scale = ring.expr({m: -v for m, v in sol.pop(k).items()})
+    return [expand(div(ring.expr(sol[j]), scale)) if j in sol else RAT0 for j in range(k)]
 
 
 def annihilates(rows: list, vectors: list) -> bool:
-    """Whether every row vanishes on every vector, exactly: each product
-    row . vector is summed in a ``LaurentRing``.  False also when an entry
-    lies outside the ring, where the products cannot be summed there."""
-    ring = LaurentRing()
-    try:
-        vecs = [_ring_vector(ring, v) for v in vectors]
-        for r in rows:
-            r = [(c, ring.poly(e)) for c, e in r.items()]
-            for v in vecs:
-                acc: dict = {}
-                for c, e in r:
-                    w = v.get(c)
-                    if not w:
-                        continue
-                    for m, k in _pmul(e, w).items():
-                        s = acc.get(m, 0) + k
-                        if s:
-                            acc[m] = s
-                        else:
-                            del acc[m]
-                if acc:
-                    return False
-    except ValueError:
-        return False
-    return True
+    """Whether every row vanishes on every vector, exactly: both are sparse
+    maps of polynomials in one ``LaurentRing``."""
+    return not any(_dot(r, v) for r in rows for v in vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from wavesym.detsys import (
     ansatz_solve, check_reference_system, extract_determining,
     invariance_residual, model_residual, on_shell, opaque_affine_vectorfield,
     opaque_vectorfield, reference_implication_report, split_u_dependence,
-    _affine_residual, _linear_decomposition,
+    _certify, _linear_decomposition,
 )
 from wavesym.expr import (
     RAT0, RAT1, T, U, X, Y, Fn, Product, Sum, add, atoms_of, collect_atoms,
@@ -18,6 +18,7 @@ from wavesym.expr import (
 )
 from wavesym.jet import total_derivative
 from wavesym.liealg import VectorField, decompose_field, decompose_fields
+from wavesym.linalg import LaurentRing
 from wavesym import reference
 
 c, e1, e2 = param("c"), param("e1"), param("e2")
@@ -377,9 +378,10 @@ class TestAnsatzSolve:
 
 
 class TestResidualCertificate:
-    """ansatz_solve certifies each basis field from the opaque affine
+    """ansatz_solve certifies each basis vector from the opaque affine
     generator's on-shell residual, a linear form in the component
-    derivatives, instead of prolonging the field again."""
+    derivatives, summed in the elimination's ring (``_certify``) instead
+    of prolonging the field again."""
 
     COMPS = ("alpha", "beta", "tau", "eta", "xi")
     FAMILIES = {
@@ -389,8 +391,13 @@ class TestResidualCertificate:
         **{f"e1={v}": PowerCase(e1=rat(v)) for v in (
             "2", "-2", "3", "-4/3", "-3/4", "1/4", "-1/4")},
         "e1=2, e2=1": PowerCase(e1=rat(2), e2=rat(1)),
+        "e1=3/2, e2=1": PowerCase(e1=rat(3, 2), e2=rat(1)),
     }
     CASES = [(name, d) for name in FAMILIES for d in (2, 3)]
+    # the symbolic families, then concrete exponents with a fractional power
+    # of a sum in f and with the exceptional pivot 1 + 4*e1 = 0
+    FAMS = [ExponentialCase(), PowerCase(), PowerCase(e1=rat(2), e2=rat(1)),
+            PowerCase(e1=rat(-1, 4))]
 
     @classmethod
     def _form(cls, fam):
@@ -398,60 +405,58 @@ class TestResidualCertificate:
         return _linear_decomposition(ds.residual, cls.COMPS)
 
     @staticmethod
-    def _comps(v):
+    def _vector(ring, v):
+        """The field as {(component, (x, y, t) exponents): polynomial}."""
         alpha = expand(diff(v.phi, U))
-        return {"xi": v.xi, "eta": v.eta, "tau": v.tau, "alpha": alpha,
-                "beta": expand(sub(v.phi, mul(alpha, U)))}
+        comps = {"xi": v.xi, "eta": v.eta, "tau": v.tau, "alpha": alpha,
+                 "beta": expand(sub(v.phi, mul(alpha, U)))}
+        return {(cname, tuple(dict(key).get(z, 0) for z in (X, Y, T))): ring.poly(coeff)
+                for cname, e in comps.items()
+                for key, coeff in collect_atoms(e, {X, Y, T}).items()}
 
-    @staticmethod
-    def _field(comps):
-        return VectorField(comps["xi"], comps["eta"], comps["tau"],
-                           add(mul(comps["alpha"], U), comps["beta"]))
+    @classmethod
+    def _certified(cls, fam, v):
+        ring = LaurentRing()
+        return _certify(cls._form(fam), ring, [cls._vector(ring, v)])
 
     @pytest.mark.parametrize("name, degree", CASES, ids=[f"{n}-d{d}" for n, d in CASES])
     def test_equals_the_prolonged_residual(self, name, degree):
-        # the same claim as prolonging each basis field: the certificate of
-        # every field, and the residual itself, also off the solution space
+        # the same verdict as prolonging each field, on the basis and off
+        # the solution space
         fam = self.FAMILIES[name]
-        form = self._form(fam)
         space = ansatz_solve(fam, AnsatzSpec(degree))
         verdicts = []
         for b in space.basis:
-            comps = self._comps(b)
-            assert vanishes(sub(self._field(comps).phi, b.phi))
-            new = _affine_residual(form, comps)
-            old = on_shell(invariance_residual(b, fam), fam)
-            assert vanishes(new) == vanishes(old)
-            verdicts.append(vanishes(old))
-            comps["xi"] = add(comps["xi"], X)
-            wrong = self._field(comps)
-            assert expand(_affine_residual(form, comps)) == expand(
-                on_shell(invariance_residual(wrong, fam), fam))
+            verdict = vanishes(on_shell(invariance_residual(b, fam), fam))
+            assert self._certified(fam, b) == verdict
+            verdicts.append(verdict)
+            wrong = VectorField(add(b.xi, X), b.eta, b.tau, b.phi)
+            assert not vanishes(on_shell(invariance_residual(wrong, fam), fam))
+            assert not self._certified(fam, wrong)
         assert space.certificate == all(verdicts)
 
-    @pytest.mark.parametrize("fam", [ExponentialCase(), PowerCase()])
-    @pytest.mark.parametrize("extra", [("xi", X), ("alpha", RAT1), ("tau", pow_(T, 2))],
+    @pytest.mark.parametrize("fam", FAMS)
+    @pytest.mark.parametrize("extra", [(X, RAT0, RAT0), (RAT0, U, RAT0),
+                                       (RAT0, RAT0, pow_(T, 2))],
                              ids=["x*d/dx", "u*d/du", "t^2*d/dt"])
     def test_a_non_symmetry_fails(self, fam, extra):
-        form = self._form(fam)
+        dx, du, dt = extra
         for b in ansatz_solve(fam, AnsatzSpec(2)).basis:
-            comps = self._comps(b)
-            assert vanishes(_affine_residual(form, comps))
-            comps[extra[0]] = add(comps[extra[0]], extra[1])
-            assert not vanishes(_affine_residual(form, comps))
+            assert self._certified(fam, b)
+            wrong = VectorField(add(b.xi, dx), b.eta, add(b.tau, dt), add(b.phi, du))
+            assert not self._certified(fam, wrong)
 
-    @pytest.mark.parametrize("fam", [ExponentialCase(), PowerCase()])
+    @pytest.mark.parametrize("fam", FAMS)
     def test_rotation_passes(self, fam):
-        rot = reference.rotation_field()
-        assert vanishes(_affine_residual(self._form(fam), self._comps(rot)))
+        assert self._certified(fam, reference.rotation_field())
 
     def test_vector_outside_the_kernel_fails_the_solve(self, monkeypatch):
         # column 0 is alpha's constant term: a u*d/du field joins the basis
         real = detsys._select_and_solve
 
         def with_u_du(rows, ncols):
-            vectors, selection = real(rows, ncols)
-            return vectors + [{0: RAT1}], selection
+            ring, vectors, selection = real(rows, ncols)
+            return ring, vectors + [{0: {0: 1}}], selection
 
         monkeypatch.setattr(detsys, "_select_and_solve", with_u_du)
         space = ansatz_solve(ExponentialCase(), AnsatzSpec(2))

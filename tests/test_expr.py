@@ -520,3 +520,40 @@ def test_fractional_powers_of_a_scaled_atom_are_canonical():
                             mul(pow_(rat(c_), -a_), pow_(cg, q1 + a_))))
 
     check()
+
+
+def test_perfect_powers_leave_a_root():
+    # only the q-th-power-free part of the rational factor stays under the
+    # root, so one value has one spelling
+    half = Fraction(1, 2)
+    assert vanishes(sub(pow_(mul(4, U), half), mul(2, pow_(U, half))))
+    assert pow_(mul(4, U), half) == mul(2, pow_(U, half))
+    assert format_expr(pow_(mul(8, U), half)) == "2*(2*u)^(1/2)"
+    assert format_expr(pow_(mul(Fraction(3, 4), X), Fraction(1, 3))) == "1/2*(6*x)^(1/3)"
+    assert mul(pow_(mul(4, U), half), pow_(mul(4, U), Fraction(1, 3))) == pow_(
+        mul(4, U), Fraction(5, 6))
+
+
+def test_roots_of_scaled_atoms_multiply_associatively():
+    # powers (c*g)^q of one g with different rational c > 0 fold by value,
+    # those with c < 0 only by equal bases, so the grouping of a product
+    # does not change its form, and no rational is left under a root of
+    # its own
+    from hypothesis import HealthCheck, given, settings, strategies as st
+
+    nonzero = st.builds(Fraction, st.integers(-60, 60).filter(bool), st.integers(1, 60))
+    exponent = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 7))
+    atoms = st.sampled_from([X, U, jet("x"), mul(X, U), add(1, U)])
+
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              database=None, suppress_health_check=list(HealthCheck))
+    @given(atoms, nonzero, nonzero, exponent, exponent, exponent)
+    def check(g, c1, c2, q1, q2, q3):
+        f1, f2, f3 = pow_(mul(c1, g), q1), pow_(mul(c1, g), q2), pow_(mul(c2, g), q3)
+        whole = mul(mul(f1, f2), f3)
+        assert whole == mul(f1, mul(f2, f3)) == mul(f3, f1, f2)
+        assert normalize(whole) == whole
+        factors = whole.factors if type(whole) is Product else (whole,)
+        assert not any(type(f) is Pow and type(f.expbase) is Rat for f in factors)
+
+    check()

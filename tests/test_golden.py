@@ -20,6 +20,9 @@ CASES = {
     "classify_ii_d3": (["classify", "--case", "ii", "--degree", "3"], 1),
     "classify_i_d5": (["classify", "--case", "i", "--degree", "5"], 1),
     "classify_ii_d5": (["classify", "--case", "ii", "--degree", "5"], 1),
+    # the top of the degree range the solve is checked byte for byte on
+    "classify_i_d8": (["classify", "--case", "i", "--degree", "8"], 1),
+    "classify_ii_d8": (["classify", "--case", "ii", "--degree", "8"], 1),
     # the exceptional exponent of ROADMAP item 2: dimension 7
     "classify_ii_d3_e1_m1o4": (
         ["classify", "--case", "ii", "--degree", "3", "--param", "e1=-1/4"], 1),

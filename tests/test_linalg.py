@@ -209,16 +209,56 @@ def test_entry_outside_the_ring_refused():
     assert "exp(c)" in msg
 
 
+def test_elimination_takes_parameters_only():
+    # zero tests take any factor as a variable, elimination does not: with
+    # s = c^(1/2) the matrix [[s, 1], [c, s]] is singular, while its
+    # determinant s^2 - c is a nonzero polynomial in two symbols
+    s = pow_(c, Fraction(1, 2))
+    with pytest.raises(ValueError):
+        rank([{0: s, 1: RAT1}, {0: c, 1: s}], 2)
+    with pytest.raises(ValueError):
+        nullspace([{0: RAT1, 1: exp_(c)}], 2)
+
+
 def test_annihilates():
     rows = [{0: RAT1, 1: mul(-2, c)}, {1: add(mul(c, K), 1), 2: K}]
-    (v,) = nullspace(rows, 3)
-    # v has the denominator c*K + 1, cleared before the products are summed
-    assert "(1 + K*c)^(-1)" in str(v[0]) or "(K*c + 1)^(-1)" in str(v[0])
+    ring = LaurentRing()
+    (v,) = nullspace(rows, 3, ring)
+    # the pivot c*K + 1 scales the vector instead of dividing it
+    assert ring.expr(v[2]) == expand(neg(add(mul(c, K), 1)))
+    rows = [{j: ring.poly(e) for j, e in r.items()} for r in rows]
     assert annihilates(rows, [v])
-    assert not annihilates(rows, [{0: RAT1}])
-    assert not annihilates(rows, [{j: mul(c, e) for j, e in v.items() if j}])
-    # a vector outside the ring cannot be checked there: not proved
-    assert not annihilates(rows, [{0: exp_(c)}])
+    assert not annihilates(rows, [{0: {0: 1}}])
+    assert not annihilates(rows, [{j: ring.poly(mul(c, ring.expr(e))) for j, e in v.items() if j}])
+    # an exp entry is a variable of its own, which nothing cancels
+    assert not annihilates(rows, [{0: ring.poly(exp_(c))}])
+
+
+def test_nullspace_with_polynomial_pivots():
+    # both pivots are 1 + c, which back-substitution cannot divide by in
+    # the ring: the basis vector carries the factor instead
+    one_c = add(1, c)
+    rows = [{0: one_c, 1: K, 2: RAT1}, {1: one_c, 2: c}]
+    (v,) = nullspace(rows, 3)
+    assert all("^(-" not in str(e) for e in v.values())
+    assert all(dot([r.get(j, RAT0) for j in range(3)], v) == RAT0 for r in rows)
+    ring = LaurentRing()
+    assert annihilates([{j: ring.poly(e) for j, e in r.items()} for r in rows],
+                       nullspace(rows, 3, ring))
+
+
+def test_solve_span_with_polynomial_pivots():
+    # every entry of the first column is 1 + c: the coordinates are divided
+    # by the pivots' product once, at the end
+    one_c = add(1, c)
+    vecs = [{0: one_c}, {0: K, 1: one_c}]
+    target = {0: expand(add(mul(2, one_c), mul(c, K))), 1: expand(mul(c, one_c))}
+    coeffs = solve_span(vecs, target)
+    assert coeffs is not None
+    for i, e in target.items():
+        rebuilt = add(*[mul(a, v.get(i, RAT0)) for a, v in zip(coeffs, vecs)])
+        assert vanishes(sub(rebuilt, e))
+    assert vanishes(sub(coeffs[0], 2)) and vanishes(sub(coeffs[1], c))
 
 
 def test_independent_rows_mod_p():
