@@ -455,12 +455,21 @@ def _rows_mod_p(rows: list, seed: int) -> list:
     one residue per parameter."""
     import random
 
-    entries = {e for r in rows for e in r.values()}
+    params = sorted({a for r in rows for e in r.values() for a in atoms_of(e)},
+                    key=Expr.sort_key)
     rng = random.Random(seed)
-    point = {a: rng.randrange(1, PRIME)
-             for a in sorted({a for e in entries for a in atoms_of(e)}, key=Expr.sort_key)}
-    values = {e: eval_mod(e, point, {}, PRIME) for e in entries}
-    return [{c: values[e] for c, e in r.items()} for r in rows]
+    point = {a: rng.randrange(1, PRIME) for a in params}
+    values: dict = {}
+    out = []
+    for r in rows:
+        row = {}
+        for c, e in r.items():
+            v = values.get(e)
+            if v is None:
+                v = values[e] = eval_mod(e, point, {}, PRIME)
+            row[c] = v
+        out.append(row)
+    return out
 
 
 def _select_and_solve(rows: list, ncols: int):
@@ -549,14 +558,13 @@ def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
 
 
 def _certify(form: dict, ring: LaurentRing, vectors: list) -> bool:
-    """Whether the on-shell invariance residual of every field vanishes, each
-    field {(component, (x, y, t) exponents m): polynomial in ``ring``}.
-    ``form``, the opaque affine generator's residual {d^k(component):
-    coefficient}, is linear in the components: a field's residual is the
-    row that sends (component, m) to the sum of coefficient * (m)_k *
-    (x, y, t)^(m - k) over its nodes, as the rows are built, times the field.
-    The coefficients are first cleared of their Sum denominators by one
-    factor, nonzero wherever the family is defined."""
+    """Whether the on-shell invariance residual of every field
+    {(component, (x, y, t) exponents m): polynomial in ``ring``} vanishes.
+    ``form`` {d^k(component): coefficient}, the opaque generator's residual,
+    is linear in the components: the residual is the field times the row
+    (component, m) -> sum of coefficient * (m)_k * (x, y, t)^(m - k), with
+    the coefficients cleared of their Sum denominators by one factor,
+    nonzero wherever the family is defined."""
     cleared = clear_denominators(
         list(form.values()), lambda b, q: ceil(q) if type(b) is Sum else 0)
     terms = [(node.name, node.didx, ring.poly(c)) for node, c in zip(form, cleared)]

@@ -443,48 +443,48 @@ def _product_pow(b: Product, q: Fraction) -> Expr:
     is 1/2*u^-1*(2*u)^(1/2), and (2*w*x^(3/2))^(1/3) is
     x^(1/2)*(2*w)^(1/3).  A rational factor stays under the root, which
     elimination mod p could not evaluate as a power of its own, but ``mul``
-    takes a positive one's perfect powers out.  Like (c^p)^q = c^(p*q), this assumes
-    the factors positive."""
+    takes the perfect powers of a positive one out.  Like
+    (c^p)^q = c^(p*q), this assumes the factors positive."""
     n = q.numerator // q.denominator
     r = q - n
     powers = [f for f in b.factors if type(f) is Pow or type(f) is Exp]
     if not powers:
-        if n == 0 and not (type(b.factors[0]) is Rat and b.factors[0].value > 0):
-            return Pow(b, r)
-        return mul(pow_(b, n), Pow(b, r))
+        return Pow(b, r) if n == 0 and _root_primes(b) is None else mul(pow_(b, n), Pow(b, r))
     rest = [f for f in b.factors if type(f) is not Pow and type(f) is not Exp]
     return mul(pow_(b, n), *[pow_(f, r) for f in powers], pow_(mul(*rest), r))
 
 
-def _prime_powers(v: Fraction) -> dict:
-    """{factor: exponent} of a positive rational: its primes below 2^12,
-    and the rest of numerator and denominator as one factor each."""
+def _root_primes(b: Expr):
+    """{prime: exponent} of the rational factor w > 0 of a product b; None
+    without one, or if trial division below 2^12 leaves a cofactor >= 2^24."""
+    w = b.factors[0] if type(b) is Product else None
+    if type(w) is not Rat or w.value <= 0:
+        return None
     out: dict = {}
-    for n, sign in ((v.numerator, 1), (v.denominator, -1)):
+    for n, sign in ((w.value.numerator, 1), (w.value.denominator, -1)):
         f = 2
         while f * f <= n and f < 4096:
             while n % f == 0:
                 n //= f
                 out[f] = out.get(f, 0) + sign
             f += 1
+        if n >= 1 << 24:
+            return None
         if n > 1:
             out[n] = out.get(n, 0) + sign
     return out
 
 
 def mul(*es) -> Expr:
-    """The normalized product.  A power (w*g)^q with rational w > 0 counts
-    toward g's power, and w's factors f (``_prime_powers``) toward
-    prod(f^x_f); the powers of one g then become K * g^(E - 1/L) *
-    (c*g)^(1/L), L the lcm of the denominators of the x_f, K rational and c
-    an integer whose factors have exponents below L.  The form depends on
-    the value alone, so such products are associative: (4*u)^(1/2) is
-    2*u^(1/2), (8*u)^(1/2) is 2*(2*u)^(1/2) and (2*u)^(2/3) is
-    u^(1/3)*(4*u)^(1/3)."""
+    """The normalized product.  The powers (w*g)^q of one g, w a rational
+    > 0 of known primes (``_root_primes``), fold by value into
+    K * g^(E - 1/L) * (c*g)^(1/L), L the lcm of the denominators of the
+    primes' exponents, so their products are associative: (4*u)^(1/2) is
+    2*u^(1/2), (8*u)^(1/2) is 2*(2*u)^(1/2).  Other powers merge by base."""
     coeff = Fraction(1)
     bases: dict = {}
     exp_args: list = []
-    roots: dict = {}  # g -> {factor f of the w's: x_f}
+    roots: dict = {}  # g -> {prime of the w's: exponent}
     stack = [_as_expr(e) for e in es]
     while stack:
         e = stack.pop()
@@ -496,11 +496,11 @@ def mul(*es) -> Expr:
         elif t is Product:
             stack.extend(e.factors)
         elif t is Pow:
-            b = e.expbase
-            if type(b) is Product and type(b.factors[0]) is Rat and b.factors[0].value > 0:
+            b, primes = e.expbase, _root_primes(e.expbase)
+            if primes is not None:
                 b = b.factors[1] if len(b.factors) == 2 else Product(b.factors[1:])
                 ex = roots.setdefault(b, {})
-                for f, k in _prime_powers(e.expbase.factors[0].value).items():
+                for f, k in primes.items():
                     ex[f] = ex.get(f, 0) + k * e.exp
             acc = bases.get(b)
             bases[b] = e.exp if acc is None else acc + e.exp

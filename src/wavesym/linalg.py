@@ -15,8 +15,9 @@ then parameter monomials.  After every update a row is reduced by its
 content: the integer gcd of its coefficients and the common parameter
 monomial; the leading term of its first entry, in ``Expr`` term order, is
 made positive.  ``nullspace`` and ``solve_span`` back-substitute in the
-ring too, scaling the solution by a pivot instead of dividing by it;
-entries go back to ``Expr`` only in the results.
+ring too, scaling the solution by a pivot instead of dividing by it.
+``row_reduce`` and ``nullspace`` return polynomials of their caller's ring
+(``LaurentRing.expr`` converts back); ``solve_span`` returns ``Expr``.
 
 All operations treat the parameters appearing in entries as generic nonzero
 values; solutions therefore live in the field of rational functions of the
@@ -63,12 +64,11 @@ class LaurentRing:
     variables met so far, with int (or Fraction) coefficients.
 
     A variable is a parameter or any other non-rational factor taken whole
-    (a coordinate, a jet, an ``exp``, a sum), b^(p/q) being (b^(1/q))^p.
-    Zero in independent variables means zero at any values of them, so
-    ``poly`` serves zero tests; rank needs independent variables, so
-    elimination takes ``param_poly``, parameters only.  A variable gets the
-    next monomial digit when it is first met; polynomials are never changed
-    in place, and conversions both ways are memoized."""
+    (a coordinate, a jet, an ``exp``, a sum), b^(p/q) being (b^(1/q))^p, and
+    gets the next monomial digit when first met.  Zero in such variables is
+    zero at any values of them, so ``poly`` serves zero tests; rank needs
+    independent variables, so elimination takes ``param_poly``, parameters
+    only.  Polynomials are never changed in place; conversions are memoized."""
 
     def __init__(self):
         self.variables: list = []
@@ -190,7 +190,9 @@ def _pmul(p: dict, q: dict) -> dict:
 
 def _quality(p: dict) -> int:
     """Pivot preference: 0 for a constant, 1 for a monomial, 2 otherwise."""
-    return 2 if len(p) > 1 else int(0 not in p)
+    if len(p) == 1:
+        return 0 if 0 in p else 1
+    return 2
 
 
 def _update(piv: dict, row: dict, a: dict, prow: dict, col: int) -> dict:
@@ -304,18 +306,12 @@ def strip_row_content(row: dict) -> dict:
 # elimination, nullspaces, spans
 
 
-def row_reduce(rows: list, ncols: int, ring: LaurentRing | None = None):
+def row_reduce(rows: list, ncols: int, ring: LaurentRing):
     """Bring sparse rows over columns 0..ncols-1 (nonzero entries only) to
-    (unnormalized) row-echelon form.
-
-    Returns (echelon_rows, pivot_cols): echelon_rows[i] has its first entry
-    in column pivot_cols[i].  The sweep runs in a ``LaurentRing`` (see the
-    module docstring); the echelon rows come back as ``Expr`` entries, or,
-    when a ``ring`` is given, stay in it as int polynomials."""
-    given, ring = ring, ring or LaurentRing()
-    echelon, pivot_cols = _sweep(ring, rows, ncols)
-    return (echelon if given else [{c: ring.expr(p) for c, p in r.items()} for r in echelon],
-            pivot_cols)
+    (unnormalized) row-echelon form in ``ring`` (see the module docstring).
+    Returns (echelon_rows, pivot_cols): echelon_rows[i], int polynomials of
+    ``ring``, has its first entry in column pivot_cols[i]."""
+    return _sweep(ring, rows, ncols)
 
 
 def _dot(row: dict, vec: dict) -> dict:
@@ -343,22 +339,19 @@ def _back_substitute(echelon: list, pivot_cols: list, sol: dict) -> dict:
     return sol
 
 
-def nullspace(rows: list, ncols: int, ring: LaurentRing | None = None) -> list:
+def nullspace(rows: list, ncols: int, ring: LaurentRing) -> list:
     """Exact basis of the solution space of the homogeneous system, as
-    sparse vectors {col: entry} in column order: ``Expr`` entries, or,
-    when a ``ring`` is given, int polynomials in it.
+    sparse vectors {col: int polynomial of ``ring``} in column order.
 
     Each basis vector corresponds to one free column (set to 1, the other
     free columns to 0), back-substituted and stripped (``LaurentRing.strip``).
     Where only monomial pivots divide, that is the rational vector with its
     denominators and content cleared; a polynomial pivot stays a factor."""
-    given, ring = ring, ring or LaurentRing()
     echelon, pivot_cols = row_reduce(rows, ncols, ring)
-    basis = [
+    return [
         ring.strip(dict(sorted(_back_substitute(echelon, pivot_cols, {fc: {0: 1}}).items())))
         for fc in sorted(set(range(ncols)).difference(pivot_cols))
     ]
-    return basis if given else [{c: ring.expr(p) for c, p in v.items()} for v in basis]
 
 
 def rank(rows: list, ncols: int) -> int:
@@ -370,8 +363,7 @@ def solve_span(vectors: list, target: dict):
 
     Vectors and target are sparse coordinate maps {coordinate: entry};
     returns the coefficient list or None when the target is outside the
-    span.  The target's unknown starts at -1 in the back-substitution; each
-    coordinate is its entry divided by the pivots that scaled it, in ``Expr``."""
+    span."""
     k = len(vectors)
     # one row per coordinate: the unknowns first, then the augmented column
     by_coord = defaultdict(dict)
@@ -383,14 +375,14 @@ def solve_span(vectors: list, target: dict):
     echelon, pivot_cols = row_reduce(rows, k + 1, ring)
     if k in pivot_cols:
         return None  # pivot in the augmented column: inconsistent
+    # the target's unknown starts at -1; the pivots that scale sol scale it
     sol = _back_substitute(echelon, pivot_cols, {k: {0: -1}})
     scale = ring.expr({m: -v for m, v in sol.pop(k).items()})
     return [expand(div(ring.expr(sol[j]), scale)) if j in sol else RAT0 for j in range(k)]
 
 
 def annihilates(rows: list, vectors: list) -> bool:
-    """Whether every row vanishes on every vector, exactly: both are sparse
-    maps of polynomials in one ``LaurentRing``."""
+    """Whether every row vanishes on every vector, both sparse ring polynomials."""
     return not any(_dot(r, v) for r in rows for v in vectors)
 
 

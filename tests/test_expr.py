@@ -557,3 +557,9 @@ def test_roots_of_scaled_atoms_multiply_associatively():
         assert not any(type(f) is Pow and type(f.expbase) is Rat for f in factors)
 
     check()
+    # 4099^2 is past trial division (2^24 or more, no prime below 2^12), so
+    # its root keeps its own base in every grouping
+    half = Fraction(1, 2)
+    a, b = pow_(mul(4099, U), half), pow_(mul(4099**2, U), half)
+    assert b == Pow(mul(4099**2, U), half)
+    assert mul(mul(a, a), b) == mul(a, mul(a, b)) == mul(b, a, a) == mul(4099, U, b)
