@@ -10,7 +10,10 @@ through the equation and its total derivatives).  Collecting the result
 over jet monomials -- and, for a concrete nonlinearity, over the linearly
 independent u-dependence of the coefficients -- yields the determining
 system, a linear homogeneous system for the components of v.  Under a
-polynomial ansatz the system is solved exactly over the parameter field.
+polynomial ansatz the system is solved exactly over the parameter field:
+past the extraction, which works on ``Expr`` trees, the ansatz rows, their
+selection mod p, the elimination and the residual certificate all run in
+one ``LaurentRing``, and only the basis comes back as ``Expr``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .expr import (
     Expr, ExprError, NonPolynomialError, Pow, Product, Rat, Sum,
     RAT0, add, atoms_of, base, clear_denominators, collect_atoms, diff,
     eval_mod, expand, fn, fn_nodes_of, format_expr, jet, jets_of, mul, neg,
-    param, pow_, rat, sub, substitute, vanishes,
+    param, pow_, sub, substitute, vanishes,
 )
 from .jet import prolong_coeff_second, total_derivative
 from .liealg import VectorField
@@ -450,46 +453,36 @@ class SolutionSpace:
         return len(self.basis)
 
 
-def _rows_mod_p(rows: list, seed: int) -> list:
-    """The rows evaluated over GF(PRIME) at a point drawn from ``seed``,
-    one residue per parameter."""
+def _rows_mod_p(ring: LaurentRing, rows: list, seed: int) -> list:
+    """The rows of ``ring`` polynomials over GF(PRIME) at a point drawn from
+    ``seed``: one residue per parameter the rows hold, in ``Expr`` order."""
     import random
 
-    params = sorted({a for r in rows for e in r.values() for a in atoms_of(e)},
+    used = {m for r in rows for p in r.values() for m in p}
+    params = sorted({v for m in used for v, q in zip(ring.variables, ring.exponents(m)) if q},
                     key=Expr.sort_key)
     rng = random.Random(seed)
     point = {a: rng.randrange(1, PRIME) for a in params}
-    values: dict = {}
-    out = []
-    for r in rows:
-        row = {}
-        for c, e in r.items():
-            v = values.get(e)
-            if v is None:
-                v = values[e] = eval_mod(e, point, {}, PRIME)
-            row[c] = v
-        out.append(row)
-    return out
+    return [{c: ring.eval_mod(p, point, PRIME) for c, p in r.items()} for r in rows]
 
 
-def _select_and_solve(rows: list, ncols: int):
-    """Nullspace of the rows from the rows that are independent mod p.
+def _select_and_solve(ring: LaurentRing, rows: list, ncols: int):
+    """Nullspace of the rows of ``ring`` polynomials from the rows that are
+    independent mod p.
 
     The rows independent over GF(PRIME) at one seeded point span a space
     that contains the row space only if the point is not special; the
     kernel of the kept rows contains the true kernel either way.  Every
     dropped row is then checked to vanish on the kept rows' basis, exactly;
     that proves the two kernels equal.  If one does not, all rows are
-    eliminated.  Returns (ring, basis as int polynomials in it, selection)."""
-    ring = LaurentRing()
-    kept = independent_rows_mod_p(_rows_mod_p(rows, SELECTION_SEED), PRIME)
+    eliminated.  Returns (basis as int polynomials of ``ring``, selection)."""
+    kept = independent_rows_mod_p(_rows_mod_p(ring, rows, SELECTION_SEED), PRIME)
     basis = nullspace([rows[i] for i in kept], ncols, ring)
     kept_set = set(kept)
-    fallback = not annihilates([{c: ring.poly(e) for c, e in r.items()}
-                                for i, r in enumerate(rows) if i not in kept_set], basis)
+    fallback = not annihilates([r for i, r in enumerate(rows) if i not in kept_set], basis)
     if fallback:
         basis = nullspace(rows, ncols, ring)
-    return ring, basis, RowSelection(PRIME, SELECTION_SEED, len(rows), len(kept), fallback)
+    return basis, RowSelection(PRIME, SELECTION_SEED, len(rows), len(kept), fallback)
 
 
 def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
@@ -500,15 +493,17 @@ def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
     The determining PDEs are extracted once, from the generator whose
     xi, eta, tau, alpha, beta are opaque functions of (x, y, t); each is a
     linear form in component derivatives with coefficients free of
-    (x, y, t).  A term c * d^k(comp) sends column (comp, monomial m) to
-    c * (m)_k, a product of falling factorials, in row (equation, m - k).
-    Rows are keyed by jet monomial, u-tag and (x, y, t) monomial, in that
-    order; identical rows are kept once.  The homogeneous system is solved
-    by exact elimination over the parameter field, of the rows that
-    ``_select_and_solve`` keeps; family parameters are treated as generic
-    nonzero values.  The certificate evaluates the opaque generator's
-    on-shell residual at each basis vector in the elimination's ring
-    (``_certify``), so no field is prolonged again."""
+    (x, y, t).  Each coefficient c is converted once into a ``LaurentRing``
+    polynomial in the parameters; a term c * d^k(comp) sends column
+    (comp, monomial m) to c scaled by the integer (m)_k, a product of
+    falling factorials, in row (equation, m - k).  Rows are keyed by jet
+    monomial, u-tag and (x, y, t) monomial, in that order; rows with the
+    same polynomials are kept once.  The homogeneous system is solved by
+    exact elimination in the ring, of the rows that ``_select_and_solve``
+    keeps; family parameters are treated as generic nonzero values.  The
+    certificate evaluates the opaque generator's on-shell residual at each
+    basis vector in the same ring (``_certify``), so no field is prolonged
+    again.  A coefficient outside the ring raises ``DetSysError``."""
     if isinstance(fam, Generic):
         raise DetSysError("ansatz_solve needs a concrete family (exponential or power)")
     spec = spec or AnsatzSpec()
@@ -528,23 +523,30 @@ def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
     col_of = {cm: j for j, cm in enumerate(columns)}
 
     ds = extract_determining(opaque_affine_vectorfield(), fam)
+    ring = LaurentRing()
     rows: dict = {}  # frozen row -> row, in first-seen order
     for _, eq in ds.entries:
-        table: dict = {}  # xyt monomial -> {column: entry}
+        table: dict = {}  # xyt monomial -> {column: polynomial}
         for node, c in _linear_decomposition(eq, comps).items():
             if atoms_of(c) & {X, Y, T}:
                 raise DetSysError(f"coefficient {format_expr(c)} depends on x, y or t")
+            try:
+                p = ring.param_poly(c)
+            except ValueError as err:
+                raise DetSysError(str(err)) from None
             for m in monos:
                 n = tuple(a - b for a, b in zip(m, node.didx))
                 if min(n) >= 0:
                     ff = prod(perm(a, b) for a, b in zip(m, node.didx))
-                    table.setdefault(n, {})[col_of[node.name, m]] = expand(mul(rat(ff), c))
+                    table.setdefault(n, {})[col_of[node.name, m]] = (
+                        p if ff == 1 else {mono: ff * k for mono, k in p.items()})
         # in the order of collect_atoms keys: by atom (x < y < t), then power
         for n in sorted(table, key=lambda n: tuple(
                 (a.sort_key(), p) for a, p in zip((X, Y, T), n) if p)):
-            rows.setdefault(frozenset(table[n].items()), table[n])
+            row = table[n]
+            rows.setdefault(frozenset((j, frozenset(p.items())) for j, p in row.items()), row)
 
-    ring, vectors, selection = _select_and_solve(list(rows.values()), len(columns))
+    vectors, selection = _select_and_solve(ring, list(rows.values()), len(columns))
     vectors = [{columns[j]: p for j, p in vec.items()} for vec in vectors]
 
     def comp(vec, name):

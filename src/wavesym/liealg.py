@@ -1,8 +1,15 @@
 """Vector fields on (x, y, t, u)-space and their algebra.
 
-A point symmetry generator is stored by its four components; brackets,
-commutator tables with exact structure constants, Jacobi checks, and the
-one-parameter flows of affine generators live here."""
+A point symmetry generator is stored by its four ``Expr`` components.  Its
+algebra runs in one ``LaurentRing`` per operation: x, y, t, u are the ring's
+first four variables, so a component is a polynomial in them with
+Laurent-polynomial parameter coefficients, and d/dz lowers one exponent
+digit.  Brackets, commutator tables with exact structure constants, Jacobi
+checks and span decompositions all work on those component polynomials; a
+field is coordinatised by (component slot, coordinate monomial) with a
+parameter polynomial at each, and solved for in the ring.  A component that
+is not polynomial in the coordinates raises ``LieAlgError``.  The
+one-parameter flows of affine generators stay in ``Expr``."""
 
 from __future__ import annotations
 
@@ -10,10 +17,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .expr import (
-    Expr, RAT0, RAT1, _as_expr, add, atoms_of, base, diff, div, exp_, expand,
-    format_expr, jet, max_jet_order, mul, neg, param, substitute, collect_atoms,
+    Expr, Param, RAT0, RAT1, _as_expr, add, atoms_of, base, diff, div, exp_,
+    expand, format_expr, jet, max_jet_order, mul, neg, param, substitute,
 )
-from .linalg import rank, solve_span
+from .linalg import LaurentRing, add_product, rank, solve_span
 
 __all__ = [
     "VectorField", "CommutatorTable", "FlowMap", "LieAlgError",
@@ -87,41 +94,77 @@ class VectorField:
         return VectorField(*[add(a, b) for a, b in zip(self.components, other.components)])
 
 
+def _ring() -> LaurentRing:
+    """A ring whose variables 0..3 are x, y, t, u."""
+    ring = LaurentRing()
+    for z in COORDS:
+        ring.poly(z)
+    return ring
+
+
+def _polys(ring: LaurentRing, v: VectorField) -> list:
+    """The components of ``v`` as polynomials of ``ring`` (see ``_ring``)."""
+    out = []
+    for name, comp in v.items():
+        p = ring.poly(comp)
+        for m in p:
+            e = ring.exponents(m)
+            if min(e[:4]) < 0 or any(q and type(a) is not Param
+                                     for a, q in zip(ring.variables[4:], e[4:])):
+                raise LieAlgError(
+                    f"component {name} is not a polynomial in x, y, t, u with "
+                    f"parameter coefficients: {format_expr(comp)}")
+        out.append(p)
+    return out
+
+
+def _field(ring: LaurentRing, polys) -> VectorField:
+    return VectorField(*map(ring.expr, polys))
+
+
+def _bracket(ring: LaurentRing, v: list, w: list, acc: list | None = None) -> list:
+    """Component polynomials of [v, w], added into ``acc`` when given:
+    component k is v(w^k) - w(v^k), v(g) being the sum over the
+    coordinates z of v^z * dg/dz."""
+    acc = [{} for _ in v] if acc is None else acc
+    for out, vk, wk in zip(acc, v, w):
+        for d, (vz, wz) in enumerate(zip(v, w)):
+            if vz:
+                add_product(out, vz, ring.diff(wk, d))
+            if wz:
+                add_product(out, {m: -k for m, k in wz.items()}, ring.diff(vk, d))
+    return acc
+
+
 def bracket(v: VectorField, w: VectorField) -> VectorField:
     """Lie bracket [v, w]: component k is v(w^k) - w(v^k)."""
-    return VectorField(
-        *[
-            expand(add(v.apply(wk), neg(w.apply(vk))))
-            for vk, wk in zip(v.components, w.components)
-        ]
-    )
+    ring = _ring()
+    return _field(ring, _bracket(ring, _polys(ring, v), _polys(ring, w)))
 
 
-def _collect(field: VectorField) -> list:
-    """Polynomial coefficients of each component over (x, y, t, u) monomials."""
-    return [collect_atoms(c, COORDS) for c in field.components]
+# a coordinate monomial's key in collect_atoms order: by atom, then power
+_ATOM_ORDER = sorted(range(4), key=lambda d: COORDS[d].sort_key())
 
 
-def _component_coordinates(fields):
-    """Common coordinatisation of fields by polynomial coefficients of the
-    components over (x, y, t, u) monomials.  Returns (keys, vectors), the
-    vectors sparse {key index: coefficient}."""
-    collected = [_collect(f) for f in fields]
-    keys = []
-    seen = set()
-    for comps in collected:
-        for slot, table in enumerate(comps):
-            for k in table:
-                if (slot, k) not in seen:
-                    seen.add((slot, k))
-                    keys.append((slot, k))
-    keys.sort(key=lambda sk: (sk[0], tuple((a.sort_key(), p) for a, p in sk[1])))
+def _component_coordinates(ring: LaurentRing, fields: list):
+    """Common coordinatisation of fields (component polynomials) by
+    (slot, coordinate exponents), each with a parameter polynomial.
+    Returns (keys, vectors), the vectors sparse {key index: polynomial}."""
+    tables = [_coordinate_table(ring, f) for f in fields]
+    keys = sorted({sk for t in tables for sk in t}, key=lambda sk: (sk[0], tuple(
+        (COORDS[d].sort_key(), sk[1][d]) for d in _ATOM_ORDER if sk[1][d])))
     index = {sk: i for i, sk in enumerate(keys)}
-    vectors = [
-        {index[slot, k]: e for slot, table in enumerate(comps) for k, e in table.items()}
-        for comps in collected
-    ]
-    return keys, vectors
+    return keys, [{index[sk]: p for sk, p in t.items()} for t in tables]
+
+
+def _coordinate_table(ring: LaurentRing, field: list) -> dict:
+    """{(slot, coordinate exponents): parameter polynomial} of one field."""
+    out: dict = {}
+    for slot, p in enumerate(field):
+        for m, k in p.items():
+            e = tuple(ring.exponents(m)[:4])
+            out.setdefault((slot, e), {})[m - ring.monomial(e)] = k
+    return out
 
 
 @dataclass
@@ -179,9 +222,10 @@ class CommutatorTable:
         return grid
 
 
-def _in_coordinates(keys, vectors, targets) -> list:
-    """Exact coordinates of each target in the span of ``vectors``, the
-    coordinatisation (keys, vectors) of a basis, or None when outside.
+def _in_coordinates(ring: LaurentRing, keys, vectors, targets) -> list:
+    """Exact coordinates of each target (component polynomials) in the span
+    of ``vectors``, the coordinatisation (keys, vectors) of a basis, or
+    None when outside.
 
     A target with a coefficient on a key no basis field has lies outside
     the span.  Otherwise the basis keys coordinatise it as well, and the
@@ -189,10 +233,9 @@ def _in_coordinates(keys, vectors, targets) -> list:
     index = {sk: i for i, sk in enumerate(keys)}
     out = []
     for target in targets:
-        items = [((slot, k), e) for slot, table in enumerate(_collect(target))
-                 for k, e in table.items()]
-        if all(sk in index for sk, _ in items):
-            out.append(solve_span(vectors, {index[sk]: e for sk, e in items}))
+        table = _coordinate_table(ring, target)
+        if all(sk in index for sk in table):
+            out.append(solve_span(vectors, {index[sk]: p for sk, p in table.items()}, ring))
         else:
             out.append(None)
     return out
@@ -201,15 +244,18 @@ def _in_coordinates(keys, vectors, targets) -> list:
 def commutator_table(basis) -> CommutatorTable:
     basis = list(basis)
     n = len(basis)
-    keys, vectors = _component_coordinates(basis)
-    if rank(vectors, len(keys)) != n:
+    ring = _ring()
+    fields = [_polys(ring, v) for v in basis]
+    keys, vectors = _component_coordinates(ring, fields)
+    if rank(vectors, len(keys), ring) != n:
         raise LieAlgError("basis fields are linearly dependent")
-    brackets = {(i, j): bracket(basis[i], basis[j]) for i, j in combinations(range(n), 2)}
-    coords = _in_coordinates(keys, vectors, list(brackets.values()))
+    polys = {(i, j): _bracket(ring, fields[i], fields[j]) for i, j in combinations(range(n), 2)}
+    coords = _in_coordinates(ring, keys, vectors, polys.values())
     entries = {(i, i): [RAT0] * n for i in range(n)}
-    for (i, j), coeffs in zip(brackets, coords):
+    for (i, j), coeffs in zip(polys, coords):
         entries[(i, j)] = coeffs
         entries[(j, i)] = None if coeffs is None else [expand(neg(c)) for c in coeffs]
+    brackets = {ij: _field(ring, p) for ij, p in polys.items()}
     return CommutatorTable(basis, entries, brackets)
 
 
@@ -217,8 +263,9 @@ def decompose_fields(basis, targets) -> list:
     """Exact coordinates of each of ``targets`` in the span of ``basis``
     (component polynomial coefficients are compared), or None when outside
     the span.  The basis is coordinatised once for all targets."""
-    keys, vectors = _component_coordinates(list(basis))
-    return _in_coordinates(keys, vectors, targets)
+    ring = _ring()
+    keys, vectors = _component_coordinates(ring, [_polys(ring, v) for v in basis])
+    return _in_coordinates(ring, keys, vectors, [_polys(ring, t) for t in targets])
 
 
 def decompose_field(basis, target: VectorField):
@@ -227,20 +274,25 @@ def decompose_field(basis, target: VectorField):
 
 
 def jacobi_check(basis, inner: dict | None = None) -> dict:
-    """Jacobi identity residuals for every triple; components must expand
-    to exactly zero.  Each inner bracket [v_j, v_k], j < k, is computed
-    once, or taken from ``inner`` (a ``CommutatorTable``'s brackets of the
-    same basis); [v_k, v_i] enters as -[v_i, v_k]."""
-    basis = list(basis)
-    n = len(basis)
+    """Jacobi identity residuals for every triple, exactly zero in the
+    ring.  Each inner bracket [v_j, v_k], j < k, is computed once, or taken
+    from ``inner`` (a ``CommutatorTable``'s brackets of the same basis);
+    [v_k, v_i] enters as -[v_i, v_k]."""
+    ring = _ring()
+    fields = [_polys(ring, v) for v in basis]
+    n = len(fields)
     if inner is None:
-        inner = {(j, k): bracket(basis[j], basis[k]) for j, k in combinations(range(n), 2)}
+        inner = {(j, k): _bracket(ring, fields[j], fields[k])
+                 for j, k in combinations(range(n), 2)}
+    else:
+        inner = {jk: _polys(ring, w) for jk, w in inner.items()}
     report = {}
     for i, j, k in combinations(range(n), 3):
-        s = bracket(basis[i], inner[j, k]).plus(
-            bracket(basis[j], inner[i, k].scaled(-1))
-        ).plus(bracket(basis[k], inner[i, j]))
-        report[(i, j, k)] = s.is_zero()
+        # [v_i, [v_j, v_k]] + [[v_i, v_k], v_j] + [v_k, [v_i, v_j]]
+        s = _bracket(ring, fields[i], inner[j, k])
+        _bracket(ring, inner[i, k], fields[j], s)
+        _bracket(ring, fields[k], inner[i, j], s)
+        report[(i, j, k)] = not any(s)
     return report
 
 

@@ -1,13 +1,12 @@
 """Exact linear algebra over sparse rows of Laurent-polynomial entries.
 
 Rows are sparse, ``{col: entry}`` with only nonzero entries, so elimination
-never visits a zero.  Entries are ``Expr`` values that are rational
-multiples of Laurent monomials in the parameters, and sums of them (e.g.
-``2*c``, ``K^(-1)``, ``1 + 4*e1``).  ``row_reduce`` converts them once into
-``LaurentRing`` polynomials, sparse ``{monomial: coefficient}`` maps, and
-runs the whole forward sweep there: no ``Expr`` arithmetic happens inside
-the elimination loop.  An entry outside the ring (an ``exp``, a fractional
-or symbolic power, a coordinate) raises ``ValueError``.
+never visits a zero.  Entries are ``LaurentRing`` polynomials in the
+parameters, sparse ``{monomial: coefficient}`` maps with int or Fraction
+coefficients (e.g. ``2*c``, ``K^(-1)``, ``1 + 4*e1``); each caller converts
+its entries into the ring at its own boundary (``LaurentRing.param_poly``
+refuses an ``exp``, a fractional or symbolic power, a coordinate), so no
+``Expr`` arithmetic happens in this module's elimination.
 
 The sweep is fraction-free (cross-multiplication row updates, no entry is
 ever divided), with deterministic pivoting that prefers constant entries,
@@ -17,15 +16,18 @@ monomial; the leading term of its first entry, in ``Expr`` term order, is
 made positive.  ``nullspace`` and ``solve_span`` back-substitute in the
 ring too, scaling the solution by a pivot instead of dividing by it.
 ``row_reduce`` and ``nullspace`` return polynomials of their caller's ring
-(``LaurentRing.expr`` converts back); ``solve_span`` returns ``Expr``.
+(``LaurentRing.expr`` converts back); ``solve_span`` returns ``Expr``
+coordinates, the pivots' product cancelled by exact division in the ring
+where it divides.
 
 All operations treat the parameters appearing in entries as generic nonzero
 values; solutions therefore live in the field of rational functions of the
 parameters, with exact rational coefficients.
 
-For rank tests at a point, ``echelon_mod_p`` and ``reduce_mod_p`` eliminate
-sparse rows ``{col: residue}`` over GF(p), and ``independent_rows_mod_p``
-picks the rows that are independent there.
+For rank tests at a point, ``LaurentRing.eval_mod`` evaluates a polynomial
+over GF(p), ``echelon_mod_p`` and ``reduce_mod_p`` eliminate sparse rows
+``{col: residue}`` there, and ``independent_rows_mod_p`` picks the rows that
+are independent there.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .expr import (
-    Expr, Param, Pow, Product, Rat, Sum,
+    EvalDomainError, Expr, Param, Pow, Product, Rat, Sum, UnboundAtomError,
     RAT0, RAT1, _frac_gcd, add, div, expand, format_expr, mul, neg, pow_, rat,
     rational_content,
 )
@@ -129,6 +131,43 @@ class LaurentRing:
             self._exps[m] = out
         return out
 
+    @staticmethod
+    def monomial(exponents) -> int:
+        """The monomial with these exponents (``exponents``' inverse)."""
+        return sum(q << (_SHIFT * d) for d, q in enumerate(exponents))
+
+    def diff(self, p: dict, d: int) -> dict:
+        """Derivative of ``p`` in the variable of digit ``d``."""
+        one = 1 << (_SHIFT * d)
+        out = {}
+        for m, k in p.items():
+            q = self.exponents(m)[d]
+            if q:
+                out[m - one] = q * k
+        return out
+
+    def eval_mod(self, p: dict, point, prime: int) -> int:
+        """``p`` over GF(prime), each variable v at the residue point[v]:
+        ``expr.eval_mod`` of ``expr(p)``, without building it."""
+        values = [point.get(v) for v in self.variables]
+        acc = 0
+        for m, k in p.items():
+            if type(k) is int:
+                r = k
+            elif k.denominator % prime:
+                r = k.numerator * pow(k.denominator, -1, prime)
+            else:
+                raise EvalDomainError(f"zero denominator mod {prime}")
+            for d, (v, q) in enumerate(zip(values, self.exponents(m))):
+                if q:
+                    if v is None:
+                        raise UnboundAtomError(f"unbound atom {self.variables[d]}")
+                    if q < 0 and v % prime == 0:
+                        raise EvalDomainError(f"zero denominator mod {prime}")
+                    r = r * pow(v, q, prime) % prime
+            acc += r
+        return acc % prime
+
     def expr(self, p: dict) -> Expr:
         key = frozenset(p.items())
         e = self._exprs.get(key)
@@ -206,8 +245,8 @@ def _update(piv: dict, row: dict, a: dict, prow: dict, col: int) -> dict:
 
 
 def _sweep(ring: LaurentRing, rows: list, ncols: int):
-    """Forward elimination in ``ring``; returns (echelon rows of int
-    polynomials, pivot columns).
+    """Forward elimination of rows of ``ring`` polynomials; returns
+    (echelon rows of int polynomials, pivot columns).
 
     Columns are taken in increasing order.  A row can hold the current
     column only as its first entry, so rows wait in buckets by first
@@ -217,7 +256,7 @@ def _sweep(ring: LaurentRing, rows: list, ncols: int):
     buckets = defaultdict(list)
     top = ncols
     for i, r in enumerate(rows):
-        r = {c: p for c, p in ((c, ring.param_poly(e)) for c, e in r.items()) if p}
+        r = {c: p for c, p in r.items() if p}
         if r:
             d = lcm(*[k.denominator for p in r.values() for k in p.values()])
             work[i] = ring.strip({c: {m: int(d * k) for m, k in p.items()} for c, p in r.items()})
@@ -307,8 +346,8 @@ def strip_row_content(row: dict) -> dict:
 
 
 def row_reduce(rows: list, ncols: int, ring: LaurentRing):
-    """Bring sparse rows over columns 0..ncols-1 (nonzero entries only) to
-    (unnormalized) row-echelon form in ``ring`` (see the module docstring).
+    """Bring sparse rows of ``ring`` polynomials over columns 0..ncols-1 to
+    (unnormalized) row-echelon form (see the module docstring).
     Returns (echelon_rows, pivot_cols): echelon_rows[i], int polynomials of
     ``ring``, has its first entry in column pivot_cols[i]."""
     return _sweep(ring, rows, ncols)
@@ -354,16 +393,55 @@ def nullspace(rows: list, ncols: int, ring: LaurentRing) -> list:
     ]
 
 
-def rank(rows: list, ncols: int) -> int:
-    return len(_sweep(LaurentRing(), rows, ncols)[1])
+def rank(rows: list, ncols: int, ring: LaurentRing) -> int:
+    return len(_sweep(ring, rows, ncols)[1])
 
 
-def solve_span(vectors: list, target: dict):
+def _exact_quotient(ring: LaurentRing, a: dict, d: dict):
+    """``a / d`` when ``d`` divides ``a`` in the Laurent ring, else None.
+
+    Leading terms are divided in the lex order of the monomial ints (the
+    last variable most significant).  If d divides a, the quotient's
+    exponent of each variable lies between a's lowest minus d's lowest and
+    a's highest minus d's highest; a candidate term outside that box proves
+    that d does not divide, and the candidates strictly decrease inside it,
+    so the loop ends."""
+    if len(d) == 1:
+        ((md, kd),) = d.items()
+        return {m - md: _ratio(k, kd) for m, k in a.items()}
+    ea, ed = zip(*map(ring.exponents, a)), zip(*map(ring.exponents, d))
+    box = [(min(x) - min(y), max(x) - max(y)) for x, y in zip(ea, ed)]
+    md = max(d)
+    kd = d[md]
+    a, q = dict(a), {}
+    while a:
+        mq = max(a) - md
+        if not all(lo <= e <= hi for e, (lo, hi) in zip(ring.exponents(mq), box)):
+            return None
+        k = q[mq] = _ratio(a[mq + md], kd)
+        for n, v in d.items():
+            w = a.get(mq + n, 0) - k * v
+            if w:
+                a[mq + n] = w
+            else:
+                del a[mq + n]
+    return q
+
+
+def _ratio(a, b):
+    """a/b exactly, an int when it is one."""
+    r = Fraction(a, b)
+    return r.numerator if r.denominator == 1 else r
+
+
+def solve_span(vectors: list, target: dict, ring: LaurentRing):
     """Exact coordinates of ``target`` in the span of ``vectors``.
 
-    Vectors and target are sparse coordinate maps {coordinate: entry};
-    returns the coefficient list or None when the target is outside the
-    span."""
+    Vectors and target are sparse coordinate maps {coordinate: polynomial
+    of ``ring``}; returns the coefficient list, as ``Expr``, or None when
+    the target is outside the span.  Back-substitution scales the solution
+    by the pivots; that product is cancelled by exact division where it
+    divides a coordinate, and stays a denominator where it does not."""
     k = len(vectors)
     # one row per coordinate: the unknowns first, then the augmented column
     by_coord = defaultdict(dict)
@@ -371,14 +449,18 @@ def solve_span(vectors: list, target: dict):
         for i, e in v.items():
             by_coord[i][j] = e
     rows = [by_coord[i] for i in sorted(by_coord)]
-    ring = LaurentRing()
     echelon, pivot_cols = row_reduce(rows, k + 1, ring)
     if k in pivot_cols:
         return None  # pivot in the augmented column: inconsistent
     # the target's unknown starts at -1; the pivots that scale sol scale it
     sol = _back_substitute(echelon, pivot_cols, {k: {0: -1}})
-    scale = ring.expr({m: -v for m, v in sol.pop(k).items()})
-    return [expand(div(ring.expr(sol[j]), scale)) if j in sol else RAT0 for j in range(k)]
+    scale = {m: -v for m, v in sol.pop(k).items()}
+
+    def coordinate(p):
+        q = _exact_quotient(ring, p, scale)
+        return ring.expr(q) if q is not None else expand(div(ring.expr(p), ring.expr(scale)))
+
+    return [coordinate(sol.get(j, {})) for j in range(k)]
 
 
 def annihilates(rows: list, vectors: list) -> bool:

@@ -618,3 +618,59 @@ class TestReduceFuzz:
             assert "Traceback" not in err.getvalue(), argv
 
         check()
+
+
+class TestClassifyFuzz:
+    """classify end to end, in process, over both families, ansatz degrees
+    0-3 and random rational or zero family parameters: every run ends in
+    exit 0, 1 or 2 with no traceback.  Rational parameters put Fraction
+    coefficients into the ring rows.  e1 = +-1/n with n >= 5 is left out:
+    the power family then folds to a polynomial of degree n in u, whose
+    extraction cost grows steeply with n."""
+
+    def test_classify_exit_codes(self, tmp_path):
+        import contextlib
+        import io
+        from fractions import Fraction
+
+        from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+        # zero last: hypothesis starts from the first elements
+        values = st.sampled_from(sorted(
+            {Fraction(p, q) for p in range(-6, 7) if p for q in range(1, 7)},
+            key=lambda v: (v.denominator, abs(v.numerator), v < 0)) + [Fraction(0)])
+        # each family parameter set or left at its symbol; those of the
+        # other family are accepted and ignored
+        params = st.fixed_dictionaries(
+            {name: st.one_of(st.none(), values) for name in ("K", "c", "L", "e1", "e2")})
+
+        def cheap(params):
+            e1 = params["e1"]
+            return e1 is None or not (abs(e1.numerator) == 1 and e1.denominator >= 5)
+
+        @settings(derandomize=True, max_examples=80, deadline=None,
+                  database=None, suppress_health_check=list(HealthCheck))
+        @given(st.sampled_from(["i", "ii"]), st.integers(0, 3), params.filter(cheap))
+        @example("ii", 3, {"K": None, "c": None, "L": Fraction(2, 3),
+                           "e1": Fraction(-1, 4), "e2": Fraction(3, 2)})
+        @example("i", 2, {"K": Fraction(1, 6), "c": Fraction(-5, 3),
+                          "L": None, "e1": None, "e2": None})
+        @example("ii", 2, {"K": None, "c": None, "L": Fraction(-3),
+                           "e1": Fraction(3, 2), "e2": Fraction(0)})
+        @example("i", 1, {"K": Fraction(0), "c": None, "L": None, "e1": None, "e2": None})
+        def check(case, degree, params):
+            argv = ["classify", "--case", case, "--degree", str(degree),
+                    "--format", "json", "--out", str(tmp_path / "report.json")]
+            for name, value in params.items():
+                if value is not None:
+                    argv += ["--param", f"{name}={value}"]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exit_:
+                    code = exit_.code
+            assert code in (0, 1, 2), (argv, code)
+            assert "Traceback" not in err.getvalue(), argv
+
+        check()

@@ -454,9 +454,9 @@ class TestResidualCertificate:
         # column 0 is alpha's constant term: a u*d/du field joins the basis
         real = detsys._select_and_solve
 
-        def with_u_du(rows, ncols):
-            ring, vectors, selection = real(rows, ncols)
-            return ring, vectors + [{0: {0: 1}}], selection
+        def with_u_du(ring, rows, ncols):
+            vectors, selection = real(ring, rows, ncols)
+            return vectors + [{0: {0: 1}}], selection
 
         monkeypatch.setattr(detsys, "_select_and_solve", with_u_du)
         space = ansatz_solve(ExponentialCase(), AnsatzSpec(2))
@@ -520,12 +520,12 @@ class TestRowSelection:
         # looks dependent there, the kept rows have a larger kernel, and the
         # exact check of the dropped rows must notice
         want = ansatz_solve(PowerCase(), AnsatzSpec(degree))
-        real = detsys.eval_mod
+        real = LaurentRing.eval_mod
 
-        def at_bad_point(e, point, fvals, p):
-            return real(e, {**point, e1: -pow(4, -1, p) % p}, fvals, p)
+        def at_bad_point(ring, poly, point, p):
+            return real(ring, poly, {**point, e1: -pow(4, -1, p) % p}, p)
 
-        monkeypatch.setattr(detsys, "eval_mod", at_bad_point)
+        monkeypatch.setattr(LaurentRing, "eval_mod", at_bad_point)
         got = ansatz_solve(PowerCase(), AnsatzSpec(degree))
         assert got.selection.fallback
         assert got.selection.rows_kept == want.selection.rows_kept - 1
@@ -534,7 +534,7 @@ class TestRowSelection:
             assert [str(b) for b in got.basis] == TestAnsatzSolve.FROZEN_BASIS_3["power"]
 
     def test_point_dropping_every_row_falls_back(self, monkeypatch):
-        monkeypatch.setattr(detsys, "eval_mod", lambda e, point, fvals, p: 0)
+        monkeypatch.setattr(LaurentRing, "eval_mod", lambda ring, poly, point, p: 0)
         got = ansatz_solve(ExponentialCase(), AnsatzSpec(3))
         assert got.selection.rows_kept == 0 and got.selection.fallback
         assert [str(b) for b in got.basis] == TestAnsatzSolve.FROZEN_BASIS_3["exponential"]

@@ -16,8 +16,12 @@ GOLDEN = Path(__file__).parent / "golden"
 # name -> (arguments, exit code)
 CASES = {
     "derive": (["derive"], 0),
+    "classify_i_d2": (["classify", "--case", "i", "--degree", "2"], 1),
+    "classify_ii_d2": (["classify", "--case", "ii", "--degree", "2"], 1),
     "classify_i_d3": (["classify", "--case", "i", "--degree", "3"], 1),
     "classify_ii_d3": (["classify", "--case", "ii", "--degree", "3"], 1),
+    "classify_i_d4": (["classify", "--case", "i", "--degree", "4"], 1),
+    "classify_ii_d4": (["classify", "--case", "ii", "--degree", "4"], 1),
     "classify_i_d5": (["classify", "--case", "i", "--degree", "5"], 1),
     "classify_ii_d5": (["classify", "--case", "ii", "--degree", "5"], 1),
     # the top of the degree range the solve is checked byte for byte on

@@ -2,12 +2,13 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from wavesym.expr import (
-    RAT0, RAT1, T, U, X, Y, add, eval_numeric, expand, jet, mul, neg, param,
-    rat, sub,
+    RAT0, RAT1, T, U, X, Y, add, eval_numeric, exp_, expand, jet, mul, neg,
+    param, pow_, rat, sub,
 )
 from wavesym.liealg import (
     EPS, CommutatorTable, FlowUnsupportedError, LieAlgError, VectorField,
@@ -59,6 +60,28 @@ class TestBracket:
     def test_jet_components_rejected(self):
         with pytest.raises(LieAlgError):
             VectorField(jet("x"), RAT0, RAT0, RAT0)
+
+    @pytest.mark.parametrize("comp", [exp_(X), pow_(X, -1), pow_(U, Fraction(1, 2)),
+                                      pow_(add(X, 1), -1), exp_(c)],
+                             ids=["exp(x)", "1/x", "u^(1/2)", "1/(x + 1)", "exp(c)"])
+    def test_non_polynomial_field_rejected(self, comp):
+        # a component must be a polynomial in x, y, t, u with Laurent
+        # polynomials in the parameters as coefficients
+        dx = VectorField(RAT1, RAT0, RAT0, RAT0)
+        field = VectorField(RAT0, RAT0, comp, RAT0)
+        with pytest.raises(LieAlgError):
+            bracket(dx, field)
+        with pytest.raises(LieAlgError):
+            commutator_table([dx, field])
+        with pytest.raises(LieAlgError):
+            decompose_field([dx], field)
+        with pytest.raises(LieAlgError):
+            jacobi_check([dx, field, VectorField(RAT0, RAT1, RAT0, RAT0)])
+
+    def test_laurent_parameter_coefficients(self):
+        # [x*d/dx, c^(-1)*x^2*d/dx] = c^(-1)*x^2*d/dx
+        w = VectorField(mul(pow_(c, -1), X, X), RAT0, RAT0, RAT0)
+        assert bracket(VectorField(X, RAT0, RAT0, RAT0), w) == w
 
 
 class TestCommutatorTable:
@@ -128,13 +151,13 @@ class TestJacobi:
         from wavesym.cli import RunConfig, stage_classify
 
         calls = []
-        real = liealg.bracket
+        real = liealg._bracket
 
-        def counted(v, w):
+        def counted(ring, v, w, *acc):
             calls.append((v, w))
-            return real(v, w)
+            return real(ring, v, w, *acc)
 
-        monkeypatch.setattr(liealg, "bracket", counted)
+        monkeypatch.setattr(liealg, "_bracket", counted)
         assert stage_classify(RunConfig("classify", case="ii", degree=1))["jacobi_all_zero"]
         assert len(calls) == 40
 

@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 from wavesym.expr import (
-    RAT0, RAT1, add, eval_mod, exp_, expand, mul, neg, param, pow_, rat,
+    EvalDomainError, RAT0, RAT1, add, eval_mod, exp_, expand, mul, neg, param, pow_, rat,
     rational_content, sub, vanishes,
 )
 from wavesym.linalg import (
-    LaurentRing, annihilates, echelon_mod_p, independent_rows_mod_p, nullspace,
+    LaurentRing, _exact_quotient, annihilates, echelon_mod_p, independent_rows_mod_p, nullspace,
     param_content, rank, reduce_mod_p, row_reduce, solve_span,
     strip_row_content,
 )
@@ -28,10 +28,27 @@ def dot(row, vec):
     return expand(add(*[mul(e, vec.get(j, RAT0)) for j, e in enumerate(row)]))
 
 
+def polys(ring, rows):
+    """Rows of ``Expr`` entries as rows of ``ring`` polynomials."""
+    return [{j: ring.param_poly(e) for j, e in r.items()} for r in rows]
+
+
 def expr_nullspace(rows, ncols):
-    """The nullspace basis, its ring polynomials converted to ``Expr``."""
+    """The nullspace basis of ``Expr`` rows, converted back to ``Expr``."""
     ring = LaurentRing()
-    return [{j: ring.expr(p) for j, p in v.items()} for v in nullspace(rows, ncols, ring)]
+    return [{j: ring.expr(p) for j, p in v.items()}
+            for v in nullspace(polys(ring, rows), ncols, ring)]
+
+
+def expr_rank(rows, ncols):
+    ring = LaurentRing()
+    return rank(polys(ring, rows), ncols, ring)
+
+
+def expr_solve_span(vectors, target):
+    ring = LaurentRing()
+    (target,) = polys(ring, [target])
+    return solve_span(polys(ring, vectors), target, ring)
 
 
 def test_rank_and_nullspace_rational():
@@ -40,7 +57,7 @@ def test_rank_and_nullspace_rational():
         [rat(2), rat(4), rat(0)],
         [rat(0), rat(0), rat(1)],
     ]
-    assert rank([sparse(r) for r in rows], 3) == 2
+    assert expr_rank([sparse(r) for r in rows], 3) == 2
     basis = expr_nullspace([sparse(r) for r in rows], 3)
     assert len(basis) == 1
     v = basis[0]
@@ -75,14 +92,14 @@ def test_solve_span_recovers_coefficients(rng):
             expand(add(mul(rat(a), vecs[0][i]), mul(rat(b), vecs[1][i])))
             for i in range(3)
         ]
-        coeffs = solve_span([sparse(v) for v in vecs], sparse(target))
+        coeffs = expr_solve_span([sparse(v) for v in vecs], sparse(target))
         assert coeffs is not None
         assert expand(coeffs[0]) == rat(a)
         assert expand(coeffs[1]) == rat(b)
 
 
 def test_solve_span_detects_outside():
-    assert solve_span([{0: rat(1)}], {1: rat(1)}) is None
+    assert expr_solve_span([{0: rat(1)}], {1: rat(1)}) is None
 
 
 def test_random_homogeneous_systems(rng):
@@ -94,7 +111,7 @@ def test_random_homogeneous_systems(rng):
             for _ in range(m)
         ]
         basis = expr_nullspace([sparse(r) for r in rows], n)
-        assert len(basis) == n - rank([sparse(r) for r in rows], n)
+        assert len(basis) == n - expr_rank([sparse(r) for r in rows], n)
         for v in basis:
             for row in rows:
                 assert dot(row, v) == RAT0
@@ -112,10 +129,10 @@ def test_row_order_does_not_change_rank_or_nullspace(rng):
         a, b = rng.choice(entries[2:]), rng.choice(entries[2:])
         rows.append([expand(add(mul(a, x), mul(b, y))) for x, y in zip(rows[0], rows[-1])])
         rows = [sparse(r) for r in rows]
-        want_rank, want_basis = rank(rows, n), expr_nullspace(rows, n)
+        want_rank, want_basis = expr_rank(rows, n), expr_nullspace(rows, n)
         for _ in range(3):
             shuffled = rng.sample(rows, len(rows))
-            assert rank(shuffled, n) == want_rank
+            assert expr_rank(shuffled, n) == want_rank
             basis = expr_nullspace(shuffled, n)
             assert len(basis) == len(want_basis)
             for got, want in zip(basis, want_basis):
@@ -135,7 +152,7 @@ def test_mod_p_rank_matches_exact_rank(rng):
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
         rows = [[rng.choice([0, 0, 1, -2, 3]) for _ in range(ncols)] for _ in range(nrows)]
         pivots = echelon_mod_p(({j: v for j, v in enumerate(r) if v} for r in rows), p)
-        assert len(pivots) == rank([sparse([rat(v) for v in r]) for r in rows], ncols)
+        assert len(pivots) == expr_rank([sparse([rat(v) for v in r]) for r in rows], ncols)
         combo = {}
         for r in rows:
             k = rng.randint(-3, 3)
@@ -178,8 +195,8 @@ def test_ring_rank_matches_mod_p_rank(rng):
                                 for j, (r0, r1) in enumerate(zip([rows[0]] * n, [rows[1]] * n))]))
         point = {c: rng.randrange(1, p), K: rng.randrange(1, p)}
         mod_rows = [{j: eval_mod(e, point, {}, p) for j, e in r.items()} for r in rows]
-        assert rank(rows, n) == len(echelon_mod_p(mod_rows, p))
-        assert len(independent_rows_mod_p(mod_rows, p)) == rank(rows, n)
+        assert expr_rank(rows, n) == len(echelon_mod_p(mod_rows, p))
+        assert len(independent_rows_mod_p(mod_rows, p)) == expr_rank(rows, n)
 
 
 def test_echelon_rows_are_content_free(rng):
@@ -191,7 +208,7 @@ def test_echelon_rows_are_content_free(rng):
         n = rng.randint(2, 6)
         rows = random_ring_rows(rng, rng.randint(1, 5), n)
         ring = LaurentRing()
-        echelon, pivot_cols = row_reduce(rows, n, ring)
+        echelon, pivot_cols = row_reduce(polys(ring, rows), n, ring)
         assert pivot_cols == sorted(pivot_cols)
         for row, pc in zip(echelon, pivot_cols):
             assert min(row) == pc
@@ -209,9 +226,28 @@ def test_ring_round_trip(rng):
         assert ring.leads_negative(p) == (rational_content(e) < 0)
 
 
+def test_ring_eval_mod_matches_expr_eval_mod(rng):
+    # random Laurent polynomials with Fraction coefficients, some exponents
+    # negative, at random points over GF(p)
+    p = 2**31 - 1
+    e1 = param("e1")
+    ring = LaurentRing()
+    for _ in range(80):
+        e = expand(add(*[
+            mul(rat(Fraction(rng.randint(-9, 9), rng.randint(1, 6))),
+                *[pow_(v, rng.randint(-3, 3)) for v in (c, K, e1)])
+            for _ in range(rng.randint(1, 4))]))
+        point = {v: rng.randrange(1, p) for v in (c, K, e1)}
+        assert ring.eval_mod(ring.poly(e), point, p) == eval_mod(e, point, {}, p)
+    with pytest.raises(EvalDomainError):
+        ring.eval_mod(ring.poly(pow_(c, -1)), {c: p}, p)
+    with pytest.raises(EvalDomainError):
+        ring.eval_mod(ring.poly(rat(1, p)), {}, p)
+
+
 def test_entry_outside_the_ring_refused():
     with pytest.raises(ValueError) as err:
-        rank([{0: RAT1, 1: exp_(c)}], 2)
+        expr_rank([{0: RAT1, 1: exp_(c)}], 2)
     msg = str(err.value)
     assert "\n" not in msg and msg.startswith("entry outside the Laurent-polynomial ring")
     assert "exp(c)" in msg
@@ -223,18 +259,18 @@ def test_elimination_takes_parameters_only():
     # determinant s^2 - c is a nonzero polynomial in two symbols
     s = pow_(c, Fraction(1, 2))
     with pytest.raises(ValueError):
-        rank([{0: s, 1: RAT1}, {0: c, 1: s}], 2)
+        expr_rank([{0: s, 1: RAT1}, {0: c, 1: s}], 2)
     with pytest.raises(ValueError):
-        nullspace([{0: RAT1, 1: exp_(c)}], 2, LaurentRing())
+        expr_nullspace([{0: RAT1, 1: exp_(c)}], 2)
 
 
 def test_annihilates():
     rows = [{0: RAT1, 1: mul(-2, c)}, {1: add(mul(c, K), 1), 2: K}]
     ring = LaurentRing()
+    rows = polys(ring, rows)
     (v,) = nullspace(rows, 3, ring)
     # the pivot c*K + 1 scales the vector instead of dividing it
     assert ring.expr(v[2]) == expand(neg(add(mul(c, K), 1)))
-    rows = [{j: ring.poly(e) for j, e in r.items()} for r in rows]
     assert annihilates(rows, [v])
     assert not annihilates(rows, [{0: {0: 1}}])
     assert not annihilates(rows, [{j: ring.poly(mul(c, ring.expr(e))) for j, e in v.items() if j}])
@@ -251,22 +287,37 @@ def test_nullspace_with_polynomial_pivots():
     assert all("^(-" not in str(e) for e in v.values())
     assert all(dot([r.get(j, RAT0) for j in range(3)], v) == RAT0 for r in rows)
     ring = LaurentRing()
-    assert annihilates([{j: ring.poly(e) for j, e in r.items()} for r in rows],
-                       nullspace(rows, 3, ring))
+    rows = polys(ring, rows)
+    assert annihilates(rows, nullspace(rows, 3, ring))
 
 
 def test_solve_span_with_polynomial_pivots():
-    # every entry of the first column is 1 + c: the coordinates are divided
-    # by the pivots' product once, at the end
+    # every entry of the first column is 1 + c: the coordinates are scaled
+    # by the pivots' product (1 + c)^2, which divides them exactly
     one_c = add(1, c)
     vecs = [{0: one_c}, {0: K, 1: one_c}]
     target = {0: expand(add(mul(2, one_c), mul(c, K))), 1: expand(mul(c, one_c))}
-    coeffs = solve_span(vecs, target)
-    assert coeffs is not None
-    for i, e in target.items():
-        rebuilt = add(*[mul(a, v.get(i, RAT0)) for a, v in zip(coeffs, vecs)])
-        assert vanishes(sub(rebuilt, e))
-    assert vanishes(sub(coeffs[0], 2)) and vanishes(sub(coeffs[1], c))
+    assert expr_solve_span(vecs, target) == [rat(2), c]
+
+
+def test_solve_span_keeps_a_pivot_that_does_not_divide():
+    # the coordinate of 1 on the vector 1 + c is 1/(1 + c)
+    one_c = add(1, c)
+    (coeff,) = expr_solve_span([{0: one_c}], {0: RAT1})
+    assert vanishes(sub(mul(coeff, one_c), 1))
+
+
+def test_exact_quotient(rng):
+    # d divides d*q for random Laurent polynomials, and the quotient is q;
+    # d does not divide d*q + 1 when d is not a monomial
+    ring = LaurentRing()
+    terms = [RAT1, rat(-3, 2), c, K, pow_(c, -1), mul(c, K), pow_(K, 2), mul(c, pow_(K, -2))]
+    for _ in range(60):
+        d, q = (add(*rng.sample(terms, rng.randint(1, 3))) for _ in range(2))
+        pd, pq = ring.poly(d), ring.poly(q)
+        assert _exact_quotient(ring, ring.poly(expand(mul(d, q))), pd) == pq
+        if len(pd) > 1:
+            assert _exact_quotient(ring, ring.poly(expand(add(mul(d, q), 1))), pd) is None
 
 
 def test_independent_rows_mod_p():
