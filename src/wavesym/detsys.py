@@ -524,9 +524,12 @@ def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
 
     ds = extract_determining(opaque_affine_vectorfield(), fam)
     ring = LaurentRing()
+    # equal entries share one (index, polynomial), so a row is frozen by
+    # its columns and entry indices
+    entries: dict = {}  # frozen polynomial -> (index, polynomial)
     rows: dict = {}  # frozen row -> row, in first-seen order
     for _, eq in ds.entries:
-        table: dict = {}  # xyt monomial -> {column: polynomial}
+        table: dict = {}  # xyt monomial -> {column: (index, polynomial)}
         for node, c in _linear_decomposition(eq, comps).items():
             if atoms_of(c) & {X, Y, T}:
                 raise DetSysError(f"coefficient {format_expr(c)} depends on x, y or t")
@@ -538,13 +541,15 @@ def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
                 n = tuple(a - b for a, b in zip(m, node.didx))
                 if min(n) >= 0:
                     ff = prod(perm(a, b) for a, b in zip(m, node.didx))
-                    table.setdefault(n, {})[col_of[node.name, m]] = (
-                        p if ff == 1 else {mono: ff * k for mono, k in p.items()})
+                    q = p if ff == 1 else {mono: ff * k for mono, k in p.items()}
+                    table.setdefault(n, {})[col_of[node.name, m]] = entries.setdefault(
+                        frozenset(q.items()), (len(entries), q))
         # in the order of collect_atoms keys: by atom (x < y < t), then power
         for n in sorted(table, key=lambda n: tuple(
                 (a.sort_key(), p) for a, p in zip((X, Y, T), n) if p)):
             row = table[n]
-            rows.setdefault(frozenset((j, frozenset(p.items())) for j, p in row.items()), row)
+            rows.setdefault(frozenset((j, i) for j, (i, _) in row.items()),
+                            {j: q for j, (_, q) in row.items()})
 
     vectors, selection = _select_and_solve(ring, list(rows.values()), len(columns))
     vectors = [{columns[j]: p for j, p in vec.items()} for vec in vectors]
