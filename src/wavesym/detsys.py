@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from math import ceil, perm, prod
 
 from .expr import (
-    Expr, ExprError, NonPolynomialError, Pow, Product, Rat, Sum,
-    RAT0, add, atoms_of, base, clear_denominators, collect_atoms, diff,
+    Base, Expr, ExprError, Fn, Jet, NonPolynomialError, Param, Pow, Product,
+    Rat, Sum, RAT0, add, atoms_of, base, clear_denominators, collect_atoms, diff,
     eval_mod, expand, fn, fn_nodes_of, format_expr, jet, jets_of, mul, neg,
     param, pow_, sub, substitute, vanishes,
 )
@@ -303,6 +303,57 @@ def _linear_decomposition(e: Expr, unknown_names) -> dict:
     return {key[0][0]: coeff for key, coeff in table.items()}
 
 
+def _diff_form(form: dict, a: Expr, dcoeff: dict) -> dict:
+    """d/da of a linear form {component node: coefficient}, a one of
+    x, y, t, u.  A node's derivative raises its derivative index in each
+    slot whose argument is ``a``; a coefficient's derivative is taken once
+    per (coefficient, a) and kept in ``dcoeff``.  Contributions to one node
+    are added; zero entries are dropped."""
+    out: dict = {}
+
+    def put(node, c):
+        prev = out.get(node)
+        out[node] = c if prev is None else add(prev, c)
+
+    for node, c in form.items():
+        for i, arg in enumerate(node.args):
+            if type(arg) not in (Base, Jet, Param):
+                raise DetSysError(f"component {format_expr(node)} has a non-atom argument")
+            if arg == a:
+                didx = list(node.didx)
+                didx[i] += 1
+                put(Fn(node.name, node.args, tuple(didx)), c)
+        dc = dcoeff.get((c, a))
+        if dc is None:
+            dc = dcoeff[c, a] = expand(diff(c, a))
+        if dc != RAT0:
+            put(node, dc)
+    return {node: c for node, c in out.items() if c != RAT0}
+
+
+def _close_forms(forms: list, prolong_order: int) -> list:
+    """The linear forms followed by their x, y, t, u derivatives up to
+    ``prolong_order``, level by level: each form of the last level is
+    differentiated in x, y, t, u, in that order, and a derivative that is
+    zero or equal to a form already held is not added."""
+    rows = list(forms)
+    seen = {frozenset(f.items()) for f in forms}
+    dcoeff: dict = {}
+    frontier = rows
+    for _ in range(prolong_order):
+        nxt = []
+        for form in frontier:
+            for a in (X, Y, T, U):
+                d = _diff_form(form, a, dcoeff)
+                key = frozenset(d.items())
+                if d and key not in seen:
+                    seen.add(key)
+                    nxt.append(d)
+        rows = rows + nxt
+        frontier = nxt
+    return rows
+
+
 def reference_implication_report(
     ds: DeterminingSystem,
     seed: int = 7,
@@ -311,18 +362,23 @@ def reference_implication_report(
     """Decide whether each bundled determining condition is implied by the
     engine-derived system.  Returns ({name: {"implied", "route"}}, check).
 
-    The derived system is first closed under differential consequences up
-    to ``prolong_order`` (each equation differentiated with respect to
-    x, y, t, u), since the reference's simplified conditions use such
-    consequences.  Symbolic route: the condition, or its negative, is one
-    of the derived equations (normal forms are canonical).  Modular route:
-    every equation is a linear form in the opaque component derivatives
-    whose coefficients are polynomials in u and the derivatives of f.  At
-    N_POINTS seeded random points over GF(p), p = PRIME = 2^31 - 1, the
-    condition is implied iff adding its row leaves the rank of the derived
-    rows unchanged at every point.  By the Schwartz-Zippel lemma a point
-    gives a rank below the generic one with probability at most
-    (rank + 1) * degree / p; ``check`` carries that bound and its inputs."""
+    Every equation is a linear form {component derivative: coefficient}
+    in the opaque xi, eta, tau, phi, with coefficients polynomial in u and
+    the derivatives of f.  The derived equations are decomposed once and
+    closed under differential consequences up to ``prolong_order`` (each
+    differentiated with respect to x, y, t, u), since the reference's
+    simplified conditions use such consequences.  The closure stays on
+    linear forms (``_close_forms``): differentiating shifts the
+    components' derivative indices and differentiates each distinct
+    coefficient once per direction.  Symbolic route: the condition's form,
+    or its negative, is one of the derived forms (coefficients are
+    canonical).  Modular route: at N_POINTS seeded random points over
+    GF(p), p = PRIME = 2^31 - 1, each distinct coefficient is evaluated
+    once and the rows are read from that table; the condition is implied
+    iff adding its row leaves the rank of the derived rows unchanged at
+    every point.  By the Schwartz-Zippel lemma a point gives a rank below
+    the generic one with probability at most (rank + 1) * degree / p;
+    ``check`` carries that bound and its inputs."""
     import random
 
     if not isinstance(ds.family, Generic):
@@ -333,32 +389,24 @@ def reference_implication_report(
     conds = reference.determining_conditions(
         v.xi, v.eta, v.tau, v.phi, fam.f_expr(), fam.fu_expr()
     )
-    conds = {n: expand(e) for n, e in conds.items()}
-    derived = [expand(e) for e in ds.expressions()]
-    frontier = list(derived)
-    seen = set(derived)
-    for _ in range(prolong_order):
-        nxt = []
-        for e in frontier:
-            for a in (X, Y, T, U):
-                de = expand(diff(e, a))
-                if de != RAT0 and de not in seen:
-                    seen.add(de)
-                    nxt.append(de)
-        derived.extend(nxt)
-        frontier = nxt
-
+    names = ("xi", "eta", "tau", "phi")
+    # the collected coefficients are canonical, so equal forms are equal
+    # equations
+    derived = _close_forms(
+        [_linear_decomposition(e, names) for e in ds.expressions()], prolong_order)
+    cond_forms = {n: _linear_decomposition(e, names) for n, e in conds.items()}
+    seen = {frozenset(d.items()) for d in derived}
     report = {
         n: {"implied": True, "route": "symbolic"}
-        for n, ce in conds.items() if ce in seen or expand(neg(ce)) in seen
+        for n, d in cond_forms.items()
+        if frozenset(d.items()) in seen
+        or frozenset((node, expand(neg(ce))) for node, ce in d.items()) in seen
     }
     unmatched = [n for n in conds if n not in report]
-    names = ("xi", "eta", "tau", "phi")
-    decomps = [_linear_decomposition(e, names) for e in derived]
-    cond_decomps = [_linear_decomposition(conds[n], names) for n in unmatched]
-    coeffs = {ce for d in decomps + cond_decomps for ce in d.values()}
+    cond_decomps = [cond_forms[n] for n in unmatched]
+    coeffs = {ce for d in derived + cond_decomps for ce in d.values()}
     col = {node: i for i, node in enumerate(sorted(
-        {node for d in decomps + cond_decomps for node in d}, key=Expr.sort_key))}
+        {node for d in derived + cond_decomps for node in d}, key=Expr.sort_key))}
     atoms = sorted({a for ce in coeffs for a in atoms_of(ce)}, key=Expr.sort_key)
     fnodes = {f for ce in coeffs for f in fn_nodes_of(ce)}
     fkeys = sorted({(f.name, f.didx) for f in fnodes})
@@ -372,11 +420,12 @@ def reference_implication_report(
     for _ in range(N_POINTS):
         point = {a: rng.randrange(1, PRIME) for a in atoms}
         fvals = {k: rng.randrange(1, PRIME) for k in fkeys}
+        value = {ce: eval_mod(ce, point, fvals, PRIME) for ce in coeffs}
 
         def row(d):
-            return {col[node]: eval_mod(ce, point, fvals, PRIME) for node, ce in d.items()}
+            return {col[node]: value[ce] for node, ce in d.items()}
 
-        pivots = echelon_mod_p((row(d) for d in decomps), PRIME)
+        pivots = echelon_mod_p((row(d) for d in derived), PRIME)
         ranks.append(len(pivots))
         for name, d in zip(unmatched, cond_decomps):
             if reduce_mod_p(row(d), pivots, PRIME):

@@ -9,7 +9,7 @@ from wavesym.detsys import (
     ansatz_solve, check_reference_system, extract_determining,
     invariance_residual, model_residual, on_shell, opaque_affine_vectorfield,
     opaque_vectorfield, reference_implication_report, split_u_dependence,
-    _certify, _linear_decomposition,
+    _certify, _close_forms, _diff_form, _linear_decomposition,
 )
 from wavesym.expr import (
     RAT0, RAT1, T, U, X, Y, Fn, Product, Sum, add, atoms_of, collect_atoms,
@@ -281,6 +281,102 @@ class TestReferenceSystem:
         assert not rep["phi_wave_balance"]["implied"]
         assert rep["phi_wave_balance"]["route"] == "modular"
         assert all(r < 223 for r in check["ranks"])
+
+
+def _expr_closure(forms, prolong_order=2):
+    """The closure as it was built on whole expressions: every row
+    reassembled, differentiated, expanded and decomposed again."""
+    names = ("xi", "eta", "tau", "phi")
+    derived = [expand(add(*[mul(n, c) for n, c in f.items()])) for f in forms]
+    frontier, seen = list(derived), set(derived)
+    for _ in range(prolong_order):
+        nxt = []
+        for e in frontier:
+            for a in (X, Y, T, U):
+                de = expand(diff(e, a))
+                if de != RAT0 and de not in seen:
+                    seen.add(de)
+                    nxt.append(de)
+        derived.extend(nxt)
+        frontier = nxt
+    return [_linear_decomposition(e, names) for e in derived]
+
+
+class TestLinearFormClosure:
+    ARGS = (X, Y, T, U)
+    f = fn("f", [U])
+
+    def xi(self, *didx):
+        return fn("xi", self.ARGS, didx or (0, 0, 0, 0))
+
+    def test_u_derivative_shifts_the_index_and_differentiates_the_coefficient(self):
+        xi_x, xi_xu = self.xi(1, 0, 0, 0), self.xi(1, 0, 0, 1)
+        assert _diff_form({xi_x: self.f}, U, {}) == {
+            xi_xu: self.f, xi_x: fn("f", [U], (1,))}
+
+    def test_coefficient_differentiated_once_per_direction(self):
+        dcoeff = {}
+        form = {self.xi(): self.f, self.xi(1, 0, 0, 0): self.f}
+        _diff_form(form, U, dcoeff)
+        _diff_form(form, U, dcoeff)
+        assert dcoeff == {(self.f, U): fn("f", [U], (1,))}
+
+    def test_cancelling_contribution_drops_its_node(self):
+        # d/du (u*xi - u^2/2*xi_u): the two xi_u terms cancel
+        form = {self.xi(): U, self.xi(0, 0, 0, 1): mul(rat(-1, 2), pow_(U, 2))}
+        assert _diff_form(form, U, {}) == {
+            self.xi(): RAT1, self.xi(0, 0, 0, 2): mul(rat(-1, 2), pow_(U, 2))}
+
+    def test_zero_and_duplicate_rows_not_added(self):
+        g, g_x, g_xx = (fn("g", [X], (k,)) for k in range(3))
+        # d/dy, d/dt, d/du of every row are zero; d/dx of g is the row g_x
+        assert _close_forms([{g: RAT1}, {g_x: RAT1}], 1) == [
+            {g: RAT1}, {g_x: RAT1}, {g_xx: RAT1}]
+        assert _close_forms([{g: RAT1}], 2) == [{g: RAT1}, {g_x: RAT1}, {g_xx: RAT1}]
+
+    def test_non_atom_argument_rejected(self):
+        with pytest.raises(DetSysError, match="non-atom"):
+            _diff_form({fn("xi", [mul(X, Y), T]): RAT1}, T, {})
+
+    def test_same_rows_as_the_expression_closure(self):
+        ds = extract_determining(opaque_vectorfield(), Generic())
+        forms = [_linear_decomposition(e, ("xi", "eta", "tau", "phi"))
+                 for e in ds.expressions()]
+        rows = _close_forms(forms, 2)
+        assert len(rows) == 412
+        assert rows == _expr_closure(forms)
+
+    @pytest.mark.parametrize("seed", [7, 3])
+    def test_same_report_as_the_expression_closure(self, monkeypatch, seed):
+        ds = extract_determining(opaque_vectorfield(), Generic())
+        new = reference_implication_report(ds, seed=seed)
+        monkeypatch.setattr(detsys, "_close_forms", _expr_closure)
+        assert reference_implication_report(ds, seed=seed) == new
+        assert new[1]["rows"] == 412
+
+    def test_closure_rows_are_never_decomposed_again(self, monkeypatch):
+        ds = extract_determining(opaque_vectorfield(), Generic())
+        v, fam = opaque_vectorfield(), Generic()
+        conds = reference.determining_conditions(
+            v.xi, v.eta, v.tau, v.phi, fam.f_expr(), fam.fu_expr())
+        decomposed, evaluated = [], []
+        decompose, evaluate = detsys._linear_decomposition, detsys.eval_mod
+
+        def counted_decompose(e, names):
+            decomposed.append(e)
+            return decompose(e, names)
+
+        def counted_eval(e, point, fvals, p):
+            evaluated.append((frozenset(point.items()), e))
+            return evaluate(e, point, fvals, p)
+
+        monkeypatch.setattr(detsys, "_linear_decomposition", counted_decompose)
+        monkeypatch.setattr(detsys, "eval_mod", counted_eval)
+        _, check = reference_implication_report(ds)
+        assert decomposed == ds.expressions() + list(conds.values())
+        # each distinct coefficient once per point: 19 of them, at 2 points
+        assert len(set(evaluated)) == len(evaluated) == check["points"] * 19
+        assert len({point for point, _ in evaluated}) == check["points"]
 
 
 class TestAnsatzSolve:
