@@ -24,7 +24,7 @@ from math import ceil, perm, prod
 from .expr import (
     Base, Expr, ExprError, Fn, Jet, NonPolynomialError, Param, Pow, Product,
     Rat, Sum, RAT0, add, atoms_of, base, clear_denominators, collect_atoms, diff,
-    eval_mod, expand, fn, fn_nodes_of, format_expr, jet, jets_of, mul, neg,
+    expand, fn, fn_nodes_of, format_expr, jet, jets_of, mul, neg,
     param, pow_, sub, substitute, vanishes,
 )
 from .jet import prolong_coeff_second, total_derivative
@@ -372,13 +372,17 @@ def reference_implication_report(
     components' derivative indices and differentiates each distinct
     coefficient once per direction.  Symbolic route: the condition's form,
     or its negative, is one of the derived forms (coefficients are
-    canonical).  Modular route: at N_POINTS seeded random points over
-    GF(p), p = PRIME = 2^31 - 1, each distinct coefficient is evaluated
-    once and the rows are read from that table; the condition is implied
-    iff adding its row leaves the rank of the derived rows unchanged at
-    every point.  By the Schwartz-Zippel lemma a point gives a rank below
-    the generic one with probability at most (rank + 1) * degree / p;
-    ``check`` carries that bound and its inputs."""
+    canonical).  Modular route: the distinct coefficients are converted
+    once into a ``LaurentRing``, whose variables are the factors they hold
+    (f, f', f'' as whole nodes).  At N_POINTS seeded random points over
+    GF(p), p = PRIME = 2^31 - 1, each variable gets one residue, each
+    coefficient is evaluated once (``LaurentRing.eval_mod``) and the rows
+    are read from that table; the condition is implied iff adding its row
+    leaves the rank of the derived rows unchanged at every point.  By the
+    Schwartz-Zippel lemma a point gives a rank below the generic one with
+    probability at most (rank + 1) * degree / p, degree being the largest
+    total exponent of a coefficient's monomial; ``check`` carries that
+    bound and its inputs."""
     import random
 
     if not isinstance(ds.family, Generic):
@@ -407,20 +411,17 @@ def reference_implication_report(
     coeffs = {ce for d in derived + cond_decomps for ce in d.values()}
     col = {node: i for i, node in enumerate(sorted(
         {node for d in derived + cond_decomps for node in d}, key=Expr.sort_key))}
-    atoms = sorted({a for ce in coeffs for a in atoms_of(ce)}, key=Expr.sort_key)
-    fnodes = {f for ce in coeffs for f in fn_nodes_of(ce)}
-    fkeys = sorted({(f.name, f.didx) for f in fnodes})
-    variables = {*atoms, *fnodes}
-    degree = max((sum(k for _, k in mono)
-                  for ce in coeffs for mono in collect_atoms(ce, variables)), default=0)
+    ring = LaurentRing()
+    polys = {ce: ring.poly(ce) for ce in coeffs}
+    variables = sorted(ring.variables, key=Expr.sort_key)
+    degree = max((sum(ring.exponents(m)) for p in polys.values() for m in p), default=0)
 
     rng = random.Random(seed)
     ranks = []
     implied = dict.fromkeys(unmatched, True)
     for _ in range(N_POINTS):
-        point = {a: rng.randrange(1, PRIME) for a in atoms}
-        fvals = {k: rng.randrange(1, PRIME) for k in fkeys}
-        value = {ce: eval_mod(ce, point, fvals, PRIME) for ce in coeffs}
+        point = {v: rng.randrange(1, PRIME) for v in variables}
+        value = {ce: ring.eval_mod(p, point, PRIME) for ce, p in polys.items()}
 
         def row(d):
             return {col[node]: value[ce] for node, ce in d.items()}

@@ -45,7 +45,7 @@ __all__ = [
     "add", "mul", "pow_", "exp_", "ln_", "neg", "sub", "div",
     "normalize", "expand", "diff", "substitute", "collect_atoms",
     "clear_denominators", "clear_sum_denominators", "vanishes",
-    "eval_numeric", "eval_mod",
+    "eval_numeric",
     "format_expr", "atoms_of", "jets_of", "fn_nodes_of", "max_jet_order",
     "rational_content",
     "RAT0", "RAT1", "X", "Y", "T", "U",
@@ -1049,49 +1049,6 @@ def eval_numeric(e: Expr, point: Mapping[Expr, float], fns: Callable | None = No
                 raise EvalDomainError(f"ln of non-positive value {v}")
             return math.log(v)
         raise ExprError(f"unknown node {n!r}")
-
-    return ev(_as_expr(e))
-
-
-def eval_mod(e: Expr, point: Mapping[Expr, int], fvals: Mapping[tuple, int], p: int) -> int:
-    """Evaluate over GF(p), p prime, with every atom bound to a residue.
-
-    An opaque function node takes the residue ``fvals[(name, didx)]``
-    whatever its arguments (every node of one head is read at one point).
-    A denominator that is zero mod p raises EvalDomainError; exp, ln and
-    fractional powers have no value mod p and raise NonPolynomialError."""
-
-    def inv(v: int) -> int:
-        if v % p == 0:
-            raise EvalDomainError(f"zero denominator mod {p}")
-        return pow(v, -1, p)
-
-    def ev(n: Expr) -> int:
-        t = type(n)
-        if t is Rat:
-            return n.value.numerator * inv(n.value.denominator) % p
-        if t in (Param, Base, Jet):
-            try:
-                return point[n] % p
-            except KeyError:
-                raise UnboundAtomError(f"unbound atom {n}") from None
-        if t is Fn:
-            try:
-                return fvals[(n.name, n.didx)] % p
-            except KeyError:
-                raise UnboundAtomError(f"unbound function {n}") from None
-        if t is Sum:
-            return sum(ev(x) for x in n.terms) % p
-        if t is Product:
-            v = 1
-            for x in n.factors:
-                v = v * ev(x) % p
-            return v
-        if t is Pow and n.exp.denominator == 1:
-            b = ev(n.expbase)
-            k = int(n.exp)
-            return pow(inv(b) if k < 0 else b, abs(k), p)
-        raise NonPolynomialError(f"{format_expr(n)} has no value mod {p}")
 
     return ev(_as_expr(e))
 

@@ -24,8 +24,11 @@ All operations treat the parameters appearing in entries as generic nonzero
 values; solutions therefore live in the field of rational functions of the
 parameters, with exact rational coefficients.
 
-For rank tests at a point, ``LaurentRing.eval_mod`` evaluates a polynomial
-over GF(p), ``echelon_mod_p`` and ``reduce_mod_p`` eliminate sparse rows
+Outside elimination, ``LaurentRing.poly`` takes any other factor as a
+variable too; it serves zero tests, content stripping (``LaurentRing.strip``
+divides out the common parameter monomial only) and GF(p) evaluation.  For
+rank tests at a point, ``LaurentRing.eval_mod`` evaluates a polynomial over
+GF(p), ``echelon_mod_p`` and ``reduce_mod_p`` eliminate sparse rows
 ``{col: residue}`` there, and ``independent_rows_mod_p`` picks the rows that
 are independent there.
 """
@@ -39,12 +42,11 @@ from math import gcd, lcm
 
 from .expr import (
     EvalDomainError, Expr, Param, Pow, Product, Rat, Sum, UnboundAtomError,
-    RAT0, RAT1, _frac_gcd, add, div, expand, format_expr, mul, neg, pow_, rat,
-    rational_content,
+    RAT0, add, div, expand, format_expr, mul, pow_, rat, rational_content,
 )
 
 __all__ = [
-    "LaurentRing", "add_product", "strip_row_content", "row_reduce",
+    "LaurentRing", "add_product", "row_reduce",
     "nullspace", "solve_span", "rank", "annihilates",
     "echelon_mod_p", "reduce_mod_p", "independent_rows_mod_p",
 ]
@@ -68,9 +70,11 @@ class LaurentRing:
     A variable is a parameter or any other non-rational factor taken whole
     (a coordinate, a jet, an ``exp``, a sum), b^(p/q) being (b^(1/q))^p, and
     gets the next monomial digit when first met.  Zero in such variables is
-    zero at any values of them, so ``poly`` serves zero tests; rank needs
-    independent variables, so elimination takes ``param_poly``, parameters
-    only.  Polynomials are never changed in place; conversions are memoized."""
+    zero at any values of them, so ``poly`` serves zero tests, content
+    stripping (``strip`` divides out parameters only) and GF(p) evaluation
+    (``eval_mod``); rank needs independent variables, so elimination takes
+    ``param_poly``, parameters only.  Polynomials are never changed in
+    place; conversions are memoized."""
 
     def __init__(self):
         self.variables: list = []
@@ -147,8 +151,9 @@ class LaurentRing:
         return out
 
     def eval_mod(self, p: dict, point, prime: int) -> int:
-        """``p`` over GF(prime), each variable v at the residue point[v]:
-        ``expr.eval_mod`` of ``expr(p)``, without building it."""
+        """``p`` over GF(prime), each variable v at the residue point[v].
+        A denominator that is zero mod prime raises EvalDomainError, a
+        variable without a residue UnboundAtomError."""
         values = [point.get(v) for v in self.variables]
         acc = 0
         for m, k in p.items():
@@ -187,8 +192,9 @@ class LaurentRing:
 
     def strip(self, row: dict) -> dict:
         """A row of int polynomials divided by the gcd of its coefficients
-        and its common monomial, with its first entry's leading term
-        positive (``strip_row_content`` on the ``Expr`` row)."""
+        and its common monomial in the parameters, with its first entry's
+        leading term positive.  Any other variable (a coordinate, a
+        function node, an ``exp``, a fractional power) stays."""
         g = gcd(*[k for p in row.values() for k in p.values()])
         monos = {m for p in row.values() for m in p}
         if len(monos) == 1:
@@ -197,6 +203,9 @@ class LaurentRing:
             shift = 0
             for d, low in enumerate(map(min, zip(*map(self.exponents, monos)))):
                 shift += low << (_SHIFT * d)
+        if shift and self._outside:
+            shift = self.monomial([q if type(v) is Param else 0
+                                   for v, q in zip(self.variables, self.exponents(shift))])
         first = row[min(row)]
         if g != 1 or shift:
             first = {m - shift: k // g for m, k in first.items()}
@@ -284,61 +293,6 @@ def _sweep(ring: LaurentRing, rows: list, ncols: int):
             else:
                 del work[i]
     return echelon, pivot_cols
-
-
-# ---------------------------------------------------------------------------
-# content of Expr rows
-
-
-def _param_powers(term: Expr) -> dict:
-    """Exponent of each parameter factor in one expanded term."""
-    out: dict = {}
-    factors = term.factors if type(term) is Product else (term,)
-    for f in factors:
-        if type(f) is Param:
-            out[f] = out.get(f, Fraction(0)) + 1
-        elif type(f) is Pow and type(f.expbase) is Param:
-            out[f.expbase] = out.get(f.expbase, Fraction(0)) + f.exp
-    return out
-
-
-def _min_powers(powers) -> dict:
-    """Common parameter monomial of several {param: exponent} monomials
-    (an absent parameter has exponent 0), nonzero exponents only."""
-    powers = list(powers)
-    params = dict.fromkeys(p for pw in powers for p in pw)
-    common = {p: min(pw.get(p, 0) for pw in powers) for p in params}
-    return {p: q for p, q in common.items() if q != 0}
-
-
-def param_content(e: Expr) -> dict:
-    """Common parameter monomial of all terms of an expanded expression,
-    as {param: min exponent} with only nonzero exponents kept."""
-    if e == RAT0:
-        return {}
-    return _min_powers(map(_param_powers, e.terms if type(e) is Sum else (e,)))
-
-
-def strip_row_content(row: dict) -> dict:
-    """Divide a sparse row of ``Expr`` entries by its common rational content
-    and parameter monomial, and give its first entry a positive leading
-    term.  Entries may lie outside the ring."""
-    if not row:
-        return row
-    g = Fraction(0)
-    for e in row.values():
-        g = _frac_gcd(g, rational_content(e))
-    common = _min_powers(map(param_content, row.values()))
-    scale = mul(
-        rat(1 / g) if g not in (0, 1) else RAT1,
-        *[pow_(p, -q) for p, q in common.items()],
-    )
-    if scale != RAT1:
-        row = {c: expand(mul(scale, e)) for c, e in row.items()}
-    # canonical sign: leading term of the first entry positive
-    if rational_content(row[min(row)]) < 0:
-        row = {c: expand(neg(e)) for c, e in row.items()}
-    return row
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ the reference forms are the same identity, so every verdict is exact."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .expr import (
     Expr, RAT0, RAT1, add, base, collect_atoms, diff, div, exp_, expand, fn,
@@ -33,7 +34,7 @@ from .expr import (
 )
 from .detsys import ExponentialCase, FFamily, PowerCase, model_residual
 from .liealg import FlowUnsupportedError, VectorField, affine_parts
-from .linalg import strip_row_content
+from .linalg import LaurentRing
 from . import reference
 
 __all__ = [
@@ -205,7 +206,12 @@ def proportional_mod_heads(a: Expr, b: Expr, heads) -> bool:
 
 
 def _strip(e: Expr) -> Expr:
-    return strip_row_content({0: expand(e)})[0]
+    """``e`` divided by its rational content and its common parameter
+    monomial, with its leading term positive (``LaurentRing.strip``)."""
+    ring = LaurentRing()
+    p = ring.poly(e)
+    d = lcm(*[k.denominator for k in p.values()])
+    return ring.expr(ring.strip({0: {m: int(d * k) for m, k in p.items()}})[0])
 
 
 def _jet_bindings(u_expr: Expr) -> dict:

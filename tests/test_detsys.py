@@ -360,18 +360,18 @@ class TestLinearFormClosure:
         conds = reference.determining_conditions(
             v.xi, v.eta, v.tau, v.phi, fam.f_expr(), fam.fu_expr())
         decomposed, evaluated = [], []
-        decompose, evaluate = detsys._linear_decomposition, detsys.eval_mod
+        decompose, evaluate = detsys._linear_decomposition, LaurentRing.eval_mod
 
         def counted_decompose(e, names):
             decomposed.append(e)
             return decompose(e, names)
 
-        def counted_eval(e, point, fvals, p):
-            evaluated.append((frozenset(point.items()), e))
-            return evaluate(e, point, fvals, p)
+        def counted_eval(ring, poly, point, p):
+            evaluated.append((frozenset(point.items()), frozenset(poly.items())))
+            return evaluate(ring, poly, point, p)
 
         monkeypatch.setattr(detsys, "_linear_decomposition", counted_decompose)
-        monkeypatch.setattr(detsys, "eval_mod", counted_eval)
+        monkeypatch.setattr(LaurentRing, "eval_mod", counted_eval)
         _, check = reference_implication_report(ds)
         assert decomposed == ds.expressions() + list(conds.values())
         # each distinct coefficient once per point: 19 of them, at 2 points

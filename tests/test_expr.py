@@ -10,11 +10,12 @@ from wavesym.expr import (
     Base, Exp, Fn, Jet, Ln, Param, Pow, Product, Rat, Sum,
     RAT0, RAT1, T, U, X, Y,
     add, base, clear_sum_denominators, collect_atoms, diff, div,
-    eval_mod, eval_numeric, exp_, expand, fn, format_expr, jet, ln_,
+    eval_numeric, exp_, expand, fn, format_expr, jet, ln_,
     mul, neg, normalize, param, pow_, rat, sub, substitute, vanishes,
     EvalDomainError, NonPolynomialError, SingularError, UnboundAtomError,
 )
 from wavesym.expr import SingularSubstitutionError, _walk, atoms_of, fn_nodes_of
+from wavesym.linalg import LaurentRing
 
 a, b, c = param("a"), param("b"), param("c")
 K = param("K")
@@ -398,25 +399,26 @@ class TestNumeric:
             eval_numeric(pow_(X, -1), {X: 0.0})
 
     def test_eval_mod_matches_exact_evaluation(self, rng):
+        # an expression is evaluated over GF(p) in a LaurentRing, where a
+        # function node is a variable like an atom; a factor that is neither
+        # (exp, ln, a fractional power, a Sum's inverse) has no residue
         p = 2**31 - 1
 
-        def exact(n, point, fvals):
+        def exact(n, point):
             t = type(n)
             if t is Rat:
                 return n.value
-            if t in (Param, Base, Jet):
+            if t in (Param, Base, Jet, Fn):
                 return point[n]
-            if t is Fn:
-                return fvals[(n.name, n.didx)]
             if t is Sum:
-                return sum(exact(x, point, fvals) for x in n.terms)
+                return sum(exact(x, point) for x in n.terms)
             if t is Product:
                 v = Fraction(1)
                 for x in n.factors:
-                    v *= exact(x, point, fvals)
+                    v *= exact(x, point)
                 return v
             if t is Pow and n.exp.denominator == 1:
-                return exact(n.expbase, point, fvals) ** int(n.exp)
+                return exact(n.expbase, point) ** int(n.exp)
             raise NonPolynomialError(str(n))
 
         def residue(q):
@@ -425,33 +427,43 @@ class TestNumeric:
         checked = 0
         for _ in range(600):
             e = rand_expr(rng, 3)
-            point = {x: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for x in atoms_of(e)}
-            fvals = {(f.name, f.didx): Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-                     for f in fn_nodes_of(e)}
+            point = {x: Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                     for x in atoms_of(e) | fn_nodes_of(e)}
             mpoint = {x: residue(q) for x, q in point.items()}
-            mfvals = {k: residue(q) for k, q in fvals.items()}
-            try:
-                want = exact(e, point, fvals)
-            except (NonPolynomialError, ZeroDivisionError):
-                with pytest.raises((NonPolynomialError, EvalDomainError)):
-                    eval_mod(e, mpoint, mfvals, p)
+            ring = LaurentRing()
+            poly = ring.poly(e)
+            if not all(type(v) in (Param, Base, Jet, Fn) for v in ring.variables):
+                # a bound variable at 0 under a negative power may come first
+                with pytest.raises((UnboundAtomError, EvalDomainError)):
+                    ring.eval_mod(poly, mpoint, p)
                 continue
-            assert eval_mod(e, mpoint, mfvals, p) == residue(want), format_expr(e)
+            try:
+                want = exact(e, point)
+            except ZeroDivisionError:
+                with pytest.raises(EvalDomainError):
+                    ring.eval_mod(poly, mpoint, p)
+                continue
+            assert ring.eval_mod(poly, mpoint, p) == residue(want), format_expr(e)
             checked += 1
         assert checked >= 100
 
     def test_eval_mod_zero_denominator(self):
         p = 101
-        with pytest.raises(EvalDomainError):
-            eval_mod(pow_(sub(X, Y), -2), {X: 5, Y: 5 + p}, {}, p)
-        with pytest.raises(EvalDomainError):
-            eval_mod(mul(rat(1, p), X), {X: 1}, {}, p)
-        assert eval_mod(pow_(X, -1), {X: 2}, {}, p) == 51
-        with pytest.raises(NonPolynomialError):
-            eval_mod(exp_(X), {X: 1}, {}, p)
-        with pytest.raises(UnboundAtomError):
-            eval_mod(fn("f", [X]), {X: 1}, {}, p)
+        ring = LaurentRing()
 
+        def ev(e, point):
+            return ring.eval_mod(ring.poly(e), point, p)
+
+        with pytest.raises(EvalDomainError):
+            ev(pow_(X, -2), {X: 5 * p})
+        with pytest.raises(EvalDomainError):
+            ev(mul(rat(1, p), X), {X: 1})
+        assert ev(pow_(X, -1), {X: 2}) == 51
+        assert ev(mul(fn("f", [X]), pow_(Y, -1)), {fn("f", [X]): 3, Y: 2}) == 3 * 51 % p
+        with pytest.raises(UnboundAtomError):
+            ev(exp_(X), {X: 1})
+        with pytest.raises(UnboundAtomError):
+            ev(fn("f", [X]), {X: 1})
 
 
 class TestVanishes:

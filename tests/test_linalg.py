@@ -3,17 +3,17 @@ entries."""
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from wavesym.expr import (
-    EvalDomainError, RAT0, RAT1, add, eval_mod, exp_, expand, mul, neg, param, pow_, rat,
-    rational_content, sub, vanishes,
+    EvalDomainError, RAT0, RAT1, add, exp_, expand, mul, neg, param, pow_, rat,
+    rational_content, sub, substitute, vanishes,
 )
 from wavesym.linalg import (
     LaurentRing, _exact_quotient, annihilates, echelon_mod_p, independent_rows_mod_p, nullspace,
-    param_content, rank, reduce_mod_p, row_reduce, solve_span,
-    strip_row_content,
+    rank, reduce_mod_p, row_reduce, solve_span,
 )
 
 c, K = param("c"), param("K")
@@ -163,12 +163,13 @@ def test_mod_p_rank_matches_exact_rank(rng):
         assert reduce_mod_p(unit, pivots, p) == unit
 
 
-def test_param_content_and_strip():
-    e = add(mul(2, c, K), mul(4, c, pow_(K, 2)))
-    content = param_content(expand(e))
-    assert content == {c: 1, K: 1}
-    row = strip_row_content({0: expand(e)})
-    assert str(row[0]) in ("1 + 2*K", "2*K + 1")
+def test_ring_strip_divides_parameter_content():
+    ring = LaurentRing()
+    row = ring.strip({0: ring.poly(expand(add(mul(-2, c, K), mul(-4, c, pow_(K, 2)))))})
+    assert ring.expr(row[0]) == add(1, mul(2, K))
+    # a common inverse power is content too
+    row = ring.strip({0: ring.poly(expand(mul(3, pow_(K, -1), add(c, 1))))})
+    assert ring.expr(row[0]) == add(c, 1)
 
 
 # entries of the ring tests: rationals, monomials, polynomials, an inverse
@@ -194,16 +195,20 @@ def test_ring_rank_matches_mod_p_rank(rng):
             rows.append(sparse([expand(add(mul(a, r0.get(j, RAT0)), mul(b, r1.get(j, RAT0))))
                                 for j, (r0, r1) in enumerate(zip([rows[0]] * n, [rows[1]] * n))]))
         point = {c: rng.randrange(1, p), K: rng.randrange(1, p)}
-        mod_rows = [{j: eval_mod(e, point, {}, p) for j, e in r.items()} for r in rows]
+        ring = LaurentRing()
+        mod_rows = [{j: ring.eval_mod(ring.poly(e), point, p) for j, e in r.items()}
+                    for r in rows]
         assert expr_rank(rows, n) == len(echelon_mod_p(mod_rows, p))
         assert len(independent_rows_mod_p(mod_rows, p)) == expr_rank(rows, n)
 
 
 def test_echelon_rows_are_content_free(rng):
-    # the ring sweep strips every row as strip_row_content strips the Expr
-    # row: no integer or monomial content is left.  (The sign rule, leading
-    # term of the first entry positive, can flip a row it is applied to
-    # again, so a stripped row is fixed by strip_row_content up to sign.)
+    # the ring sweep strips every row: its integer coefficients have gcd 1,
+    # no parameter divides every monomial (nor does its inverse), and the
+    # first entry's leading term, in Expr order, is positive.  (Expr order
+    # sorts a Sum's terms with their coefficients, so 2*c - 4*K and
+    # -2*c + 4*K both lead with a negative term; such an entry may stay
+    # negative.)
     for _ in range(40):
         n = rng.randint(2, 6)
         rows = random_ring_rows(rng, rng.randint(1, 5), n)
@@ -212,8 +217,11 @@ def test_echelon_rows_are_content_free(rng):
         assert pivot_cols == sorted(pivot_cols)
         for row, pc in zip(echelon, pivot_cols):
             assert min(row) == pc
-            row = {j: ring.expr(p) for j, p in row.items()}
-            assert strip_row_content(row) in (row, {j: expand(neg(e)) for j, e in row.items()})
+            assert gcd(*[k for p in row.values() for k in p.values()]) == 1
+            monos = [ring.exponents(m) for p in row.values() for m in p]
+            assert all(min(q) == 0 for q in zip(*monos))
+            first = ring.expr(row[pc])
+            assert rational_content(first) > 0 or rational_content(expand(neg(first))) < 0
 
 
 def test_ring_round_trip(rng):
@@ -226,9 +234,10 @@ def test_ring_round_trip(rng):
         assert ring.leads_negative(p) == (rational_content(e) < 0)
 
 
-def test_ring_eval_mod_matches_expr_eval_mod(rng):
+def test_ring_eval_mod_matches_exact_evaluation(rng):
     # random Laurent polynomials with Fraction coefficients, some exponents
-    # negative, at random points over GF(p)
+    # negative, at random rational points: the residue of the exact value
+    # (the rationals substituted into the Expr) is the value over GF(p)
     p = 2**31 - 1
     e1 = param("e1")
     ring = LaurentRing()
@@ -237,8 +246,12 @@ def test_ring_eval_mod_matches_expr_eval_mod(rng):
             mul(rat(Fraction(rng.randint(-9, 9), rng.randint(1, 6))),
                 *[pow_(v, rng.randint(-3, 3)) for v in (c, K, e1)])
             for _ in range(rng.randint(1, 4))]))
-        point = {v: rng.randrange(1, p) for v in (c, K, e1)}
-        assert ring.eval_mod(ring.poly(e), point, p) == eval_mod(e, point, {}, p)
+        point = {v: Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+                 for v in (c, K, e1)}
+        want = substitute(e, {v: rat(q) for v, q in point.items()}).value
+        mpoint = {v: q.numerator * pow(q.denominator, -1, p) % p for v, q in point.items()}
+        assert ring.eval_mod(ring.poly(e), mpoint, p) == (
+            want.numerator * pow(want.denominator, -1, p) % p)
     with pytest.raises(EvalDomainError):
         ring.eval_mod(ring.poly(pow_(c, -1)), {c: p}, p)
     with pytest.raises(EvalDomainError):

@@ -7,13 +7,13 @@ import pytest
 
 from wavesym.detsys import ExponentialCase, PowerCase
 from wavesym.expr import (
-    RAT0, RAT1, T, U, X, Y, add, div, exp_, expand, fn, format_expr, jet,
+    RAT0, RAT1, T, U, X, Y, add, base, div, exp_, expand, fn, format_expr, jet,
     ln_, mul, neg, param, pow_, rat, sub, substitute, vanishes,
 )
 from wavesym.liealg import VectorField
 from wavesym.reduction import (
     GENERATORS, ReductionError, ReductionNames, ReductionSpec, TrivialInvariants,
-    builtin_reduction,
+    _strip, builtin_reduction,
     explicit_solution, explicit_solution_residual, invariance_check,
     proportional_mod_heads, reduce, scaling_reduction, separation_check,
 )
@@ -228,6 +228,20 @@ class TestSeparation:
     def test_negative_controls(self):
         assert not separation_check("i")["flipped_identity"]
         assert not separation_check("ii")["flipped_identity"]
+
+
+class TestContent:
+    def test_strip_divides_out_parameters_only(self):
+        # every term shares the coordinate r, the function node omega, an
+        # exp factor and the parameter monomial c*K, with rational content
+        # -2: the content, the sign and c*K come out, r, omega and exp stay
+        K, r, s = param("K"), base("r"), base("s")
+        kept = mul(r, fn("omega", [r, s]), exp_(s))
+        core = add(mul(3, r), mul(5, K, pow_(c, 2), s), RAT1)
+        assert _strip(expand(mul(rat(-2), c, K, kept, core))) == expand(mul(kept, core))
+
+    def test_strip_of_zero(self):
+        assert _strip(RAT0) == RAT0
 
 
 class TestWorkDoneOnce:
