@@ -9,11 +9,16 @@ evaluated on-shell (every jet carrying two or more t indices rewritten
 through the equation and its total derivatives).  Collecting the result
 over jet monomials -- and, for a concrete nonlinearity, over the linearly
 independent u-dependence of the coefficients -- yields the determining
-system, a linear homogeneous system for the components of v.  Under a
-polynomial ansatz the system is solved exactly over the parameter field:
-past the extraction, which works on ``Expr`` trees, the ansatz rows, their
-selection mod p, the elimination and the residual certificate all run in
-one ``LaurentRing``, and only the basis comes back as ``Expr``.
+system, a linear homogeneous system for the components of v.  The
+residual is linear in v, so the extraction never builds it as one
+expression: the generator is prolonged on linear forms {component node:
+coefficient} (``jet.prolong_form``), and only each node's coefficient, an
+``Expr``, is multiplied by f and f', rewritten on-shell and collected over
+the jets.  Under a polynomial ansatz the system is solved exactly over the
+parameter field: past the extraction, the ansatz rows, their selection
+mod p, the elimination and the residual certificate (which reads the
+extracted residual form) all run in one ``LaurentRing``, and only the
+basis comes back as ``Expr``.
 """
 
 from __future__ import annotations
@@ -23,11 +28,13 @@ from math import ceil, perm, prod
 
 from .expr import (
     Base, Expr, ExprError, Fn, Jet, NonPolynomialError, Param, Pow, Product,
-    Rat, Sum, RAT0, add, atoms_of, base, clear_denominators, collect_atoms, diff,
+    Rat, Sum, RAT0, RAT1, add, atoms_of, base, clear_denominators, collect_atoms, diff,
     expand, fn, fn_nodes_of, format_expr, jet, jets_of, mul, neg,
     param, pow_, sub, substitute, vanishes,
 )
-from .jet import prolong_coeff_second, total_derivative
+from .jet import (
+    form_derivative, form_expr, generator_forms, prolong_form, total_derivative,
+)
 from .liealg import VectorField
 from .linalg import (
     LaurentRing, add_product, annihilates, echelon_mod_p, independent_rows_mod_p,
@@ -121,45 +128,64 @@ def model_residual(fam: FFamily | None = None) -> Expr:
     return sub(jet("tt"), mul(f, add(jet("xx"), jet("yy"))))
 
 
+def _rewrite_on_shell(e: Expr, rhs_tt: Expr, binds: dict) -> Expr:
+    """Rewrite every jet of ``e`` with two or more t indices through
+    u_tt = rhs_tt and its total derivatives until none remains.  The value
+    of each such jet is built once and kept in ``binds``."""
+    for _ in range(4):
+        targets = [j for j in jets_of(e) if j.idx.count("t") >= 2]
+        if not targets:
+            return e
+        for j in targets:
+            if j not in binds:
+                extra = list(j.idx)
+                extra.remove("t")
+                extra.remove("t")
+                rep = rhs_tt
+                for letter in extra:
+                    rep = total_derivative(rep, letter)
+                binds[j] = rep
+        e = substitute(e, {j: binds[j] for j in targets})
+    raise DetSysError("on-shell substitution cycle guard triggered")
+
+
 def on_shell(e: Expr, fam: FFamily | None = None) -> Expr:
     """Rewrite every jet with two or more t indices through the model
     equation (and its total derivatives) until none remains."""
     fam = fam or Generic()
-    rhs_tt = mul(fam.f_expr(), add(jet("xx"), jet("yy")))
-    for _ in range(4):
-        targets = sorted(
-            (j for j in jets_of(e) if j.idx.count("t") >= 2),
-            key=Expr.sort_key,
-        )
-        if not targets:
-            return e
-        binds = {}
-        for j in targets:
-            extra = list(j.idx)
-            extra.remove("t")
-            extra.remove("t")
-            rep = rhs_tt
-            for letter in extra:
-                rep = total_derivative(rep, letter)
-            binds[j] = rep
-        e = substitute(e, binds)
-    raise DetSysError("on-shell substitution cycle guard triggered")
+    return _rewrite_on_shell(e, mul(fam.f_expr(), add(jet("xx"), jet("yy"))), {})
+
+
+def _invariance_form(v: VectorField, fam: FFamily, shell: bool) -> dict:
+    """The invariance residual of v as a linear form {component node:
+    coefficient} (``jet.linear_form``), on-shell when ``shell`` is set.
+    f and f' are built and expanded once and multiplied into each node's
+    coefficient; every coefficient is expanded.  coeff_2(t, t) holds the
+    only jets with two t indices (D_x and D_y add none), so its
+    coefficients are the ones rewritten on-shell, from bindings built
+    once."""
+    lap = add(jet("xx"), jet("yy"))
+    f = expand(fam.f_expr())
+    rhs_tt, fu_lap = expand(mul(f, lap)), expand(mul(fam.fu_expr(), lap))
+    forms = generator_forms(v)
+    phi = forms[-1]
+    tt, xx, yy = (prolong_form(forms, d, d) for d in "txy")
+    binds: dict = {}
+    out = {}
+    for node in dict.fromkeys([*tt, *phi, *xx, *yy]):
+        c = tt.get(node, RAT0)
+        if shell:
+            c = expand(_rewrite_on_shell(c, rhs_tt, binds))
+        c = expand(add(c, neg(mul(phi.get(node, RAT0), fu_lap)),
+                       neg(mul(f, add(xx.get(node, RAT0), yy.get(node, RAT0))))))
+        if c != RAT0:
+            out[node] = c
+    return out
 
 
 def invariance_residual(v: VectorField, fam: FFamily | None = None) -> Expr:
     """Second-prolongation action of v on the model, before going on-shell."""
-    fam = fam or Generic()
-    lap = add(jet("xx"), jet("yy"))
-    return expand(
-        add(
-            prolong_coeff_second(v, "t", "t"),
-            neg(mul(v.phi, fam.fu_expr(), lap)),
-            neg(mul(fam.f_expr(), add(
-                prolong_coeff_second(v, "x", "x"),
-                prolong_coeff_second(v, "y", "y"),
-            ))),
-        )
-    )
+    return form_expr(_invariance_form(v, fam or Generic(), shell=False))
 
 
 def opaque_vectorfield() -> VectorField:
@@ -230,11 +256,14 @@ def split_u_dependence(e: Expr) -> dict:
 class DeterminingSystem:
     """Expressions required to vanish identically, each tagged with the jet
     monomial (and, for concrete families, the u-dependence) it came from,
-    and the expanded on-shell residual they were collected from."""
+    and the on-shell residual they were collected from, as a linear form
+    {component node: coefficient}.  For the generic family ``forms`` holds
+    each entry's own linear form."""
 
     family: FFamily
     entries: list  # [(monomial text | (monomial text, UTag), Expr), ...]
-    residual: Expr | None = None
+    residual: dict | None = None
+    forms: list | None = None
 
     def __len__(self):
         return len(self.entries)
@@ -253,22 +282,28 @@ class DeterminingSystem:
 
 def extract_determining(v: VectorField, fam: FFamily | None = None) -> DeterminingSystem:
     """On-shell invariance residual collected over jet monomials; for a
-    concrete family each coefficient is further split by u-dependence."""
+    concrete family each coefficient is further split by u-dependence.
+    Each node's coefficient of the residual form is collected on its own,
+    and a monomial's entry sums the nodes' parts."""
     fam = fam or Generic()
-    res = expand(on_shell(invariance_residual(v, fam), fam))
-    table = collect_atoms(res, {j for j in jets_of(res) if j.order >= 1})
-    entries = []
+    generic = isinstance(fam, Generic)
+    res = _invariance_form(v, fam, shell=True)
+    tables = {node: collect_atoms(c, {j for j in jets_of(c) if j.order >= 1})
+              for node, c in res.items()}
+    entries, forms = [], []
     # by total degree, then jet by jet; an entry is keyed by the monomial's text
-    for key in sorted(table, key=lambda k: (
+    for key in sorted({key for table in tables.values() for key in table}, key=lambda k: (
             sum(p for _, p in k), tuple((j.sort_key(), p) for j, p in k))):
         mono = format_expr(mul(*[pow_(j, p) for j, p in key]))
-        if isinstance(fam, Generic):
-            entries.append((mono, expand(table[key])))
+        form = {node: table[key] for node, table in tables.items() if key in table}
+        if generic:
+            entries.append((mono, form_expr(form)))
+            forms.append(form)
         else:
-            pieces = split_u_dependence(table[key])
+            pieces = split_u_dependence(form_expr(form))
             for tag in sorted(pieces):
                 entries.append(((mono, tag), pieces[tag]))
-    return DeterminingSystem(fam, entries, res)
+    return DeterminingSystem(fam, entries, res, forms if generic else None)
 
 
 def check_reference_system(v: VectorField, fam: FFamily | None = None) -> dict:
@@ -305,30 +340,22 @@ def _linear_decomposition(e: Expr, unknown_names) -> dict:
 
 def _diff_form(form: dict, a: Expr, dcoeff: dict) -> dict:
     """d/da of a linear form {component node: coefficient}, a one of
-    x, y, t, u.  A node's derivative raises its derivative index in each
-    slot whose argument is ``a``; a coefficient's derivative is taken once
-    per (coefficient, a) and kept in ``dcoeff``.  Contributions to one node
-    are added; zero entries are dropped."""
-    out: dict = {}
+    x, y, t, u (``jet.form_derivative``).  A node's derivative raises its
+    derivative index in each slot whose argument is ``a``; a coefficient's
+    derivative is taken once per (coefficient, a) and kept in ``dcoeff``."""
 
-    def put(node, c):
-        prev = out.get(node)
-        out[node] = c if prev is None else add(prev, c)
+    def d_arg(arg):
+        if type(arg) not in (Base, Jet, Param):
+            raise DetSysError(f"component argument {format_expr(arg)} is a non-atom")
+        return RAT1 if arg == a else RAT0
 
-    for node, c in form.items():
-        for i, arg in enumerate(node.args):
-            if type(arg) not in (Base, Jet, Param):
-                raise DetSysError(f"component {format_expr(node)} has a non-atom argument")
-            if arg == a:
-                didx = list(node.didx)
-                didx[i] += 1
-                put(Fn(node.name, node.args, tuple(didx)), c)
+    def d_coeff(c):
         dc = dcoeff.get((c, a))
         if dc is None:
             dc = dcoeff[c, a] = expand(diff(c, a))
-        if dc != RAT0:
-            put(node, dc)
-    return {node: c for node, c in out.items() if c != RAT0}
+        return dc
+
+    return form_derivative(form, d_arg, d_coeff)
 
 
 def _close_forms(forms: list, prolong_order: int) -> list:
@@ -362,14 +389,15 @@ def reference_implication_report(
     """Decide whether each bundled determining condition is implied by the
     engine-derived system.  Returns ({name: {"implied", "route"}}, check).
 
-    Every equation is a linear form {component derivative: coefficient}
-    in the opaque xi, eta, tau, phi, with coefficients polynomial in u and
-    the derivatives of f.  The derived equations are decomposed once and
-    closed under differential consequences up to ``prolong_order`` (each
-    differentiated with respect to x, y, t, u), since the reference's
-    simplified conditions use such consequences.  The closure stays on
-    linear forms (``_close_forms``): differentiating shifts the
-    components' derivative indices and differentiates each distinct
+    Every equation is a linear form {component derivative: coefficient} in
+    the opaque xi, eta, tau, phi, with coefficients polynomial in u and the
+    derivatives of f.  The derived equations come with their forms from the
+    extraction (``ds.forms``; a system built without them is decomposed
+    once) and are closed under differential consequences up to
+    ``prolong_order`` (each differentiated with respect to x, y, t, u),
+    since the reference's simplified conditions use such consequences.  The
+    closure stays on linear forms (``_close_forms``): differentiating shifts
+    the components' derivative indices and differentiates each distinct
     coefficient once per direction.  Symbolic route: the condition's form,
     or its negative, is one of the derived forms (coefficients are
     canonical).  Modular route: the distinct coefficients are converted
@@ -396,8 +424,12 @@ def reference_implication_report(
     names = ("xi", "eta", "tau", "phi")
     # the collected coefficients are canonical, so equal forms are equal
     # equations
-    derived = _close_forms(
-        [_linear_decomposition(e, names) for e in ds.expressions()], prolong_order)
+    forms = ds.forms
+    if forms is None:
+        forms = [_linear_decomposition(e, names) for e in ds.expressions()]
+    elif any(type(n) is not Fn or n.name not in names for d in forms for n in d):
+        raise DetSysError("the derived system is not linear homogeneous in xi, eta, tau, phi")
+    derived = _close_forms(forms, prolong_order)
     cond_forms = {n: _linear_decomposition(e, names) for n, e in conds.items()}
     seen = {frozenset(d.items()) for d in derived}
     report = {
@@ -551,9 +583,9 @@ def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
     same polynomials are kept once.  The homogeneous system is solved by
     exact elimination in the ring, of the rows that ``_select_and_solve``
     keeps; family parameters are treated as generic nonzero values.  The
-    certificate evaluates the opaque generator's on-shell residual at each
-    basis vector in the same ring (``_certify``), so no field is prolonged
-    again.  A coefficient outside the ring raises ``DetSysError``."""
+    certificate evaluates the opaque generator's on-shell residual form at
+    each basis vector in the same ring (``_certify``), so no field is
+    prolonged again.  A coefficient outside the ring raises ``DetSysError``."""
     if isinstance(fam, Generic):
         raise DetSysError("ansatz_solve needs a concrete family (exponential or power)")
     spec = spec or AnsatzSpec()
@@ -610,15 +642,16 @@ def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
 
     basis = [VectorField(comp(v, "xi"), comp(v, "eta"), comp(v, "tau"),
                          add(mul(comp(v, "alpha"), U), comp(v, "beta"))) for v in vectors]
-    certificate = _certify(_linear_decomposition(ds.residual, comps), ring, vectors)
+    certificate = _certify(ds.residual, ring, vectors)
     return SolutionSpace(fam, spec, basis, certificate, len(columns), len(rows), selection)
 
 
 def _certify(form: dict, ring: LaurentRing, vectors: list) -> bool:
     """Whether the on-shell invariance residual of every field
     {(component, (x, y, t) exponents m): polynomial in ``ring``} vanishes.
-    ``form`` {d^k(component): coefficient}, the opaque generator's residual,
-    is linear in the components: the residual is the field times the row
+    ``form`` {d^k(component): coefficient}, the opaque generator's residual
+    as extracted (``DeterminingSystem.residual``), is linear in the
+    components: the residual is the field times the row
     (component, m) -> sum of coefficient * (m)_k * (x, y, t)^(m - k), with
     the coefficients cleared of their Sum denominators by one factor,
     nonzero wherever the family is defined."""

@@ -2,7 +2,8 @@
 
 import pytest
 
-from wavesym import detsys
+from wavesym import detsys, expr
+from wavesym import jet as jet_module
 from wavesym.detsys import (
     PRIME, SELECTION_SEED, AnsatzSpec, DeterminingSystem, DetSysError,
     ExponentialCase, Generic, PowerCase, UTag,
@@ -12,11 +13,11 @@ from wavesym.detsys import (
     _certify, _close_forms, _diff_form, _linear_decomposition,
 )
 from wavesym.expr import (
-    RAT0, RAT1, T, U, X, Y, Fn, Product, Sum, add, atoms_of, collect_atoms,
-    diff, div, exp_, expand, fn, jet, jets_of, mul, neg, param, pow_, rat, sub,
-    substitute, vanishes,
+    RAT0, RAT1, T, U, X, Y, Fn, Pow, Product, Sum, add, atoms_of, collect_atoms,
+    diff, div, exp_, expand, fn, format_expr, jet, jets_of, mul, neg, param,
+    pow_, rat, sub, substitute, vanishes,
 )
-from wavesym.jet import total_derivative
+from wavesym.jet import characteristic, total_derivative
 from wavesym.liealg import VectorField, decompose_field, decompose_fields
 from wavesym.linalg import LaurentRing
 from wavesym import reference
@@ -373,7 +374,9 @@ class TestLinearFormClosure:
         monkeypatch.setattr(detsys, "_linear_decomposition", counted_decompose)
         monkeypatch.setattr(LaurentRing, "eval_mod", counted_eval)
         _, check = reference_implication_report(ds)
-        assert decomposed == ds.expressions() + list(conds.values())
+        # the extracted equations come with their forms: only the
+        # reference conditions are decomposed
+        assert decomposed == list(conds.values())
         # each distinct coefficient once per point: 19 of them, at 2 points
         assert len(set(evaluated)) == len(evaluated) == check["points"] * 19
         assert len({point for point, _ in evaluated}) == check["points"]
@@ -479,7 +482,6 @@ class TestResidualCertificate:
     derivatives, summed in the elimination's ring (``_certify``) instead
     of prolonging the field again."""
 
-    COMPS = ("alpha", "beta", "tau", "eta", "xi")
     FAMILIES = {
         "exponential": ExponentialCase(),
         "power": PowerCase(),
@@ -497,8 +499,7 @@ class TestResidualCertificate:
 
     @classmethod
     def _form(cls, fam):
-        ds = extract_determining(opaque_affine_vectorfield(), fam)
-        return _linear_decomposition(ds.residual, cls.COMPS)
+        return extract_determining(opaque_affine_vectorfield(), fam).residual
 
     @staticmethod
     def _vector(ring, v):
@@ -567,16 +568,142 @@ class TestResidualCertificate:
     def test_three_prolongations_per_solve(self, monkeypatch, name, fam, degree):
         # t,t and x,x and y,y of the opaque generator, whatever the dimension
         calls = []
-        real = detsys.prolong_coeff_second
+        real = detsys.prolong_form
 
         def counted(*args):
             calls.append(args[1:])
             return real(*args)
 
-        monkeypatch.setattr(detsys, "prolong_coeff_second", counted)
+        monkeypatch.setattr(detsys, "prolong_form", counted)
         space = ansatz_solve(fam, AnsatzSpec(degree))
         assert space.certificate and space.dimension >= 3
         assert sorted(calls) == [("t", "t"), ("x", "x"), ("y", "y")]
+
+
+def _expr_prolong_second(v, d1, d2):
+    """coeff_2 as it was built on one whole expression."""
+    return expand(add(
+        total_derivative(total_derivative(characteristic(v), d2), d1),
+        *[mul(comp, jet(a + d1 + d2)) for comp, a in ((v.xi, "x"), (v.eta, "y"), (v.tau, "t"))]))
+
+
+def _expr_on_shell(e, fam):
+    """The on-shell rewrite of one whole expression, bindings built per pass."""
+    rhs_tt = mul(fam.f_expr(), add(jet("xx"), jet("yy")))
+    for _ in range(4):
+        targets = [j for j in jets_of(e) if j.idx.count("t") >= 2]
+        if not targets:
+            return e
+        binds = {}
+        for j in targets:
+            extra = list(j.idx)
+            extra.remove("t")
+            extra.remove("t")
+            rep = rhs_tt
+            for letter in extra:
+                rep = total_derivative(rep, letter)
+            binds[j] = rep
+        e = substitute(e, binds)
+    raise AssertionError("on-shell rewrite did not terminate")
+
+
+def _expr_residual(v, fam):
+    lap = add(jet("xx"), jet("yy"))
+    return expand(add(
+        _expr_prolong_second(v, "t", "t"),
+        neg(mul(v.phi, fam.fu_expr(), lap)),
+        neg(mul(fam.f_expr(), add(_expr_prolong_second(v, "x", "x"),
+                                  _expr_prolong_second(v, "y", "y"))))))
+
+
+def _expr_extract(v, fam):
+    """The extraction as it was built on whole expressions: the expanded
+    on-shell residual collected over the jets.  Returns (entries, residual)."""
+    res = expand(_expr_on_shell(_expr_residual(v, fam), fam))
+    table = collect_atoms(res, {j for j in jets_of(res) if j.order >= 1})
+    entries = []
+    for key in sorted(table, key=lambda k: (
+            sum(p for _, p in k), tuple((j.sort_key(), p) for j, p in k))):
+        mono = format_expr(mul(*[pow_(j, p) for j, p in key]))
+        if isinstance(fam, Generic):
+            entries.append((mono, expand(table[key])))
+        else:
+            pieces = split_u_dependence(table[key])
+            entries.extend(((mono, tag), pieces[tag]) for tag in sorted(pieces))
+    return entries, res
+
+
+class TestFormExtraction:
+    """extract_determining prolongs the generator on linear forms
+    {component node: coefficient} and collects each node's on-shell
+    coefficient over the jets.  The route through one whole expanded
+    residual is kept here as the reference: the entries, their keys and
+    order, and the residual form must be identical."""
+
+    OPAQUE = ("xi", "eta", "tau", "phi")
+    AFFINE = ("alpha", "beta", "tau", "eta", "xi")
+    FAMILIES = {**TestResidualCertificate.FAMILIES, "e1=1/8": PowerCase(e1=rat(1, 8))}
+
+    def test_generic_system_matches_the_expression_route(self):
+        v = opaque_vectorfield()
+        ds = extract_determining(v, Generic())
+        entries, res = _expr_extract(v, Generic())
+        assert [k for k, _ in ds.entries] == [k for k, _ in entries]
+        assert ds.entries == entries
+        assert ds.residual == _linear_decomposition(res, self.OPAQUE)
+        assert ds.forms == [_linear_decomposition(e, self.OPAQUE) for _, e in entries]
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_affine_system_matches_the_expression_route(self, name):
+        fam, v = self.FAMILIES[name], opaque_affine_vectorfield()
+        ds = extract_determining(v, fam)
+        entries, res = _expr_extract(v, fam)
+        assert [k for k, _ in ds.entries] == [k for k, _ in entries]
+        assert ds.entries == entries
+        assert ds.residual == _linear_decomposition(res, self.AFFINE)
+        assert ds.forms is None
+
+    @pytest.mark.parametrize("fam", [Generic(), ExponentialCase(), PowerCase(),
+                                     PowerCase(e1=rat(2), e2=rat(1))])
+    def test_concrete_and_mixed_fields_match_the_expression_route(self, fam):
+        # concrete fields take the key-1 part of the form; a field may mix
+        # opaque nodes, products of nodes and a node of a non-atom argument
+        g, h = fn("g", [X]), fn("h", [Y, U])
+        fields = reference.case_i_basis(c) + reference.case_ii_basis(e1, e2) + [
+            reference.rotation_field(),
+            VectorField(mul(g, h), fn("g", [mul(X, Y)]), add(fn("tau", [T]), X),
+                        add(mul(U, h), pow_(U, 2))),
+        ]
+        for v in fields:
+            assert invariance_residual(v, fam) == _expr_residual(v, fam)
+            assert extract_determining(v, fam).entries == _expr_extract(v, fam)[0]
+
+    @pytest.mark.parametrize("v", [opaque_affine_vectorfield(),
+                                   VectorField(fn("xi", [X, Y, T]), RAT0, RAT0, RAT0)],
+                             ids=["five nodes", "one node"])
+    def test_f_built_and_expanded_a_bounded_number_of_times(self, monkeypatch, v):
+        # f = L*(e2 + u/12)^12: expanding the 12th power once per node's
+        # coefficient made classify at degree 0 five times slower
+        built, powers = [], []
+        build, real_expand = PowerCase.f_expr, expr.expand
+
+        def counted_build(fam):
+            built.append(fam)
+            return build(fam)
+
+        def counted_expand(e):
+            if type(e) is Pow and type(e.expbase) is Sum and e.exp > 1:
+                powers.append(e)
+            return real_expand(e)
+
+        monkeypatch.setattr(PowerCase, "f_expr", counted_build)
+        for module in (expr, detsys, jet_module):
+            monkeypatch.setattr(module, "expand", counted_expand)
+        ds = extract_determining(v, PowerCase(e1=rat(1, 12)))
+        assert len(ds) > 0
+        # f, and f' = d/du f
+        assert len(built) == 2
+        assert [p.exp for p in powers] == [12, 11]
 
 
 class TestRowSelection:

@@ -16,8 +16,8 @@ from wavesym.expr import (
     max_jet_order, mul, neg, param, pow_, rat, sub, substitute,
 )
 from wavesym.jet import (
-    JetOrderError, characteristic, prolong_coeff_first, prolong_coeff_second,
-    total_derivative,
+    JetOrderError, characteristic, form_expr, linear_form, prolong_coeff_first,
+    prolong_coeff_second, total_derivative,
 )
 from wavesym.liealg import VectorField
 
@@ -140,7 +140,8 @@ class TestProlongation:
         v1 = VectorField(X, Y, RAT0, mul(2, c))
         assert prolong_coeff_second(v1, "t", "t") == RAT0
 
-    def _random_field(self, rng):
+    @staticmethod
+    def _random_field(rng):
         def comp(depth):
             parts = [rat(rng.randint(-2, 2))]
             for _ in range(rng.randint(0, 2)):
@@ -170,3 +171,48 @@ class TestProlongation:
             a = prolong_coeff_second(v, d1, d2)
             b = prolong_coeff_second(v, d2, d1)
             assert expand(sub(a, b)) == RAT0
+
+
+class TestLinearForms:
+    """The prolongation runs on linear forms {component node: coefficient};
+    the route through one whole expression is the reference."""
+
+    g, h = fn("g", [X, U]), fn("h", [Y])
+
+    def test_linear_form_files_terms_by_node(self):
+        e = add(mul(3, U, self.g), mul(X, self.g), self.h, mul(self.g, self.h),
+                fn("g", [mul(X, Y), U]), pow_(T, 2))
+        assert linear_form(e) == {
+            self.g: add(mul(3, U), X),
+            self.h: RAT1,
+            # products of nodes, a node of a non-atom argument and the part
+            # without a node share the key 1
+            RAT1: add(mul(self.g, self.h), fn("g", [mul(X, Y), U]), pow_(T, 2)),
+        }
+        assert form_expr(linear_form(e)) == expand(e)
+        assert linear_form(sub(self.g, self.g)) == {}
+
+    def _fields(self, rng):
+        opaque = [fn(name, [X, Y, T, U]) for name in ("xi", "eta", "tau", "phi")]
+        mixed = VectorField(mul(self.g, self.h), fn("k", [mul(X, T)]),
+                            add(fn("tau", [T]), X), add(mul(U, self.g), pow_(U, 2)))
+        return [VectorField(*opaque), mixed] + [
+            TestProlongation._random_field(rng) for _ in range(20)]
+
+    def test_second_coefficient_matches_the_expression_route(self, rng):
+        for v in self._fields(rng):
+            for d1, d2 in (("x", "x"), ("x", "t"), ("y", "t"), ("t", "t")):
+                q = characteristic(v)
+                expect = expand(add(
+                    total_derivative(total_derivative(q, d2), d1),
+                    mul(v.xi, jet("x" + d1 + d2)), mul(v.eta, jet("y" + d1 + d2)),
+                    mul(v.tau, jet("t" + d1 + d2))))
+                assert prolong_coeff_second(v, d1, d2) == expect, (str(v), d1, d2)
+
+    def test_first_coefficient_matches_the_expression_route(self, rng):
+        for v in self._fields(rng):
+            for d in "xyt":
+                expect = expand(add(
+                    total_derivative(characteristic(v), d), mul(v.xi, jet("x" + d)),
+                    mul(v.eta, jet("y" + d)), mul(v.tau, jet("t" + d))))
+                assert prolong_coeff_first(v, d) == expect, (str(v), d)
