@@ -9,16 +9,30 @@ evaluated on-shell (every jet carrying two or more t indices rewritten
 through the equation and its total derivatives).  Collecting the result
 over jet monomials -- and, for a concrete nonlinearity, over the linearly
 independent u-dependence of the coefficients -- yields the determining
-system, a linear homogeneous system for the components of v.  The
-residual is linear in v, so the extraction never builds it as one
-expression: the generator is prolonged on linear forms {component node:
-coefficient} (``jet.prolong_form``), and only each node's coefficient, an
-``Expr``, is multiplied by f and f', rewritten on-shell and collected over
-the jets.  Under a polynomial ansatz the system is solved exactly over the
-parameter field: past the extraction, the ansatz rows, their selection
-mod p, the elimination and the residual certificate (which reads the
-extracted residual form) all run in one ``LaurentRing``, and only the
-basis comes back as ``Expr``.
+system, a linear homogeneous system for the components of v.
+
+The residual is linear in v and its coefficients are polynomials in the
+jets, u, the parameters and the family's u-dependent factors, so the
+extraction runs in one ``LaurentRing`` and never builds the residual as an
+expression.  The generator is prolonged on linear forms {component node:
+polynomial} (``jet.prolong_form``), D_x, D_y and D_t being one ring
+derivation; f and f' are converted once, and the u_tt rewrite substitutes
+one ring variable.  Collecting over the jets reads their exponents.
+Splitting over u first clears the u-dependent denominators (those of the
+sums among them) by one monomial and writes each sum out as its
+polynomial in u (``_Fold``); the variables left
+(parameters, u, one marker such as exp(u/c), the components) are then
+independent, so reading exponents is a valid zero test.  Under a
+polynomial ansatz the system is solved exactly over the parameter field:
+the ansatz rows read each entry's {node: parameter polynomial}, their
+selection mod p and the elimination run in a ring of the parameters, and
+the residual certificate reads the extracted residual form in the
+extraction's ring.  The derive implication test closes the generic
+system's forms in the same ring.  ``Expr`` is built only where a report
+prints it: the entries (``DeterminingSystem.entries``, one ``ring.expr``
+per entry) and the basis.  ``on_shell`` and ``split_u_dependence`` keep
+the ``Expr`` routines as references; ``invariance_residual`` returns the
+ring's residual (before the rewrite) as an ``Expr``.
 """
 
 from __future__ import annotations
@@ -28,16 +42,17 @@ from math import ceil, perm, prod
 
 from .expr import (
     Base, Expr, ExprError, Fn, Jet, NonPolynomialError, Param, Pow, Product,
-    Rat, Sum, RAT0, RAT1, add, atoms_of, base, clear_denominators, collect_atoms, diff,
-    expand, fn, fn_nodes_of, format_expr, jet, jets_of, mul, neg,
-    param, pow_, sub, substitute, vanishes,
+    Rat, Sum, RAT1, add, atoms_of, base, clear_denominators, collect_atoms, diff,
+    expand, fn, fn_nodes_of, format_expr, jet, jets_of, mul, param, pow_, sub,
+    substitute, vanishes,
 )
 from .jet import (
-    form_derivative, form_expr, generator_forms, prolong_form, total_derivative,
+    form_derivative, generator_forms, prolong_form, ring_form_expr, total_derivation,
+    total_derivative,
 )
 from .liealg import VectorField
 from .linalg import (
-    LaurentRing, add_product, annihilates, echelon_mod_p, independent_rows_mod_p,
+    Derivation, LaurentRing, add_product, annihilates, echelon_mod_p, independent_rows_mod_p,
     nullspace, reduce_mod_p,
 )
 from . import reference
@@ -57,6 +72,7 @@ X, Y, T, U = base("x"), base("y"), base("t"), jet("")
 PRIME = 2**31 - 1
 N_POINTS = 2
 SELECTION_SEED = 11
+ONE = {0: 1}  # the ring's polynomial 1
 
 
 class DetSysError(Exception):
@@ -128,10 +144,13 @@ def model_residual(fam: FFamily | None = None) -> Expr:
     return sub(jet("tt"), mul(f, add(jet("xx"), jet("yy"))))
 
 
-def _rewrite_on_shell(e: Expr, rhs_tt: Expr, binds: dict) -> Expr:
-    """Rewrite every jet of ``e`` with two or more t indices through
-    u_tt = rhs_tt and its total derivatives until none remains.  The value
-    of each such jet is built once and kept in ``binds``."""
+def on_shell(e: Expr, fam: FFamily | None = None) -> Expr:
+    """Rewrite every jet with two or more t indices through the model
+    equation (and its total derivatives) until none remains.  The
+    extraction rewrites in its ring (``_on_shell``); this is the ``Expr``
+    reference."""
+    rhs_tt = mul((fam or Generic()).f_expr(), add(jet("xx"), jet("yy")))
+    binds: dict = {}
     for _ in range(4):
         targets = [j for j in jets_of(e) if j.idx.count("t") >= 2]
         if not targets:
@@ -149,43 +168,54 @@ def _rewrite_on_shell(e: Expr, rhs_tt: Expr, binds: dict) -> Expr:
     raise DetSysError("on-shell substitution cycle guard triggered")
 
 
-def on_shell(e: Expr, fam: FFamily | None = None) -> Expr:
-    """Rewrite every jet with two or more t indices through the model
-    equation (and its total derivatives) until none remains."""
-    fam = fam or Generic()
-    return _rewrite_on_shell(e, mul(fam.f_expr(), add(jet("xx"), jet("yy"))), {})
-
-
-def _invariance_form(v: VectorField, fam: FFamily, shell: bool) -> dict:
-    """The invariance residual of v as a linear form {component node:
-    coefficient} (``jet.linear_form``), on-shell when ``shell`` is set.
-    f and f' are built and expanded once and multiplied into each node's
-    coefficient; every coefficient is expanded.  coeff_2(t, t) holds the
-    only jets with two t indices (D_x and D_y add none), so its
-    coefficients are the ones rewritten on-shell, from bindings built
-    once."""
-    lap = add(jet("xx"), jet("yy"))
-    f = expand(fam.f_expr())
-    rhs_tt, fu_lap = expand(mul(f, lap)), expand(mul(fam.fu_expr(), lap))
-    forms = generator_forms(v)
-    phi = forms[-1]
-    tt, xx, yy = (prolong_form(forms, d, d) for d in "txy")
-    binds: dict = {}
+def _on_shell(form: dict, rhs_tt: dict, ring: LaurentRing) -> dict:
+    """coeff_2(t, t) as a linear form with ring coefficients, on-shell: the
+    variable u_tt, the only jet with two t indices there (D_x and D_y add
+    none, and the third-order jets cancel), replaced by rhs_tt."""
+    tt = ring.var(jet("tt"))
     out = {}
+    for node, c in form.items():
+        new: dict = {}
+        for m, k in c.items():
+            q = next((q for d, q in ring.support(m) if ring.unit(d) == tt), 0)
+            term = {m - q * tt: k}
+            for _ in range(q):
+                term = add_product({}, term, rhs_tt)
+            add_product(new, term, ONE)
+        if new:
+            out[node] = new
+    return out
+
+
+def _residual_form(v: VectorField, fam: FFamily, ring: LaurentRing, shell: bool) -> dict:
+    """The invariance residual of v as a linear form {component node:
+    coefficient} with coefficients in ``ring``, on-shell when ``shell`` is
+    set (``_on_shell``).  f and f' are converted, and so expanded, once."""
+    derivation = total_derivation(ring)
+    lap = {ring.var(jet("xx")): 1, ring.var(jet("yy")): 1}
+    f = ring.poly(fam.f_expr())
+    minus_f = {m: -k for m, k in f.items()}
+    minus_fu_lap = add_product({}, ring.poly(fam.fu_expr()), {m: -1 for m in lap})
+    forms = generator_forms(v, derivation)
+    tt, xx, yy = (prolong_form(forms, d, d) for d in "txy")
+    if shell:
+        tt = _on_shell(tt, add_product({}, f, lap), ring)
+    out = {}
+    phi = forms[-1]
     for node in dict.fromkeys([*tt, *phi, *xx, *yy]):
-        c = tt.get(node, RAT0)
-        if shell:
-            c = expand(_rewrite_on_shell(c, rhs_tt, binds))
-        c = expand(add(c, neg(mul(phi.get(node, RAT0), fu_lap)),
-                       neg(mul(f, add(xx.get(node, RAT0), yy.get(node, RAT0))))))
-        if c != RAT0:
+        c = dict(tt.get(node, {}))
+        add_product(c, phi.get(node, {}), minus_fu_lap)
+        add_product(c, minus_f, xx.get(node, {}))
+        add_product(c, minus_f, yy.get(node, {}))
+        if c:
             out[node] = c
     return out
 
 
 def invariance_residual(v: VectorField, fam: FFamily | None = None) -> Expr:
     """Second-prolongation action of v on the model, before going on-shell."""
-    return form_expr(_invariance_form(v, fam or Generic(), shell=False))
+    ring = LaurentRing()
+    return ring_form_expr(ring, _residual_form(v, fam or Generic(), ring, shell=False))
 
 
 def opaque_vectorfield() -> VectorField:
@@ -232,7 +262,8 @@ def split_u_dependence(e: Expr) -> dict:
     the fractional powers of each sum as one factor.  Every u-dependent
     factor other than a positive power of u (e.g. exp(u/c), or
     (2*u + 1)^(1/2)) is a marker, collected like u itself.  Returns
-    {UTag: coefficient} with coefficients free of u."""
+    {UTag: coefficient} with coefficients free of u.  The extraction splits
+    in its ring (``_Fold.split_u``); this is the ``Expr`` reference."""
     try:
         (e,) = clear_denominators([e], lambda b, q: ceil(q) if U in atoms_of(b) else 0)
     except ExprError:
@@ -241,32 +272,169 @@ def split_u_dependence(e: Expr) -> dict:
         f
         for term in (e.terms if type(e) is Sum else (e,))
         for f in (term.factors if type(term) is Product else (term,))
-        if U in atoms_of(f) and f != U and not (
-            type(f) is Pow and f.expbase == U and f.exp.denominator == 1 and f.exp > 0)
+        if U in atoms_of(f) and f != U and not _u_power(f)
     }
     out: dict = {}
     for key, coeff in collect_atoms(e, {U, *markers}).items():
         found = [pow_(m, k) for m, k in key if m != U]
-        marker = mul(*found) if found else None
-        out[UTag(dict(key).get(U, 0), marker.sort_key() if found else (), marker)] = coeff
+        out[_utag(dict(key).get(U, 0), found)] = coeff
     return out
 
 
-@dataclass
+def _u_power(f: Expr) -> int:
+    """k when the factor f is u^k, k a positive integer, else 0."""
+    if f == U:
+        return 1
+    if type(f) is Pow and f.expbase == U and f.exp.denominator == 1 and f.exp > 0:
+        return int(f.exp)
+    return 0
+
+
+def _utag(u_power: int, markers: list) -> UTag:
+    marker = mul(*markers) if markers else None
+    return UTag(u_power, marker.sort_key() if markers else (), marker)
+
+
+class _Var:
+    """A ring variable read as base^power: b^(1/q) for a fractional power
+    of b, b itself (power 1) otherwise."""
+
+    __slots__ = ("base", "power", "is_sum", "u_dependent")
+
+    def __init__(self, v: Expr):
+        self.base, self.power = (v.expbase, v.exp) if type(v) is Pow else (v, 1)
+        self.is_sum = type(self.base) is Sum
+        self.u_dependent = U in atoms_of(self.base)
+
+
+class _Fold:
+    """u-dependent denominators cleared and sums written out, in a
+    ``LaurentRing``.
+
+    Called on polynomials that must vanish together, it multiplies them by
+    one term, nonzero wherever the family is defined: the smallest power of
+    each u-dependent base that takes its every negative power in a term to
+    a nonnegative one (a sum base as a power of its variable).  It then
+    writes each term's total power e of a sum base S as S^n * S^(e - n),
+    S^n expanded into its polynomial: n = e for integer e, floor(e) for
+    fractional e > 1, 0 otherwise.  Terms then hold each sum at most as one
+    fractional power in (0, 1) (or a negative power of a sum free of u), so
+    the variables left are independent wherever the families are defined,
+    and a term's exponents name it uniquely: reading them is a zero test.
+    ``split_u`` then reads the u-tags off the exponents."""
+
+    def __init__(self, ring: LaurentRing):
+        self.ring = ring
+        self._vars: dict = {}  # digit -> _Var
+        self._sums: dict = {}  # monomial of the sum variables -> polynomial
+        self._tags: dict = {}  # monomial of the u-dependent variables -> (UTag, rational)
+
+    def var(self, d: int) -> _Var:
+        out = self._vars.get(d)
+        if out is None:
+            out = self._vars[d] = _Var(self.ring.variables[d])
+        return out
+
+    def _powers(self, pairs) -> dict:
+        """{base: total power} over (digit, exponent) pairs."""
+        out: dict = {}
+        for d, q in pairs:
+            v = self.var(d)
+            out[v.base] = out.get(v.base, 0) + q * v.power
+        return out
+
+    def __call__(self, polys: list) -> list:
+        ring = self.ring
+        need: dict = {}
+        for p in polys:
+            for m in p:
+                pairs = [(d, q) for d, q in ring.support(m) if self.var(d).u_dependent]
+                if any(q < 0 for _, q in pairs):
+                    for b, e in self._powers(pairs).items():
+                        if e < 0 and ceil(-e) > need.get(b, 0):
+                            need[b] = ceil(-e)
+        if need:
+            factor = ONE
+            for b in sorted(need, key=Expr.sort_key):
+                factor = add_product({}, factor, {need[b] * ring.var(b): 1}
+                                     if type(b) is Sum else ring.poly(pow_(b, need[b])))
+            polys = [add_product({}, p, factor) for p in polys]
+        return [self._write_sums(p) for p in polys]
+
+    def _write_sums(self, p: dict) -> dict:
+        ring = self.ring
+        out: dict = {}
+        for m, k in p.items():
+            pairs = [(d, q) for d, q in ring.support(m) if self.var(d).is_sum]
+            sm = sum(q * ring.unit(d) for d, q in pairs)
+            rep = self._sums.get(sm)
+            if rep is None:
+                rep = ONE
+                for b, e in self._powers(pairs).items():
+                    n = e if e.denominator == 1 else e.numerator // e.denominator if e > 1 else 0
+                    rep = add_product({}, rep, ring.poly(pow_(b, n)))
+                    rep = add_product({}, rep, ring.poly(pow_(b, e - n)))
+                self._sums[sm] = rep
+            add_product(out, {m - sm: k}, rep)
+        return out
+
+    def split_u(self, p: dict) -> dict:
+        """A folded polynomial split by u-dependence: {UTag: polynomial
+        free of u}.  A term's u-dependent variables, multiplied out as an
+        ``Expr`` once per monomial of them, give its tag: the power of u,
+        and every other u-dependent factor as the marker."""
+        ring = self.ring
+        out: dict = {}
+        for m, k in p.items():
+            um = sum(q * ring.unit(d) for d, q in ring.support(m) if self.var(d).u_dependent)
+            hit = self._tags.get(um)
+            if hit is None:
+                e = mul(*[pow_(ring.variables[d], q) for d, q in ring.support(um)])
+                r, u_power, markers = 1, 0, []
+                for f in e.factors if type(e) is Product else (e,):
+                    if type(f) is Rat:
+                        r = f.value
+                    elif _u_power(f):
+                        u_power += _u_power(f)
+                    else:
+                        markers.append(f)
+                hit = self._tags[um] = (_utag(u_power, markers), r)
+            tag, r = hit
+            add_product(out.setdefault(tag, {}), {m - um: k * r}, ONE)
+        return {tag: q for tag, q in out.items() if q}
+
+
 class DeterminingSystem:
     """Expressions required to vanish identically, each tagged with the jet
-    monomial (and, for concrete families, the u-dependence) it came from,
-    and the on-shell residual they were collected from, as a linear form
-    {component node: coefficient}.  For the generic family ``forms`` holds
-    each entry's own linear form."""
+    monomial (and, for concrete families, the u-dependence) it came from.
 
-    family: FFamily
-    entries: list  # [(monomial text | (monomial text, UTag), Expr), ...]
-    residual: dict | None = None
-    forms: list | None = None
+    The extraction keeps each entry as a linear form {component node:
+    polynomial} in its ``ring`` (``ring_forms``), and the on-shell residual
+    the entries were collected from as one such form (``residual``).  The
+    entries' ``Expr`` (``entries``, ``expressions``) are built from the
+    ring on first use, with one ``ring.expr`` per entry; a system built by
+    hand from ``(key, Expr)`` entries has neither ring nor forms."""
+
+    def __init__(self, family: FFamily, entries: list | None = None, residual: dict | None = None,
+                 *, ring: LaurentRing | None = None, keys: list | None = None,
+                 ring_forms: list | None = None):
+        self.family = family
+        self.residual = residual
+        self.ring = ring
+        self.keys = [k for k, _ in entries] if keys is None else keys
+        self.ring_forms = ring_forms
+        self._entries = entries
+
+    @property
+    def entries(self) -> list:
+        """[(monomial text | (monomial text, UTag), Expr), ...]"""
+        if self._entries is None:
+            self._entries = [(key, self.ring.expr(_whole(self.ring, form)))
+                             for key, form in zip(self.keys, self.ring_forms)]
+        return self._entries
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.keys)
 
     def expressions(self):
         return [e for _, e in self.entries]
@@ -280,30 +448,75 @@ class DeterminingSystem:
         return out
 
 
+def _whole(ring: LaurentRing, form: dict) -> dict:
+    """A linear form with ring coefficients as one polynomial, each
+    ``Fn`` node taken as its variable."""
+    out: dict = {}
+    for node, p in form.items():
+        add_product(out, p, {ring.var(node): 1} if type(node) is Fn else ONE)
+    return out
+
+
+def _node_form(ring: LaurentRing, p: dict, nodes: dict) -> dict:
+    """A polynomial linear in the node variables ``nodes`` {monomial: node}
+    as {node: polynomial}; a term without one is filed under 1."""
+    out: dict = {}
+    for m, k in p.items():
+        hit = [(ring.unit(d), q) for d, q in ring.support(m) if ring.unit(d) in nodes]
+        if len(hit) > 1 or (hit and hit[0][1] != 1):
+            raise DetSysError("an entry is not linear homogeneous in the components")
+        node, n = (nodes[hit[0][0]], m - hit[0][0]) if hit else (RAT1, m)
+        out.setdefault(node, {})[n] = k
+    return out
+
+
 def extract_determining(v: VectorField, fam: FFamily | None = None) -> DeterminingSystem:
     """On-shell invariance residual collected over jet monomials; for a
     concrete family each coefficient is further split by u-dependence.
-    Each node's coefficient of the residual form is collected on its own,
-    and a monomial's entry sums the nodes' parts."""
+
+    Everything runs in one ``LaurentRing`` whose variables are the jets,
+    u, x, y, t, the parameters, the family's u-dependent factors (exp(u/c);
+    a power of e1*u + e2, its exp/ln marker; f, f', ... for the generic
+    family) and the component nodes.  The residual form comes from
+    ``_residual_form``; collecting over the jets of order >= 1 reads their
+    exponents.  For a concrete family an entry's form, summed over its
+    nodes into one polynomial, is cleared of its u-dependent denominators
+    and its sums are written out (``_Fold``), so the variables left are
+    independent and ``_Fold.split_u`` reads the u-tags off the exponents."""
     fam = fam or Generic()
+    ring = LaurentRing()
+    res = _residual_form(v, fam, ring, shell=True)
+    jets = {d for d, x in enumerate(ring.variables) if type(x) is Jet and x.idx}
+    tables: dict = {}  # jet monomial -> {node: polynomial}
+    for node, c in res.items():
+        for m, k in c.items():
+            jm = sum(q * ring.unit(d) for d, q in ring.support(m) if d in jets)
+            tables.setdefault(jm, {}).setdefault(node, {})[m - jm] = k
+
+    def jet_key(jm):
+        return sorted(((ring.variables[d], q) for d, q in ring.support(jm)),
+                      key=lambda jq: jq[0].sort_key())
+
+    keys, ring_forms = [], []
     generic = isinstance(fam, Generic)
-    res = _invariance_form(v, fam, shell=True)
-    tables = {node: collect_atoms(c, {j for j in jets_of(c) if j.order >= 1})
-              for node, c in res.items()}
-    entries, forms = [], []
+    fold = _Fold(ring)
+    nodes = {ring.var(node): node for node in res if type(node) is Fn}
     # by total degree, then jet by jet; an entry is keyed by the monomial's text
-    for key in sorted({key for table in tables.values() for key in table}, key=lambda k: (
-            sum(p for _, p in k), tuple((j.sort_key(), p) for j, p in k))):
-        mono = format_expr(mul(*[pow_(j, p) for j, p in key]))
-        form = {node: table[key] for node, table in tables.items() if key in table}
+    for jm in sorted(tables, key=lambda jm: (
+            sum(q for _, q in ring.support(jm)),
+            tuple((j.sort_key(), q) for j, q in jet_key(jm)))):
+        mono = format_expr(mul(*[pow_(j, q) for j, q in jet_key(jm)]))
+        form = tables[jm]
         if generic:
-            entries.append((mono, form_expr(form)))
-            forms.append(form)
-        else:
-            pieces = split_u_dependence(form_expr(form))
-            for tag in sorted(pieces):
-                entries.append(((mono, tag), pieces[tag]))
-    return DeterminingSystem(fam, entries, res, forms if generic else None)
+            keys.append(mono)
+            ring_forms.append(form)
+            continue
+        (whole,) = fold([_whole(ring, form)])
+        pieces = fold.split_u(whole)
+        for tag in sorted(pieces):
+            keys.append((mono, tag))
+            ring_forms.append(_node_form(ring, pieces[tag], nodes))
+    return DeterminingSystem(fam, residual=res, ring=ring, keys=keys, ring_forms=ring_forms)
 
 
 def check_reference_system(v: VectorField, fam: FFamily | None = None) -> dict:
@@ -338,41 +551,44 @@ def _linear_decomposition(e: Expr, unknown_names) -> dict:
     return {key[0][0]: coeff for key, coeff in table.items()}
 
 
-def _diff_form(form: dict, a: Expr, dcoeff: dict) -> dict:
-    """d/da of a linear form {component node: coefficient}, a one of
-    x, y, t, u (``jet.form_derivative``).  A node's derivative raises its
-    derivative index in each slot whose argument is ``a``; a coefficient's
-    derivative is taken once per (coefficient, a) and kept in ``dcoeff``."""
-
-    def d_arg(arg):
-        if type(arg) not in (Base, Jet, Param):
-            raise DetSysError(f"component argument {format_expr(arg)} is a non-atom")
-        return RAT1 if arg == a else RAT0
-
-    def d_coeff(c):
-        dc = dcoeff.get((c, a))
-        if dc is None:
-            dc = dcoeff[c, a] = expand(diff(c, a))
-        return dc
-
-    return form_derivative(form, d_arg, d_coeff)
+def _partial_derivation(ring: LaurentRing) -> Derivation:
+    """d/da on ``ring``, a one of x, y, t, u: each variable's derivative is
+    ``diff`` of it, converted once per variable and direction."""
+    return Derivation(ring, lambda v, a: ring.poly(diff(v, a)))
 
 
-def _close_forms(forms: list, prolong_order: int) -> list:
+def _diff_form(form: dict, a: Expr, derivation: Derivation) -> dict:
+    """d/da of a linear form {component node: ring polynomial}, a one of
+    x, y, t, u (``jet.form_derivative`` under ``derivation``, a
+    ``_partial_derivation``).  A node's derivative raises its derivative
+    index in each slot whose argument is ``a``; the components' arguments
+    must be atoms."""
+    for node in form:
+        for arg in node.args if type(node) is Fn else ():
+            if type(arg) not in (Base, Jet, Param):
+                raise DetSysError(f"component argument {format_expr(arg)} is a non-atom")
+    return form_derivative(form, derivation, a)
+
+
+def _frozen(form: dict) -> frozenset:
+    """A linear form with ring coefficients as a hashable value."""
+    return frozenset((node, frozenset(p.items())) for node, p in form.items())
+
+
+def _close_forms(forms: list, prolong_order: int, derivation: Derivation) -> list:
     """The linear forms followed by their x, y, t, u derivatives up to
     ``prolong_order``, level by level: each form of the last level is
     differentiated in x, y, t, u, in that order, and a derivative that is
     zero or equal to a form already held is not added."""
     rows = list(forms)
-    seen = {frozenset(f.items()) for f in forms}
-    dcoeff: dict = {}
+    seen = {_frozen(f) for f in forms}
     frontier = rows
     for _ in range(prolong_order):
         nxt = []
         for form in frontier:
             for a in (X, Y, T, U):
-                d = _diff_form(form, a, dcoeff)
-                key = frozenset(d.items())
+                d = _diff_form(form, a, derivation)
+                key = _frozen(d)
                 if d and key not in seen:
                     seen.add(key)
                     nxt.append(d)
@@ -391,26 +607,28 @@ def reference_implication_report(
 
     Every equation is a linear form {component derivative: coefficient} in
     the opaque xi, eta, tau, phi, with coefficients polynomial in u and the
-    derivatives of f.  The derived equations come with their forms from the
-    extraction (``ds.forms``; a system built without them is decomposed
-    once) and are closed under differential consequences up to
+    derivatives of f, in the extraction's ``LaurentRing``.  The derived
+    equations come with their forms from the extraction
+    (``ds.ring_forms``; a system built without them is decomposed once),
+    the reference conditions are decomposed and converted once, and the
+    derived forms are closed under differential consequences up to
     ``prolong_order`` (each differentiated with respect to x, y, t, u),
     since the reference's simplified conditions use such consequences.  The
     closure stays on linear forms (``_close_forms``): differentiating shifts
-    the components' derivative indices and differentiates each distinct
-    coefficient once per direction.  Symbolic route: the condition's form,
-    or its negative, is one of the derived forms (coefficients are
-    canonical).  Modular route: the distinct coefficients are converted
-    once into a ``LaurentRing``, whose variables are the factors they hold
-    (f, f', f'' as whole nodes).  At N_POINTS seeded random points over
-    GF(p), p = PRIME = 2^31 - 1, each variable gets one residue, each
-    coefficient is evaluated once (``LaurentRing.eval_mod``) and the rows
-    are read from that table; the condition is implied iff adding its row
-    leaves the rank of the derived rows unchanged at every point.  By the
-    Schwartz-Zippel lemma a point gives a rank below the generic one with
-    probability at most (rank + 1) * degree / p, degree being the largest
-    total exponent of a coefficient's monomial; ``check`` carries that
-    bound and its inputs."""
+    the components' derivative indices and differentiates the coefficients
+    in the ring, each variable's derivative converted once per direction.
+    Symbolic route: the condition's form, or its negative, is one of the
+    derived forms (the ring's variables are independent, so equal
+    polynomials are equal coefficients).  Modular route: at N_POINTS
+    seeded random points over GF(p), p = PRIME = 2^31 - 1, each variable
+    the coefficients hold (u, f, f', f'' as whole nodes, in ``Expr``
+    order) gets one residue, each distinct coefficient is evaluated once
+    (``LaurentRing.eval_mod``) and the rows are read from that table; the
+    condition is implied iff adding its row leaves the rank of the derived
+    rows unchanged at every point.  By the Schwartz-Zippel lemma a point
+    gives a rank below the generic one with probability at most
+    (rank + 1) * degree / p, degree being the largest total exponent of a
+    coefficient's monomial; ``check`` carries that bound and its inputs."""
     import random
 
     if not isinstance(ds.family, Generic):
@@ -422,46 +640,49 @@ def reference_implication_report(
         v.xi, v.eta, v.tau, v.phi, fam.f_expr(), fam.fu_expr()
     )
     names = ("xi", "eta", "tau", "phi")
-    # the collected coefficients are canonical, so equal forms are equal
-    # equations
-    forms = ds.forms
+    ring = ds.ring or LaurentRing()
+
+    def decompose(e):
+        return {node: ring.poly(c) for node, c in _linear_decomposition(e, names).items()}
+
+    forms = ds.ring_forms
     if forms is None:
-        forms = [_linear_decomposition(e, names) for e in ds.expressions()]
+        forms = [decompose(e) for e in ds.expressions()]
     elif any(type(n) is not Fn or n.name not in names for d in forms for n in d):
         raise DetSysError("the derived system is not linear homogeneous in xi, eta, tau, phi")
-    derived = _close_forms(forms, prolong_order)
-    cond_forms = {n: _linear_decomposition(e, names) for n, e in conds.items()}
-    seen = {frozenset(d.items()) for d in derived}
+    derived = _close_forms(forms, prolong_order, _partial_derivation(ring))
+    cond_forms = {n: decompose(e) for n, e in conds.items()}
+    seen = {_frozen(d) for d in derived}
     report = {
         n: {"implied": True, "route": "symbolic"}
         for n, d in cond_forms.items()
-        if frozenset(d.items()) in seen
-        or frozenset((node, expand(neg(ce))) for node, ce in d.items()) in seen
+        if _frozen(d) in seen
+        or _frozen({node: {m: -k for m, k in p.items()} for node, p in d.items()}) in seen
     }
     unmatched = [n for n in conds if n not in report]
     cond_decomps = [cond_forms[n] for n in unmatched]
-    coeffs = {ce for d in derived + cond_decomps for ce in d.values()}
+    coeffs: dict = {}  # frozen polynomial -> (index, polynomial)
     col = {node: i for i, node in enumerate(sorted(
         {node for d in derived + cond_decomps for node in d}, key=Expr.sort_key))}
-    ring = LaurentRing()
-    polys = {ce: ring.poly(ce) for ce in coeffs}
-    variables = sorted(ring.variables, key=Expr.sort_key)
-    degree = max((sum(ring.exponents(m)) for p in polys.values() for m in p), default=0)
+    rows = [[(col[node], coeffs.setdefault(frozenset(p.items()), (len(coeffs), p))[0])
+             for node, p in d.items()] for d in derived + cond_decomps]
+    polys = [p for _, p in coeffs.values()]
+    monos = {m for p in polys for m in p}
+    variables = sorted({ring.variables[d] for m in monos for d, _ in ring.support(m)},
+                       key=Expr.sort_key)
+    degree = max((sum(q for _, q in ring.support(m)) for m in monos), default=0)
 
     rng = random.Random(seed)
     ranks = []
     implied = dict.fromkeys(unmatched, True)
     for _ in range(N_POINTS):
         point = {v: rng.randrange(1, PRIME) for v in variables}
-        value = {ce: ring.eval_mod(p, point, PRIME) for ce, p in polys.items()}
-
-        def row(d):
-            return {col[node]: value[ce] for node, ce in d.items()}
-
-        pivots = echelon_mod_p((row(d) for d in derived), PRIME)
+        value = [ring.eval_mod(p, point, PRIME) for p in polys]
+        table = [{c: value[i] for c, i in r} for r in rows]
+        pivots = echelon_mod_p(table[:len(derived)], PRIME)
         ranks.append(len(pivots))
-        for name, d in zip(unmatched, cond_decomps):
-            if reduce_mod_p(row(d), pivots, PRIME):
+        for name, r in zip(unmatched, table[len(derived):]):
+            if reduce_mod_p(r, pivots, PRIME):
                 implied[name] = False
     for name in unmatched:
         report[name] = {"implied": implied[name], "route": "modular"}
@@ -574,18 +795,20 @@ def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
 
     The determining PDEs are extracted once, from the generator whose
     xi, eta, tau, alpha, beta are opaque functions of (x, y, t); each is a
-    linear form in component derivatives with coefficients free of
-    (x, y, t).  Each coefficient c is converted once into a ``LaurentRing``
-    polynomial in the parameters; a term c * d^k(comp) sends column
+    linear form in component derivatives (``DeterminingSystem.ring_forms``)
+    with polynomial coefficients free of (x, y, t).  Each coefficient c is
+    moved once into an elimination ``LaurentRing`` of the parameters alone,
+    its monomials re-encoded; a term c * d^k(comp) sends column
     (comp, monomial m) to c scaled by the integer (m)_k, a product of
     falling factorials, in row (equation, m - k).  Rows are keyed by jet
     monomial, u-tag and (x, y, t) monomial, in that order; rows with the
     same polynomials are kept once.  The homogeneous system is solved by
-    exact elimination in the ring, of the rows that ``_select_and_solve``
+    exact elimination in that ring, of the rows that ``_select_and_solve``
     keeps; family parameters are treated as generic nonzero values.  The
     certificate evaluates the opaque generator's on-shell residual form at
-    each basis vector in the same ring (``_certify``), so no field is
-    prolonged again.  A coefficient outside the ring raises ``DetSysError``."""
+    each basis vector, moved back into the extraction's ring
+    (``_certify``), so no field is prolonged again.  A coefficient with a
+    variable other than a parameter raises ``DetSysError``."""
     if isinstance(fam, Generic):
         raise DetSysError("ansatz_solve needs a concrete family (exponential or power)")
     spec = spec or AnsatzSpec()
@@ -605,20 +828,40 @@ def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
     col_of = {cm: j for j, cm in enumerate(columns)}
 
     ds = extract_determining(opaque_affine_vectorfield(), fam)
+    # the elimination ring holds the parameters only: each coefficient's
+    # monomials are moved over from the extraction's ring once
     ring = LaurentRing()
+    moved: dict = {}  # extraction monomial -> elimination monomial
+    ext = ds.ring
+
+    def move(p):
+        out = {}
+        for m, k in p.items():
+            n = moved.get(m)
+            if n is None:
+                n = 0
+                for d, q in ext.support(m):
+                    v = ext.variables[d]
+                    if type(v) is not Param:
+                        c = format_expr(ext.expr(p))
+                        raise DetSysError(
+                            f"coefficient {c} depends on x, y or t" if v in (X, Y, T)
+                            else f"entry outside the Laurent-polynomial ring: {c}")
+                    n += q * ring.var(v)
+                moved[m] = n
+            out[n] = k
+        return out
+
     # equal entries share one (index, polynomial), so a row is frozen by
     # its columns and entry indices
     entries: dict = {}  # frozen polynomial -> (index, polynomial)
     rows: dict = {}  # frozen row -> row, in first-seen order
-    for _, eq in ds.entries:
+    for form in ds.ring_forms:
         table: dict = {}  # xyt monomial -> {column: (index, polynomial)}
-        for node, c in _linear_decomposition(eq, comps).items():
-            if atoms_of(c) & {X, Y, T}:
-                raise DetSysError(f"coefficient {format_expr(c)} depends on x, y or t")
-            try:
-                p = ring.param_poly(c)
-            except ValueError as err:
-                raise DetSysError(str(err)) from None
+        for node, c in form.items():
+            if type(node) is not Fn or node.name not in comps:
+                raise DetSysError("an entry is not linear homogeneous in the components")
+            p = move(c)
             for m in monos:
                 n = tuple(a - b for a, b in zip(m, node.didx))
                 if min(n) >= 0:
@@ -642,7 +885,10 @@ def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
 
     basis = [VectorField(comp(v, "xi"), comp(v, "eta"), comp(v, "tau"),
                          add(mul(comp(v, "alpha"), U), comp(v, "beta"))) for v in vectors]
-    certificate = _certify(ds.residual, ring, vectors)
+    back = {ring.var(v): ext.var(v) for v in ring.variables}
+    certificate = _certify(ds.residual, ext, [
+        {cm: {sum(q * back[ring.unit(d)] for d, q in ring.support(m)): k for m, k in p.items()}
+         for cm, p in vec.items()} for vec in vectors])
     return SolutionSpace(fam, spec, basis, certificate, len(columns), len(rows), selection)
 
 
@@ -653,12 +899,12 @@ def _certify(form: dict, ring: LaurentRing, vectors: list) -> bool:
     as extracted (``DeterminingSystem.residual``), is linear in the
     components: the residual is the field times the row
     (component, m) -> sum of coefficient * (m)_k * (x, y, t)^(m - k), with
-    the coefficients cleared of their Sum denominators by one factor,
-    nonzero wherever the family is defined."""
-    cleared = clear_denominators(
-        list(form.values()), lambda b, q: ceil(q) if type(b) is Sum else 0)
-    terms = [(node.name, node.didx, ring.poly(c)) for node, c in zip(form, cleared)]
-    xyt = [next(iter(ring.poly(z))) for z in (X, Y, T)]
+    the coefficients cleared of their u-dependent denominators by one
+    term, nonzero wherever the family is defined, and their sums written
+    out (``_Fold``), so that the zero test reads exponents."""
+    cleared = _Fold(ring)(list(form.values()))
+    terms = [(node.name, node.didx, c) for node, c in zip(form, cleared)]
+    xyt = [ring.var(z) for z in (X, Y, T)]
     row: dict = {}
     for cname, m in {key for vec in vectors for key in vec}:
         entry = row[cname, m] = {}

@@ -710,10 +710,12 @@ def expand(e) -> Expr:
         return add(*terms)
     if t is Pow and type(kids[0]) is Sum and e.exp.denominator == 1 and e.exp > 1:
         # distribute term lists directly: mul(b, b) would re-merge the
-        # equal bases into Pow(b, 2) and loop
-        terms = [RAT1]
+        # equal bases into Pow(b, 2) and loop; like terms are collected
+        # after each factor, so b^n costs n times the terms, not 2^n
+        terms = (RAT1,)
         for _ in range(int(e.exp)):
-            terms = [mul(a, s) for a in terms for s in kids[0].terms]
+            acc = add(*[mul(a, s) for a in terms for s in kids[0].terms])
+            terms = acc.terms if type(acc) is Sum else (acc,)
         return add(*terms)
     return _reuse(e, kids)
 

@@ -16,10 +16,18 @@ Both are linear in v, so the one prolongation routine (``prolong_form``)
 works on linear forms {component node: coefficient}: the components and
 Q are decomposed once over their opaque ``Fn`` nodes (``linear_form``,
 with the key 1 for the part that holds no such node, so a concrete field
-takes the same route).  D_d of a form raises each node's derivative index
-in the slot whose argument is d, adds u_d times the shift of a slot whose
-argument is u, and applies ``total_derivative`` to each small
-coefficient; an expression is never prolonged whole."""
+takes the same route), and each coefficient is converted once into a
+``LaurentRing`` polynomial (``generator_forms``).  D_d of a form
+(``form_derivative``) raises each node's derivative index in the slot
+whose argument is d, adds u_d times the shift of a slot whose argument is
+u, and differentiates each coefficient in the ring.  D_x, D_y and D_t are
+one ring derivation (``total_derivation``, a ``linalg.Derivation``): its
+table maps each jet to its shifted jet, a coordinate to 1 or 0, a
+parameter to 0 and every other variable (exp(u/c), a power of a sum, a
+function node such as f(u)) to its total derivative, converted from
+``Expr`` once per variable and direction.  An expression is never
+prolonged whole; ``Expr`` is built from the ring only where a caller asks
+for it (``ring_form_expr``, ``prolong_coeff_first``/``_second``)."""
 
 from __future__ import annotations
 
@@ -28,11 +36,13 @@ from .expr import (
     expand, fn_nodes_of, jet, jets_of, max_jet_order, mul, neg,
 )
 from .liealg import VectorField
+from .linalg import Derivation, LaurentRing, add_product
 
 __all__ = [
     "DIRECTIONS", "JetOrderError", "total_derivative",
-    "characteristic", "linear_form", "form_expr", "generator_forms",
-    "form_derivative", "prolong_form", "prolong_coeff_first", "prolong_coeff_second",
+    "characteristic", "linear_form", "form_expr", "ring_form_expr", "total_derivation",
+    "generator_forms", "form_derivative", "prolong_form",
+    "prolong_coeff_first", "prolong_coeff_second",
 ]
 
 DIRECTIONS = ("x", "y", "t")
@@ -104,64 +114,88 @@ def form_expr(form: dict) -> Expr:
     return expand(add(*[mul(node, c) for node, c in form.items()]))
 
 
-def generator_forms(v: VectorField) -> tuple:
-    """(Q, xi, eta, tau, phi) of a generator as linear forms, each
-    decomposed once."""
-    return tuple(map(linear_form, (characteristic(v), v.xi, v.eta, v.tau, v.phi)))
+def total_derivation(ring: LaurentRing) -> Derivation:
+    """D_x, D_y and D_t as one derivation of ``ring``, the direction a
+    letter: its table maps a jet u_J to u_{J,d}, a coordinate to 1 or 0, a
+    parameter to 0 and every other variable v (an ``exp``, a power of a
+    sum, a function node) to ``total_derivative(v, d)``, converted once per
+    variable and direction."""
+
+    def rule(v, name):
+        t = type(v)
+        if t is Jet:
+            if v.order > 3:
+                raise JetOrderError(
+                    "total derivative of a 4th-order jet would exceed the order cap")
+            return {ring.var(jet(v.idx + (name,))): 1}
+        if t is Base:
+            return {0: 1} if v.name == name else {}
+        if t is Param:
+            return {}
+        return ring.poly(total_derivative(v, name))
+
+    return Derivation(ring, rule)
 
 
-def form_derivative(form: dict, d_arg, d_coeff) -> dict:
-    """The derivative of a linear form under a derivation given on the
-    nodes' arguments (``d_arg``) and on the coefficients (``d_coeff``): a
-    node's derivative index rises by one in each slot whose argument has a
-    nonzero derivative, times that derivative, and each coefficient adds
-    its own derivative to its node.  Contributions to one node are added;
-    zero entries are dropped."""
+def generator_forms(v: VectorField, derivation: Derivation) -> tuple:
+    """(derivation, Q, xi, eta, tau, phi): the generator's Q, xi, eta,
+    tau, phi as linear forms, each decomposed once and its coefficients
+    converted once into the ring of ``derivation``."""
+    ring = derivation.ring
+    return (derivation, *(
+        {node: ring.poly(c) for node, c in linear_form(e).items()}
+        for e in (characteristic(v), v.xi, v.eta, v.tau, v.phi)))
+
+
+def form_derivative(form: dict, derivation: Derivation, direction) -> dict:
+    """The derivative of a linear form with coefficients in the ring of
+    ``derivation``: a node's derivative index rises by one in each slot
+    whose argument (a variable of the ring) has a nonzero derivative, times
+    that derivative, and each coefficient adds its own derivative to its
+    node.  Contributions to one node are added; zero entries are
+    dropped."""
     out: dict = {}
     for node, c in form.items():
         if type(node) is Fn:
             for i, arg in enumerate(node.args):
-                da = d_arg(arg)
-                if da != RAT0:
+                da = derivation.variable(arg, direction)
+                if da:
                     didx = list(node.didx)
                     didx[i] += 1
-                    _put(out, Fn(node.name, node.args, tuple(didx)),
-                         c if da == RAT1 else expand(mul(da, c)))
-        dc = d_coeff(c)
-        if dc != RAT0:
-            _put(out, node, dc)
-    return {node: c for node, c in out.items() if c != RAT0}
+                    add_product(out.setdefault(Fn(node.name, node.args, tuple(didx)), {}), da, c)
+        dc = derivation(c, direction)
+        if dc:
+            add_product(out.setdefault(node, {}), dc, {0: 1})
+    return {node: c for node, c in out.items() if c}
 
 
 def prolong_form(forms: tuple, *dirs) -> dict:
     """The prolongation coefficient of the generator in the directions
-    ``dirs`` (one or two of x, y, t) as a linear form:
-    D_dirs Q + xi*u_{x dirs} + eta*u_{y dirs} + tau*u_{t dirs}.  D_d of an
-    argument atom (1, u_d or 0) and of a coefficient is taken once per
-    expression and direction."""
+    ``dirs`` (one or two of x, y, t) as a linear form with ring
+    coefficients: D_dirs Q + xi*u_{x dirs} + eta*u_{y dirs} + tau*u_{t dirs}."""
     names = [_dir_name(d) for d in dirs]
-    q, xi, eta, tau, _ = forms
-    dcache: dict = {}
-    out = q
+    derivation, out, xi, eta, tau, _ = forms
     for name in reversed(names):
-        def d(e, name=name):
-            de = dcache.get((e, name))
-            if de is None:
-                de = dcache[e, name] = expand(total_derivative(e, name))
-            return de
-
-        out = form_derivative(out, d, d)
-    out = dict(out)
+        out = form_derivative(out, derivation, name)
+    out = {node: dict(c) for node, c in out.items()}
     for comp, letter in ((xi, "x"), (eta, "y"), (tau, "t")):
-        j = jet((letter, *names))
+        j = {derivation.ring.var(jet((letter, *names))): 1}
         for node, c in comp.items():
-            _put(out, node, expand(mul(j, c)))
-    return {node: c for node, c in out.items() if c != RAT0}
+            add_product(out.setdefault(node, {}), j, c)
+    return {node: c for node, c in out.items() if c}
+
+
+def ring_form_expr(ring: LaurentRing, form: dict) -> Expr:
+    """The expanded sum of node * coefficient over a linear form with
+    coefficients in ``ring``."""
+    return form_expr({node: ring.expr(c) for node, c in form.items()})
 
 
 def prolong_coeff_first(v: VectorField, d) -> Expr:
-    return form_expr(prolong_form(generator_forms(v), d))
+    ring = LaurentRing()
+    return ring_form_expr(ring, prolong_form(generator_forms(v, total_derivation(ring)), d))
 
 
 def prolong_coeff_second(v: VectorField, d1, d2) -> Expr:
-    return form_expr(prolong_form(generator_forms(v), d1, d2))
+    ring = LaurentRing()
+    return ring_form_expr(ring, prolong_form(generator_forms(v, total_derivation(ring)), d1, d2))

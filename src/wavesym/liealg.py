@@ -25,7 +25,7 @@ from .linalg import LaurentRing, add_product, rank, solve_span
 __all__ = [
     "VectorField", "CommutatorTable", "FlowMap", "LieAlgError",
     "FlowUnsupportedError", "COORDS", "EPS",
-    "affine_parts", "bracket", "commutator_table", "decompose_field",
+    "affine_parts", "commutator_table", "decompose_field",
     "decompose_fields", "jacobi_check", "flow",
 ]
 
@@ -77,21 +77,12 @@ class VectorField:
         """Directional action xi*g_x + eta*g_y + tau*g_t + phi*g_u."""
         return add(*[mul(c, diff(g, z)) for c, z in zip(self.components, COORDS)])
 
-    def is_zero(self) -> bool:
-        return all(expand(c) == RAT0 for c in self.components)
-
     def __str__(self):
         parts = []
         for comp, sym in zip(self.components, ("d/dx", "d/dy", "d/dt", "d/du")):
             if expand(comp) != RAT0:
                 parts.append(f"({format_expr(comp)})*{sym}")
         return " + ".join(parts) if parts else "0"
-
-    def scaled(self, k) -> "VectorField":
-        return VectorField(*[mul(k, c) for c in self.components])
-
-    def plus(self, other: "VectorField") -> "VectorField":
-        return VectorField(*[add(a, b) for a, b in zip(self.components, other.components)])
 
 
 def _ring() -> LaurentRing:
@@ -134,12 +125,6 @@ def _bracket(ring: LaurentRing, v: list, w: list, acc: list | None = None) -> li
             if wz:
                 add_product(out, {m: -k for m, k in wz.items()}, ring.diff(vk, d))
     return acc
-
-
-def bracket(v: VectorField, w: VectorField) -> VectorField:
-    """Lie bracket [v, w]: component k is v(w^k) - w(v^k)."""
-    ring = _ring()
-    return _field(ring, _bracket(ring, _polys(ring, v), _polys(ring, w)))
 
 
 # a coordinate monomial's key in collect_atoms order: by atom, then power

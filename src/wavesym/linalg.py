@@ -3,10 +3,12 @@
 Rows are sparse, ``{col: entry}`` with only nonzero entries, so elimination
 never visits a zero.  Entries are ``LaurentRing`` polynomials in the
 parameters, sparse ``{monomial: coefficient}`` maps with int or Fraction
-coefficients (e.g. ``2*c``, ``K^(-1)``, ``1 + 4*e1``); each caller converts
+coefficients (e.g. ``2*c``, ``K^(-1)``, ``1 + 4*e1``); each caller brings
 its entries into the ring at its own boundary (``LaurentRing.param_poly``
-refuses an ``exp``, a fractional or symbolic power, a coordinate), so no
-``Expr`` arithmetic happens in this module's elimination.
+refuses an ``exp``, a fractional or symbolic power, a coordinate; the
+classify solve moves parameter-only polynomials over from the
+extraction's ring), so no ``Expr`` arithmetic happens in this module's
+elimination.
 
 The sweep is fraction-free (cross-multiplication row updates, no entry is
 ever divided), with deterministic pivoting that prefers constant entries,
@@ -25,8 +27,12 @@ values; solutions therefore live in the field of rational functions of the
 parameters, with exact rational coefficients.
 
 Outside elimination, ``LaurentRing.poly`` takes any other factor as a
-variable too; it serves zero tests, content stripping (``LaurentRing.strip``
-divides out the common parameter monomial only) and GF(p) evaluation.  For
+variable too (``LaurentRing.var`` registers one whole, a sum included); it
+serves the determining-system extraction, zero tests, content stripping
+(``LaurentRing.strip`` divides out the common parameter monomial only) and
+GF(p) evaluation.  A ``Derivation`` is a derivation of the ring given by
+each variable's derivative, asked once per variable and direction: the
+extraction's total derivatives and the derive closure's partial ones.  For
 rank tests at a point, ``LaurentRing.eval_mod`` evaluates a polynomial over
 GF(p), ``echelon_mod_p`` and ``reduce_mod_p`` eliminate sparse rows
 ``{col: residue}`` there, and ``independent_rows_mod_p`` picks the rows that
@@ -46,7 +52,7 @@ from .expr import (
 )
 
 __all__ = [
-    "LaurentRing", "add_product", "row_reduce",
+    "LaurentRing", "Derivation", "add_product", "row_reduce",
     "nullspace", "solve_span", "rank", "annihilates",
     "echelon_mod_p", "reduce_mod_p", "independent_rows_mod_p",
 ]
@@ -81,8 +87,10 @@ class LaurentRing:
         self._digit: dict = {}
         self._polys: dict = {}  # Expr -> poly
         self._outside: set = set()  # Exprs with a variable other than a parameter
+        self._mixed = False  # whether a variable other than a parameter was met
         self._exprs: dict = {}  # frozenset(poly items) -> Expr
         self._exps: dict = {}  # monomial -> exponent list
+        self._supports: dict = {}  # monomial -> nonzero (digit, exponent) pairs
 
     def poly(self, e: Expr) -> dict:
         p = self._polys.get(e)
@@ -113,15 +121,40 @@ class LaurentRing:
                 if t is Pow:
                     q, den = f.exp.numerator, f.exp.denominator
                     v = f.expbase if den == 1 else Pow(f.expbase, Fraction(1, den))
-                d = self._digit.get(v)
-                if d is None:
-                    d = self._digit[v] = len(self.variables)
-                    self.variables.append(v)
                 if type(v) is not Param:
                     self._outside.add(e)
-                m += q << (_SHIFT * d)
+                m += q * self.var(v)
             out[m] = k.numerator if k.denominator == 1 else k
         return out
+
+    def var(self, v: Expr) -> int:
+        """The monomial of the variable ``v``, taken whole (a sum too),
+        which gets the next digit when first met."""
+        d = self._digit.get(v)
+        if d is None:
+            d = self._digit[v] = len(self.variables)
+            self.variables.append(v)
+            self._mixed = self._mixed or type(v) is not Param
+        return self.unit(d)
+
+    def support(self, m: int) -> tuple:
+        """The (digit, exponent) pairs of a monomial's nonzero exponents."""
+        out = self._supports.get(m)
+        if out is None:
+            out, r, d = [], m, 0
+            while r:
+                q = ((r + _HALF) & _MASK) - _HALF
+                if q:
+                    out.append((d, q))
+                r = (r - q) >> _SHIFT
+                d += 1
+            out = self._supports[m] = tuple(out)
+        return out
+
+    @staticmethod
+    def unit(d: int) -> int:
+        """The monomial of the variable of digit ``d``."""
+        return 1 << (_SHIFT * d)
 
     def exponents(self, m: int) -> list:
         """Exponent of each variable (in ``variables`` order) of a monomial."""
@@ -203,7 +236,7 @@ class LaurentRing:
             shift = 0
             for d, low in enumerate(map(min, zip(*map(self.exponents, monos)))):
                 shift += low << (_SHIFT * d)
-        if shift and self._outside:
+        if shift and self._mixed:
             shift = self.monomial([q if type(v) is Param else 0
                                    for v, q in zip(self.variables, self.exponents(shift))])
         first = row[min(row)]
@@ -214,6 +247,46 @@ class LaurentRing:
         if g != 1 or shift:
             row = {c: {m - shift: k // g for m, k in p.items()} for c, p in row.items()}
         return row
+
+
+class Derivation:
+    """A derivation of a ``LaurentRing``, given on its variables:
+    ``rule(variable, direction)`` is the variable's derivative, a
+    polynomial of the ring, asked once per variable and direction.  The
+    derivative of each monomial is kept too."""
+
+    def __init__(self, ring: LaurentRing, rule):
+        self.ring, self.rule = ring, rule
+        self._table: dict = {}  # (digit, direction) -> polynomial
+        self._monomials: dict = {}  # (monomial, direction) -> polynomial
+
+    def _monomial(self, m: int, direction) -> dict:
+        out = self._monomials.get((m, direction))
+        if out is None:
+            out = {}
+            for d, q in self.ring.support(m):
+                dv = self._table.get((d, direction))
+                if dv is None:
+                    dv = self._table[d, direction] = self.rule(self.ring.variables[d], direction)
+                if dv:
+                    add_product(out, {m - self.ring.unit(d): q}, dv)
+            self._monomials[m, direction] = out
+        return out
+
+    def variable(self, v: Expr, direction) -> dict:
+        """The derivative of ``v`` taken whole as a variable of the ring."""
+        return self._monomial(self.ring.var(v), direction)
+
+    def __call__(self, p: dict, direction) -> dict:
+        out: dict = {}
+        for m, k in p.items():
+            for n, v in self._monomial(m, direction).items():
+                w = out.get(n, 0) + k * v
+                if w:
+                    out[n] = w
+                else:
+                    del out[n]
+        return out
 
 
 def add_product(acc: dict, p: dict, q: dict) -> dict:

@@ -10,14 +10,14 @@ from wavesym.detsys import (
     ansatz_solve, check_reference_system, extract_determining,
     invariance_residual, model_residual, on_shell, opaque_affine_vectorfield,
     opaque_vectorfield, reference_implication_report, split_u_dependence,
-    _certify, _close_forms, _diff_form, _linear_decomposition,
+    _certify, _close_forms, _diff_form, _linear_decomposition, _partial_derivation,
 )
 from wavesym.expr import (
     RAT0, RAT1, T, U, X, Y, Fn, Pow, Product, Sum, add, atoms_of, collect_atoms,
     diff, div, exp_, expand, fn, format_expr, jet, jets_of, mul, neg, param,
     pow_, rat, sub, substitute, vanishes,
 )
-from wavesym.jet import characteristic, total_derivative
+from wavesym.jet import characteristic, form_expr, linear_form, total_derivative
 from wavesym.liealg import VectorField, decompose_field, decompose_fields
 from wavesym.linalg import LaurentRing
 from wavesym import reference
@@ -303,6 +303,20 @@ def _expr_closure(forms, prolong_order=2):
     return [_linear_decomposition(e, names) for e in derived]
 
 
+def _ring_closure(forms, prolong_order, derivation):
+    """``_expr_closure`` of forms with ring coefficients, converted to
+    ``Expr`` and back."""
+    ring = derivation.ring
+    rows = _expr_closure([{n: ring.expr(p) for n, p in f.items()} for f in forms], prolong_order)
+    return [{n: ring.poly(c) for n, c in f.items()} for f in rows]
+
+
+def _forms_expr(ds):
+    """The extracted entries' linear forms with their ring coefficients as
+    ``Expr``."""
+    return [{n: ds.ring.expr(p) for n, p in f.items()} for f in ds.ring_forms]
+
+
 class TestLinearFormClosure:
     ARGS = (X, Y, T, U)
     f = fn("f", [U])
@@ -310,48 +324,69 @@ class TestLinearFormClosure:
     def xi(self, *didx):
         return fn("xi", self.ARGS, didx or (0, 0, 0, 0))
 
-    def test_u_derivative_shifts_the_index_and_differentiates_the_coefficient(self):
-        xi_x, xi_xu = self.xi(1, 0, 0, 0), self.xi(1, 0, 0, 1)
-        assert _diff_form({xi_x: self.f}, U, {}) == {
-            xi_xu: self.f, xi_x: fn("f", [U], (1,))}
+    @staticmethod
+    def in_ring(ring, form):
+        return {node: ring.poly(c) for node, c in form.items()}
 
-    def test_coefficient_differentiated_once_per_direction(self):
-        dcoeff = {}
-        form = {self.xi(): self.f, self.xi(1, 0, 0, 0): self.f}
-        _diff_form(form, U, dcoeff)
-        _diff_form(form, U, dcoeff)
-        assert dcoeff == {(self.f, U): fn("f", [U], (1,))}
+    def test_u_derivative_shifts_the_index_and_differentiates_the_coefficient(self):
+        ring = LaurentRing()
+        xi_x, xi_xu = self.xi(1, 0, 0, 0), self.xi(1, 0, 0, 1)
+        got = _diff_form(self.in_ring(ring, {xi_x: self.f}), U, _partial_derivation(ring))
+        assert got == self.in_ring(ring, {xi_xu: self.f, xi_x: fn("f", [U], (1,))})
+
+    def test_coefficient_differentiated_once_per_direction(self, monkeypatch):
+        # each variable's derivative, the node arguments' and f's, is
+        # converted once per direction
+        converted = []
+        real = detsys.diff
+
+        def counted(e, a):
+            converted.append((e, a))
+            return real(e, a)
+
+        monkeypatch.setattr(detsys, "diff", counted)
+        ring = LaurentRing()
+        derivation = _partial_derivation(ring)
+        form = self.in_ring(ring, {self.xi(): self.f, self.xi(1, 0, 0, 0): self.f})
+        _diff_form(form, U, derivation)
+        _diff_form(form, U, derivation)
+        assert len(converted) == len(set(converted))
+        assert {e for e, _ in converted} == {X, Y, T, U, self.f}
 
     def test_cancelling_contribution_drops_its_node(self):
         # d/du (u*xi - u^2/2*xi_u): the two xi_u terms cancel
+        ring = LaurentRing()
         form = {self.xi(): U, self.xi(0, 0, 0, 1): mul(rat(-1, 2), pow_(U, 2))}
-        assert _diff_form(form, U, {}) == {
-            self.xi(): RAT1, self.xi(0, 0, 0, 2): mul(rat(-1, 2), pow_(U, 2))}
+        assert _diff_form(self.in_ring(ring, form), U, _partial_derivation(ring)) == self.in_ring(
+            ring, {self.xi(): RAT1, self.xi(0, 0, 0, 2): mul(rat(-1, 2), pow_(U, 2))})
 
     def test_zero_and_duplicate_rows_not_added(self):
         g, g_x, g_xx = (fn("g", [X], (k,)) for k in range(3))
+        ring = LaurentRing()
+        derivation, one = _partial_derivation(ring), ring.poly(RAT1)
         # d/dy, d/dt, d/du of every row are zero; d/dx of g is the row g_x
-        assert _close_forms([{g: RAT1}, {g_x: RAT1}], 1) == [
-            {g: RAT1}, {g_x: RAT1}, {g_xx: RAT1}]
-        assert _close_forms([{g: RAT1}], 2) == [{g: RAT1}, {g_x: RAT1}, {g_xx: RAT1}]
+        assert _close_forms([{g: one}, {g_x: one}], 1, derivation) == [
+            {g: one}, {g_x: one}, {g_xx: one}]
+        assert _close_forms([{g: one}], 2, derivation) == [{g: one}, {g_x: one}, {g_xx: one}]
 
     def test_non_atom_argument_rejected(self):
+        ring = LaurentRing()
         with pytest.raises(DetSysError, match="non-atom"):
-            _diff_form({fn("xi", [mul(X, Y), T]): RAT1}, T, {})
+            _diff_form({fn("xi", [mul(X, Y), T]): ring.poly(RAT1)}, T, _partial_derivation(ring))
 
     def test_same_rows_as_the_expression_closure(self):
         ds = extract_determining(opaque_vectorfield(), Generic())
+        rows = _close_forms(ds.ring_forms, 2, _partial_derivation(ds.ring))
+        assert len(rows) == 412
         forms = [_linear_decomposition(e, ("xi", "eta", "tau", "phi"))
                  for e in ds.expressions()]
-        rows = _close_forms(forms, 2)
-        assert len(rows) == 412
-        assert rows == _expr_closure(forms)
+        assert [{n: ds.ring.expr(p) for n, p in r.items()} for r in rows] == _expr_closure(forms)
 
     @pytest.mark.parametrize("seed", [7, 3])
     def test_same_report_as_the_expression_closure(self, monkeypatch, seed):
         ds = extract_determining(opaque_vectorfield(), Generic())
         new = reference_implication_report(ds, seed=seed)
-        monkeypatch.setattr(detsys, "_close_forms", _expr_closure)
+        monkeypatch.setattr(detsys, "_close_forms", _ring_closure)
         assert reference_implication_report(ds, seed=seed) == new
         assert new[1]["rows"] == 412
 
@@ -498,8 +533,8 @@ class TestResidualCertificate:
             PowerCase(e1=rat(-1, 4))]
 
     @classmethod
-    def _form(cls, fam):
-        return extract_determining(opaque_affine_vectorfield(), fam).residual
+    def _system(cls, fam):
+        return extract_determining(opaque_affine_vectorfield(), fam)
 
     @staticmethod
     def _vector(ring, v):
@@ -513,8 +548,8 @@ class TestResidualCertificate:
 
     @classmethod
     def _certified(cls, fam, v):
-        ring = LaurentRing()
-        return _certify(cls._form(fam), ring, [cls._vector(ring, v)])
+        ds = cls._system(fam)
+        return _certify(ds.residual, ds.ring, [cls._vector(ds.ring, v)])
 
     @pytest.mark.parametrize("name, degree", CASES, ids=[f"{n}-d{d}" for n, d in CASES])
     def test_equals_the_prolonged_residual(self, name, degree):
@@ -633,6 +668,11 @@ def _expr_extract(v, fam):
     return entries, res
 
 
+def _residual_expr(ds):
+    """The extracted residual form with its ring coefficients as ``Expr``."""
+    return {node: ds.ring.expr(p) for node, p in ds.residual.items()}
+
+
 class TestFormExtraction:
     """extract_determining prolongs the generator on linear forms
     {component node: coefficient} and collects each node's on-shell
@@ -650,8 +690,8 @@ class TestFormExtraction:
         entries, res = _expr_extract(v, Generic())
         assert [k for k, _ in ds.entries] == [k for k, _ in entries]
         assert ds.entries == entries
-        assert ds.residual == _linear_decomposition(res, self.OPAQUE)
-        assert ds.forms == [_linear_decomposition(e, self.OPAQUE) for _, e in entries]
+        assert _residual_expr(ds) == _linear_decomposition(res, self.OPAQUE)
+        assert _forms_expr(ds) == [_linear_decomposition(e, self.OPAQUE) for _, e in entries]
 
     @pytest.mark.parametrize("name", list(FAMILIES))
     def test_affine_system_matches_the_expression_route(self, name):
@@ -660,8 +700,8 @@ class TestFormExtraction:
         entries, res = _expr_extract(v, fam)
         assert [k for k, _ in ds.entries] == [k for k, _ in entries]
         assert ds.entries == entries
-        assert ds.residual == _linear_decomposition(res, self.AFFINE)
-        assert ds.forms is None
+        assert _residual_expr(ds) == _linear_decomposition(res, self.AFFINE)
+        assert _forms_expr(ds) == [_linear_decomposition(e, self.AFFINE) for _, e in entries]
 
     @pytest.mark.parametrize("fam", [Generic(), ExponentialCase(), PowerCase(),
                                      PowerCase(e1=rat(2), e2=rat(1))])
@@ -704,6 +744,101 @@ class TestFormExtraction:
         # f, and f' = d/du f
         assert len(built) == 2
         assert [p.exp for p in powers] == [12, 11]
+
+
+def _expr_total_derivative_form(form, name):
+    """D_name of a linear form with ``Expr`` coefficients: a node's index
+    rises in each slot whose argument has a nonzero total derivative, times
+    it, and each coefficient adds its own expanded total derivative."""
+    out = {}
+    for node, c in form.items():
+        if type(node) is Fn:
+            for i, arg in enumerate(node.args):
+                da = expand(total_derivative(arg, name))
+                if da != RAT0:
+                    didx = list(node.didx)
+                    didx[i] += 1
+                    key = Fn(node.name, node.args, tuple(didx))
+                    out[key] = expand(add(out.get(key, RAT0), mul(da, c)))
+        out[node] = expand(add(out.get(node, RAT0), total_derivative(c, name)))
+    return {node: c for node, c in out.items() if c != RAT0}
+
+
+def _expr_prolong_form(forms, *dirs):
+    """coeff_2 of a generator given as linear forms with ``Expr``
+    coefficients: node indices shifted, coefficients differentiated with
+    ``total_derivative`` and expanded."""
+    q, xi, eta, tau, _ = forms
+    out = q
+    for name in reversed(dirs):
+        out = _expr_total_derivative_form(out, name)
+    out = dict(out)
+    for comp, letter in ((xi, "x"), (eta, "y"), (tau, "t")):
+        for node, c in comp.items():
+            out[node] = expand(add(out.get(node, RAT0), mul(jet((letter, *dirs)), c)))
+    return {node: c for node, c in out.items() if c != RAT0}
+
+
+def _expr_form_extract(v, fam):
+    """The extraction on linear forms with ``Expr`` coefficients: f and f'
+    multiplied into each node's coefficient, u_tt rewritten there, each
+    coefficient collected over the jets, and a monomial's entry, summed
+    over its nodes, split over u.  Returns (entries, residual form)."""
+    lap = add(jet("xx"), jet("yy"))
+    f, fu_lap = expand(fam.f_expr()), expand(mul(fam.fu_expr(), lap))
+    forms = tuple(map(linear_form, (characteristic(v), v.xi, v.eta, v.tau, v.phi)))
+    phi = forms[-1]
+    tt, xx, yy = (_expr_prolong_form(forms, d, d) for d in "txy")
+    res = {}
+    for node in dict.fromkeys([*tt, *phi, *xx, *yy]):
+        c = expand(add(expand(on_shell(tt.get(node, RAT0), fam)),
+                       neg(mul(phi.get(node, RAT0), fu_lap)),
+                       neg(mul(f, add(xx.get(node, RAT0), yy.get(node, RAT0))))))
+        if c != RAT0:
+            res[node] = c
+    tables = {node: collect_atoms(c, {j for j in jets_of(c) if j.order >= 1})
+              for node, c in res.items()}
+    entries = []
+    for key in sorted({key for table in tables.values() for key in table}, key=lambda k: (
+            sum(p for _, p in k), tuple((j.sort_key(), p) for j, p in k))):
+        mono = format_expr(mul(*[pow_(j, p) for j, p in key]))
+        e = form_expr({node: table[key] for node, table in tables.items() if key in table})
+        if isinstance(fam, Generic):
+            entries.append((mono, e))
+        else:
+            pieces = split_u_dependence(e)
+            entries.extend(((mono, tag), pieces[tag]) for tag in sorted(pieces))
+    return entries, res
+
+
+class TestRingExtraction:
+    """The extraction runs in one ``LaurentRing``: D_x, D_y, D_t are one
+    ring derivation, the u_tt rewrite substitutes a variable, and the jets
+    and u-tags are read off exponents after the sum denominators are
+    cleared.  The route on linear forms with ``Expr`` coefficients is kept
+    here as the reference: keys, u-tag text, expressions and the residual
+    form must be equal."""
+
+    FAMILIES = {
+        "exponential": ExponentialCase(),
+        "power": PowerCase(),
+        "c=3/2, K=-1": ExponentialCase(rat(-1), rat(3, 2)),
+        "e1=2, e2=1": PowerCase(e1=rat(2), e2=rat(1)),
+        **{f"e1={v}": PowerCase(e1=rat(v)) for v in ("-1/4", "1/3", "1/12")},
+        "generic": Generic(),
+    }
+
+    @pytest.mark.parametrize("name", list(FAMILIES))
+    def test_same_system_as_the_expression_forms(self, name):
+        fam = self.FAMILIES[name]
+        v = opaque_vectorfield() if isinstance(fam, Generic) else opaque_affine_vectorfield()
+        ds = extract_determining(v, fam)
+        entries, res = _expr_form_extract(v, fam)
+        assert [k for k, _ in ds.entries] == [k for k, _ in entries]
+        assert [str(k[1]) for k, _ in ds.entries if isinstance(k, tuple)] == [
+            str(k[1]) for k, _ in entries if isinstance(k, tuple)]
+        assert ds.entries == entries
+        assert _residual_expr(ds) == res
 
 
 class TestRowSelection:

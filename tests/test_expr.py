@@ -575,3 +575,26 @@ def test_roots_of_scaled_atoms_multiply_associatively():
     a, b = pow_(mul(4099, U), half), pow_(mul(4099**2, U), half)
     assert b == Pow(mul(4099**2, U), half)
     assert mul(mul(a, a), b) == mul(a, mul(a, b)) == mul(b, a, a) == mul(4099, U, b)
+
+
+def test_integer_power_of_a_sum_takes_polynomially_many_products(monkeypatch):
+    # like terms are collected after each factor, so (a + b)^20 needs
+    # O(20^2) products, not the 2^20 of multiplying the term lists out
+    from math import comb
+
+    from wavesym import expr as expr_module
+
+    n = 20
+    want = add(*[mul(rat(comb(n, k)), pow_(a, k), pow_(b, n - k)) for k in range(n + 1)])
+    calls = []
+    real = expr_module.mul
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(expr_module, "mul", counted)
+    got = expand(pow_(add(a, b), n))
+    monkeypatch.undo()
+    assert got == want
+    assert len(calls) <= 2 * (n + 1) ** 2

@@ -1,0 +1,54 @@
+"""The extraction builds the determining system in its ring: a guard on
+the ``Expr`` routines it calls.
+
+Each routine below is wrapped wherever a module namespace of ``detsys``,
+``jet``, ``linalg`` or ``expr`` binds it (``expr``'s own binding counts the
+recursion of ``expand``), and one extraction runs per family.  Collecting,
+splitting over u, clearing denominators and substituting happen in the
+ring, so those are never called; ``expand`` converts only f, f', the
+generator's components and each variable's derivative.  ``EXPR_ROUTE``
+holds the ``expand`` calls of the route that expanded, collected and split
+every coefficient as an ``Expr``, counted by the same wrapping."""
+
+import pytest
+
+from wavesym import detsys, expr, jet, linalg
+from wavesym.detsys import (
+    ExponentialCase, Generic, PowerCase, extract_determining,
+    opaque_affine_vectorfield, opaque_vectorfield,
+)
+from wavesym.expr import rat
+
+NEVER = ("collect_atoms", "split_u_dependence", "clear_denominators", "substitute")
+FAMILIES = {
+    "exponential": ExponentialCase(),
+    "power": PowerCase(),
+    "e1=2, e2=1": PowerCase(e1=rat(2), e2=rat(1)),
+    "e1=-1/4": PowerCase(e1=rat(-1, 4)),
+    "generic": Generic(),
+}
+EXPR_ROUTE = {"exponential": 1457, "power": 1701, "e1=2, e2=1": 1743, "e1=-1/4": 1869,
+              "generic": 1250}
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_extraction_calls_no_expr_collection(monkeypatch, name):
+    calls = dict.fromkeys(NEVER + ("expand",), 0)
+    for module in (detsys, jet, linalg, expr):
+        for fname in calls:
+            real = getattr(module, fname, None)
+            if real is None:
+                continue
+
+            def counted(*args, _real=real, _name=fname, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, fname, counted)
+    fam = FAMILIES[name]
+    v = opaque_vectorfield() if isinstance(fam, Generic) else opaque_affine_vectorfield()
+    ds = extract_determining(v, fam)
+    monkeypatch.undo()
+    assert len(ds) > 0
+    assert {n: calls[n] for n in NEVER} == dict.fromkeys(NEVER, 0)
+    assert calls["expand"] * 10 <= EXPR_ROUTE[name], calls["expand"]

@@ -27,7 +27,7 @@ CASES = {
     # the top of the degree range the solve is checked byte for byte on
     "classify_i_d8": (["classify", "--case", "i", "--degree", "8"], 1),
     "classify_ii_d8": (["classify", "--case", "ii", "--degree", "8"], 1),
-    # the exceptional exponent of ROADMAP item 2: dimension 7
+    # the exceptional exponent of ROADMAP item 1: dimension 7
     "classify_ii_d3_e1_m1o4": (
         ["classify", "--case", "ii", "--degree", "3", "--param", "e1=-1/4"], 1),
     # a concrete exponent with a fractional power: dimension 6
