@@ -570,25 +570,38 @@ def _diff_form(form: dict, a: Expr, derivation: Derivation) -> dict:
     return form_derivative(form, derivation, a)
 
 
-def _frozen(form: dict) -> frozenset:
-    """A linear form with ring coefficients as a hashable value."""
-    return frozenset((node, frozenset(p.items())) for node, p in form.items())
+def _frozen(form: dict, shared: dict | None = None) -> tuple:
+    """(hashable value, form) of a linear form with ring coefficients.
+    With ``shared`` {frozen polynomial: (frozen polynomial, polynomial)},
+    equal coefficients of all the forms frozen with it are one object, as
+    equal ``Expr`` are."""
+    shared = {} if shared is None else shared
+    key, out = [], {}
+    for node, p in form.items():
+        frozen = frozenset(p.items())
+        frozen, out[node] = shared.setdefault(frozen, (frozen, p))
+        key.append((node, frozen))
+    return frozenset(key), out
 
 
 def _close_forms(forms: list, prolong_order: int, derivation: Derivation) -> list:
     """The linear forms followed by their x, y, t, u derivatives up to
     ``prolong_order``, level by level: each form of the last level is
     differentiated in x, y, t, u, in that order, and a derivative that is
-    zero or equal to a form already held is not added."""
-    rows = list(forms)
-    seen = {_frozen(f) for f in forms}
+    zero or equal to a form already held is not added.  Equal coefficients
+    of the rows are one object (``_frozen``)."""
+    shared: dict = {}
+    seen, rows = set(), []
+    for form in forms:
+        key, form = _frozen(form, shared)
+        seen.add(key)
+        rows.append(form)
     frontier = rows
     for _ in range(prolong_order):
         nxt = []
         for form in frontier:
             for a in (X, Y, T, U):
-                d = _diff_form(form, a, derivation)
-                key = _frozen(d)
+                key, d = _frozen(_diff_form(form, a, derivation), shared)
                 if d and key not in seen:
                     seen.add(key)
                     nxt.append(d)
@@ -652,22 +665,19 @@ def reference_implication_report(
         raise DetSysError("the derived system is not linear homogeneous in xi, eta, tau, phi")
     derived = _close_forms(forms, prolong_order, _partial_derivation(ring))
     cond_forms = {n: decompose(e) for n, e in conds.items()}
-    seen = {_frozen(d) for d in derived}
-    report = {
-        n: {"implied": True, "route": "symbolic"}
-        for n, d in cond_forms.items()
-        if _frozen(d) in seen
-        or _frozen({node: {m: -k for m, k in p.items()} for node, p in d.items()}) in seen
-    }
+    # a condition whose form, or its negative, is a derived form
+    targets = {}
+    for n, d in cond_forms.items():
+        targets[_frozen(d)[0]] = n
+        targets[_frozen({node: {m: -k for m, k in p.items()} for node, p in d.items()})[0]] = n
+    symbolic = {targets.get(_frozen(d)[0]) for d in derived}
+    report = {n: {"implied": True, "route": "symbolic"} for n in conds if n in symbolic}
     unmatched = [n for n in conds if n not in report]
     cond_decomps = [cond_forms[n] for n in unmatched]
-    coeffs: dict = {}  # frozen polynomial -> (index, polynomial)
     col = {node: i for i, node in enumerate(sorted(
         {node for d in derived + cond_decomps for node in d}, key=Expr.sort_key))}
-    rows = [[(col[node], coeffs.setdefault(frozenset(p.items()), (len(coeffs), p))[0])
-             for node, p in d.items()] for d in derived + cond_decomps]
-    polys = [p for _, p in coeffs.values()]
-    monos = {m for p in polys for m in p}
+    polys = {frozenset(p.items()): p for d in derived + cond_decomps for p in d.values()}
+    monos = {m for p in polys.values() for m in p}
     variables = sorted({ring.variables[d] for m in monos for d, _ in ring.support(m)},
                        key=Expr.sort_key)
     degree = max((sum(q for _, q in ring.support(m)) for m in monos), default=0)
@@ -677,12 +687,15 @@ def reference_implication_report(
     implied = dict.fromkeys(unmatched, True)
     for _ in range(N_POINTS):
         point = {v: rng.randrange(1, PRIME) for v in variables}
-        value = [ring.eval_mod(p, point, PRIME) for p in polys]
-        table = [{c: value[i] for c, i in r} for r in rows]
-        pivots = echelon_mod_p(table[:len(derived)], PRIME)
+        value = {frozen: ring.eval_mod(p, point, PRIME) for frozen, p in polys.items()}
+
+        def row(d):
+            return {col[node]: value[frozenset(p.items())] for node, p in d.items()}
+
+        pivots = echelon_mod_p((row(d) for d in derived), PRIME)
         ranks.append(len(pivots))
-        for name, r in zip(unmatched, table[len(derived):]):
-            if reduce_mod_p(r, pivots, PRIME):
+        for name, d in zip(unmatched, cond_decomps):
+            if reduce_mod_p(row(d), pivots, PRIME):
                 implied[name] = False
     for name in unmatched:
         report[name] = {"implied": implied[name], "route": "modular"}
