@@ -47,8 +47,8 @@ from .expr import (
     substitute, vanishes,
 )
 from .jet import (
-    form_derivative, generator_forms, prolong_form, ring_form_expr, total_derivation,
-    total_derivative,
+    form_derivative, form_poly, generator_forms, prolong_form, ring_form_expr,
+    total_derivation, total_derivative,
 )
 from .liealg import VectorField
 from .linalg import (
@@ -429,7 +429,7 @@ class DeterminingSystem:
     def entries(self) -> list:
         """[(monomial text | (monomial text, UTag), Expr), ...]"""
         if self._entries is None:
-            self._entries = [(key, self.ring.expr(_whole(self.ring, form)))
+            self._entries = [(key, ring_form_expr(self.ring, form))
                              for key, form in zip(self.keys, self.ring_forms)]
         return self._entries
 
@@ -446,15 +446,6 @@ class DeterminingSystem:
             origin = mono if str(tag) == "1" else f"{mono} ; {tag}"
             out.append({"origin_monomial": origin, "expression_text": format_expr(e)})
         return out
-
-
-def _whole(ring: LaurentRing, form: dict) -> dict:
-    """A linear form with ring coefficients as one polynomial, each
-    ``Fn`` node taken as its variable."""
-    out: dict = {}
-    for node, p in form.items():
-        add_product(out, p, {ring.var(node): 1} if type(node) is Fn else ONE)
-    return out
 
 
 def _node_form(ring: LaurentRing, p: dict, nodes: dict) -> dict:
@@ -511,7 +502,7 @@ def extract_determining(v: VectorField, fam: FFamily | None = None) -> Determini
             keys.append(mono)
             ring_forms.append(form)
             continue
-        (whole,) = fold([_whole(ring, form)])
+        (whole,) = fold([form_poly(ring, form)])
         pieces = fold.split_u(whole)
         for tag in sorted(pieces):
             keys.append((mono, tag))

@@ -40,7 +40,8 @@ from .linalg import Derivation, LaurentRing, add_product
 
 __all__ = [
     "DIRECTIONS", "JetOrderError", "total_derivative",
-    "characteristic", "linear_form", "form_expr", "ring_form_expr", "total_derivation",
+    "characteristic", "linear_form", "form_poly", "ring_form_expr",
+    "total_derivation",
     "generator_forms", "form_derivative", "prolong_form",
     "prolong_coeff_first", "prolong_coeff_second",
 ]
@@ -107,11 +108,6 @@ def linear_form(e: Expr) -> dict:
                 node, c = nodes[0], mul(*rest)
         _put(out, node, c)
     return {node: c for node, c in out.items() if c != RAT0}
-
-
-def form_expr(form: dict) -> Expr:
-    """The expanded sum of node * coefficient over a linear form."""
-    return expand(add(*[mul(node, c) for node, c in form.items()]))
 
 
 def total_derivation(ring: LaurentRing) -> Derivation:
@@ -185,10 +181,19 @@ def prolong_form(forms: tuple, *dirs) -> dict:
     return {node: c for node, c in out.items() if c}
 
 
+def form_poly(ring: LaurentRing, form: dict) -> dict:
+    """A linear form with coefficients in ``ring`` as one polynomial, each
+    ``Fn`` node taken as its variable."""
+    out: dict = {}
+    for node, p in form.items():
+        add_product(out, p, {ring.var(node): 1} if type(node) is Fn else {0: 1})
+    return out
+
+
 def ring_form_expr(ring: LaurentRing, form: dict) -> Expr:
-    """The expanded sum of node * coefficient over a linear form with
-    coefficients in ``ring``."""
-    return form_expr({node: ring.expr(c) for node, c in form.items()})
+    """The sum of node * coefficient over a linear form with coefficients
+    in ``ring``, built with one ``ring.expr``."""
+    return ring.expr(form_poly(ring, form))
 
 
 def prolong_coeff_first(v: VectorField, d) -> Expr:

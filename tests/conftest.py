@@ -7,7 +7,7 @@ import pytest
 
 from wavesym.expr import (
     Expr, Exp, Fn, Jet, Ln, Pow, Product, Rat, SingularError, Sum,
-    add, base, diff, exp_, fn, jet, ln_, mul, neg, param, pow_, rat,
+    add, base, diff, exp_, expand, fn, jet, ln_, mul, neg, param, pow_, rat,
 )
 
 ATOM_PARAMS = ["a", "b", "c", "K", "m"]
@@ -98,3 +98,9 @@ def rand_parseable(rng, depth: int) -> Expr:
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+def form_expr(form: dict) -> Expr:
+    """The expanded sum of node * coefficient over a linear form with
+    ``Expr`` coefficients: the inverse of ``jet.linear_form``."""
+    return expand(add(*[mul(node, c) for node, c in form.items()]))

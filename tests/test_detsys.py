@@ -17,7 +17,8 @@ from wavesym.expr import (
     diff, div, exp_, expand, fn, format_expr, jet, jets_of, mul, neg, param,
     pow_, rat, sub, substitute, vanishes,
 )
-from wavesym.jet import characteristic, form_expr, linear_form, total_derivative
+from conftest import form_expr
+from wavesym.jet import characteristic, linear_form, total_derivative
 from wavesym.liealg import VectorField, decompose_field, decompose_fields
 from wavesym.linalg import LaurentRing
 from wavesym import reference

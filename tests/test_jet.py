@@ -15,8 +15,9 @@ from wavesym.expr import (
     RAT0, RAT1, T, U, X, Y, add, base, diff, expand, fn, jet, jets_of,
     max_jet_order, mul, neg, param, pow_, rat, sub, substitute,
 )
+from conftest import form_expr
 from wavesym.jet import (
-    JetOrderError, characteristic, form_expr, linear_form, prolong_coeff_first,
+    JetOrderError, characteristic, linear_form, prolong_coeff_first,
     prolong_coeff_second, total_derivative,
 )
 from wavesym.liealg import VectorField
