@@ -24,10 +24,9 @@ polynomial in u (``_Fold``); the variables left
 (parameters, u, one marker such as exp(u/c), the components) are then
 independent, so reading exponents is a valid zero test.  Under a
 polynomial ansatz the system is solved exactly over the parameter field:
-the ansatz rows read each entry's {node: parameter polynomial}, their
-selection mod p and the elimination run in a ring of the parameters, and
-the residual certificate reads the extracted residual form in the
-extraction's ring.  The derive implication test closes the generic
+the ansatz rows read each entry's {node: parameter polynomial}, and their
+selection mod p, the elimination and the residual certificate all run in
+the extraction's ring.  The derive implication test closes the generic
 system's forms in the same ring.  ``Expr`` is built only where a report
 prints it: the entries (``DeterminingSystem.entries``, one ``ring.expr``
 per entry) and the basis.  ``on_shell`` and ``split_u_dependence`` keep
@@ -37,6 +36,7 @@ ring's residual (before the rewrite) as an ``Expr``.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from math import ceil, perm, prod
 
@@ -72,6 +72,9 @@ X, Y, T, U = base("x"), base("y"), base("t"), jet("")
 PRIME = 2**31 - 1
 N_POINTS = 2
 SELECTION_SEED = 11
+# the implication report closes the derived system under x, y, t, u
+# derivatives up to this order
+PROLONG_ORDER = 2
 ONE = {0: 1}  # the ring's polynomial 1
 
 
@@ -411,19 +414,17 @@ class DeterminingSystem:
     The extraction keeps each entry as a linear form {component node:
     polynomial} in its ``ring`` (``ring_forms``), and the on-shell residual
     the entries were collected from as one such form (``residual``).  The
-    entries' ``Expr`` (``entries``, ``expressions``) are built from the
-    ring on first use, with one ``ring.expr`` per entry; a system built by
-    hand from ``(key, Expr)`` entries has neither ring nor forms."""
+    entries' ``Expr`` (``entries``) are built from the ring on first use,
+    with one ``ring.expr`` per entry."""
 
-    def __init__(self, family: FFamily, entries: list | None = None, residual: dict | None = None,
-                 *, ring: LaurentRing | None = None, keys: list | None = None,
-                 ring_forms: list | None = None):
+    def __init__(self, family: FFamily, residual: dict, ring: LaurentRing, keys: list,
+                 ring_forms: list):
         self.family = family
         self.residual = residual
         self.ring = ring
-        self.keys = [k for k, _ in entries] if keys is None else keys
+        self.keys = keys
         self.ring_forms = ring_forms
-        self._entries = entries
+        self._entries = None
 
     @property
     def entries(self) -> list:
@@ -435,9 +436,6 @@ class DeterminingSystem:
 
     def __len__(self):
         return len(self.keys)
-
-    def expressions(self):
-        return [e for _, e in self.entries]
 
     def serializable(self):
         out = []
@@ -507,7 +505,7 @@ def extract_determining(v: VectorField, fam: FFamily | None = None) -> Determini
         for tag in sorted(pieces):
             keys.append((mono, tag))
             ring_forms.append(_node_form(ring, pieces[tag], nodes))
-    return DeterminingSystem(fam, residual=res, ring=ring, keys=keys, ring_forms=ring_forms)
+    return DeterminingSystem(fam, res, ring, keys, ring_forms)
 
 
 def check_reference_system(v: VectorField, fam: FFamily | None = None) -> dict:
@@ -601,11 +599,15 @@ def _close_forms(forms: list, prolong_order: int, derivation: Derivation) -> lis
     return rows
 
 
-def reference_implication_report(
-    ds: DeterminingSystem,
-    seed: int = 7,
-    prolong_order: int = 2,
-) -> tuple:
+def _draw_point(ring: LaurentRing, monos, rng: random.Random) -> dict:
+    """A point over GF(PRIME): one residue ``rng.randrange(1, PRIME)`` per
+    variable the monomials ``monos`` hold, drawn in ``Expr`` order."""
+    variables = sorted({ring.variables[d] for m in monos for d, _ in ring.support(m)},
+                       key=Expr.sort_key)
+    return {v: rng.randrange(1, PRIME) for v in variables}
+
+
+def reference_implication_report(ds: DeterminingSystem, seed: int = 7) -> tuple:
     """Decide whether each bundled determining condition is implied by the
     engine-derived system.  Returns ({name: {"implied", "route"}}, check).
 
@@ -613,28 +615,26 @@ def reference_implication_report(
     the opaque xi, eta, tau, phi, with coefficients polynomial in u and the
     derivatives of f, in the extraction's ``LaurentRing``.  The derived
     equations come with their forms from the extraction
-    (``ds.ring_forms``; a system built without them is decomposed once),
-    the reference conditions are decomposed and converted once, and the
-    derived forms are closed under differential consequences up to
-    ``prolong_order`` (each differentiated with respect to x, y, t, u),
-    since the reference's simplified conditions use such consequences.  The
-    closure stays on linear forms (``_close_forms``): differentiating shifts
-    the components' derivative indices and differentiates the coefficients
-    in the ring, each variable's derivative converted once per direction.
-    Symbolic route: the condition's form, or its negative, is one of the
-    derived forms (the ring's variables are independent, so equal
-    polynomials are equal coefficients).  Modular route: at N_POINTS
-    seeded random points over GF(p), p = PRIME = 2^31 - 1, each variable
-    the coefficients hold (u, f, f', f'' as whole nodes, in ``Expr``
-    order) gets one residue, each distinct coefficient is evaluated once
-    (``LaurentRing.eval_mod``) and the rows are read from that table; the
-    condition is implied iff adding its row leaves the rank of the derived
-    rows unchanged at every point.  By the Schwartz-Zippel lemma a point
-    gives a rank below the generic one with probability at most
-    (rank + 1) * degree / p, degree being the largest total exponent of a
-    coefficient's monomial; ``check`` carries that bound and its inputs."""
-    import random
-
+    (``ds.ring_forms``), the reference conditions are decomposed and
+    converted once, and the derived forms are closed under differential
+    consequences up to ``PROLONG_ORDER`` (each differentiated with respect
+    to x, y, t, u), since the reference's simplified conditions use such
+    consequences.  The closure stays on linear forms (``_close_forms``):
+    differentiating shifts the components' derivative indices and
+    differentiates the coefficients in the ring, each variable's derivative
+    converted once per direction.  Symbolic route: the condition's form, or
+    its negative, is one of the derived forms (the ring's variables are
+    independent, so equal polynomials are equal coefficients).  Modular
+    route: at N_POINTS seeded random points over GF(p), p = PRIME =
+    2^31 - 1, each variable the coefficients hold (u, f, f', f'' as whole
+    nodes) gets one residue (``_draw_point``), each distinct coefficient is
+    evaluated once (``LaurentRing.eval_mod``) and the rows are read from
+    that table; the condition is implied iff adding its row leaves the rank
+    of the derived rows unchanged at every point.  By the Schwartz-Zippel
+    lemma a point gives a rank below the generic one with probability at
+    most (rank + 1) * degree / p, degree being the largest total exponent
+    of a coefficient's monomial; ``check`` carries that bound and its
+    inputs."""
     if not isinstance(ds.family, Generic):
         raise DetSysError("implication report applies to the generic family")
 
@@ -644,18 +644,12 @@ def reference_implication_report(
         v.xi, v.eta, v.tau, v.phi, fam.f_expr(), fam.fu_expr()
     )
     names = ("xi", "eta", "tau", "phi")
-    ring = ds.ring or LaurentRing()
-
-    def decompose(e):
-        return {node: ring.poly(c) for node, c in _linear_decomposition(e, names).items()}
-
-    forms = ds.ring_forms
-    if forms is None:
-        forms = [decompose(e) for e in ds.expressions()]
-    elif any(type(n) is not Fn or n.name not in names for d in forms for n in d):
+    ring = ds.ring
+    if any(type(n) is not Fn or n.name not in names for d in ds.ring_forms for n in d):
         raise DetSysError("the derived system is not linear homogeneous in xi, eta, tau, phi")
-    derived = _close_forms(forms, prolong_order, _partial_derivation(ring))
-    cond_forms = {n: decompose(e) for n, e in conds.items()}
+    derived = _close_forms(ds.ring_forms, PROLONG_ORDER, _partial_derivation(ring))
+    cond_forms = {n: {node: ring.poly(c) for node, c in _linear_decomposition(e, names).items()}
+                  for n, e in conds.items()}
     # a condition whose form, or its negative, is a derived form
     targets = {}
     for n, d in cond_forms.items():
@@ -669,15 +663,13 @@ def reference_implication_report(
         {node for d in derived + cond_decomps for node in d}, key=Expr.sort_key))}
     polys = {frozenset(p.items()): p for d in derived + cond_decomps for p in d.values()}
     monos = {m for p in polys.values() for m in p}
-    variables = sorted({ring.variables[d] for m in monos for d, _ in ring.support(m)},
-                       key=Expr.sort_key)
     degree = max((sum(q for _, q in ring.support(m)) for m in monos), default=0)
 
     rng = random.Random(seed)
     ranks = []
     implied = dict.fromkeys(unmatched, True)
     for _ in range(N_POINTS):
-        point = {v: rng.randrange(1, PRIME) for v in variables}
+        point = _draw_point(ring, monos, rng)
         value = {frozen: ring.eval_mod(p, point, PRIME) for frozen, p in polys.items()}
 
         def row(d):
@@ -762,15 +754,11 @@ class SolutionSpace:
 
 def _rows_mod_p(ring: LaurentRing, rows: list, seed: int) -> list:
     """The rows of ``ring`` polynomials over GF(PRIME) at a point drawn from
-    ``seed``: one residue per parameter the rows hold, in ``Expr`` order."""
-    import random
-
-    used = {m for r in rows for p in r.values() for m in p}
-    params = sorted({v for m in used for v, q in zip(ring.variables, ring.exponents(m)) if q},
-                    key=Expr.sort_key)
-    rng = random.Random(seed)
-    point = {a: rng.randrange(1, PRIME) for a in params}
-    return [{c: ring.eval_mod(p, point, PRIME) for c, p in r.items()} for r in rows]
+    ``seed`` (``_draw_point``), each entry object evaluated once."""
+    polys = {id(p): p for r in rows for p in r.values()}
+    point = _draw_point(ring, {m for p in polys.values() for m in p}, random.Random(seed))
+    value = {i: ring.eval_mod(p, point, PRIME) for i, p in polys.items()}
+    return [{c: value[id(p)] for c, p in r.items()} for r in rows]
 
 
 def _select_and_solve(ring: LaurentRing, rows: list, ncols: int):
@@ -800,19 +788,18 @@ def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
     The determining PDEs are extracted once, from the generator whose
     xi, eta, tau, alpha, beta are opaque functions of (x, y, t); each is a
     linear form in component derivatives (``DeterminingSystem.ring_forms``)
-    with polynomial coefficients free of (x, y, t).  Each coefficient c is
-    moved once into an elimination ``LaurentRing`` of the parameters alone,
-    its monomials re-encoded; a term c * d^k(comp) sends column
-    (comp, monomial m) to c scaled by the integer (m)_k, a product of
-    falling factorials, in row (equation, m - k).  Rows are keyed by jet
-    monomial, u-tag and (x, y, t) monomial, in that order; rows with the
-    same polynomials are kept once.  The homogeneous system is solved by
-    exact elimination in that ring, of the rows that ``_select_and_solve``
-    keeps; family parameters are treated as generic nonzero values.  The
-    certificate evaluates the opaque generator's on-shell residual form at
-    each basis vector, moved back into the extraction's ring
-    (``_certify``), so no field is prolonged again.  A coefficient with a
-    variable other than a parameter raises ``DetSysError``."""
+    with polynomial coefficients free of (x, y, t).  Every coefficient c
+    must hold parameters only, since rank needs independent variables: one
+    with any other variable raises ``DetSysError``.  A term c * d^k(comp)
+    sends column (comp, monomial m) to c scaled by the integer (m)_k, a
+    product of falling factorials, in row (equation, m - k).  Rows are
+    keyed by jet monomial, u-tag and (x, y, t) monomial, in that order;
+    rows with the same polynomials are kept once.  The homogeneous system
+    is solved by exact elimination in the extraction's ring, of the rows
+    that ``_select_and_solve`` keeps; family parameters are treated as
+    generic nonzero values.  The certificate evaluates the opaque
+    generator's on-shell residual form at each basis vector in the same
+    ring (``_certify``), so no field is prolonged again."""
     if isinstance(fam, Generic):
         raise DetSysError("ansatz_solve needs a concrete family (exponential or power)")
     spec = spec or AnsatzSpec()
@@ -832,29 +819,17 @@ def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
     col_of = {cm: j for j, cm in enumerate(columns)}
 
     ds = extract_determining(opaque_affine_vectorfield(), fam)
-    # the elimination ring holds the parameters only: each coefficient's
-    # monomials are moved over from the extraction's ring once
-    ring = LaurentRing()
-    moved: dict = {}  # extraction monomial -> elimination monomial
-    ext = ds.ring
+    ring = ds.ring
 
-    def move(p):
-        out = {}
-        for m, k in p.items():
-            n = moved.get(m)
-            if n is None:
-                n = 0
-                for d, q in ext.support(m):
-                    v = ext.variables[d]
-                    if type(v) is not Param:
-                        c = format_expr(ext.expr(p))
-                        raise DetSysError(
-                            f"coefficient {c} depends on x, y or t" if v in (X, Y, T)
-                            else f"entry outside the Laurent-polynomial ring: {c}")
-                    n += q * ring.var(v)
-                moved[m] = n
-            out[n] = k
-        return out
+    def params_only(p):
+        for m in p:
+            for d, _ in ring.support(m):
+                v = ring.variables[d]
+                if type(v) is not Param:
+                    c = format_expr(ring.expr(p))
+                    raise DetSysError(
+                        f"coefficient {c} depends on x, y or t" if v in (X, Y, T)
+                        else f"entry outside the Laurent-polynomial ring: {c}")
 
     # equal entries share one (index, polynomial), so a row is frozen by
     # its columns and entry indices
@@ -865,12 +840,12 @@ def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
         for node, c in form.items():
             if type(node) is not Fn or node.name not in comps:
                 raise DetSysError("an entry is not linear homogeneous in the components")
-            p = move(c)
+            params_only(c)
             for m in monos:
                 n = tuple(a - b for a, b in zip(m, node.didx))
                 if min(n) >= 0:
                     ff = prod(perm(a, b) for a, b in zip(m, node.didx))
-                    q = p if ff == 1 else {mono: ff * k for mono, k in p.items()}
+                    q = c if ff == 1 else {mono: ff * k for mono, k in c.items()}
                     table.setdefault(n, {})[col_of[node.name, m]] = entries.setdefault(
                         frozenset(q.items()), (len(entries), q))
         # in the order of collect_atoms keys: by atom (x < y < t), then power
@@ -889,10 +864,7 @@ def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
 
     basis = [VectorField(comp(v, "xi"), comp(v, "eta"), comp(v, "tau"),
                          add(mul(comp(v, "alpha"), U), comp(v, "beta"))) for v in vectors]
-    back = {ring.var(v): ext.var(v) for v in ring.variables}
-    certificate = _certify(ds.residual, ext, [
-        {cm: {sum(q * back[ring.unit(d)] for d, q in ring.support(m)): k for m, k in p.items()}
-         for cm, p in vec.items()} for vec in vectors])
+    certificate = _certify(ds.residual, ring, vectors)
     return SolutionSpace(fam, spec, basis, certificate, len(columns), len(rows), selection)
 
 

@@ -99,9 +99,8 @@ def _polys(ring: LaurentRing, v: VectorField) -> list:
     for name, comp in v.items():
         p = ring.poly(comp)
         for m in p:
-            e = ring.exponents(m)
-            if min(e[:4]) < 0 or any(q and type(a) is not Param
-                                     for a, q in zip(ring.variables[4:], e[4:])):
+            if any(q < 0 if d < 4 else type(ring.variables[d]) is not Param
+                   for d, q in ring.support(m)):
                 raise LieAlgError(
                     f"component {name} is not a polynomial in x, y, t, u with "
                     f"parameter coefficients: {format_expr(comp)}")
@@ -147,8 +146,9 @@ def _coordinate_table(ring: LaurentRing, field: list) -> dict:
     out: dict = {}
     for slot, p in enumerate(field):
         for m, k in p.items():
-            e = tuple(ring.exponents(m)[:4])
-            out.setdefault((slot, e), {})[m - ring.monomial(e)] = k
+            coords = {d: q for d, q in ring.support(m) if d < 4}
+            e = tuple(coords.get(d, 0) for d in range(4))
+            out.setdefault((slot, e), {})[m - sum(q * ring.unit(d) for d, q in coords.items())] = k
     return out
 
 

@@ -3,12 +3,11 @@
 Rows are sparse, ``{col: entry}`` with only nonzero entries, so elimination
 never visits a zero.  Entries are ``LaurentRing`` polynomials in the
 parameters, sparse ``{monomial: coefficient}`` maps with int or Fraction
-coefficients (e.g. ``2*c``, ``K^(-1)``, ``1 + 4*e1``); each caller brings
-its entries into the ring at its own boundary (``LaurentRing.param_poly``
-refuses an ``exp``, a fractional or symbolic power, a coordinate; the
-classify solve moves parameter-only polynomials over from the
-extraction's ring), so no ``Expr`` arithmetic happens in this module's
-elimination.
+coefficients (e.g. ``2*c``, ``K^(-1)``, ``1 + 4*e1``), in the caller's
+ring: that ring may hold other variables, but the caller makes sure no
+entry it eliminates holds one (``detsys.ansatz_solve`` refuses a
+coefficient with a variable other than a parameter), so no ``Expr``
+arithmetic happens in this module's elimination.
 
 The sweep is fraction-free (cross-multiplication row updates, no entry is
 ever divided), with deterministic pivoting that prefers constant entries,
@@ -26,17 +25,19 @@ All operations treat the parameters appearing in entries as generic nonzero
 values; solutions therefore live in the field of rational functions of the
 parameters, with exact rational coefficients.
 
-Outside elimination, ``LaurentRing.poly`` takes any other factor as a
-variable too (``LaurentRing.var`` registers one whole, a sum included); it
-serves the determining-system extraction, zero tests, content stripping
+``LaurentRing.poly`` takes any non-rational factor as a variable
+(``LaurentRing.var`` registers one whole, a sum included); it serves the
+determining-system extraction, zero tests, content stripping
 (``LaurentRing.strip`` divides out the common parameter monomial only) and
-GF(p) evaluation.  A ``Derivation`` is a derivation of the ring given by
-each variable's derivative, asked once per variable and direction: the
-extraction's total derivatives and the derive closure's partial ones.  For
-rank tests at a point, ``LaurentRing.eval_mod`` evaluates a polynomial over
-GF(p), ``echelon_mod_p`` and ``reduce_mod_p`` eliminate sparse rows
-``{col: residue}`` there, and ``independent_rows_mod_p`` picks the rows that
-are independent there.
+GF(p) evaluation.  A monomial is decoded one way, into its nonzero
+exponents (``LaurentRing.support``), so a ring of many variables costs
+nothing per variable it does not use.  A ``Derivation`` is a derivation of
+the ring given by each variable's derivative, asked once per variable and
+direction: the extraction's total derivatives and the derive closure's
+partial ones.  For rank tests at a point, ``LaurentRing.eval_mod``
+evaluates a polynomial over GF(p), ``echelon_mod_p`` and ``reduce_mod_p``
+eliminate sparse rows ``{col: residue}`` there, and
+``independent_rows_mod_p`` picks the rows that are independent there.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from math import gcd, lcm
 
 from .expr import (
     EvalDomainError, Expr, Param, Pow, Product, Rat, Sum, UnboundAtomError,
-    RAT0, add, div, expand, format_expr, mul, pow_, rat, rational_content,
+    RAT0, add, div, expand, mul, pow_, rat, rational_content,
 )
 
 __all__ = [
@@ -78,31 +79,21 @@ class LaurentRing:
     gets the next monomial digit when first met.  Zero in such variables is
     zero at any values of them, so ``poly`` serves zero tests, content
     stripping (``strip`` divides out parameters only) and GF(p) evaluation
-    (``eval_mod``); rank needs independent variables, so elimination takes
-    ``param_poly``, parameters only.  Polynomials are never changed in
+    (``eval_mod``).  Rank needs independent variables, so the rows a caller
+    eliminates hold parameters only.  Polynomials are never changed in
     place; conversions are memoized."""
 
     def __init__(self):
         self.variables: list = []
         self._digit: dict = {}
         self._polys: dict = {}  # Expr -> poly
-        self._outside: set = set()  # Exprs with a variable other than a parameter
-        self._mixed = False  # whether a variable other than a parameter was met
         self._exprs: dict = {}  # frozenset(poly items) -> Expr
-        self._exps: dict = {}  # monomial -> exponent list
         self._supports: dict = {}  # monomial -> nonzero (digit, exponent) pairs
 
     def poly(self, e: Expr) -> dict:
         p = self._polys.get(e)
         if p is None:
             p = self._polys[e] = self._to_poly(e)
-        return p
-
-    def param_poly(self, e: Expr) -> dict:
-        """``poly(e)``, or ValueError if a variable is not a parameter."""
-        p = self.poly(e)
-        if e in self._outside:
-            raise ValueError(f"entry outside the Laurent-polynomial ring: {format_expr(e)}")
         return p
 
     def _to_poly(self, e: Expr) -> dict:
@@ -121,8 +112,6 @@ class LaurentRing:
                 if t is Pow:
                     q, den = f.exp.numerator, f.exp.denominator
                     v = f.expbase if den == 1 else Pow(f.expbase, Fraction(1, den))
-                if type(v) is not Param:
-                    self._outside.add(e)
                 m += q * self.var(v)
             out[m] = k.numerator if k.denominator == 1 else k
         return out
@@ -134,11 +123,11 @@ class LaurentRing:
         if d is None:
             d = self._digit[v] = len(self.variables)
             self.variables.append(v)
-            self._mixed = self._mixed or type(v) is not Param
         return self.unit(d)
 
     def support(self, m: int) -> tuple:
-        """The (digit, exponent) pairs of a monomial's nonzero exponents."""
+        """The (digit, exponent) pairs of a monomial's nonzero exponents,
+        in digit order."""
         out = self._supports.get(m)
         if out is None:
             out, r, d = [], m, 0
@@ -156,29 +145,26 @@ class LaurentRing:
         """The monomial of the variable of digit ``d``."""
         return 1 << (_SHIFT * d)
 
-    def exponents(self, m: int) -> list:
-        """Exponent of each variable (in ``variables`` order) of a monomial."""
-        out = self._exps.get(m)
-        if out is None or len(out) < len(self.variables):
-            out, r = [], m
-            for _ in self.variables:
-                d = ((r + _HALF) & _MASK) - _HALF
-                out.append(d)
-                r = (r - d) >> _SHIFT
-            self._exps[m] = out
-        return out
-
-    @staticmethod
-    def monomial(exponents) -> int:
-        """The monomial with these exponents (``exponents``' inverse)."""
-        return sum(q << (_SHIFT * d) for d, q in enumerate(exponents))
+    def _bounds(self, p) -> dict:
+        """{digit: (lowest, highest) exponent} over the monomials of ``p``,
+        for each variable some monomial holds; a monomial without it counts
+        as exponent 0."""
+        out: dict = {}
+        seen: dict = {}
+        for m in p:
+            for d, q in self.support(m):
+                lo, hi = out.get(d, (q, q))
+                out[d] = (min(lo, q), max(hi, q))
+                seen[d] = seen.get(d, 0) + 1
+        return {d: (min(lo, 0), max(hi, 0)) if seen[d] < len(p) else (lo, hi)
+                for d, (lo, hi) in out.items()}
 
     def diff(self, p: dict, d: int) -> dict:
         """Derivative of ``p`` in the variable of digit ``d``."""
         one = 1 << (_SHIFT * d)
         out = {}
         for m, k in p.items():
-            q = self.exponents(m)[d]
+            q = next((q for e, q in self.support(m) if e == d), 0)
             if q:
                 out[m - one] = q * k
         return out
@@ -187,7 +173,6 @@ class LaurentRing:
         """``p`` over GF(prime), each variable v at the residue point[v].
         A denominator that is zero mod prime raises EvalDomainError, a
         variable without a residue UnboundAtomError."""
-        values = [point.get(v) for v in self.variables]
         acc = 0
         for m, k in p.items():
             if type(k) is int:
@@ -196,13 +181,13 @@ class LaurentRing:
                 r = k.numerator * pow(k.denominator, -1, prime)
             else:
                 raise EvalDomainError(f"zero denominator mod {prime}")
-            for d, (v, q) in enumerate(zip(values, self.exponents(m))):
-                if q:
-                    if v is None:
-                        raise UnboundAtomError(f"unbound atom {self.variables[d]}")
-                    if q < 0 and v % prime == 0:
-                        raise EvalDomainError(f"zero denominator mod {prime}")
-                    r = r * pow(v, q, prime) % prime
+            for d, q in self.support(m):
+                v = point.get(self.variables[d])
+                if v is None:
+                    raise UnboundAtomError(f"unbound atom {self.variables[d]}")
+                if q < 0 and v % prime == 0:
+                    raise EvalDomainError(f"zero denominator mod {prime}")
+                r = r * pow(v, q, prime) % prime
             acc += r
         return acc % prime
 
@@ -211,7 +196,7 @@ class LaurentRing:
         e = self._exprs.get(key)
         if e is None:
             e = self._exprs[key] = add(*[
-                mul(rat(k), *[pow_(v, q) for v, q in zip(self.variables, self.exponents(m)) if q])
+                mul(rat(k), *[pow_(self.variables[d], q) for d, q in self.support(m)])
                 for m, k in p.items()
             ])
         return e
@@ -229,16 +214,9 @@ class LaurentRing:
         leading term positive.  Any other variable (a coordinate, a
         function node, an ``exp``, a fractional power) stays."""
         g = gcd(*[k for p in row.values() for k in p.values()])
-        monos = {m for p in row.values() for m in p}
-        if len(monos) == 1:
-            (shift,) = monos
-        else:
-            shift = 0
-            for d, low in enumerate(map(min, zip(*map(self.exponents, monos)))):
-                shift += low << (_SHIFT * d)
-        if shift and self._mixed:
-            shift = self.monomial([q if type(v) is Param else 0
-                                   for v, q in zip(self.variables, self.exponents(shift))])
+        bounds = self._bounds({m for p in row.values() for m in p})
+        shift = sum(lo << (_SHIFT * d) for d, (lo, _) in bounds.items()
+                    if type(self.variables[d]) is Param)
         first = row[min(row)]
         if g != 1 or shift:
             first = {m - shift: k // g for m, k in first.items()}
@@ -436,14 +414,18 @@ def _exact_quotient(ring: LaurentRing, a: dict, d: dict):
     if len(d) == 1:
         ((md, kd),) = d.items()
         return {m - md: _ratio(k, kd) for m, k in a.items()}
-    ea, ed = zip(*map(ring.exponents, a)), zip(*map(ring.exponents, d))
-    box = [(min(x) - min(y), max(x) - max(y)) for x, y in zip(ea, ed)]
+    ba, bd = ring._bounds(a), ring._bounds(d)
+    box = {}
+    for j in ba.keys() | bd.keys():
+        (la, ha), (ld, hd) = ba.get(j, (0, 0)), bd.get(j, (0, 0))
+        box[j] = (la - ld, ha - hd)
     md = max(d)
     kd = d[md]
     a, q = dict(a), {}
     while a:
         mq = max(a) - md
-        if not all(lo <= e <= hi for e, (lo, hi) in zip(ring.exponents(mq), box)):
+        e = dict(ring.support(mq))
+        if not all(lo <= e.get(j, 0) <= hi for j, (lo, hi) in box.items()):
             return None
         k = q[mq] = _ratio(a[mq + md], kd)
         for n, v in d.items():

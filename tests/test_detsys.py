@@ -1,5 +1,7 @@
 """Invariance condition, on-shell rewriting, determining system, solving."""
 
+from fractions import Fraction
+
 import pytest
 
 from wavesym import detsys, expr
@@ -277,9 +279,11 @@ class TestReferenceSystem:
         # without phi_tt - f*(phi_xx + phi_yy), the coefficient of the jet
         # monomial 1, the reference's phi wave balance no longer follows
         ds = extract_determining(opaque_vectorfield(), Generic())
-        kept = [(k, e) for k, e in ds.entries if str(k) != "1"]
+        kept = [(k, f) for k, f in zip(ds.keys, ds.ring_forms) if str(k) != "1"]
         assert len(kept) == len(ds) - 1
-        rep, check = reference_implication_report(DeterminingSystem(ds.family, kept))
+        keys, forms = map(list, zip(*kept))
+        rep, check = reference_implication_report(
+            DeterminingSystem(ds.family, ds.residual, ds.ring, keys, forms))
         assert not rep["phi_wave_balance"]["implied"]
         assert rep["phi_wave_balance"]["route"] == "modular"
         assert all(r < 223 for r in check["ranks"])
@@ -380,7 +384,7 @@ class TestLinearFormClosure:
         rows = _close_forms(ds.ring_forms, 2, _partial_derivation(ds.ring))
         assert len(rows) == 412
         forms = [_linear_decomposition(e, ("xi", "eta", "tau", "phi"))
-                 for e in ds.expressions()]
+                 for _, e in ds.entries]
         assert [{n: ds.ring.expr(p) for n, p in r.items()} for r in rows] == _expr_closure(forms)
 
     @pytest.mark.parametrize("seed", [7, 3])
@@ -422,6 +426,22 @@ class TestAnsatzSolve:
     def test_generic_rejected(self):
         with pytest.raises(DetSysError):
             ansatz_solve(Generic())
+
+    def test_fractional_power_of_a_parameter_refused(self):
+        # K^(1/2) is not independent of K, so it may not enter elimination
+        with pytest.raises(DetSysError) as err:
+            ansatz_solve(ExponentialCase(K=pow_(param("K"), Fraction(1, 2))))
+        assert str(err.value) == "entry outside the Laurent-polynomial ring: -K^(1/2)"
+
+    def test_coordinate_in_a_coefficient_refused(self):
+        # f = x + u: the extracted coefficients depend on x
+        class XPlusU(detsys.FFamily):
+            def f_expr(self):
+                return add(X, U)
+
+        with pytest.raises(DetSysError) as err:
+            ansatz_solve(XPlusU())
+        assert str(err.value) == "coefficient -x depends on x, y or t"
 
     def test_case_i_degree_2(self):
         space = ansatz_solve(ExponentialCase(), AnsatzSpec(2))

@@ -75,3 +75,58 @@ def test_no_module_imports_a_name_it_never_uses():
         used.update(_exports(tree) or ())
         unused += [f"{path.stem}: {name}" for name in sorted(imported - used)]
     assert unused == []
+
+
+# functions and methods of the package that nothing in src/ references, each
+# with the reason it stays
+UNREFERENCED = {
+    "expr.eval_numeric": "perfbench/tracer.py times it (tests/test_bench_contract.py)",
+    "detsys.on_shell": "perfbench/tracer.py times it (tests/test_bench_contract.py)",
+    "detsys.split_u_dependence": "perfbench/tracer.py times it (tests/test_bench_contract.py)",
+    "jet.prolong_coeff_second": "perfbench/tracer.py times it (tests/test_bench_contract.py)",
+    "liealg.decompose_field": "perfbench/tracer.py times it (tests/test_bench_contract.py)",
+    "detsys.invariance_residual": "the tests' reference for the ring residual",
+    "detsys.check_reference_system": "the tests' check of the reference conditions",
+    "jet.prolong_coeff_first": "the tests' reference for the first prolongation",
+    "reference.rotation_field": "public API: the generator the reference omits",
+    "liealg.FlowMap.at": "public API: a flow at a parameter value",
+    "liealg.CommutatorTable.closed": "public API: whether the brackets close",
+}
+
+
+def _functions(tree: ast.Module):
+    """(qualified name, name) of every function and method, nested ones too."""
+    out = []
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                out.append((prefix + child.name, child.name))
+                walk(child, prefix + child.name + ".")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, prefix + child.name + ".")
+            else:
+                walk(child, prefix)
+
+    walk(tree, "")
+    return out
+
+
+def test_every_function_is_referenced_in_the_package():
+    # a reference is a name or an attribute with the function's name
+    # anywhere in src/; an import or an __all__ entry is not one, and
+    # special methods are called by the language
+    functions, referenced = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions += [(f"{path.stem}.{q}", name) for q, name in _functions(tree)
+                      if not (name.startswith("__") and name.endswith("__"))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unreferenced = {q for q, name in functions if name not in referenced}
+    assert sorted(unreferenced - UNREFERENCED.keys()) == []
+    # a listed function that gained a reference, or was deleted, leaves the list
+    assert sorted(UNREFERENCED.keys() - unreferenced) == []
