@@ -181,7 +181,7 @@ def stage_classify(config: RunConfig) -> dict:
         (i, j, k, str(v)) for i, j, k, v in reference.STRUCTURE_TRIPLES
     ]
     table_match = triples == expected
-    jac = jacobi_check(refbasis, table.brackets)
+    jac = jacobi_check(table)
     dimension_match = space.dimension == 5
     passed = (
         space.certificate

@@ -559,38 +559,28 @@ def _diff_form(form: dict, a: Expr, derivation: Derivation) -> dict:
     return form_derivative(form, derivation, a)
 
 
-def _frozen(form: dict, shared: dict | None = None) -> tuple:
-    """(hashable value, form) of a linear form with ring coefficients.
-    With ``shared`` {frozen polynomial: (frozen polynomial, polynomial)},
-    equal coefficients of all the forms frozen with it are one object, as
-    equal ``Expr`` are."""
-    shared = {} if shared is None else shared
-    key, out = [], {}
-    for node, p in form.items():
-        frozen = frozenset(p.items())
-        frozen, out[node] = shared.setdefault(frozen, (frozen, p))
-        key.append((node, frozen))
-    return frozenset(key), out
+def _form_key(ring: LaurentRing, form: dict) -> frozenset:
+    """A linear form's value as a hashable key: its nodes with their
+    coefficients interned in ``ring`` (``LaurentRing.intern``)."""
+    return frozenset((node, id(ring.intern(p))) for node, p in form.items())
 
 
 def _close_forms(forms: list, prolong_order: int, derivation: Derivation) -> list:
     """The linear forms followed by their x, y, t, u derivatives up to
     ``prolong_order``, level by level: each form of the last level is
     differentiated in x, y, t, u, in that order, and a derivative that is
-    zero or equal to a form already held is not added.  Equal coefficients
-    of the rows are one object (``_frozen``)."""
-    shared: dict = {}
-    seen, rows = set(), []
-    for form in forms:
-        key, form = _frozen(form, shared)
-        seen.add(key)
-        rows.append(form)
+    zero or equal to a form already held is not added.  The rows'
+    coefficients are interned in the derivation's ring."""
+    ring = derivation.ring
+    rows = [{node: ring.intern(p) for node, p in form.items()} for form in forms]
+    seen = {_form_key(ring, form) for form in rows}
     frontier = rows
     for _ in range(prolong_order):
         nxt = []
         for form in frontier:
             for a in (X, Y, T, U):
-                key, d = _frozen(_diff_form(form, a, derivation), shared)
+                d = {node: ring.intern(p) for node, p in _diff_form(form, a, derivation).items()}
+                key = _form_key(ring, d)
                 if d and key not in seen:
                     seen.add(key)
                     nxt.append(d)
@@ -624,12 +614,12 @@ def reference_implication_report(ds: DeterminingSystem, seed: int = 7) -> tuple:
     differentiates the coefficients in the ring, each variable's derivative
     converted once per direction.  Symbolic route: the condition's form, or
     its negative, is one of the derived forms (the ring's variables are
-    independent, so equal polynomials are equal coefficients).  Modular
-    route: at N_POINTS seeded random points over GF(p), p = PRIME =
-    2^31 - 1, each variable the coefficients hold (u, f, f', f'' as whole
-    nodes) gets one residue (``_draw_point``), each distinct coefficient is
-    evaluated once (``LaurentRing.eval_mod``) and the rows are read from
-    that table; the condition is implied iff adding its row leaves the rank
+    independent, so equal polynomials are equal coefficients, and
+    interned ones are one object).  Modular route: at N_POINTS seeded
+    random points over GF(p), p = PRIME = 2^31 - 1, each variable the
+    coefficients hold (u, f, f', f'' as whole nodes) gets one residue and
+    each distinct coefficient is evaluated once (``_rows_mod_p``); the
+    condition is implied iff adding its row leaves the rank
     of the derived rows unchanged at every point.  By the Schwartz-Zippel
     lemma a point gives a rank below the generic one with probability at
     most (rank + 1) * degree / p, degree being the largest total exponent
@@ -648,37 +638,33 @@ def reference_implication_report(ds: DeterminingSystem, seed: int = 7) -> tuple:
     if any(type(n) is not Fn or n.name not in names for d in ds.ring_forms for n in d):
         raise DetSysError("the derived system is not linear homogeneous in xi, eta, tau, phi")
     derived = _close_forms(ds.ring_forms, PROLONG_ORDER, _partial_derivation(ring))
-    cond_forms = {n: {node: ring.poly(c) for node, c in _linear_decomposition(e, names).items()}
+    cond_forms = {n: {node: ring.intern(ring.poly(c))
+                      for node, c in _linear_decomposition(e, names).items()}
                   for n, e in conds.items()}
     # a condition whose form, or its negative, is a derived form
     targets = {}
     for n, d in cond_forms.items():
-        targets[_frozen(d)[0]] = n
-        targets[_frozen({node: {m: -k for m, k in p.items()} for node, p in d.items()})[0]] = n
-    symbolic = {targets.get(_frozen(d)[0]) for d in derived}
+        targets[_form_key(ring, d)] = n
+        targets[_form_key(ring, {node: {m: -k for m, k in p.items()} for node, p in d.items()})] = n
+    symbolic = {targets.get(_form_key(ring, d)) for d in derived}
     report = {n: {"implied": True, "route": "symbolic"} for n in conds if n in symbolic}
     unmatched = [n for n in conds if n not in report]
-    cond_decomps = [cond_forms[n] for n in unmatched]
+    forms = derived + [cond_forms[n] for n in unmatched]
     col = {node: i for i, node in enumerate(sorted(
-        {node for d in derived + cond_decomps for node in d}, key=Expr.sort_key))}
-    polys = {frozenset(p.items()): p for d in derived + cond_decomps for p in d.values()}
-    monos = {m for p in polys.values() for m in p}
-    degree = max((sum(q for _, q in ring.support(m)) for m in monos), default=0)
+        {node for d in forms for node in d}, key=Expr.sort_key))}
+    rows = [{col[node]: p for node, p in d.items()} for d in forms]
+    degree = max((sum(q for _, q in ring.support(m)) for d in forms for p in d.values()
+                  for m in p), default=0)
 
     rng = random.Random(seed)
     ranks = []
     implied = dict.fromkeys(unmatched, True)
     for _ in range(N_POINTS):
-        point = _draw_point(ring, monos, rng)
-        value = {frozen: ring.eval_mod(p, point, PRIME) for frozen, p in polys.items()}
-
-        def row(d):
-            return {col[node]: value[frozenset(p.items())] for node, p in d.items()}
-
-        pivots = echelon_mod_p((row(d) for d in derived), PRIME)
+        mod_rows = _rows_mod_p(ring, rows, rng)
+        pivots = echelon_mod_p(mod_rows[:len(derived)], PRIME)
         ranks.append(len(pivots))
-        for name, d in zip(unmatched, cond_decomps):
-            if reduce_mod_p(row(d), pivots, PRIME):
+        for name, r in zip(unmatched, mod_rows[len(derived):]):
+            if reduce_mod_p(r, pivots, PRIME):
                 implied[name] = False
     for name in unmatched:
         report[name] = {"implied": implied[name], "route": "modular"}
@@ -752,11 +738,11 @@ class SolutionSpace:
         return len(self.basis)
 
 
-def _rows_mod_p(ring: LaurentRing, rows: list, seed: int) -> list:
-    """The rows of ``ring`` polynomials over GF(PRIME) at a point drawn from
-    ``seed`` (``_draw_point``), each entry object evaluated once."""
+def _rows_mod_p(ring: LaurentRing, rows: list, rng: random.Random) -> list:
+    """The rows of ``ring`` polynomials over GF(PRIME) at a point drawn by
+    ``rng`` (``_draw_point``), each entry object evaluated once."""
     polys = {id(p): p for r in rows for p in r.values()}
-    point = _draw_point(ring, {m for p in polys.values() for m in p}, random.Random(seed))
+    point = _draw_point(ring, {m for p in polys.values() for m in p}, rng)
     value = {i: ring.eval_mod(p, point, PRIME) for i, p in polys.items()}
     return [{c: value[id(p)] for c, p in r.items()} for r in rows]
 
@@ -771,7 +757,8 @@ def _select_and_solve(ring: LaurentRing, rows: list, ncols: int):
     dropped row is then checked to vanish on the kept rows' basis, exactly;
     that proves the two kernels equal.  If one does not, all rows are
     eliminated.  Returns (basis as int polynomials of ``ring``, selection)."""
-    kept = independent_rows_mod_p(_rows_mod_p(ring, rows, SELECTION_SEED), PRIME)
+    kept = independent_rows_mod_p(
+        _rows_mod_p(ring, rows, random.Random(SELECTION_SEED)), PRIME)
     basis = nullspace([rows[i] for i in kept], ncols, ring)
     kept_set = set(kept)
     fallback = not annihilates([r for i, r in enumerate(rows) if i not in kept_set], basis)
@@ -831,12 +818,11 @@ def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
                         f"coefficient {c} depends on x, y or t" if v in (X, Y, T)
                         else f"entry outside the Laurent-polynomial ring: {c}")
 
-    # equal entries share one (index, polynomial), so a row is frozen by
-    # its columns and entry indices
-    entries: dict = {}  # frozen polynomial -> (index, polynomial)
-    rows: dict = {}  # frozen row -> row, in first-seen order
+    # equal entries are one object (interned), so a row is keyed by its
+    # columns and entry objects
+    rows: dict = {}  # row key -> row, in first-seen order
     for form in ds.ring_forms:
-        table: dict = {}  # xyt monomial -> {column: (index, polynomial)}
+        table: dict = {}  # xyt monomial -> {column: interned polynomial}
         for node, c in form.items():
             if type(node) is not Fn or node.name not in comps:
                 raise DetSysError("an entry is not linear homogeneous in the components")
@@ -846,14 +832,11 @@ def ansatz_solve(fam: FFamily, spec: AnsatzSpec | None = None) -> SolutionSpace:
                 if min(n) >= 0:
                     ff = prod(perm(a, b) for a, b in zip(m, node.didx))
                     q = c if ff == 1 else {mono: ff * k for mono, k in c.items()}
-                    table.setdefault(n, {})[col_of[node.name, m]] = entries.setdefault(
-                        frozenset(q.items()), (len(entries), q))
+                    table.setdefault(n, {})[col_of[node.name, m]] = ring.intern(q)
         # in the order of collect_atoms keys: by atom (x < y < t), then power
         for n in sorted(table, key=lambda n: tuple(
                 (a.sort_key(), p) for a, p in zip((X, Y, T), n) if p)):
-            row = table[n]
-            rows.setdefault(frozenset((j, i) for j, (i, _) in row.items()),
-                            {j: q for j, (_, q) in row.items()})
+            rows.setdefault(frozenset((j, id(q)) for j, q in table[n].items()), table[n])
 
     vectors, selection = _select_and_solve(ring, list(rows.values()), len(columns))
     vectors = [{columns[j]: p for j, p in vec.items()} for vec in vectors]

@@ -7,7 +7,8 @@ Laurent-polynomial parameter coefficients, and d/dz lowers one exponent
 digit.  Brackets, commutator tables with exact structure constants, Jacobi
 checks and span decompositions all work on those component polynomials; a
 field is coordinatised by (component slot, coordinate monomial) with a
-parameter polynomial at each, and solved for in the ring.  A component that
+parameter polynomial at each, and all targets are solved for in the ring
+from one sweep of the basis (``linalg.solve_span``).  A component that
 is not polynomial in the coordinates raises ``LieAlgError``.  The
 one-parameter flows of affine generators stay in ``Expr``."""
 
@@ -20,7 +21,7 @@ from .expr import (
     Expr, Param, RAT0, RAT1, _as_expr, add, atoms_of, base, diff, div, exp_,
     expand, format_expr, jet, max_jet_order, mul, neg, param, substitute,
 )
-from .linalg import LaurentRing, add_product, rank, solve_span
+from .linalg import LaurentRing, add_product, solve_span
 
 __all__ = [
     "VectorField", "CommutatorTable", "FlowMap", "LieAlgError",
@@ -108,10 +109,6 @@ def _polys(ring: LaurentRing, v: VectorField) -> list:
     return out
 
 
-def _field(ring: LaurentRing, polys) -> VectorField:
-    return VectorField(*map(ring.expr, polys))
-
-
 def _bracket(ring: LaurentRing, v: list, w: list, acc: list | None = None) -> list:
     """Component polynomials of [v, w], added into ``acc`` when given:
     component k is v(w^k) - w(v^k), v(g) being the sum over the
@@ -126,30 +123,28 @@ def _bracket(ring: LaurentRing, v: list, w: list, acc: list | None = None) -> li
     return acc
 
 
-# a coordinate monomial's key in collect_atoms order: by atom, then power
-_ATOM_ORDER = sorted(range(4), key=lambda d: COORDS[d].sort_key())
-
-
-def _component_coordinates(ring: LaurentRing, fields: list):
-    """Common coordinatisation of fields (component polynomials) by
-    (slot, coordinate exponents), each with a parameter polynomial.
-    Returns (keys, vectors), the vectors sparse {key index: polynomial}."""
-    tables = [_coordinate_table(ring, f) for f in fields]
-    keys = sorted({sk for t in tables for sk in t}, key=lambda sk: (sk[0], tuple(
-        (COORDS[d].sort_key(), sk[1][d]) for d in _ATOM_ORDER if sk[1][d])))
-    index = {sk: i for i, sk in enumerate(keys)}
-    return keys, [{index[sk]: p for sk, p in t.items()} for t in tables]
+# the coordinates' digits in collect_atoms order
+_ATOM_RANK = {d: r for r, d in enumerate(sorted(range(4), key=lambda d: COORDS[d].sort_key()))}
 
 
 def _coordinate_table(ring: LaurentRing, field: list) -> dict:
-    """{(slot, coordinate exponents): parameter polynomial} of one field."""
+    """{(slot, coordinate monomial): parameter polynomial} of one field, a
+    monomial keyed in collect_atoms order: by atom, then power."""
     out: dict = {}
     for slot, p in enumerate(field):
         for m, k in p.items():
-            coords = {d: q for d, q in ring.support(m) if d < 4}
-            e = tuple(coords.get(d, 0) for d in range(4))
-            out.setdefault((slot, e), {})[m - sum(q * ring.unit(d) for d, q in coords.items())] = k
+            coords = [(d, q) for d, q in ring.support(m) if d < 4]
+            key = (slot, tuple(sorted((_ATOM_RANK[d], q) for d, q in coords)))
+            out.setdefault(key, {})[m - sum(q * ring.unit(d) for d, q in coords)] = k
     return out
+
+
+def _coordinates(ring: LaurentRing, basis: list, targets: list) -> tuple:
+    """``solve_span`` of the targets in the span of the basis, all fields
+    given by their component polynomials and coordinatised together
+    (``_coordinate_table``): (coordinate lists or None, independent)."""
+    return solve_span([_coordinate_table(ring, f) for f in basis],
+                      [_coordinate_table(ring, f) for f in targets], ring)
 
 
 @dataclass
@@ -157,11 +152,14 @@ class CommutatorTable:
     """All pairwise brackets of a basis, decomposed exactly in that basis.
 
     entries[(i, j)] is the coefficient list of [v_i, v_j], or None when the
-    bracket falls outside the span (non-closure); brackets[(i, j)], i < j,
-    is the bracket itself."""
+    bracket falls outside the span (non-closure).  The basis fields'
+    component polynomials (``polys``) and those of each bracket
+    (``brackets[(i, j)]``, i < j) are polynomials of ``ring``."""
 
     fields: list
     entries: dict
+    ring: LaurentRing
+    polys: list
     brackets: dict
 
     @property
@@ -207,50 +205,29 @@ class CommutatorTable:
         return grid
 
 
-def _in_coordinates(ring: LaurentRing, keys, vectors, targets) -> list:
-    """Exact coordinates of each target (component polynomials) in the span
-    of ``vectors``, the coordinatisation (keys, vectors) of a basis, or
-    None when outside.
-
-    A target with a coefficient on a key no basis field has lies outside
-    the span.  Otherwise the basis keys coordinatise it as well, and the
-    solve is the one on the common coordinatisation of basis and target."""
-    index = {sk: i for i, sk in enumerate(keys)}
-    out = []
-    for target in targets:
-        table = _coordinate_table(ring, target)
-        if all(sk in index for sk in table):
-            out.append(solve_span(vectors, {index[sk]: p for sk, p in table.items()}, ring))
-        else:
-            out.append(None)
-    return out
-
-
 def commutator_table(basis) -> CommutatorTable:
     basis = list(basis)
     n = len(basis)
     ring = _ring()
     fields = [_polys(ring, v) for v in basis]
-    keys, vectors = _component_coordinates(ring, fields)
-    if rank(vectors, len(keys), ring) != n:
+    brackets = {(i, j): _bracket(ring, fields[i], fields[j]) for i, j in combinations(range(n), 2)}
+    coords, independent = _coordinates(ring, fields, list(brackets.values()))
+    if not independent:
         raise LieAlgError("basis fields are linearly dependent")
-    polys = {(i, j): _bracket(ring, fields[i], fields[j]) for i, j in combinations(range(n), 2)}
-    coords = _in_coordinates(ring, keys, vectors, polys.values())
     entries = {(i, i): [RAT0] * n for i in range(n)}
-    for (i, j), coeffs in zip(polys, coords):
+    for (i, j), coeffs in zip(brackets, coords):
         entries[(i, j)] = coeffs
         entries[(j, i)] = None if coeffs is None else [expand(neg(c)) for c in coeffs]
-    brackets = {ij: _field(ring, p) for ij, p in polys.items()}
-    return CommutatorTable(basis, entries, brackets)
+    return CommutatorTable(basis, entries, ring, fields, brackets)
 
 
 def decompose_fields(basis, targets) -> list:
     """Exact coordinates of each of ``targets`` in the span of ``basis``
     (component polynomial coefficients are compared), or None when outside
-    the span.  The basis is coordinatised once for all targets."""
+    the span, from one sweep of the basis."""
     ring = _ring()
-    keys, vectors = _component_coordinates(ring, [_polys(ring, v) for v in basis])
-    return _in_coordinates(ring, keys, vectors, [_polys(ring, t) for t in targets])
+    basis = [_polys(ring, v) for v in basis]
+    return _coordinates(ring, basis, [_polys(ring, t) for t in targets])[0]
 
 
 def decompose_field(basis, target: VectorField):
@@ -258,25 +235,17 @@ def decompose_field(basis, target: VectorField):
     return decompose_fields(basis, [target])[0]
 
 
-def jacobi_check(basis, inner: dict | None = None) -> dict:
-    """Jacobi identity residuals for every triple, exactly zero in the
-    ring.  Each inner bracket [v_j, v_k], j < k, is computed once, or taken
-    from ``inner`` (a ``CommutatorTable``'s brackets of the same basis);
-    [v_k, v_i] enters as -[v_i, v_k]."""
-    ring = _ring()
-    fields = [_polys(ring, v) for v in basis]
-    n = len(fields)
-    if inner is None:
-        inner = {(j, k): _bracket(ring, fields[j], fields[k])
-                 for j, k in combinations(range(n), 2)}
-    else:
-        inner = {jk: _polys(ring, w) for jk, w in inner.items()}
+def jacobi_check(table: CommutatorTable) -> dict:
+    """Jacobi identity residuals for every triple of the table's basis,
+    exactly zero in the table's ring.  Each bracket of two basis fields is
+    the table's: [v_j, v_k] for j < k, and [v_k, v_i] enters as -[v_i, v_k]."""
+    ring, fields, brackets = table.ring, table.polys, table.brackets
     report = {}
-    for i, j, k in combinations(range(n), 3):
+    for i, j, k in combinations(range(table.n), 3):
         # [v_i, [v_j, v_k]] + [[v_i, v_k], v_j] + [v_k, [v_i, v_j]]
-        s = _bracket(ring, fields[i], inner[j, k])
-        _bracket(ring, inner[i, k], fields[j], s)
-        _bracket(ring, fields[k], inner[i, j], s)
+        s = _bracket(ring, fields[i], brackets[j, k])
+        _bracket(ring, brackets[i, k], fields[j], s)
+        _bracket(ring, fields[k], brackets[i, j], s)
         report[(i, j, k)] = not any(s)
     return report
 

@@ -1,38 +1,40 @@
 """Exact linear algebra over sparse rows of Laurent-polynomial entries.
 
 Rows are sparse, ``{col: entry}`` with only nonzero entries, so elimination
-never visits a zero.  Entries are ``LaurentRing`` polynomials in the
-parameters, sparse ``{monomial: coefficient}`` maps with int or Fraction
-coefficients (e.g. ``2*c``, ``K^(-1)``, ``1 + 4*e1``), in the caller's
-ring: that ring may hold other variables, but the caller makes sure no
-entry it eliminates holds one (``detsys.ansatz_solve`` refuses a
-coefficient with a variable other than a parameter), so no ``Expr``
-arithmetic happens in this module's elimination.
+never visits a zero.  Entries are ``LaurentRing`` polynomials, sparse
+``{monomial: coefficient}`` maps with int or Fraction coefficients (e.g.
+``2*c``, ``K^(-1)``, ``1 + 4*e1``), in the caller's ring.  That ring may
+hold variables other than the parameters, but rank needs independent
+variables, so the caller makes sure that no entry it eliminates holds one
+(``detsys.ansatz_solve`` refuses such a coefficient).
 
-The sweep is fraction-free (cross-multiplication row updates, no entry is
-ever divided), with deterministic pivoting that prefers constant entries,
-then parameter monomials.  After every update a row is reduced by its
-content: the integer gcd of its coefficients and the common parameter
-monomial; the leading term of its first entry, in ``Expr`` term order, is
-made positive.  ``nullspace`` and ``solve_span`` back-substitute in the
-ring too, scaling the solution by a pivot instead of dividing by it.
-``row_reduce`` and ``nullspace`` return polynomials of their caller's ring
-(``LaurentRing.expr`` converts back); ``solve_span`` returns ``Expr``
-coordinates, the pivots' product cancelled by exact division in the ring
-where it divides.
+The sweep is fraction-free: rows are updated by cross-multiplication and no
+entry is ever divided.  Pivoting is deterministic and prefers constant
+entries, then parameter monomials.  After every update a row is reduced by
+its content, the integer gcd of its coefficients and the common parameter
+monomial, and given a canonical sign (``LaurentRing.strip``).  Elimination
+is ring arithmetic, except that the sign is read off the first entry's
+``Expr`` (``LaurentRing.expr``).  ``nullspace`` and ``solve_span``
+back-substitute in the ring too, scaling the solution by a pivot instead
+of dividing by it.  ``row_reduce`` and ``nullspace`` return polynomials of
+their caller's ring (``LaurentRing.expr`` converts back).  ``solve_span``
+decides all its targets from one sweep and returns ``Expr`` coordinates,
+the pivots' product cancelled by exact division in the ring where it
+divides.
 
 All operations treat the parameters appearing in entries as generic nonzero
 values; solutions therefore live in the field of rational functions of the
 parameters, with exact rational coefficients.
 
 ``LaurentRing.poly`` takes any non-rational factor as a variable
-(``LaurentRing.var`` registers one whole, a sum included); it serves the
-determining-system extraction, zero tests, content stripping
-(``LaurentRing.strip`` divides out the common parameter monomial only) and
-GF(p) evaluation.  A monomial is decoded one way, into its nonzero
-exponents (``LaurentRing.support``), so a ring of many variables costs
-nothing per variable it does not use.  A ``Derivation`` is a derivation of
-the ring given by each variable's derivative, asked once per variable and
+(``LaurentRing.var`` registers one whole, a sum included).  It serves the
+determining-system extraction, zero tests, content stripping (``strip``
+divides out the common parameter monomial only) and GF(p) evaluation.
+``LaurentRing.intern`` makes equal polynomials one object, so callers key
+on that object.  A monomial is decoded one way, into its nonzero exponents
+(``LaurentRing.support``), so a ring of many variables costs nothing per
+variable it does not use.  A ``Derivation`` is a derivation of the ring
+given by each variable's derivative, asked once per variable and
 direction: the extraction's total derivatives and the derive closure's
 partial ones.  For rank tests at a point, ``LaurentRing.eval_mod``
 evaluates a polynomial over GF(p), ``echelon_mod_p`` and ``reduce_mod_p``
@@ -42,6 +44,7 @@ eliminate sparse rows ``{col: residue}`` there, and
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -54,7 +57,7 @@ from .expr import (
 
 __all__ = [
     "LaurentRing", "Derivation", "add_product", "row_reduce",
-    "nullspace", "solve_span", "rank", "annihilates",
+    "nullspace", "solve_span", "annihilates",
     "echelon_mod_p", "reduce_mod_p", "independent_rows_mod_p",
 ]
 
@@ -88,6 +91,7 @@ class LaurentRing:
         self._digit: dict = {}
         self._polys: dict = {}  # Expr -> poly
         self._exprs: dict = {}  # frozenset(poly items) -> Expr
+        self._interned: dict = {}  # frozenset(poly items) -> poly
         self._supports: dict = {}  # monomial -> nonzero (digit, exponent) pairs
 
     def poly(self, e: Expr) -> dict:
@@ -115,6 +119,12 @@ class LaurentRing:
                 m += q * self.var(v)
             out[m] = k.numerator if k.denominator == 1 else k
         return out
+
+    def intern(self, p: dict) -> dict:
+        """The ring's one polynomial equal to ``p``: the first equal one
+        interned.  Interned polynomials are equal exactly when they are
+        the same object."""
+        return self._interned.setdefault(frozenset(p.items()), p)
 
     def var(self, v: Expr) -> int:
         """The monomial of the variable ``v``, taken whole (a sum too),
@@ -211,8 +221,11 @@ class LaurentRing:
     def strip(self, row: dict) -> dict:
         """A row of int polynomials divided by the gcd of its coefficients
         and its common monomial in the parameters, with its first entry's
-        leading term positive.  Any other variable (a coordinate, a
-        function node, an ``exp``, a fractional power) stays."""
+        leading term positive; when that entry p and -p both lead with a
+        negative term, the sign whose first entry has the smaller ``Expr``
+        sort key.  So ``strip(strip(row)) == strip(row)``.  Any other
+        variable (a coordinate, a function node, an ``exp``, a fractional
+        power) stays."""
         g = gcd(*[k for p in row.values() for k in p.values()])
         bounds = self._bounds({m for p in row.values() for m in p})
         shift = sum(lo << (_SHIFT * d) for d, (lo, _) in bounds.items()
@@ -221,7 +234,10 @@ class LaurentRing:
         if g != 1 or shift:
             first = {m - shift: k // g for m, k in first.items()}
         if self.leads_negative(first):
-            g = -g
+            negated = {m: -k for m, k in first.items()}
+            if (not self.leads_negative(negated)
+                    or self.expr(negated).sort_key() < self.expr(first).sort_key()):
+                g = -g
         if g != 1 or shift:
             row = {c: {m - shift: k // g for m, k in p.items()} for c, p in row.items()}
         return row
@@ -398,10 +414,6 @@ def nullspace(rows: list, ncols: int, ring: LaurentRing) -> list:
     ]
 
 
-def rank(rows: list, ncols: int, ring: LaurentRing) -> int:
-    return len(_sweep(ring, rows, ncols)[1])
-
-
 def _exact_quotient(ring: LaurentRing, a: dict, d: dict):
     """``a / d`` when ``d`` divides ``a`` in the Laurent ring, else None.
 
@@ -443,33 +455,44 @@ def _ratio(a, b):
     return r.numerator if r.denominator == 1 else r
 
 
-def solve_span(vectors: list, target: dict, ring: LaurentRing):
-    """Exact coordinates of ``target`` in the span of ``vectors``.
+def solve_span(vectors: list, targets: list, ring: LaurentRing) -> tuple:
+    """Exact coordinates of each target in the span of ``vectors``, from one
+    forward sweep of the vectors with the targets as extra columns.
 
-    Vectors and target are sparse coordinate maps {coordinate: polynomial
-    of ``ring``}; returns the coefficient list, as ``Expr``, or None when
-    the target is outside the span.  Back-substitution scales the solution
-    by the pivots; that product is cancelled by exact division where it
-    divides a coordinate, and stays a denominator where it does not."""
+    Vectors and targets are sparse coordinate maps {coordinate: polynomial
+    of ``ring``}.  Returns (coordinates, independent): coordinates[t] is the
+    coefficient list of target t, as ``Expr``, or None when the target is
+    outside the span, i.e. when an echelon row whose pivot is no vector's
+    holds it; ``independent`` tells whether the vectors are.
+    Back-substitution runs once per target on the shared echelon rows and
+    scales the solution by the pivots; that product is cancelled by exact
+    division where it divides a coordinate, and stays a denominator where
+    it does not."""
     k = len(vectors)
-    # one row per coordinate: the unknowns first, then the augmented column
+    # one row per coordinate: the unknowns first, then a column per target
     by_coord = defaultdict(dict)
-    for j, v in enumerate([*vectors, target]):
+    for j, v in enumerate([*vectors, *targets]):
         for i, e in v.items():
             by_coord[i][j] = e
     rows = [by_coord[i] for i in sorted(by_coord)]
-    echelon, pivot_cols = row_reduce(rows, k + 1, ring)
-    if k in pivot_cols:
-        return None  # pivot in the augmented column: inconsistent
-    # the target's unknown starts at -1; the pivots that scale sol scale it
-    sol = _back_substitute(echelon, pivot_cols, {k: {0: -1}})
-    scale = {m: -v for m, v in sol.pop(k).items()}
+    echelon, pivot_cols = row_reduce(rows, k + len(targets), ring)
+    n = bisect_left(pivot_cols, k)
+    echelon, pivot_cols, outside = echelon[:n], pivot_cols[:n], set().union(*echelon[n:])
 
-    def coordinate(p):
+    def coordinate(p, scale):
         q = _exact_quotient(ring, p, scale)
         return ring.expr(q) if q is not None else expand(div(ring.expr(p), ring.expr(scale)))
 
-    return [coordinate(sol.get(j, {})) for j in range(k)]
+    out = []
+    for t in range(k, k + len(targets)):
+        if t in outside:
+            out.append(None)
+            continue
+        # the target's unknown starts at -1; the pivots that scale sol scale it
+        sol = _back_substitute(echelon, pivot_cols, {t: {0: -1}})
+        scale = {m: -v for m, v in sol.pop(t).items()}
+        out.append([coordinate(sol.get(j, {}), scale) for j in range(k)])
+    return out, n == k
 
 
 def annihilates(rows: list, vectors: list) -> bool:

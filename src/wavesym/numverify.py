@@ -420,21 +420,24 @@ def verify_reduction_numeric(
     return _with_convergence(u, grid, f, tol, refine_levels)
 
 
-def first_integral_drift(
-    K: float = 1.0, c: float = 1.0, c1: float = 1.0,
-    step: float = 0.05, span: float = 1.0,
-) -> dict:
+# first_integral_drift integrates over [0, DRIFT_SPAN] at DRIFT_STEP and at
+# half of it; flow_transport_check allows a transported residual of up to
+# TRANSPORT_FACTOR times the untransformed one
+DRIFT_STEP, DRIFT_SPAN, TRANSPORT_FACTOR = 0.05, 1.0, 10.0
+
+
+def first_integral_drift(K: float = 1.0, c: float = 1.0, c1: float = 1.0) -> dict:
     """Order measurement for the RK4 integration of zeta2'' = -K*c1*e^(zeta2/c):
     the conserved quantity E = zeta2'^2/2 + K*c1*c*e^(zeta2/c) drifts as
-    O(step^4), so halving the step should shrink the drift ~16x."""
+    O(step^4), so halving the step DRIFT_STEP should shrink the drift ~16x."""
 
     def energy(tr):
         e = tr.yps**2 / 2.0 + K * c1 * c * np.exp(tr.ys / c)
         return float(np.max(np.abs(e - e[0])))
 
     drift = {}
-    for h in (step, step / 2):
-        tr = rk4_solve(ODEProblem(ZETA2_RHS, 0.0, 0.0, 0.0, span, h,
+    for h in (DRIFT_STEP, DRIFT_STEP / 2):
+        tr = rk4_solve(ODEProblem(ZETA2_RHS, 0.0, 0.0, 0.0, DRIFT_SPAN, h,
                                   consts={"K": K, "c": c, "c1": c1}))
         drift[h] = energy(tr)
     hs = sorted(drift, reverse=True)
@@ -448,7 +451,6 @@ def flow_transport_check(
     v: VectorField,
     eps: float,
     grid: GridSpec,
-    tol_factor: float = 10.0,
     base_report: ResidualReport | None = None,
     tol: float = 1e-6,
 ) -> dict:
@@ -459,7 +461,7 @@ def flow_transport_check(
     w = coordinate part of F_(-eps)(z): coordinates are pulled back, the
     u-value pushed forward.  For a true symmetry the residual stays at the
     finite-difference truncation level, here required to be within
-    ``tol_factor`` times the untransformed residual."""
+    TRANSPORT_FACTOR times the untransformed residual."""
     fm = flow(v)
     coords = []
     from .expr import base as mkbase, jet as mkjet
@@ -490,6 +492,6 @@ def flow_transport_check(
         "base": base_report,
         "transported": transported,
         "ratio": ratio,
-        "within_factor": ratio <= tol_factor,
+        "within_factor": ratio <= TRANSPORT_FACTOR,
         "eps": eps,
     }

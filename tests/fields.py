@@ -4,13 +4,13 @@ brackets component polynomials inside its commutator tables and Jacobi
 checks; these build whole fields from that routine."""
 
 from wavesym.expr import RAT0, add, expand, mul
-from wavesym.liealg import VectorField, _bracket, _field, _polys, _ring
+from wavesym.liealg import VectorField, _bracket, _polys, _ring
 
 
 def bracket(v: VectorField, w: VectorField) -> VectorField:
     """Lie bracket [v, w]: component k is v(w^k) - w(v^k)."""
     ring = _ring()
-    return _field(ring, _bracket(ring, _polys(ring, v), _polys(ring, w)))
+    return VectorField(*map(ring.expr, _bracket(ring, _polys(ring, v), _polys(ring, w))))
 
 
 def scaled(v: VectorField, k) -> VectorField:

@@ -1,5 +1,6 @@
 """The traced benchmark run wraps wavesym functions by name: every name it
-lists must exist, or a rename would break the traced run."""
+lists must exist, or a rename would break the traced run, and every
+function kept in src/ only for it must be one it lists."""
 
 import importlib
 import importlib.util
@@ -26,3 +27,13 @@ def test_traced_function_resolves(module, function):
     assert module in tracer.MODULES
     mod = importlib.import_module(f"wavesym.{module}")
     assert callable(getattr(mod, function, None))
+
+
+def test_unreferenced_entries_kept_for_the_tracer_are_traced():
+    # a function that test_packaging keeps because the tracer times it must
+    # be one the tracer wraps, so that list cannot outlive a tracer change
+    from test_packaging import UNREFERENCED
+
+    traced = {".".join(t) for t in tracer.TIMED + tracer.COUNTED}
+    cited = {name for name, reason in UNREFERENCED.items() if "perfbench/tracer.py" in reason}
+    assert sorted(cited - traced) == []

@@ -1,6 +1,7 @@
 """Exact elimination, nullspaces, and span membership over Laurent-polynomial
 entries."""
 
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -14,7 +15,7 @@ from wavesym.expr import (
 )
 from wavesym.linalg import (
     LaurentRing, _exact_quotient, annihilates, echelon_mod_p, independent_rows_mod_p, nullspace,
-    rank, reduce_mod_p, row_reduce, solve_span,
+    reduce_mod_p, row_reduce, solve_span,
 )
 
 c, K = param("c"), param("K")
@@ -42,14 +43,15 @@ def expr_nullspace(rows, ncols):
 
 
 def expr_rank(rows, ncols):
+    """The rank of ``Expr`` rows: the pivot count of ``row_reduce``."""
     ring = LaurentRing()
-    return rank(polys(ring, rows), ncols, ring)
+    return len(row_reduce(polys(ring, rows), ncols, ring)[1])
 
 
 def expr_solve_span(vectors, target):
+    """``solve_span`` of one target, all ``Expr`` maps."""
     ring = LaurentRing()
-    (target,) = polys(ring, [target])
-    return solve_span(polys(ring, vectors), target, ring)
+    return solve_span(polys(ring, vectors), polys(ring, [target]), ring)[0][0]
 
 
 def test_rank_and_nullspace_rational():
@@ -101,6 +103,48 @@ def test_solve_span_recovers_coefficients(rng):
 
 def test_solve_span_detects_outside():
     assert expr_solve_span([{0: rat(1)}], {1: rat(1)}) is None
+
+
+def test_solve_span_decides_many_targets_as_one_at_a_time(rng):
+    # one sweep with every target as a column gives each target the answer
+    # of a sweep of its own: the coordinates, or None outside the span (a
+    # target with a coordinate no vector has is outside); a dependent
+    # basis is reported as such
+    factors = RING_ENTRIES[2:]
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        vecs = [v for v in random_ring_rows(rng, rng.randint(1, 3), n) if v] or [{0: RAT1}]
+        if rng.random() < 0.3:
+            a = rng.choice(factors)
+            vecs.append({j: expand(mul(a, e)) for j, e in vecs[0].items()})
+        targets = []
+        for _ in range(rng.randint(1, 4)):
+            combo = {}
+            for v in vecs:
+                a = rng.choice(factors)
+                for j, e in v.items():
+                    combo[j] = add(combo.get(j, RAT0), mul(a, e))
+            target = sparse([expand(combo.get(j, RAT0)) for j in range(n)])
+            kind = rng.random()
+            if kind < 0.3:
+                target = random_ring_rows(rng, 1, n)[0]
+            elif kind < 0.5:
+                target = {**target, n: rng.choice(factors)}
+            targets.append(target)
+        ring = LaurentRing()
+        got, independent = solve_span(polys(ring, vecs), polys(ring, targets), ring)
+        assert independent == (expr_rank(vecs, n) == len(vecs))
+        for coeffs, want in zip(got, [expr_solve_span(vecs, t) for t in targets]):
+            # equal as rational functions: a pivot product that does not
+            # divide stays a denominator, whose Expr depends on the sweep
+            assert (coeffs is None) == (want is None)
+            assert all(vanishes(sub(a, b)) for a, b in zip(coeffs or (), want or ()))
+        for target, coeffs in zip(targets, got):
+            if n in target:
+                assert coeffs is None
+            elif coeffs is not None:
+                assert all(vanishes(sub(add(*[mul(a, v.get(j, RAT0)) for a, v in zip(coeffs, vecs)]),
+                                        target.get(j, RAT0))) for j in range(n))
 
 
 def test_random_homogeneous_systems(rng):
@@ -223,6 +267,24 @@ def test_echelon_rows_are_content_free(rng):
             assert all(min(e.get(d, 0) for e in monos) == 0 for d in range(len(ring.variables)))
             first = ring.expr(row[pc])
             assert rational_content(first) > 0 or rational_content(expand(neg(first))) < 0
+
+
+def test_strip_is_idempotent(rng):
+    # 2*c - 4*K leads with a negative term in Expr order both as it is and
+    # negated; strip picks one of the two signs, and stripping again keeps it
+    tie = expand(add(mul(2, c), mul(-4, K)))
+    factors = [rat(-1), rat(2), rat(-3), c, mul(-1, K), pow_(c, -1)]
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        row = random_ring_rows(rng, 1, n)[0]
+        row[rng.choice([0, rng.randrange(n + 1)])] = tie
+        a = rng.choice(factors)
+        row = {j: expand(mul(a, e)) for j, e in row.items()}
+        ring = LaurentRing()
+        (prow,) = polys(ring, [row])
+        d = math.lcm(*[k.denominator for p in prow.values() for k in p.values() if type(k) is Fraction])
+        once = ring.strip({j: {m: int(d * k) for m, k in p.items()} for j, p in prow.items()})
+        assert ring.strip(once) == once
 
 
 def test_ring_round_trip(rng):
