@@ -476,8 +476,8 @@ def solve_span(vectors: list, targets: list, ring: LaurentRing) -> tuple:
             by_coord[i][j] = e
     rows = [by_coord[i] for i in sorted(by_coord)]
     echelon, pivot_cols = row_reduce(rows, k + len(targets), ring)
-    n = bisect_left(pivot_cols, k)
-    echelon, pivot_cols, outside = echelon[:n], pivot_cols[:n], set().union(*echelon[n:])
+    n = bisect_left(pivot_cols, k)  # the rows with a vector's pivot come first
+    outside = set().union(*echelon[n:])
 
     def coordinate(p, scale):
         q = _exact_quotient(ring, p, scale)
@@ -489,7 +489,7 @@ def solve_span(vectors: list, targets: list, ring: LaurentRing) -> tuple:
             out.append(None)
             continue
         # the target's unknown starts at -1; the pivots that scale sol scale it
-        sol = _back_substitute(echelon, pivot_cols, {t: {0: -1}})
+        sol = _back_substitute(echelon[:n], pivot_cols[:n], {t: {0: -1}})
         scale = {m: -v for m, v in sol.pop(t).items()}
         out.append([coordinate(sol.get(j, {}), scale) for j in range(k)])
     return out, n == k
