@@ -1,10 +1,9 @@
 """Exact elimination, nullspaces, and span membership over Laurent-polynomial
 entries."""
 
-import math
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -282,7 +281,7 @@ def test_strip_is_idempotent(rng):
         row = {j: expand(mul(a, e)) for j, e in row.items()}
         ring = LaurentRing()
         (prow,) = polys(ring, [row])
-        d = math.lcm(*[k.denominator for p in prow.values() for k in p.values() if type(k) is Fraction])
+        d = lcm(*[k.denominator for p in prow.values() for k in p.values() if type(k) is Fraction])
         once = ring.strip({j: {m: int(d * k) for m, k in p.items()} for j, p in prow.items()})
         assert ring.strip(once) == once
 
