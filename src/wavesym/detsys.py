@@ -37,7 +37,9 @@ ring's residual (before the rewrite) as an ``Expr``.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 from math import ceil, perm, prod
 
 from .expr import (
@@ -661,9 +663,9 @@ def reference_implication_report(ds: DeterminingSystem, seed: int = 7) -> tuple:
     implied = dict.fromkeys(unmatched, True)
     for _ in range(N_POINTS):
         mod_rows = _rows_mod_p(ring, rows, rng)
-        pivots = echelon_mod_p(mod_rows[:len(derived)], PRIME)
+        pivots = echelon_mod_p(islice(mod_rows, len(derived)), PRIME)
         ranks.append(len(pivots))
-        for name, r in zip(unmatched, mod_rows[len(derived):]):
+        for name, r in zip(unmatched, mod_rows):
             if reduce_mod_p(r, pivots, PRIME):
                 implied[name] = False
     for name in unmatched:
@@ -738,13 +740,14 @@ class SolutionSpace:
         return len(self.basis)
 
 
-def _rows_mod_p(ring: LaurentRing, rows: list, rng: random.Random) -> list:
+def _rows_mod_p(ring: LaurentRing, rows: list, rng: random.Random) -> Iterator[dict]:
     """The rows of ``ring`` polynomials over GF(PRIME) at a point drawn by
-    ``rng`` (``_draw_point``), each entry object evaluated once."""
+    ``rng`` (``_draw_point``), each entry object evaluated once, made one
+    at a time as the caller reads them."""
     polys = {id(p): p for r in rows for p in r.values()}
     point = _draw_point(ring, {m for p in polys.values() for m in p}, rng)
     value = {i: ring.eval_mod(p, point, PRIME) for i, p in polys.items()}
-    return [{c: value[id(p)] for c, p in r.items()} for r in rows]
+    return ({c: value[id(p)] for c, p in r.items()} for r in rows)
 
 
 def _select_and_solve(ring: LaurentRing, rows: list, ncols: int):
