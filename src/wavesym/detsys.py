@@ -561,10 +561,11 @@ def _diff_form(form: dict, a: Expr, derivation: Derivation) -> dict:
     return form_derivative(form, derivation, a)
 
 
-def _form_key(ring: LaurentRing, form: dict) -> frozenset:
-    """A linear form's value as a hashable key: its nodes with their
-    coefficients interned in ``ring`` (``LaurentRing.intern``)."""
-    return frozenset((node, id(ring.intern(p))) for node, p in form.items())
+def _interned(ring: LaurentRing, form: dict) -> tuple:
+    """(hashable key, form) of a linear form with its coefficients interned
+    in ``ring`` (``LaurentRing.intern``): equal forms have equal keys."""
+    form = {node: ring.intern(p) for node, p in form.items()}
+    return frozenset((node, id(p)) for node, p in form.items()), form
 
 
 def _close_forms(forms: list, prolong_order: int, derivation: Derivation) -> list:
@@ -574,15 +575,17 @@ def _close_forms(forms: list, prolong_order: int, derivation: Derivation) -> lis
     zero or equal to a form already held is not added.  The rows'
     coefficients are interned in the derivation's ring."""
     ring = derivation.ring
-    rows = [{node: ring.intern(p) for node, p in form.items()} for form in forms]
-    seen = {_form_key(ring, form) for form in rows}
+    seen, rows = set(), []
+    for form in forms:
+        key, form = _interned(ring, form)
+        seen.add(key)
+        rows.append(form)
     frontier = rows
     for _ in range(prolong_order):
         nxt = []
         for form in frontier:
             for a in (X, Y, T, U):
-                d = {node: ring.intern(p) for node, p in _diff_form(form, a, derivation).items()}
-                key = _form_key(ring, d)
+                key, d = _interned(ring, _diff_form(form, a, derivation))
                 if d and key not in seen:
                     seen.add(key)
                     nxt.append(d)
@@ -640,23 +643,22 @@ def reference_implication_report(ds: DeterminingSystem, seed: int = 7) -> tuple:
     if any(type(n) is not Fn or n.name not in names for d in ds.ring_forms for n in d):
         raise DetSysError("the derived system is not linear homogeneous in xi, eta, tau, phi")
     derived = _close_forms(ds.ring_forms, PROLONG_ORDER, _partial_derivation(ring))
-    cond_forms = {n: {node: ring.intern(ring.poly(c))
-                      for node, c in _linear_decomposition(e, names).items()}
-                  for n, e in conds.items()}
     # a condition whose form, or its negative, is a derived form
-    targets = {}
-    for n, d in cond_forms.items():
-        targets[_form_key(ring, d)] = n
-        targets[_form_key(ring, {node: {m: -k for m, k in p.items()} for node, p in d.items()})] = n
-    symbolic = {targets.get(_form_key(ring, d)) for d in derived}
+    targets, cond_forms = {}, {}
+    for n, e in conds.items():
+        key, d = cond_forms[n] = _interned(ring, {
+            node: ring.poly(c) for node, c in _linear_decomposition(e, names).items()})
+        targets[key] = n
+        targets[_interned(ring, {node: {m: -k for m, k in p.items()} for node, p in d.items()})[0]] = n
+    symbolic = {targets.get(_interned(ring, d)[0]) for d in derived}
     report = {n: {"implied": True, "route": "symbolic"} for n in conds if n in symbolic}
     unmatched = [n for n in conds if n not in report]
-    forms = derived + [cond_forms[n] for n in unmatched]
+    forms = derived + [cond_forms[n][1] for n in unmatched]
     col = {node: i for i, node in enumerate(sorted(
         {node for d in forms for node in d}, key=Expr.sort_key))}
     rows = [{col[node]: p for node, p in d.items()} for d in forms]
-    degree = max((sum(q for _, q in ring.support(m)) for d in forms for p in d.values()
-                  for m in p), default=0)
+    monos = {m for p in {id(p): p for r in rows for p in r.values()}.values() for m in p}
+    degree = max((sum(q for _, q in ring.support(m)) for m in monos), default=0)
 
     rng = random.Random(seed)
     ranks = []
