@@ -103,8 +103,6 @@ def _family(config: RunConfig):
             return ExponentialCase(sym("K"), sym("c"))
         if config.case == "ii":
             return PowerCase(sym("L"), sym("e1"), sym("e2"))
-        if config.case == "generic":
-            return Generic()
     except DetSysError as err:
         raise ConfigError(str(err)) from None
     raise ConfigError(f"unknown case {config.case!r}")
@@ -234,7 +232,7 @@ def stage_reduce(config: RunConfig) -> dict:
         }
     spec = spec_or_trivial
     inv = invariance_check(spec)
-    eq = reduce(spec, fam)
+    eq = reduce(spec)
     out = {
         "generator": config.generator,
         "invariant_coordinates": {
@@ -269,7 +267,7 @@ def stage_reduce(config: RunConfig) -> dict:
     return out
 
 
-def stage_verify(config: RunConfig, csv_dir: str | None) -> dict:
+def stage_verify(config: RunConfig, csv_dir: str) -> dict:
     # numpy comes with numverify, which only verify and report-all load
     from .numverify import (
         fd_residual, first_integral_drift, flow_transport_check,
@@ -289,7 +287,7 @@ def stage_verify(config: RunConfig, csv_dir: str | None) -> dict:
         )
         out["reductions"][f"{case_id}_{gen}"] = r.to_dict()
         ok = ok and r.passed
-        if r.convergence and csv_dir is not None:
+        if r.convergence:
             path = os.path.join(csv_dir, f"convergence_{case_id}_{gen}.csv")
             with open(path, "w") as fh:
                 fh.write("h,max_residual,rms_residual\n")

@@ -656,15 +656,15 @@ def reference_implication_report(ds: DeterminingSystem, seed: int = 7) -> tuple:
     forms = derived + [cond_forms[n][1] for n in unmatched]
     col = {node: i for i, node in enumerate(sorted(
         {node for d in forms for node in d}, key=Expr.sort_key))}
-    rows = [{col[node]: p for node, p in d.items()} for d in forms]
-    monos = {m for p in {id(p): p for r in rows for p in r.values()}.values() for m in p}
+    monos = {m for p in {id(p): p for d in forms for p in d.values()}.values() for m in p}
     degree = max((sum(q for _, q in ring.support(m)) for m in monos), default=0)
 
     rng = random.Random(seed)
     ranks = []
     implied = dict.fromkeys(unmatched, True)
     for _ in range(N_POINTS):
-        mod_rows = _rows_mod_p(ring, rows, rng)
+        mod_rows = ({col[node]: v for node, v in r.items()}
+                    for r in _rows_mod_p(ring, forms, rng))
         pivots = echelon_mod_p(islice(mod_rows, len(derived)), PRIME)
         ranks.append(len(pivots))
         for name, r in zip(unmatched, mod_rows):

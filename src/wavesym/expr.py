@@ -78,7 +78,6 @@ class EvalDomainError(ExprError):
 
 class Expr:
     __slots__ = ("_hash", "_key")
-    kind = -1
 
     def __hash__(self):
         return self._hash
@@ -100,35 +99,6 @@ class Expr:
     def __repr__(self):
         return f"<{type(self).__name__} {format_expr(self)}>"
 
-    # convenience operators; all routed through the normalizing constructors
-    def __add__(self, other):
-        return add(self, _as_expr(other))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, _as_expr(other))
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, _as_expr(other))
-
-    def __rsub__(self, other):
-        return sub(_as_expr(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __truediv__(self, other):
-        return div(self, _as_expr(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_expr(other), self)
-
-    def __pow__(self, q):
-        return pow_(self, Fraction(q))
-
 
 def _as_expr(v) -> Expr:
     if isinstance(v, Expr):
@@ -140,7 +110,6 @@ def _as_expr(v) -> Expr:
 
 class Rat(Expr):
     __slots__ = ("value",)
-    kind = 0
 
     def __init__(self, value: Fraction):
         self.value = value
@@ -150,7 +119,6 @@ class Rat(Expr):
 
 class Param(Expr):
     __slots__ = ("name",)
-    kind = 1
 
     def __init__(self, name: str):
         self.name = name
@@ -163,7 +131,6 @@ class Base(Expr):
     introduce further ones (r, s, p, q) for the invariant coordinates."""
 
     __slots__ = ("name",)
-    kind = 2
 
     def __init__(self, name: str):
         self.name = name
@@ -181,7 +148,6 @@ class Jet(Expr):
     same node.  Total order is capped at 4."""
 
     __slots__ = ("idx",)
-    kind = 3
 
     def __init__(self, idx: tuple):
         self.idx = idx
@@ -201,7 +167,6 @@ class Fn(Expr):
     substituted for its head."""
 
     __slots__ = ("name", "args", "didx")
-    kind = 4
 
     def __init__(self, name: str, args: tuple, didx: tuple):
         self.name = name
@@ -213,7 +178,6 @@ class Fn(Expr):
 
 class Pow(Expr):
     __slots__ = ("expbase", "exp")
-    kind = 5
 
     def __init__(self, expbase: Expr, exp: Fraction):
         self.expbase = expbase
@@ -224,7 +188,6 @@ class Pow(Expr):
 
 class Exp(Expr):
     __slots__ = ("arg",)
-    kind = 6
 
     def __init__(self, arg: Expr):
         self.arg = arg
@@ -234,7 +197,6 @@ class Exp(Expr):
 
 class Ln(Expr):
     __slots__ = ("arg",)
-    kind = 7
 
     def __init__(self, arg: Expr):
         self.arg = arg
@@ -244,7 +206,6 @@ class Ln(Expr):
 
 class Product(Expr):
     __slots__ = ("factors",)
-    kind = 8
 
     def __init__(self, factors: tuple):
         self.factors = factors
@@ -254,7 +215,6 @@ class Product(Expr):
 
 class Sum(Expr):
     __slots__ = ("terms",)
-    kind = 9
 
     def __init__(self, terms: tuple):
         self.terms = terms
@@ -526,8 +486,6 @@ def mul(*es) -> Expr:
         f = pow_(b, q)
         tf = type(f)
         if tf is Rat:
-            if f.value == 0:
-                return RAT0
             coeff *= f.value
         elif tf is Product or tf is Exp:
             redo.append(f)
@@ -538,8 +496,6 @@ def mul(*es) -> Expr:
         tf = type(f)
         if tf is Rat:
             coeff *= f.value
-            if coeff == 0:
-                return RAT0
         elif tf is Exp:
             # plain exp factor: already consolidated, keep directly (routing it
             # through the redo pass would recurse forever)
@@ -555,8 +511,6 @@ def mul(*es) -> Expr:
     factors.sort(key=Expr.sort_key)
     if coeff != 1:
         factors.insert(0, rat(coeff))
-    if len(factors) == 1:
-        return factors[0]
     return Product(tuple(factors))
 
 

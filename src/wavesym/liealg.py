@@ -180,8 +180,8 @@ class CommutatorTable:
                     out.append((i, j, k, c))
         return out
 
-    def grid_strings(self, names=None):
-        names = names or [f"v{i+1}" for i in range(self.n)]
+    def grid_strings(self):
+        names = [f"v{i+1}" for i in range(self.n)]
         grid = []
         for i in range(self.n):
             row = []
@@ -262,10 +262,6 @@ class FlowMap:
 
     def inverse(self) -> "FlowMap":
         return FlowMap(tuple(substitute(m, {EPS: neg(EPS)}) for m in self.maps))
-
-    def __str__(self):
-        names = ("x", "y", "t", "u")
-        return "; ".join(f"{n} -> {format_expr(m)}" for n, m in zip(names, self.maps))
 
 
 def affine_parts(v: VectorField) -> tuple:

@@ -295,6 +295,10 @@ def add_product(acc: dict, p: dict, q: dict) -> dict:
     return acc
 
 
+# ---------------------------------------------------------------------------
+# elimination, nullspaces, spans
+
+
 def _pmul(p: dict, q: dict) -> dict:
     """Product of two polynomials, as a new dict."""
     if len(p) == 1:
@@ -320,9 +324,11 @@ def _update(piv: dict, row: dict, a: dict, prow: dict, col: int) -> dict:
     return new
 
 
-def _sweep(ring: LaurentRing, rows: list, ncols: int):
-    """Forward elimination of rows of ``ring`` polynomials; returns
-    (echelon rows of int polynomials, pivot columns).
+def row_reduce(rows: list, ncols: int, ring: LaurentRing):
+    """Bring sparse rows of ``ring`` polynomials over columns 0..ncols-1 to
+    (unnormalized) row-echelon form (see the module docstring).
+    Returns (echelon_rows, pivot_cols): echelon_rows[i], int polynomials of
+    ``ring``, has its first entry in column pivot_cols[i].
 
     Columns are taken in increasing order.  A row can hold the current
     column only as its first entry, so rows wait in buckets by first
@@ -360,18 +366,6 @@ def _sweep(ring: LaurentRing, rows: list, ncols: int):
             else:
                 del work[i]
     return echelon, pivot_cols
-
-
-# ---------------------------------------------------------------------------
-# elimination, nullspaces, spans
-
-
-def row_reduce(rows: list, ncols: int, ring: LaurentRing):
-    """Bring sparse rows of ``ring`` polynomials over columns 0..ncols-1 to
-    (unnormalized) row-echelon form (see the module docstring).
-    Returns (echelon_rows, pivot_cols): echelon_rows[i], int polynomials of
-    ``ring``, has its first entry in column pivot_cols[i]."""
-    return _sweep(ring, rows, ncols)
 
 
 def _dot(row: dict, vec: dict) -> dict:

@@ -224,10 +224,10 @@ def _jet_bindings(u_expr: Expr) -> dict:
     }
 
 
-def _derive(spec: ReductionSpec, fam: FFamily) -> ReducedEquation:
+def _derive(spec: ReductionSpec) -> ReducedEquation:
     """Substitute the similarity ansatz into the model, restrict to the
     section, remove the common content, and check that nothing was lost."""
-    residual = expand(substitute(model_residual(fam), _jet_bindings(spec.ansatz)))
+    residual = expand(substitute(model_residual(spec.family), _jet_bindings(spec.ansatz)))
     sectioned = _strip(expand(substitute(residual, spec.section)))
     if sectioned == RAT0:
         raise ReductionError("reduction degenerated to 0 = 0")
@@ -245,7 +245,7 @@ def _derive(spec: ReductionSpec, fam: FFamily) -> ReducedEquation:
             "ansatz failed to eliminate the original coordinates "
             f"for ({spec.case_id}, {spec.generator})"
         )
-    return ReducedEquation(spec.case_id, spec.generator, sectioned, True, family=fam)
+    return ReducedEquation(spec.case_id, spec.generator, sectioned, True, family=spec.family)
 
 
 def _reduced_expr(case_id: str, generator: str, fam: FFamily,
@@ -255,16 +255,16 @@ def _reduced_expr(case_id: str, generator: str, fam: FFamily,
     if reduced is not None and (reduced.case_id, reduced.generator, reduced.family) == (
             case_id, generator, fam):
         return reduced.expr
-    return _derive(builtin_reduction(case_id, generator, fam), fam).expr
+    return _derive(builtin_reduction(case_id, generator, fam)).expr
 
 
-def reduce(spec: ReductionSpec, fam: FFamily | None = None) -> ReducedEquation:
+def reduce(spec: ReductionSpec) -> ReducedEquation:
     """The derived reduced equation, compared against the reference form of
     its ``ReductionNames`` row; for the power-law family the comparison is
     additionally made at e1 = 1, where the documented constant-factor and
     slot-order differences disappear."""
-    fam = fam or spec.family
-    eq = _derive(spec, fam)
+    fam = spec.family
+    eq = _derive(spec)
     names = spec.names
     if names.reference is not None:
         ref, heads = names.reference(fam), {names.dependent}

@@ -354,6 +354,24 @@ class TestReportContents:
             header = open(path).readline().strip()
             assert header == "h,max_residual,rms_residual"
 
+    def test_report_all_is_the_standalone_stages(self, tmp_path):
+        # the default classify degree holds more than the reference basis,
+        # so report-all fails overall; every stage is the standalone one
+        grid = ("--grid", "7,7,7")
+        code, report = run(tmp_path, "report-all", *grid)
+        assert code == 1
+        standalone = [("derive", ("derive",)), ("verify", ("verify", *grid))]
+        for case in ("i", "ii"):
+            standalone.append((f"classify_{case}", ("classify", "--case", case)))
+        for case in ("i", "ii"):
+            for gen in ("v1", "v4"):
+                standalone.append((f"reduce_{case}_{gen}",
+                                   ("reduce", "--case", case, "--generator", gen)))
+        assert sorted(report["stages"]) == sorted(name for name, _ in standalone)
+        for name, argv in standalone:
+            _, alone = run(tmp_path, *argv)
+            assert report["stages"][name] == alone["stages"][argv[0]], name
+
     def test_param_fractions_accepted(self, tmp_path):
         code, report = run(tmp_path, "reduce", "--case", "i", "--generator", "v1",
                            "--param", "c=3/2")

@@ -140,6 +140,20 @@ class TestCommutatorTable:
         assert grid[4][3] == "v5"
         assert grid[0][0] == "0"
 
+    def test_grid_rendering_of_other_coefficients_and_non_closure(self):
+        # no reference table has a coefficient other than +-1 or a bracket
+        # outside the span; sl(2) on the line has the first, {d/dx,
+        # x^2*d/dx} the second
+        dx = VectorField(RAT1, RAT0, RAT0, RAT0)
+        xdx = VectorField(X, RAT0, RAT0, RAT0)
+        x2dx = VectorField(mul(X, X), RAT0, RAT0, RAT0)
+        grid = commutator_table([dx, xdx, x2dx]).grid_strings()
+        assert (grid[0][2], grid[2][0]) == ("(2)*v2", "(-2)*v2")
+        assert (grid[0][1], grid[1][2], grid[1][0]) == ("v1", "v3", "-v1")
+        grid = commutator_table([dx, x2dx]).grid_strings()
+        assert grid[0][1] == grid[1][0] == "<not in span>"
+        assert grid[0][0] == "0"
+
 
 class TestJacobi:
     def test_case_i(self):

@@ -194,7 +194,7 @@ class TestFDResidual:
         assert r.max_residual > 1.0
 
     def test_tightened_tolerance_fails(self):
-        r = verify_reduction_numeric("i", "v4", tol=1e-12, refine_levels=0)
+        r = verify_reduction_numeric("i", "v4", tol=1e-12)
         assert not r.passed  # finite-difference floor sits above 1e-12
 
     def test_coarse_grid_suppresses_convergence(self):

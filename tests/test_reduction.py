@@ -214,7 +214,7 @@ class TestReduce:
         # canonical form to see the full residual as a multiple of the
         # sectioned equation
         fam = PowerCase(param("L"), e1_, e2_)
-        assert reduce(builtin_reduction("ii", gen, fam), fam).elimination_verified
+        assert reduce(builtin_reduction("ii", gen, fam)).elimination_verified
 
 
 class TestSeparation:
