@@ -22,7 +22,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field as dc_field, replace
+from collections import namedtuple
 from fractions import Fraction
 
 from . import __version__, reference
@@ -46,20 +46,14 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    case: str = "i"
-    generator: str = "v1"
-    degree: int = 2
-    params: dict = dc_field(default_factory=dict)   # name -> Fraction
-    grid_n: tuple = (21, 21, 21)
-    box: tuple | None = None
-    tol: float = 1e-6
-    eps: float = 0.3
-    ode_step: float = 1e-5
-    fmt: str = "text"
-    out: str | None = None
+class RunConfig(namedtuple("RunConfig", "command case generator degree params grid_n box "
+                                        "tol eps ode_step fmt out",
+                           defaults=("i", "v1", 2, {}, (21, 21, 21), None, 1e-6, 0.3, 1e-5,
+                                     "text", None))):
+    """One command's settings; ``params`` maps --param names to Fractions
+    and is never mutated, so the default dict can be shared."""
+
+    __slots__ = ()
 
     def echo(self) -> dict:
         return {
@@ -303,8 +297,8 @@ def stage_verify(config: RunConfig, csv_dir: str) -> dict:
     grid = _grid(config, ("i", "v4"))
     p = _numeric_params(config, ("i", "v4"))
     u, f = reconstruct_case_i_v4(p, grid)
-    base_rep = replace(reports["i", "v4"], convergence=[], convergence_factor=None,
-                       warnings=())
+    base_rep = reports["i", "v4"]._replace(convergence=[], convergence_factor=None,
+                                           warnings=())
     out["explicit_solution"] = base_rep.to_dict()
     ok = ok and base_rep.passed
     m, pp = p["m"], p["p"]
@@ -565,7 +559,7 @@ def _check_verify_config(config: RunConfig) -> None:
         raise ConfigError(f"--param e1, e2: the case ii reconstructions of {config.command} "
                           f"need e1 = 1, e2 = 0, got e1 = {e1}, e2 = {e2}")
     for case in ("i", "ii"):  # K, c, L, e1 = 0 leave a family undefined
-        _family(RunConfig(**{**config.__dict__, "case": case}))
+        _family(config._replace(case=case))
     p4 = _numeric_params(config, ("i", "v4"))
     if p4["m"] == 0 and p4["p"] == 0:
         raise ConfigError("--param m, p: m and p cannot both vanish")
@@ -617,11 +611,10 @@ def main(argv=None) -> int:
         else:  # report-all
             stages["derive"] = stage_derive(config)
             for case in ("i", "ii"):
-                cc = RunConfig(**{**config.__dict__, "case": case})
-                stages[f"classify_{case}"] = stage_classify(cc)
+                stages[f"classify_{case}"] = stage_classify(config._replace(case=case))
             for case, gen in (("i", "v1"), ("i", "v4"), ("ii", "v1"), ("ii", "v4")):
-                cc = RunConfig(**{**config.__dict__, "case": case, "generator": gen})
-                stages[f"reduce_{case}_{gen}"] = stage_reduce(cc)
+                stages[f"reduce_{case}_{gen}"] = stage_reduce(
+                    config._replace(case=case, generator=gen))
             stages["verify"] = stage_verify(config, csv_dir)
     except (ConfigError,) as err:
         print(f"config error: {err}", file=sys.stderr)

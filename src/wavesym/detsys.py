@@ -37,8 +37,8 @@ ring's residual (before the rewrite) as an ``Expr``.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 from itertools import islice
 from math import ceil, perm, prod
 
@@ -89,8 +89,33 @@ def _nonzero_expr(e: Expr, what: str):
         raise DetSysError(f"degenerate family parameter: {what} must be nonzero")
 
 
-@dataclass(frozen=True)
 class FFamily:
+    """A family of f(u): an immutable value, equal to a family of its own
+    type whose parameters (the names in ``__slots__``) are equal."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((type(self), self._values()))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(map(repr, self._values()))})"
+
     def f_expr(self) -> Expr:
         raise NotImplementedError
 
@@ -98,24 +123,24 @@ class FFamily:
         return diff(self.f_expr(), U)
 
 
-@dataclass(frozen=True)
 class Generic(FFamily):
     """Arbitrary smooth f(u) with f'(u) not identically zero."""
+
+    __slots__ = ()
 
     def f_expr(self) -> Expr:
         return fn("f", [U])
 
 
-@dataclass(frozen=True)
 class ExponentialCase(FFamily):
     """f(u) = K*exp(u/c), the constant-ratio branch f/f' = c."""
 
-    K: Expr = field(default_factory=lambda: param("K"))
-    c: Expr = field(default_factory=lambda: param("c"))
+    __slots__ = ("K", "c")
 
-    def __post_init__(self):
-        _nonzero_expr(self.K, "K")
-        _nonzero_expr(self.c, "c")
+    def __init__(self, K: Expr = param("K"), c: Expr = param("c")):
+        _nonzero_expr(K, "K")
+        _nonzero_expr(c, "c")
+        super().__init__(K, c)
 
     def f_expr(self) -> Expr:
         return reference.exponential_f(self.K, self.c)
@@ -124,17 +149,15 @@ class ExponentialCase(FFamily):
         return reference.case_i_basis(self.c)
 
 
-@dataclass(frozen=True)
 class PowerCase(FFamily):
     """f(u) = L*(e1*u + e2)^(1/e1), the linear-ratio branch f/f' = e1*u + e2."""
 
-    L: Expr = field(default_factory=lambda: param("L"))
-    e1: Expr = field(default_factory=lambda: param("e1"))
-    e2: Expr = field(default_factory=lambda: param("e2"))
+    __slots__ = ("L", "e1", "e2")
 
-    def __post_init__(self):
-        _nonzero_expr(self.L, "L")
-        _nonzero_expr(self.e1, "e1")
+    def __init__(self, L: Expr = param("L"), e1: Expr = param("e1"), e2: Expr = param("e2")):
+        _nonzero_expr(L, "L")
+        _nonzero_expr(e1, "e1")
+        super().__init__(L, e1, e2)
 
     def f_expr(self) -> Expr:
         return reference.power_f(self.L, self.e1, self.e2)
@@ -239,14 +262,27 @@ def opaque_affine_vectorfield() -> VectorField:
     return VectorField(xi, eta, tau, add(mul(alpha, U), beta))
 
 
-@dataclass(frozen=True, order=True)
 class UTag:
     """u-dependence label of one determining coefficient: a plain power of u
-    times an optional transcendental factor (e.g. exp(u/c))."""
+    times an optional transcendental factor (e.g. exp(u/c)).  Equality,
+    hash and order read ``(u_power, factor_key)``, never ``factor``."""
 
-    u_power: int
-    factor_key: tuple = ()
-    factor: Expr | None = field(default=None, compare=False)
+    __slots__ = ("u_power", "factor_key", "factor")
+
+    def __init__(self, u_power: int, factor_key: tuple = (), factor: Expr | None = None):
+        self.u_power, self.factor_key, self.factor = u_power, factor_key, factor
+
+    def _key(self) -> tuple:
+        return self.u_power, self.factor_key
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is UTag else NotImplemented
+
+    def __lt__(self, other):
+        return self._key() < other._key() if type(other) is UTag else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __str__(self):
         parts = []
@@ -689,12 +725,11 @@ def reference_implication_report(ds: DeterminingSystem, seed: int = 7) -> tuple:
 # exact solving under a polynomial ansatz
 
 
-@dataclass(frozen=True)
-class AnsatzSpec:
+class AnsatzSpec(namedtuple("AnsatzSpec", "degree", defaults=(2,))):
     """Polynomial degree bound for xi, eta, tau and for the affine
     coefficient functions of phi = alpha*u + beta."""
 
-    degree: int = 2
+    __slots__ = ()
 
     def monomials(self):
         d = self.degree
@@ -708,34 +743,23 @@ class AnsatzSpec:
         return out
 
 
-@dataclass(frozen=True)
-class RowSelection:
+class RowSelection(namedtuple("RowSelection", "prime seed rows rows_kept fallback")):
     """The rows ``ansatz_solve`` eliminated: ``rows_kept`` of ``rows``,
     independent over GF(prime) at the point drawn from ``seed``.
     ``fallback`` is set when a dropped row did not vanish on the kept rows'
     basis, so that every row was eliminated instead."""
 
-    prime: int
-    seed: int
-    rows: int
-    rows_kept: int
-    fallback: bool
+    __slots__ = ()
 
 
-@dataclass
-class SolutionSpace:
+class SolutionSpace(namedtuple("SolutionSpace", "family spec basis certificate "
+                                                "n_unknowns n_equations selection")):
     """Exact basis of the determining system's solution space under an
     ansatz, with a residual certificate (the full on-shell invariance
     residual of every basis field is zero, see ``_certify``) and the record
     of the rows that were eliminated."""
 
-    family: FFamily
-    spec: AnsatzSpec
-    basis: list
-    certificate: bool
-    n_unknowns: int
-    n_equations: int
-    selection: RowSelection
+    __slots__ = ()
 
     @property
     def dimension(self) -> int:

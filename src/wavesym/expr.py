@@ -33,10 +33,10 @@ No floating point number ever enters a tree; all numeric content is
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import is_
-from typing import Callable, Iterable, Mapping
 
 __all__ = [
     "Expr", "Rat", "Param", "Base", "Jet", "Fn", "Pow", "Exp", "Ln",
@@ -310,8 +310,6 @@ def _scale(e: Expr, c: Fraction) -> Expr:
     """c * e for normalized e carrying no rational coefficient of its own."""
     if c == 1:
         return e
-    if c == 0:
-        return RAT0
     if type(e) is Product:
         return Product((rat(c),) + e.factors)
     return Product((rat(c), e))
@@ -345,8 +343,6 @@ def add(*es) -> Expr:
 
 def _int_nth_root(n: int, k: int):
     """Exact k-th root of non-negative integer n, or None."""
-    if n == 0:
-        return 0
     r = round(n ** (1.0 / k))
     for cand in (r - 1, r, r + 1):
         if cand >= 0 and cand ** k == n:
@@ -492,16 +488,13 @@ def mul(*es) -> Expr:
         else:
             factors.append(f)
     if exp_args:
+        # exp_ built every Exp, so no argument has a term q*ln(E), q
+        # rational, and neither has their sum: it gives 1 or one Exp
         f = exp_(add(*exp_args))
-        tf = type(f)
-        if tf is Rat:
+        if type(f) is Rat:
             coeff *= f.value
-        elif tf is Exp:
-            # plain exp factor: already consolidated, keep directly (routing it
-            # through the redo pass would recurse forever)
-            factors.append(f)
         else:
-            redo.append(f)
+            factors.append(f)
     if redo:
         return mul(rat(coeff), *factors, *redo)
     if not factors:
@@ -831,12 +824,7 @@ def rational_content(e: Expr) -> Fraction:
 
 
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    from math import gcd, lcm
-
-    if a == 0:
-        return abs(b)
-    if b == 0:
-        return abs(a)
+    """The nonnegative gcd; gcd(0, b) = |b| since 0 has denominator 1."""
     return Fraction(gcd(a.numerator, b.numerator), lcm(a.denominator, b.denominator))
 
 

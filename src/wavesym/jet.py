@@ -69,10 +69,7 @@ def total_derivative(e: Expr, d) -> Expr:
         )
     parts = [diff(e, base(name))]
     for j in sorted(jets_of(e), key=Expr.sort_key):
-        dj = diff(e, j)
-        if dj == RAT0:
-            continue
-        parts.append(mul(jet(j.idx + (name,)), dj))
+        parts.append(mul(jet(j.idx + (name,)), diff(e, j)))
     return add(*parts)
 
 

@@ -14,7 +14,7 @@ one-parameter flows of affine generators stay in ``Expr``."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from .expr import (
@@ -45,24 +45,34 @@ COORDS = (X, Y, T, U)
 EPS = param("eps")
 
 
-@dataclass(frozen=True)
 class VectorField:
     """Generator xi*d/dx + eta*d/dy + tau*d/dt + phi*d/du with components
-    depending on (x, y, t, u) only."""
+    depending on (x, y, t, u) only: an immutable value whose components
+    are coerced with ``_as_expr``."""
 
-    xi: Expr
-    eta: Expr
-    tau: Expr
-    phi: Expr
+    __slots__ = ("xi", "eta", "tau", "phi")
 
-    def __post_init__(self):
-        for name, comp in self.items():
+    def __init__(self, xi, eta, tau, phi):
+        for name, comp in zip(self.__slots__, (xi, eta, tau, phi)):
             comp = _as_expr(comp)
             if max_jet_order(comp) >= 1:
                 raise LieAlgError(
                     f"component {name} depends on a jet coordinate of order >= 1"
                 )
             object.__setattr__(self, name, comp)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("VectorField is immutable")
+
+    def __eq__(self, other):
+        return (self.components == other.components if type(other) is type(self)
+                else NotImplemented)
+
+    def __hash__(self):
+        return hash(self.components)
+
+    def __repr__(self):
+        return f"VectorField{self.components}"
 
     def items(self):
         return (
@@ -147,8 +157,7 @@ def _coordinates(ring: LaurentRing, basis: list, targets: list) -> tuple:
                       [_coordinate_table(ring, f) for f in targets], ring)
 
 
-@dataclass
-class CommutatorTable:
+class CommutatorTable(namedtuple("CommutatorTable", "fields entries ring polys brackets")):
     """All pairwise brackets of a basis, decomposed exactly in that basis.
 
     entries[(i, j)] is the coefficient list of [v_i, v_j], or None when the
@@ -156,11 +165,7 @@ class CommutatorTable:
     component polynomials (``polys``) and those of each bracket
     (``brackets[(i, j)]``, i < j) are polynomials of ``ring``."""
 
-    fields: list
-    entries: dict
-    ring: LaurentRing
-    polys: list
-    brackets: dict
+    __slots__ = ()
 
     @property
     def n(self) -> int:
@@ -250,12 +255,12 @@ def jacobi_check(table: CommutatorTable) -> dict:
     return report
 
 
-@dataclass(frozen=True)
-class FlowMap:
+class FlowMap(namedtuple("FlowMap", "maps")):
     """One-parameter group action: new coordinates as expressions in
-    (x, y, t, u, eps).  At eps = 0 every map is the identity."""
+    (x, y, t, u, eps), ``maps`` = (x-map, y-map, t-map, u-map).  At
+    eps = 0 every map is the identity."""
 
-    maps: tuple  # (x-map, y-map, t-map, u-map)
+    __slots__ = ()
 
     def at(self, eps_value) -> tuple:
         return tuple(substitute(m, {EPS: eps_value}) for m in self.maps)

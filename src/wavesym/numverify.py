@@ -22,7 +22,7 @@ x = 0, h = 0) by placement, never by special-casing formulas."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -80,7 +80,6 @@ def compile_numeric(e: Expr, arg_atoms) -> callable:
     return eval(src, {"np": np})
 
 
-@dataclass
 class ODEProblem:
     """Second-order initial value problem  y'' = rhs.
 
@@ -88,29 +87,24 @@ class ODEProblem:
     names bound in ``consts``, which must not start with '_' (the loop's own
     names do); ``rk4_solve`` inlines it in its loop."""
 
-    rhs: str
-    x0: float
-    y0: float
-    yp0: float
-    x1: float
-    step: float = 1e-5
-    bound: float = 1e6
-    consts: dict = field(default_factory=dict)
+    __slots__ = ("rhs", "x0", "y0", "yp0", "x1", "step", "bound", "consts")
 
-    def __post_init__(self):
-        if self.step <= 0:
+    def __init__(self, rhs: str, x0: float, y0: float, yp0: float, x1: float,
+                 step: float = 1e-5, bound: float = 1e6, consts: dict | None = None):
+        if step <= 0:
             raise NumVerifyError("step must be positive")
-        if self.x1 <= self.x0:
+        if x1 <= x0:
             raise NumVerifyError("empty integration interval")
-        if not (self.x1 - self.x0) / self.step <= MAX_ODE_STEPS:
-            raise NumVerifyError(f"step {self.step!r} needs more than {MAX_ODE_STEPS} RK4 steps")
+        if not (x1 - x0) / step <= MAX_ODE_STEPS:
+            raise NumVerifyError(f"step {step!r} needs more than {MAX_ODE_STEPS} RK4 steps")
+        self.rhs, self.x0, self.y0, self.yp0, self.x1 = rhs, x0, y0, yp0, x1
+        self.step, self.bound, self.consts = step, bound, {} if consts is None else consts
 
 
-@dataclass
-class Trajectory:
-    xs: np.ndarray
-    ys: np.ndarray
-    yps: np.ndarray
+class Trajectory(namedtuple("Trajectory", "xs ys yps")):
+    """RK4 states: the arrays of x, y and y' at every step."""
+
+    __slots__ = ()
 
     def __call__(self, x):
         """Dense evaluation by cubic Hermite interpolation between steps."""
@@ -135,7 +129,9 @@ class Trajectory:
 # The classical RK4 step with the right-hand side {rhs} written out at each
 # stage, so a step makes no Python call.  Each stage binds x, y, yp to its
 # arguments; (_x, _y, _yp) is the state.  Returns the states and the index
-# of the step that left the bound or overflowed (None if none did).
+# of the step that left the bound or overflowed (None if none did).  The
+# literal 2.0 keeps every arithmetic operation float by float, which the
+# interpreter specializes; 2 * k and 2.0 * k are the same float.
 _RK4_LOOP = """\
 def _loop(_x0, _y, _yp, _h, _n, _bound, exp, {consts}):
     _hh, _h6 = 0.5 * _h, _h / 6.0
@@ -154,8 +150,8 @@ def _loop(_x0, _y, _yp, _h, _n, _bound, exp, {consts}):
             x, y, yp = _x + _h, _y + _h * _k3y, _yp + _h * _k3p
             _k4y = yp
             _k4p = {rhs}
-            _y = _y + _h6 * (_k1y + 2 * _k2y + 2 * _k3y + _k4y)
-            _yp = _yp + _h6 * (_k1p + 2 * _k2p + 2 * _k3p + _k4p)
+            _y = _y + _h6 * (_k1y + 2.0 * _k2y + 2.0 * _k3y + _k4y)
+            _yp = _yp + _h6 * (_k1p + 2.0 * _k2p + 2.0 * _k3p + _k4p)
             _x = _x0 + _i * _h
             if not (abs(_y) < _bound and abs(_yp) < _bound):
                 return _ys, _yps, _i
@@ -184,14 +180,12 @@ def rk4_solve(problem: ODEProblem) -> Trajectory:
     return Trajectory(problem.x0 + np.arange(n + 1) * h, np.array(ys), np.array(yps))
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(namedtuple("GridSpec", "box n h", defaults=(
+        ((2.0, 2.5), (2.0, 2.5), (2.0, 2.5)), (21, 21, 21), 1e-3))):
     """Evaluation box in (x, y, t), points per axis, and the central
     finite-difference step (which is independent of the lattice spacing)."""
 
-    box: tuple = ((2.0, 2.5), (2.0, 2.5), (2.0, 2.5))
-    n: tuple = (21, 21, 21)
-    h: float = 1e-3
+    __slots__ = ()
 
     def axes(self):
         return tuple(
@@ -199,16 +193,13 @@ class GridSpec:
         )
 
 
-@dataclass
-class ResidualReport:
-    max_residual: float
-    rms_residual: float
-    grid: GridSpec
-    tol: float
-    passed: bool
-    convergence: list = field(default_factory=list)  # [(h, max, rms), ...]
-    convergence_factor: float | None = None
-    warnings: tuple = ()
+class ResidualReport(namedtuple(
+        "ResidualReport", "max_residual rms_residual grid tol passed "
+        "convergence convergence_factor warnings", defaults=((), None, ()))):
+    """A finite-difference residual on ``grid``; ``convergence`` holds
+    (h, max, rms) per step of the refinement study."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -259,15 +250,15 @@ def _with_convergence(u, grid, f, tol) -> ResidualReport:
     stencil into the accumulated-roundoff floor of the table-backed
     solutions, so the study stays in the truncation-dominated regime."""
     report = fd_residual(u, grid, f, tol)
-    if min(grid.n) >= 7:
-        coarse = fd_residual(u, grid, f, tol, h=grid.h * 2)
-        report.convergence = [(grid.h * 2, coarse.max_residual, coarse.rms_residual),
-                              (grid.h, report.max_residual, report.rms_residual)]
-        report.convergence_factor = (
-            coarse.max_residual / report.max_residual if report.max_residual else None)
-    else:
-        report.warnings = ("convergence-order estimate suppressed: grid too coarse",)
-    return report
+    if min(grid.n) < 7:
+        return report._replace(
+            warnings=("convergence-order estimate suppressed: grid too coarse",))
+    coarse = fd_residual(u, grid, f, tol, h=grid.h * 2)
+    return report._replace(
+        convergence=[(grid.h * 2, coarse.max_residual, coarse.rms_residual),
+                     (grid.h, report.max_residual, report.rms_residual)],
+        convergence_factor=(
+            coarse.max_residual / report.max_residual if report.max_residual else None))
 
 
 DEFAULT_PARAMS = {

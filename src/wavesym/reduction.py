@@ -24,7 +24,7 @@ the reference forms are the same identity, so every verdict is exact."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm
 
 from .expr import (
@@ -51,50 +51,45 @@ class ReductionError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class TrivialInvariants:
+class TrivialInvariants(namedtuple("TrivialInvariants", "case_id generator coordinates")):
     """Translation generators leave an arbitrary function of the remaining
     coordinates invariant; there is nothing to reduce."""
 
-    case_id: str
-    generator: str
-    coordinates: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ReductionNames:
-    """How a reduction is reported, and what the reference prints for it."""
+class ReductionNames(namedtuple(
+        "ReductionNames", "coords dependent exponential reference flags",
+        defaults=(False, None, ()))):
+    """How a reduction is reported, and what the reference prints for it:
+    the names of the two invariant coordinates (``coords``) and of the
+    reduced unknown (``dependent``); whether the unknown is
+    exp(invariant/k), not the invariant (``exponential``); the family ->
+    printed reduced form, or None (``reference``); the
+    ``KNOWN_DISCREPANCIES`` keys (``flags``)."""
 
-    coords: tuple                     # names of the two invariant coordinates
-    dependent: str                    # the reduced unknown
-    exponential: bool = False         # unknown exp(invariant/k), not the invariant
-    reference: object = None          # family -> printed reduced form, or None
-    flags: tuple = ()                 # KNOWN_DISCREPANCIES keys
-
-
-@dataclass(frozen=True)
-class ReductionSpec:
-    case_id: str
-    generator: str
-    invariant_coords: tuple           # ((name, expression in x,y,t), ...)
-    names: ReductionNames
-    dependent_invariant: Expr         # expression in (x,y,t,u) the generator kills
-    ansatz: Expr                      # u in terms of the invariant function
-    section: dict                     # substitution onto the section
-    field_: VectorField
-    family: FFamily
+    __slots__ = ()
 
 
-@dataclass
-class ReducedEquation:
-    case_id: str
-    generator: str
-    expr: Expr                        # required to vanish, in invariant coordinates
-    elimination_verified: bool
-    reference_verdict: bool | None = None
-    reference_verdict_e1_1: bool | None = None
-    flags: tuple = ()
-    family: FFamily | None = None     # the family it was derived for
+class ReductionSpec(namedtuple(
+        "ReductionSpec", "case_id generator invariant_coords names dependent_invariant "
+        "ansatz section field_ family")):
+    """A similarity reduction: ``invariant_coords`` ((name, expression in
+    x, y, t), ...), the expression in (x, y, t, u) the generator kills
+    (``dependent_invariant``), u in terms of the invariant function
+    (``ansatz``) and the substitution onto the section (``section``)."""
+
+    __slots__ = ()
+
+
+class ReducedEquation(namedtuple(
+        "ReducedEquation", "case_id generator expr elimination_verified reference_verdict "
+        "reference_verdict_e1_1 flags family", defaults=(None, None, (), None))):
+    """The reduced equation ``expr``, required to vanish, in invariant
+    coordinates, derived for ``family``, and its comparison with the
+    reference form."""
+
+    __slots__ = ()
 
 
 # the names of the reference basis fields, in the order of reference_basis()
@@ -266,13 +261,14 @@ def reduce(spec: ReductionSpec) -> ReducedEquation:
     fam = spec.family
     eq = _derive(spec)
     names = spec.names
-    if names.reference is not None:
-        ref, heads = names.reference(fam), {names.dependent}
-        eq.reference_verdict = proportional_mod_heads(eq.expr, ref, heads)
-        if isinstance(fam, PowerCase):
-            eq.reference_verdict_e1_1 = proportional_mod_heads(
-                _at_e1_one(eq.expr, fam), _at_e1_one(ref, fam), heads)
-        eq.flags = names.flags
+    if names.reference is None:
+        return eq
+    ref, heads = names.reference(fam), {names.dependent}
+    eq = eq._replace(reference_verdict=proportional_mod_heads(eq.expr, ref, heads),
+                     flags=names.flags)
+    if isinstance(fam, PowerCase):
+        eq = eq._replace(reference_verdict_e1_1=proportional_mod_heads(
+            _at_e1_one(eq.expr, fam), _at_e1_one(ref, fam), heads))
     return eq
 
 

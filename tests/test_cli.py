@@ -303,7 +303,23 @@ assert main(["verify", "--grid", "5,5,5", "--out", out]) == 0
 assert "numpy" in sys.modules
 """
 
-    def test_only_verify_imports_numpy(self, tmp_path):
+    # Start-up: the records are namedtuples and slots classes, so neither
+    # the import nor these commands load dataclasses (and with it inspect,
+    # ast and dis) or typing.  -S leaves out site, whose .pth files may
+    # import typing themselves; numpy is in site-packages, so no verify.
+    STARTUP_SCRIPT = """
+import sys
+from wavesym.cli import main
+
+HEAVY = ("dataclasses", "inspect", "typing")
+assert not [m for m in HEAVY if m in sys.modules], "import"
+for argv in (["derive"], ["classify", "--degree", "1"], ["reduce"]):
+    assert main(argv + ["--out", sys.argv[1]]) in (0, 1), argv
+    assert not [m for m in HEAVY if m in sys.modules], argv
+"""
+
+    @staticmethod
+    def _run(tmp_path, *flags_and_script):
         import subprocess
         import sys
 
@@ -312,9 +328,15 @@ assert "numpy" in sys.modules
         src = os.path.dirname(os.path.dirname(wavesym.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, str(tmp_path / "r.json")],
+        proc = subprocess.run([sys.executable, *flags_and_script, str(tmp_path / "r.json")],
                               cwd=tmp_path, env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_only_verify_imports_numpy(self, tmp_path):
+        self._run(tmp_path, "-c", self.SCRIPT)
+
+    def test_commands_load_no_dataclasses_inspect_or_typing(self, tmp_path):
+        self._run(tmp_path, "-S", "-c", self.STARTUP_SCRIPT)
 
 
 class TestReportContents:

@@ -8,7 +8,7 @@ from wavesym import detsys, expr
 from wavesym import jet as jet_module
 from wavesym.detsys import (
     PRIME, SELECTION_SEED, AnsatzSpec, DeterminingSystem, DetSysError,
-    ExponentialCase, Generic, PowerCase, UTag,
+    ExponentialCase, FFamily, Generic, PowerCase, UTag,
     ansatz_solve, check_reference_system, extract_determining,
     invariance_residual, model_residual, on_shell, opaque_affine_vectorfield,
     opaque_vectorfield, reference_implication_report, split_u_dependence,
@@ -23,6 +23,7 @@ from conftest import form_expr
 from wavesym.jet import characteristic, linear_form, total_derivative
 from wavesym.liealg import VectorField, decompose_field, decompose_fields
 from wavesym.linalg import LaurentRing
+from wavesym.parser import parse
 from wavesym import reference
 
 c, e1, e2 = param("c"), param("e1"), param("e2")
@@ -49,6 +50,23 @@ class TestFamilies:
             PowerCase(e1=rat(0))
         with pytest.raises(DetSysError):
             ExponentialCase(K=rat(0))
+        with pytest.raises(DetSysError, match="K must be nonzero"):
+            ExponentialCase(rat(0), c)
+        with pytest.raises(DetSysError, match="e1 must be nonzero"):
+            PowerCase(param("L"), rat(0), e2)
+
+    def test_families_are_values_of_their_own_type(self):
+        # reduction._reduced_expr reuses a derived equation when its
+        # family equals the caller's
+        assert PowerCase() == PowerCase() and hash(PowerCase()) == hash(PowerCase())
+        assert PowerCase() == PowerCase(param("L"), e1, e2) != PowerCase(e1=rat(2))
+        assert ExponentialCase() == ExponentialCase(param("K"), c)
+        assert ExponentialCase() != PowerCase() and PowerCase() != ExponentialCase()
+        assert ExponentialCase() != (param("K"), c) and (param("K"), c) != ExponentialCase()
+        assert Generic() == Generic() != ExponentialCase()
+        assert ParsedFamily("u^2") == ParsedFamily("u^2") != ParsedFamily("u^3")
+        with pytest.raises(AttributeError):
+            PowerCase().e1 = rat(2)
 
     def test_power_with_integer_reciprocal_exponent_folds(self):
         # e1 = 1/3 gives f = L*(u/3 + e2)^3, a genuine polynomial
@@ -57,6 +75,18 @@ class TestFamilies:
         assert f == mul(param("L"), pow_(add(div(U, 3), e2), 3))
         from wavesym.expr import Exp, Ln, _walk
         assert not [n for n in _walk(f) if type(n) in (Exp, Ln)]
+
+
+class TestUTag:
+    def test_equality_hash_and_order_ignore_the_factor(self):
+        marker = exp_(div(U, c))
+        tagged, untagged = UTag(1, marker.sort_key(), marker), UTag(1, marker.sort_key())
+        assert tagged == untagged and hash(tagged) == hash(untagged)
+        assert UTag(1) != (1, ()) and (1, ()) != UTag(1)
+        tags = [UTag(2), tagged, UTag(1), UTag(0, marker.sort_key(), marker)]
+        assert [(t.u_power, t.factor_key) for t in sorted(tags)] == sorted(
+            (t.u_power, t.factor_key) for t in tags)
+        assert UTag(1) < tagged < UTag(2)
 
 
 class TestOnShell:
@@ -947,3 +977,35 @@ class TestConcreteExponents:
         ds = extract_determining(opaque_affine_vectorfield(),
                                  PowerCase(param("L"), rat(2), e2_))
         assert len(ds) == 19
+
+
+class ParsedFamily(FFamily):
+    """f(u) as the parser reads it."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, text):
+        super().__init__(parse(text))
+
+    def f_expr(self):
+        return self.f
+
+
+class TestBareFractionalPowers:
+    """f = u^(p/q) gives the ring u and u^(1/q) as two variables, which it
+    takes to be independent, so the residual certificate of a correct
+    basis reads false; a power of u + 1 is one variable and certifies."""
+
+    EXPONENTS = ("1/2", "-3/2", "2/3", "-1/3", "3/5", "-7/5")
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: u and u^(1/q) are "
+                                           "independent variables of the ring")
+    @pytest.mark.parametrize("exponent", EXPONENTS)
+    def test_bare_power_certifies(self, exponent):
+        space = ansatz_solve(ParsedFamily(f"u^({exponent})"))
+        assert (space.dimension, space.certificate) == (6, True)
+
+    @pytest.mark.parametrize("exponent", EXPONENTS)
+    def test_shifted_power_certifies(self, exponent):
+        space = ansatz_solve(ParsedFamily(f"(u + 1)^({exponent})"))
+        assert (space.dimension, space.certificate) == (6, True)

@@ -14,7 +14,9 @@ from wavesym.expr import (
     mul, neg, normalize, param, pow_, rat, sub, substitute, vanishes,
     EvalDomainError, NonPolynomialError, SingularError, UnboundAtomError,
 )
-from wavesym.expr import SingularSubstitutionError, _walk, atoms_of, fn_nodes_of
+from wavesym.expr import (
+    SingularSubstitutionError, _frac_gcd, _int_nth_root, _walk, atoms_of, fn_nodes_of,
+)
 from wavesym.linalg import LaurentRing
 
 a, b, c = param("a"), param("b"), param("c")
@@ -34,6 +36,15 @@ class TestNormalForm:
 
     def test_like_terms_cancel(self):
         assert sub(mul(5, X), mul(5, X)) == RAT0
+
+    def test_gcd_and_root_helpers_at_zero(self):
+        # no special case for 0: gcd(0, b) = |b| and the root of 0 is 0
+        assert _frac_gcd(Fraction(0), Fraction(-3, 4)) == Fraction(3, 4)
+        assert _frac_gcd(Fraction(-3, 4), Fraction(0)) == Fraction(3, 4)
+        assert _frac_gcd(Fraction(0), Fraction(0)) == 0
+        assert _frac_gcd(Fraction(2, 3), Fraction(4, 9)) == Fraction(2, 9)
+        assert [_int_nth_root(0, k) for k in (2, 3, 5)] == [0, 0, 0]
+        assert _int_nth_root(27, 3) == 3 and _int_nth_root(26, 3) is None
 
     def test_power_merge(self):
         assert mul(pow_(X, 2), pow_(X, -2)) == RAT1

@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -64,6 +63,14 @@ class TestBracket:
         with pytest.raises(LieAlgError):
             VectorField(jet("x"), RAT0, RAT0, RAT0)
 
+    def test_fields_are_immutable_values(self):
+        v = VectorField(1, X, 0, U)
+        assert (v.xi, v.tau) == (RAT1, RAT0)  # components coerced to Expr
+        assert v == VectorField(RAT1, X, RAT0, U) and hash(v) == hash(VectorField(RAT1, X, RAT0, U))
+        assert v != VectorField(RAT1, X, RAT0, X) and v != v.components
+        with pytest.raises(AttributeError):
+            v.xi = Y
+
     @pytest.mark.parametrize("comp", [exp_(X), pow_(X, -1), pow_(U, Fraction(1, 2)),
                                       pow_(add(X, 1), -1), exp_(c)],
                              ids=["exp(x)", "1/x", "u^(1/2)", "1/(x + 1)", "exp(c)"])
@@ -110,6 +117,17 @@ class TestCommutatorTable:
         table = commutator_table([dx, x2dx])
         assert table.entries[(0, 1)] is None
         assert not table.closed()
+
+    def test_structure_triples_skip_brackets_outside_the_span(self):
+        # [d/dx, x^3*d/dx] = 3*x^2*d/dx is outside the span of
+        # {d/dx, x*d/dx, x^3*d/dx}; the other brackets are in it
+        dx = VectorField(RAT1, RAT0, RAT0, RAT0)
+        xdx = VectorField(X, RAT0, RAT0, RAT0)
+        x3dx = VectorField(pow_(X, 3), RAT0, RAT0, RAT0)
+        table = commutator_table([dx, xdx, x3dx])
+        assert table.entries[(0, 2)] is None and not table.closed()
+        assert table.structure_triples() == [
+            (0, 1, 0, RAT1), (1, 0, 0, rat(-1)), (1, 2, 2, rat(2)), (2, 1, 2, rat(-2))]
 
     def test_dependent_basis_rejected(self):
         dx = VectorField(RAT1, RAT0, RAT0, RAT0)
@@ -181,7 +199,7 @@ class TestJacobi:
                                     bracket(basis[k], bracket(basis[i], basis[j]))))
             for i, j, k in combinations(range(5), 3)}
         # an inner bracket that is not [v_0, v_1] breaks the triples it enters
-        wrong = replace(table, brackets={**table.brackets, (0, 1): table.polys[0]})
+        wrong = table._replace(brackets={**table.brackets, (0, 1): table.polys[0]})
         assert not all(jacobi_check(wrong).values())
 
     def test_classify_brackets_each_pair_once(self, monkeypatch):

@@ -113,6 +113,12 @@ class TestRK4:
         assert np.array_equal(tr.ys, ys)
         assert np.array_equal(tr.yps, yps)
 
+    def test_bad_step_or_interval_refused(self):
+        with pytest.raises(NumVerifyError, match="step must be positive"):
+            ODEProblem("0.0", 0.0, 0.0, 0.0, 1.0, 0.0)
+        with pytest.raises(NumVerifyError, match="empty integration interval"):
+            ODEProblem("0.0", 1.0, 0.0, 0.0, 1.0)
+
     def test_step_cap(self):
         # refused before any array is allocated; the cap itself is allowed
         rhs = "0.0"

@@ -24,6 +24,14 @@ def _imported_modules(path: Path) -> set:
     return out
 
 
+def test_no_module_imports_dataclasses_or_typing():
+    # each costs every command start-up time: dataclasses loads inspect,
+    # ast and dis; records are namedtuples or __slots__ classes instead
+    offenders = [f"{path.stem}: {module}" for path in sorted(PACKAGE.glob("*.py"))
+                 for module in sorted(_imported_modules(path) & {"dataclasses", "typing"})]
+    assert offenders == []
+
+
 def test_test_extra_declares_the_test_imports():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]

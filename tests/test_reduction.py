@@ -1,6 +1,5 @@
 """Similarity reductions, separation identities, and the explicit solution."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -111,7 +110,7 @@ class TestBuiltinSpecs:
         th = fn("theta", [div(Y, X), T])
         assert expand(sub(spec.ansatz, sub(mul(th, grow), div(e2, e1)))) == RAT0
         # the printed plus-shift version fails the invariance check
-        plus = dataclasses.replace(spec, dependent_invariant=mul(
+        plus = spec._replace(dependent_invariant=mul(
             sub(U, div(e2, e1)), exp_(neg(mul(2, e1, ln_(X))))))
         assert not all(invariance_check(plus).values())
 
@@ -174,8 +173,7 @@ class TestReduce:
         spec = builtin_reduction("ii", "v1")
         e1, e2 = param("e1"), param("e2")
         bad_growth = exp_(add(mul(2, e1, ln_(X)), ln_(X)))  # x^(2*e1+1)
-        bad = dataclasses.replace(
-            spec,
+        bad = spec._replace(
             ansatz=sub(mul(fn("theta", [div(Y, X), T]), bad_growth), div(e2, e1)),
         )
         with pytest.raises(ReductionError):
