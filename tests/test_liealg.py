@@ -66,7 +66,8 @@ class TestBracket:
     def test_fields_are_immutable_values(self):
         v = VectorField(1, X, 0, U)
         assert (v.xi, v.tau) == (RAT1, RAT0)  # components coerced to Expr
-        assert v == VectorField(RAT1, X, RAT0, U) and hash(v) == hash(VectorField(RAT1, X, RAT0, U))
+        w = VectorField(RAT1, X, RAT0, U)
+        assert v == w and hash(v) == hash(w)
         assert v != VectorField(RAT1, X, RAT0, X) and v != v.components
         with pytest.raises(AttributeError):
             v.xi = Y
