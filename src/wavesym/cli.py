@@ -39,7 +39,7 @@ from .reduction import (
     separation_check,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ConfigError(Exception):

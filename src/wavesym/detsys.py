@@ -27,11 +27,14 @@ polynomial ansatz the system is solved exactly over the parameter field:
 the ansatz rows read each entry's {node: parameter polynomial}, and their
 selection mod p, the elimination and the residual certificate all run in
 the extraction's ring.  The derive implication test closes the generic
-system's forms in the same ring.  ``Expr`` is built only where a report
-prints it: the entries (``DeterminingSystem.entries``, one ``ring.expr``
-per entry) and the basis.  ``on_shell`` and ``split_u_dependence`` keep
-the ``Expr`` routines as references; ``invariance_residual`` returns the
-ring's residual (before the rewrite) as an ``Expr``.
+system's forms in the same ring and decides every reference condition by
+one exact sweep there, over f, f', f'', f''': for generic f these are
+independent, the premise every rank over the ring needs.  ``Expr`` is
+built only where a report prints it: the entries
+(``DeterminingSystem.entries``, one ``ring.expr`` per entry) and the
+basis.  ``on_shell`` and ``split_u_dependence`` keep the ``Expr`` routines
+as references; ``invariance_residual`` returns the ring's residual (before
+the rewrite) as an ``Expr``.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from __future__ import annotations
 import random
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import islice
 from math import ceil, perm, prod
 
 from .expr import (
@@ -54,8 +56,8 @@ from .jet import (
 )
 from .liealg import VectorField
 from .linalg import (
-    Derivation, LaurentRing, add_product, annihilates, echelon_mod_p, independent_rows_mod_p,
-    nullspace, reduce_mod_p,
+    Derivation, LaurentRing, add_product, annihilates, independent_rows_mod_p, nullspace,
+    sweep_span,
 )
 from . import reference
 
@@ -69,10 +71,9 @@ __all__ = [
 ]
 
 X, Y, T, U = base("x"), base("y"), base("t"), jet("")
-# rank tests over GF(PRIME): the implication report's number of points, and
-# the seed of the point at which ansatz_solve picks the rows it eliminates
+# ansatz_solve picks the rows it eliminates by their rank over GF(PRIME) at
+# the point drawn from this seed
 PRIME = 2**31 - 1
-N_POINTS = 2
 SELECTION_SEED = 11
 # the implication report closes the derived system under x, y, t, u
 # derivatives up to this order
@@ -630,17 +631,34 @@ def _close_forms(forms: list, prolong_order: int, derivation: Derivation) -> lis
     return rows
 
 
-def _draw_point(ring: LaurentRing, monos, rng: random.Random) -> dict:
-    """A point over GF(PRIME): one residue ``rng.randrange(1, PRIME)`` per
-    variable the monomials ``monos`` hold, drawn in ``Expr`` order."""
-    variables = sorted({ring.variables[d] for m in monos for d, _ in ring.support(m)},
-                       key=Expr.sort_key)
-    return {v: rng.randrange(1, PRIME) for v in variables}
+def _implication_system(ds: DeterminingSystem) -> tuple:
+    """(names, derived, conditions) of the implication test: the reference
+    conditions' names, then the closed derived forms and the conditions'
+    forms as sparse vectors {column: ring polynomial} over one column per
+    component derivative, in ``Expr`` order."""
+    if not isinstance(ds.family, Generic):
+        raise DetSysError("implication report applies to the generic family")
+    v = opaque_vectorfield()
+    fam = Generic()
+    conds = reference.determining_conditions(
+        v.xi, v.eta, v.tau, v.phi, fam.f_expr(), fam.fu_expr()
+    )
+    names = ("xi", "eta", "tau", "phi")
+    ring = ds.ring
+    if any(type(n) is not Fn or n.name not in names for d in ds.ring_forms for n in d):
+        raise DetSysError("the derived system is not linear homogeneous in xi, eta, tau, phi")
+    derived = _close_forms(ds.ring_forms, PROLONG_ORDER, _partial_derivation(ring))
+    cond_forms = [{node: ring.poly(c) for node, c in _linear_decomposition(e, names).items()}
+                  for e in conds.values()]
+    col = {node: i for i, node in enumerate(sorted(
+        {node for d in derived + cond_forms for node in d}, key=Expr.sort_key))}
+    return (list(conds), *[[{col[node]: p for node, p in d.items()} for d in forms]
+                           for forms in (derived, cond_forms)])
 
 
-def reference_implication_report(ds: DeterminingSystem, seed: int = 7) -> tuple:
-    """Decide whether each bundled determining condition is implied by the
-    engine-derived system.  Returns ({name: {"implied", "route"}}, check).
+def reference_implication_report(ds: DeterminingSystem) -> tuple:
+    """Decide exactly whether each bundled determining condition is implied
+    by the engine-derived system.  Returns ({name: {"implied"}}, check).
 
     Every equation is a linear form {component derivative: coefficient} in
     the opaque xi, eta, tau, phi, with coefficients polynomial in u and the
@@ -653,72 +671,18 @@ def reference_implication_report(ds: DeterminingSystem, seed: int = 7) -> tuple:
     consequences.  The closure stays on linear forms (``_close_forms``):
     differentiating shifts the components' derivative indices and
     differentiates the coefficients in the ring, each variable's derivative
-    converted once per direction.  Symbolic route: the condition's form, or
-    its negative, is one of the derived forms (the ring's variables are
-    independent, so equal polynomials are equal coefficients, and
-    interned ones are one object).  Modular route: at N_POINTS seeded
-    random points over GF(p), p = PRIME = 2^31 - 1, each variable the
-    coefficients hold (u, f, f', f'' as whole nodes) gets one residue and
-    each distinct coefficient is evaluated once (``_rows_mod_p``); the
-    condition is implied iff adding its row leaves the rank
-    of the derived rows unchanged at every point.  By the Schwartz-Zippel
-    lemma a point gives a rank below the generic one with probability at
-    most (rank + 1) * degree / p, degree being the largest total exponent
-    of a coefficient's monomial; ``check`` carries that bound and its
-    inputs."""
-    if not isinstance(ds.family, Generic):
-        raise DetSysError("implication report applies to the generic family")
-
-    v = opaque_vectorfield()
-    fam = Generic()
-    conds = reference.determining_conditions(
-        v.xi, v.eta, v.tau, v.phi, fam.f_expr(), fam.fu_expr()
-    )
-    names = ("xi", "eta", "tau", "phi")
-    ring = ds.ring
-    if any(type(n) is not Fn or n.name not in names for d in ds.ring_forms for n in d):
-        raise DetSysError("the derived system is not linear homogeneous in xi, eta, tau, phi")
-    derived = _close_forms(ds.ring_forms, PROLONG_ORDER, _partial_derivation(ring))
-    # a condition whose form, or its negative, is a derived form
-    targets, cond_forms = {}, {}
-    for n, e in conds.items():
-        key, d = cond_forms[n] = _interned(ring, {
-            node: ring.poly(c) for node, c in _linear_decomposition(e, names).items()})
-        targets[key] = n
-        targets[_interned(ring, {node: {m: -k for m, k in p.items()} for node, p in d.items()})[0]] = n
-    symbolic = {targets.get(_interned(ring, d)[0]) for d in derived}
-    report = {n: {"implied": True, "route": "symbolic"} for n in conds if n in symbolic}
-    unmatched = [n for n in conds if n not in report]
-    forms = derived + [cond_forms[n][1] for n in unmatched]
-    col = {node: i for i, node in enumerate(sorted(
-        {node for d in forms for node in d}, key=Expr.sort_key))}
-    monos = {m for p in {id(p): p for d in forms for p in d.values()}.values() for m in p}
-    degree = max((sum(q for _, q in ring.support(m)) for m in monos), default=0)
-
-    rng = random.Random(seed)
-    ranks = []
-    implied = dict.fromkeys(unmatched, True)
-    for _ in range(N_POINTS):
-        mod_rows = ({col[node]: v for node, v in r.items()}
-                    for r in _rows_mod_p(ring, forms, rng))
-        pivots = echelon_mod_p(islice(mod_rows, len(derived)), PRIME)
-        ranks.append(len(pivots))
-        for name, r in zip(unmatched, mod_rows):
-            if reduce_mod_p(r, pivots, PRIME):
-                implied[name] = False
-    for name in unmatched:
-        report[name] = {"implied": implied[name], "route": "modular"}
-    check = {
-        "prime": PRIME,
-        "seed": seed,
-        "points": N_POINTS,
-        "rows": len(derived),
-        "unknowns": len(col),
-        "ranks": ranks,
-        "max_entry_degree": degree,
-        "wrong_rank_bound_per_point": (max(ranks, default=0) + 1) * degree / PRIME,
-    }
-    return report, check
+    converted once per direction.  A condition is implied iff its form lies
+    in the span of the closed forms over the rational functions of the
+    coefficients' variables (f and its derivatives), decided for all
+    conditions by one exact sweep in the ring (``linalg.sweep_span``).
+    That needs those variables to be independent, which they are for
+    generic f.  ``check`` carries the number of closed forms, of component
+    derivatives and the forms' rank."""
+    names, derived, conds = _implication_system(ds)
+    echelon, _, inside = sweep_span(derived, conds, ds.ring)
+    report = {n: {"implied": ok} for n, ok in zip(names, inside)}
+    unknowns = len(set().union(*derived, *conds))
+    return report, {"rows": len(derived), "unknowns": unknowns, "rank": len(echelon)}
 
 
 # ---------------------------------------------------------------------------
@@ -768,10 +732,12 @@ class SolutionSpace(namedtuple("SolutionSpace", "family spec basis certificate "
 
 def _rows_mod_p(ring: LaurentRing, rows: list, rng: random.Random) -> Iterator[dict]:
     """The rows of ``ring`` polynomials over GF(PRIME) at a point drawn by
-    ``rng`` (``_draw_point``), each entry object evaluated once, made one
-    at a time as the caller reads them."""
+    ``rng``: one residue ``rng.randrange(1, PRIME)`` per variable the
+    entries hold, in ``Expr`` order.  Each entry object is evaluated once;
+    the rows are made one at a time as the caller reads them."""
     polys = {id(p): p for r in rows for p in r.values()}
-    point = _draw_point(ring, {m for p in polys.values() for m in p}, rng)
+    variables = {ring.variables[d] for p in polys.values() for m in p for d, _ in ring.support(m)}
+    point = {v: rng.randrange(1, PRIME) for v in sorted(variables, key=Expr.sort_key)}
     value = {i: ring.eval_mod(p, point, PRIME) for i, p in polys.items()}
     return ({c: value[id(p)] for c, p in r.items()} for r in rows)
 

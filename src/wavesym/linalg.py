@@ -3,28 +3,33 @@
 Rows are sparse, ``{col: entry}`` with only nonzero entries, so elimination
 never visits a zero.  Entries are ``LaurentRing`` polynomials, sparse
 ``{monomial: coefficient}`` maps with int or Fraction coefficients (e.g.
-``2*c``, ``K^(-1)``, ``1 + 4*e1``), in the caller's ring.  That ring may
-hold variables other than the parameters, but rank needs independent
-variables, so the caller makes sure that no entry it eliminates holds one
-(``detsys.ansatz_solve`` refuses such a coefficient).
+``2*c``, ``K^(-1)``, ``1 + 4*e1``), in the caller's ring.  Rank needs the
+variables of the entries a caller eliminates to be algebraically
+independent, and the caller makes sure they are: the classify solve
+eliminates parameters only (``detsys.ansatz_solve`` refuses any other
+variable), and the derive implication test eliminates over f, f', f'',
+f''', which are independent for generic f.
 
 The sweep is fraction-free: rows are updated by cross-multiplication and no
 entry is ever divided.  Pivoting is deterministic and prefers constant
-entries, then parameter monomials.  After every update a row is reduced by
-its content, the integer gcd of its coefficients and the common parameter
-monomial, and given a canonical sign (``LaurentRing.strip``).  Elimination
-is ring arithmetic, except that the sign is read off the first entry's
-``Expr`` (``LaurentRing.expr``).  ``nullspace`` and ``solve_span``
-back-substitute in the ring too, scaling the solution by a pivot instead
-of dividing by it.  ``row_reduce`` and ``nullspace`` return polynomials of
-their caller's ring (``LaurentRing.expr`` converts back).  ``solve_span``
-decides all its targets from one sweep and returns ``Expr`` coordinates,
-the pivots' product cancelled by exact division in the ring where it
-divides.
+entries, then monomials.  After every update a row is divided by its
+content, the integer gcd of its coefficients and the common parameter
+monomial (``LaurentRing.content_free``).  Its sign stays as it comes, so
+elimination is ring arithmetic and builds no ``Expr``.  ``nullspace`` and
+``solve_span`` back-substitute in the ring too, scaling the solution by a
+pivot instead of dividing by it.  A row's sign only flips the
+back-substituted vector as a whole, so a canonical sign is given where a
+result leaves ``linalg`` (``LaurentRing.strip``).  ``row_reduce`` and
+``nullspace`` return polynomials of their caller's ring
+(``LaurentRing.expr`` converts back).  ``sweep_span`` decides from one
+forward sweep which targets lie in the span of the vectors;
+``solve_span`` back-substitutes their coordinates and returns them as
+``Expr``, the pivots' product cancelled by exact division in the ring
+where it divides.
 
-All operations treat the parameters appearing in entries as generic nonzero
-values; solutions therefore live in the field of rational functions of the
-parameters, with exact rational coefficients.
+All operations treat the variables appearing in entries as generic nonzero
+values; solutions therefore live in the field of rational functions of
+them, with exact rational coefficients.
 
 ``LaurentRing.poly`` takes any non-rational factor as a variable
 (``LaurentRing.var`` registers one whole, a sum included).  It serves the
@@ -36,10 +41,10 @@ on that object.  A monomial is decoded one way, into its nonzero exponents
 variable it does not use.  A ``Derivation`` is a derivation of the ring
 given by each variable's derivative, asked once per variable and
 direction: the extraction's total derivatives and the derive closure's
-partial ones.  For rank tests at a point, ``LaurentRing.eval_mod``
-evaluates a polynomial over GF(p), ``echelon_mod_p`` and ``reduce_mod_p``
-eliminate sparse rows ``{col: residue}`` there, and
-``independent_rows_mod_p`` picks the rows that are independent there.
+partial ones.  For the classify solve's row selection,
+``LaurentRing.eval_mod`` evaluates a polynomial over GF(p) and
+``independent_rows_mod_p`` picks the sparse rows ``{col: residue}`` that
+are independent there.
 """
 
 from __future__ import annotations
@@ -57,8 +62,7 @@ from .expr import (
 
 __all__ = [
     "LaurentRing", "Derivation", "add_product", "row_reduce",
-    "nullspace", "solve_span", "annihilates",
-    "echelon_mod_p", "reduce_mod_p", "independent_rows_mod_p",
+    "nullspace", "sweep_span", "solve_span", "annihilates", "independent_rows_mod_p",
 ]
 
 
@@ -83,8 +87,8 @@ class LaurentRing:
     zero at any values of them, so ``poly`` serves zero tests, content
     stripping (``strip`` divides out parameters only) and GF(p) evaluation
     (``eval_mod``).  Rank needs independent variables, so the rows a caller
-    eliminates hold parameters only.  Polynomials are never changed in
-    place; conversions are memoized."""
+    eliminates hold parameters only, or f and its derivatives for generic
+    f.  Polynomials are never changed in place; conversions are memoized."""
 
     def __init__(self):
         self.variables: list = []
@@ -93,6 +97,7 @@ class LaurentRing:
         self._exprs: dict = {}  # frozenset(poly items) -> Expr
         self._interned: dict = {}  # frozenset(poly items) -> poly
         self._supports: dict = {}  # monomial -> nonzero (digit, exponent) pairs
+        self._params: set = set()  # the digits of the parameters
 
     def poly(self, e: Expr) -> dict:
         p = self._polys.get(e)
@@ -133,6 +138,8 @@ class LaurentRing:
         if d is None:
             d = self._digit[v] = len(self.variables)
             self.variables.append(v)
+            if type(v) is Param:
+                self._params.add(d)
         return self.unit(d)
 
     def support(self, m: int) -> tuple:
@@ -218,29 +225,35 @@ class LaurentRing:
             return k < 0
         return rational_content(self.expr(p)) < 0
 
-    def strip(self, row: dict) -> dict:
+    def content_free(self, row: dict) -> dict:
         """A row of int polynomials divided by the gcd of its coefficients
-        and its common monomial in the parameters, with its first entry's
-        leading term positive; when that entry p and -p both lead with a
-        negative term, the sign whose first entry has the smaller ``Expr``
-        sort key.  So ``strip(strip(row)) == strip(row)``.  Any other
-        variable (a coordinate, a function node, an ``exp``, a fractional
-        power) stays."""
+        and its common monomial in the parameters; its sign stays.  Any
+        other variable (a coordinate, a function node, an ``exp``, a
+        fractional power) stays."""
         g = gcd(*[k for p in row.values() for k in p.values()])
-        bounds = self._bounds({m for p in row.values() for m in p})
-        shift = sum(lo << (_SHIFT * d) for d, (lo, _) in bounds.items()
-                    if type(self.variables[d]) is Param)
-        first = row[min(row)]
-        if g != 1 or shift:
-            first = {m - shift: k // g for m, k in first.items()}
-        if self.leads_negative(first):
-            negated = {m: -k for m, k in first.items()}
-            if (not self.leads_negative(negated)
-                    or self.expr(negated).sort_key() < self.expr(first).sort_key()):
-                g = -g
+        shift = 0
+        if self._params:
+            bounds = self._bounds({m for p in row.values() for m in p})
+            shift = sum(lo << (_SHIFT * d) for d, (lo, _) in bounds.items()
+                        if d in self._params)
         if g != 1 or shift:
             row = {c: {m - shift: k // g for m, k in p.items()} for c, p in row.items()}
         return row
+
+    def strip(self, row: dict) -> dict:
+        """``content_free(row)`` with its first entry's leading term, in
+        ``Expr`` order, positive; when that entry p and -p both lead with a
+        term of one sign (``Expr`` order sorts a sum's terms with their
+        coefficients), the sign whose first entry has the smaller sort key.
+        So ``strip(-row) == strip(row) == strip(strip(row))``.  The sign is
+        read off an ``Expr``, so only results that leave ``linalg`` get it."""
+        row = self.content_free(row)
+        first = row[min(row)]
+        negated = _neg(first)
+        flip = self.leads_negative(first)
+        if flip == self.leads_negative(negated):
+            flip = self.expr(negated).sort_key() < self.expr(first).sort_key()
+        return {c: _neg(p) for c, p in row.items()} if flip else row
 
 
 class Derivation:
@@ -307,6 +320,11 @@ def _pmul(p: dict, q: dict) -> dict:
     return add_product({}, p, q)
 
 
+def _neg(p: dict) -> dict:
+    """-p, as a new dict."""
+    return {m: -k for m, k in p.items()}
+
+
 def _quality(p: dict) -> int:
     """Pivot preference: 0 for a constant, 1 for a monomial, 2 otherwise."""
     if len(p) == 1:
@@ -317,7 +335,7 @@ def _quality(p: dict) -> int:
 def _update(piv: dict, row: dict, a: dict, prow: dict, col: int) -> dict:
     """piv*row - a*prow, without column ``col`` (where it vanishes)."""
     new = {c: _pmul(piv, e) for c, e in row.items() if c != col}
-    neg_a = {m: -k for m, k in a.items()}
+    neg_a = _neg(a)
     for c, e in prow.items():
         if c != col and not add_product(new.setdefault(c, {}), neg_a, e):
             del new[c]
@@ -341,7 +359,8 @@ def row_reduce(rows: list, ncols: int, ring: LaurentRing):
         r = {c: p for c, p in r.items() if p}
         if r:
             d = lcm(*[k.denominator for p in r.values() for k in p.values()])
-            work[i] = ring.strip({c: {m: int(d * k) for m, k in p.items()} for c, p in r.items()})
+            work[i] = ring.content_free(
+                {c: {m: int(d * k) for m, k in p.items()} for c, p in r.items()})
             buckets[min(r)].append(i)
             top = max(top, max(r) + 1)
     echelon: list = []
@@ -361,7 +380,7 @@ def row_reduce(rows: list, ncols: int, ring: LaurentRing):
                 continue
             new = _update(piv, work[i], work[i][col], prow, col)
             if new:
-                new = work[i] = ring.strip(new)
+                new = work[i] = ring.content_free(new)
                 buckets[min(new)].append(i)
             else:
                 del work[i]
@@ -389,7 +408,7 @@ def _back_substitute(echelon: list, pivot_cols: list, sol: dict) -> dict:
             if piv != {0: 1}:
                 for c, w in sol.items():
                     sol[c] = _pmul(piv, w)
-            sol[pc] = {m: -k for m, k in s.items()}
+            sol[pc] = _neg(s)
     return sol
 
 
@@ -449,19 +468,17 @@ def _ratio(a, b):
     return r.numerator if r.denominator == 1 else r
 
 
-def solve_span(vectors: list, targets: list, ring: LaurentRing) -> tuple:
-    """Exact coordinates of each target in the span of ``vectors``, from one
-    forward sweep of the vectors with the targets as extra columns.
+def sweep_span(vectors: list, targets: list, ring: LaurentRing) -> tuple:
+    """Which targets lie in the span of ``vectors``, from one forward sweep
+    of the vectors with the targets as extra columns.
 
     Vectors and targets are sparse coordinate maps {coordinate: polynomial
-    of ``ring``}.  Returns (coordinates, independent): coordinates[t] is the
-    coefficient list of target t, as ``Expr``, or None when the target is
-    outside the span, i.e. when an echelon row whose pivot is no vector's
-    holds it; ``independent`` tells whether the vectors are.
-    Back-substitution runs once per target on the shared echelon rows and
-    scales the solution by the pivots; that product is cancelled by exact
-    division where it divides a coordinate, and stays a denominator where
-    it does not."""
+    of ``ring``}, the coordinates sortable.  Returns (echelon, pivot_cols,
+    inside): the echelon rows whose pivot is a vector's, as many as the
+    vectors' rank, with their pivot columns (vector j is column j, target
+    t column len(vectors) + t); and inside[t], whether target t is in the
+    span, i.e. whether no echelon row whose pivot is no vector's holds
+    its column."""
     k = len(vectors)
     # one row per coordinate: the unknowns first, then a column per target
     by_coord = defaultdict(dict)
@@ -472,21 +489,42 @@ def solve_span(vectors: list, targets: list, ring: LaurentRing) -> tuple:
     echelon, pivot_cols = row_reduce(rows, k + len(targets), ring)
     n = bisect_left(pivot_cols, k)  # the rows with a vector's pivot come first
     outside = set().union(*echelon[n:])
+    return echelon[:n], pivot_cols[:n], [t not in outside for t in range(k, k + len(targets))]
+
+
+def solve_span(vectors: list, targets: list, ring: LaurentRing) -> tuple:
+    """Exact coordinates of each target in the span of ``vectors``, from one
+    forward sweep (``sweep_span``).
+
+    Returns (coordinates, independent): coordinates[t] is the coefficient
+    list of target t, as ``Expr``, or None when the target is outside the
+    span; ``independent`` tells whether the vectors are.
+    Back-substitution runs once per target on the shared echelon rows and
+    scales the solution by the pivots; that product is cancelled by exact
+    division where it divides a coordinate, and stays a denominator, with
+    its leading term positive, where it does not."""
+    k = len(vectors)
+    echelon, pivot_cols, inside = sweep_span(vectors, targets, ring)
 
     def coordinate(p, scale):
         q = _exact_quotient(ring, p, scale)
-        return ring.expr(q) if q is not None else expand(div(ring.expr(p), ring.expr(scale)))
+        if q is not None:
+            return ring.expr(q)
+        # p/scale with their common content divided out and the sign of
+        # scale fixed, so that the sweep's row signs do not show
+        row = ring.strip({0: scale, 1: p})
+        return expand(div(ring.expr(row[1]), ring.expr(row[0])))
 
     out = []
-    for t in range(k, k + len(targets)):
-        if t in outside:
+    for t, ok in enumerate(inside, k):
+        if not ok:
             out.append(None)
             continue
         # the target's unknown starts at -1; the pivots that scale sol scale it
-        sol = _back_substitute(echelon[:n], pivot_cols[:n], {t: {0: -1}})
-        scale = {m: -v for m, v in sol.pop(t).items()}
+        sol = _back_substitute(echelon, pivot_cols, {t: {0: -1}})
+        scale = _neg(sol.pop(t))
         out.append([coordinate(sol.get(j, {}), scale) for j in range(k)])
-    return out, n == k
+    return out, len(echelon) == k
 
 
 def annihilates(rows: list, vectors: list) -> bool:
@@ -498,10 +536,11 @@ def annihilates(rows: list, vectors: list) -> bool:
 # elimination over GF(p)
 
 
-def reduce_mod_p(row: dict, pivots: dict, p: int) -> dict:
-    """Remainder of a sparse row {col: residue} modulo the echelon rows
+def _add_row_mod_p(row: dict, pivots: dict, p: int) -> bool:
+    """Reduce a sparse row {col: residue} modulo the echelon rows
     ``pivots`` ({pivot col: row with entry 1 there and none to its left})
-    over GF(p).  The remainder is empty iff the row lies in their span."""
+    over GF(p) and add its remainder as a new echelon row; False when the
+    remainder is empty, i.e. when the row lies in their span."""
     row = {c: v % p for c, v in row.items() if v % p}
     cols = list(row)
     heapify(cols)
@@ -518,28 +557,12 @@ def reduce_mod_p(row: dict, pivots: dict, p: int) -> dict:
                 row[c] = w
             else:
                 row.pop(c, None)
-    return row
-
-
-def _add_row_mod_p(row: dict, pivots: dict, p: int) -> bool:
-    """Add a row's remainder to ``pivots`` as a new echelon row; False
-    when the row lies in their span."""
-    r = reduce_mod_p(row, pivots, p)
-    if not r:
+    if not row:
         return False
-    col = min(r)
-    scale = pow(r[col], -1, p)
-    pivots[col] = {c: v * scale % p for c, v in r.items()}
+    col = min(row)
+    scale = pow(row[col], -1, p)
+    pivots[col] = {c: v * scale % p for c, v in row.items()}
     return True
-
-
-def echelon_mod_p(rows, p: int) -> dict:
-    """Echelon form over GF(p) of sparse rows {col: residue}, as
-    {pivot col: row scaled to 1 there}; its length is the rank."""
-    pivots: dict = {}
-    for r in rows:
-        _add_row_mod_p(r, pivots, p)
-    return pivots
 
 
 def independent_rows_mod_p(rows, p: int) -> list:

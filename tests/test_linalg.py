@@ -13,8 +13,8 @@ from wavesym.expr import (
     rational_content, sub, substitute, vanishes,
 )
 from wavesym.linalg import (
-    LaurentRing, _exact_quotient, annihilates, echelon_mod_p, independent_rows_mod_p, nullspace,
-    reduce_mod_p, row_reduce, solve_span,
+    LaurentRing, _exact_quotient, annihilates, independent_rows_mod_p, nullspace, row_reduce,
+    solve_span, sweep_span,
 )
 
 c, K = param("c"), param("K")
@@ -195,16 +195,17 @@ def test_mod_p_rank_matches_exact_rank(rng):
     for _ in range(30):
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
         rows = [[rng.choice([0, 0, 1, -2, 3]) for _ in range(ncols)] for _ in range(nrows)]
-        pivots = echelon_mod_p(({j: v for j, v in enumerate(r) if v} for r in rows), p)
-        assert len(pivots) == expr_rank([sparse([rat(v) for v in r]) for r in rows], ncols)
+        mod_rows = [{j: v for j, v in enumerate(r) if v} for r in rows]
+        rank = expr_rank([sparse([rat(v) for v in r]) for r in rows], ncols)
+        assert len(independent_rows_mod_p(mod_rows, p)) == rank
         combo = {}
         for r in rows:
             k = rng.randint(-3, 3)
             for j, v in enumerate(r):
                 combo[j] = combo.get(j, 0) + k * v
-        assert reduce_mod_p(combo, pivots, p) == {}
-        unit = {ncols: 1}  # a column no row touches
-        assert reduce_mod_p(unit, pivots, p) == unit
+        # a combination of the rows adds nothing; a column no row touches does
+        assert len(independent_rows_mod_p([*mod_rows, combo], p)) == rank
+        assert independent_rows_mod_p([*mod_rows, {ncols: 1}], p)[-1] == nrows
 
 
 def test_ring_strip_divides_parameter_content():
@@ -242,17 +243,19 @@ def test_ring_rank_matches_mod_p_rank(rng):
         ring = LaurentRing()
         mod_rows = [{j: ring.eval_mod(ring.poly(e), point, p) for j, e in r.items()}
                     for r in rows]
-        assert expr_rank(rows, n) == len(echelon_mod_p(mod_rows, p))
         assert len(independent_rows_mod_p(mod_rows, p)) == expr_rank(rows, n)
 
 
+def content_free(ring, row):
+    """Whether a row's integer coefficients have gcd 1 and no parameter
+    divides every monomial (nor does its inverse)."""
+    monos = [dict(ring.support(m)) for p in row.values() for m in p]
+    return (gcd(*[k for p in row.values() for k in p.values()]) == 1
+            and all(min(e.get(d, 0) for e in monos) == 0 for d in range(len(ring.variables))))
+
+
 def test_echelon_rows_are_content_free(rng):
-    # the ring sweep strips every row: its integer coefficients have gcd 1,
-    # no parameter divides every monomial (nor does its inverse), and the
-    # first entry's leading term, in Expr order, is positive.  (Expr order
-    # sorts a Sum's terms with their coefficients, so 2*c - 4*K and
-    # -2*c + 4*K both lead with a negative term; such an entry may stay
-    # negative.)
+    # the ring sweep divides every row by its content and leaves its sign
     for _ in range(40):
         n = rng.randint(2, 6)
         rows = random_ring_rows(rng, rng.randint(1, 5), n)
@@ -261,11 +264,68 @@ def test_echelon_rows_are_content_free(rng):
         assert pivot_cols == sorted(pivot_cols)
         for row, pc in zip(echelon, pivot_cols):
             assert min(row) == pc
-            assert gcd(*[k for p in row.values() for k in p.values()]) == 1
-            monos = [dict(ring.support(m)) for p in row.values() for m in p]
-            assert all(min(e.get(d, 0) for e in monos) == 0 for d in range(len(ring.variables)))
-            first = ring.expr(row[pc])
+            assert content_free(ring, row)
+
+
+def test_nullspace_vectors_are_stripped(rng):
+    # every vector nullspace returns is content-free and its first entry's
+    # leading term, in Expr order, is positive.  (Expr order sorts a Sum's
+    # terms with their coefficients, so 2*c - 4*K and -2*c + 4*K both lead
+    # with a negative term; such an entry may stay negative.)
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        rows = random_ring_rows(rng, rng.randint(1, 5), n)
+        ring = LaurentRing()
+        for v in nullspace(polys(ring, rows), n, ring):
+            assert content_free(ring, v)
+            first = ring.expr(v[min(v)])
             assert rational_content(first) > 0 or rational_content(expand(neg(first))) < 0
+
+
+def test_negated_rows_give_the_same_results(rng):
+    # the sweep leaves every row's sign as it comes, so negating rows flips
+    # signs of echelon rows only: nullspace's stripped vectors and the
+    # coordinates solve_span returns are the same
+    def negate(e):
+        return expand(neg(e))
+
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        rows = random_ring_rows(rng, rng.randint(1, 5), n)
+        negated = [{j: negate(e) for j, e in r.items()} if rng.random() < 0.5 else r
+                   for r in rows]
+        ring = LaurentRing()
+        assert nullspace(polys(ring, negated), n, ring) == nullspace(polys(ring, rows), n, ring)
+        # solve_span's internal rows are coordinates: negate some of them
+        # in every vector and target at once
+        vecs, targets = [v for v in rows if v] or [{0: RAT1}], random_ring_rows(rng, 2, n)
+        targets.append(vecs[0])
+        coords = {j for j in range(n) if rng.random() < 0.5}
+
+        def negate_coords(maps):
+            return [{j: negate(e) if j in coords else e for j, e in m.items()} for m in maps]
+
+        want = solve_span(polys(ring, vecs), polys(ring, targets), ring)
+        assert solve_span(polys(ring, negate_coords(vecs)), polys(ring, negate_coords(targets)),
+                          ring) == want
+        inside = sweep_span(polys(ring, vecs), polys(ring, targets), ring)[2]
+        assert inside == [cs is not None for cs in want[0]]
+
+
+def test_row_reduce_builds_no_expr(rng, monkeypatch):
+    # elimination is ring arithmetic: multi-term rows are reduced without
+    # converting an entry to Expr (the sign of a row is left as it is)
+    multi_term = 0
+    for _ in range(20):
+        n = rng.randint(2, 6)
+        rows = random_ring_rows(rng, rng.randint(2, 5), n)
+        ring = LaurentRing()
+        prows = polys(ring, rows)
+        with monkeypatch.context() as m:
+            m.setattr(LaurentRing, "expr", lambda *a: pytest.fail("row_reduce built an Expr"))
+            echelon, _ = row_reduce(prows, n, ring)
+        multi_term += any(len(p) > 1 for row in echelon for p in row.values())
+    assert multi_term
 
 
 def test_strip_is_idempotent(rng):
