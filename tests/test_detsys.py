@@ -1,6 +1,7 @@
 """Invariance condition, on-shell rewriting, determining system, solving."""
 
 from fractions import Fraction
+import random
 
 import pytest
 
@@ -426,11 +427,18 @@ class TestLinearFormClosure:
                  for _, e in ds.entries]
         assert [{n: ds.ring.expr(p) for n, p in r.items()} for r in rows] == _expr_closure(forms)
 
-    def test_same_report_as_the_expression_closure(self, monkeypatch):
+    @pytest.mark.parametrize("seed", [7, 3])
+    def test_same_report_as_the_expression_closure(self, monkeypatch, seed):
+        # the derived equations in a shuffled order: both closures give the
+        # report of the extraction's order
         ds = extract_determining(opaque_vectorfield(), Generic())
+        entries = list(zip(ds.keys, ds.ring_forms))
+        random.Random(seed).shuffle(entries)
+        shuffled = DeterminingSystem(ds.family, ds.residual, ds.ring, *map(list, zip(*entries)))
         new = reference_implication_report(ds)
+        assert reference_implication_report(shuffled) == new
         monkeypatch.setattr(detsys, "_close_forms", _ring_closure)
-        assert reference_implication_report(ds) == new
+        assert reference_implication_report(shuffled) == new
         assert new[1]["rows"] == 412
 
     def test_closure_rows_are_never_decomposed_again(self, monkeypatch):
