@@ -9,10 +9,13 @@ evaluation with a fixed reduction order.
 
 Residuals are evaluated on an open grid: x, y and t are shaped (n,1,1),
 (1,n,1) and (1,1,n), so a factor such as z1(y/x) or z2(t) is computed once
-per distinct argument and only the sums broadcast to the full box.  Each
-grid point still gets the same sequence of IEEE operations as on dense
-meshgrids, and the residual is made dense (C order) before its max and
-mean, so every reported float is the dense grid's.
+per distinct argument and only the sums broadcast to the full box.  The
+stencil runs slab by slab, on SLAB_POINTS-sized blocks of whole x rows,
+and writes each slab into one dense (C order) residual, so its temporaries
+are slab-sized.  Each grid point still gets the same sequence of IEEE
+operations as on dense meshgrids, and the max and mean read the dense
+residual, so every reported float is the dense grid's.  RK4 keeps its
+states in array('d'), 8 bytes a step, and numpy reads them uncopied.
 
 Default desk-scale constants: K = 1 (K = -1 where the derived planar
 constraint demands a negative K), c = 1, L = 1, e1 = 1, e2 = 0, c1 = 1,
@@ -22,6 +25,7 @@ x = 0, h = 0) by placement, never by special-casing formulas."""
 from __future__ import annotations
 
 import math
+from array import array
 from collections import namedtuple
 
 import numpy as np
@@ -39,6 +43,10 @@ __all__ = [
 
 # RK4 steps allowed per solve; the default grids and step need at most ~56k
 MAX_ODE_STEPS = 10**6
+
+# fd_residual evaluates the stencil on slabs of whole x rows holding about
+# this many points (at least one row), so its temporaries stay slab-sized
+SLAB_POINTS = 2**15
 
 
 class NumVerifyError(Exception):
@@ -128,14 +136,15 @@ class Trajectory(namedtuple("Trajectory", "xs ys yps")):
 
 # The classical RK4 step with the right-hand side {rhs} written out at each
 # stage, so a step makes no Python call.  Each stage binds x, y, yp to its
-# arguments; (_x, _y, _yp) is the state.  Returns the states and the index
-# of the step that left the bound or overflowed (None if none did).  The
-# literal 2.0 keeps every arithmetic operation float by float, which the
-# interpreter specializes; 2 * k and 2.0 * k are the same float.
+# arguments; (_x, _y, _yp) is the state.  Returns the y and y' states, as
+# array('d') (8 bytes a step, which rk4_solve hands to numpy uncopied), and
+# the index of the step that left the bound or overflowed (None if none
+# did).  The literal 2.0 keeps every arithmetic operation float by float,
+# which the interpreter specializes; 2 * k and 2.0 * k are the same float.
 _RK4_LOOP = """\
 def _loop(_x0, _y, _yp, _h, _n, _bound, exp, {consts}):
     _hh, _h6 = 0.5 * _h, _h / 6.0
-    _x, _ys, _yps, _i = _x0, [_y], [_yp], 0
+    _x, _ys, _yps, _i = _x0, _array("d", (_y,)), _array("d", (_yp,)), 0
     try:
         for _i in range(1, _n + 1):
             x, y, yp = _x, _y, _yp
@@ -167,7 +176,7 @@ def rk4_solve(problem: ODEProblem) -> Trajectory:
     """Classical 4th-order Runge-Kutta with a fixed step; rejects the run if
     the state exceeds the configured bound (blow-up guard), or if the
     right-hand side overflows on the way there."""
-    scope: dict = {}
+    scope = {"_array": array}
     src = _RK4_LOOP.format(rhs=f"({problem.rhs})", consts=", ".join(problem.consts))
     exec(src, scope)
     n = max(1, int(math.ceil((problem.x1 - problem.x0) / problem.step)))
@@ -177,7 +186,7 @@ def rk4_solve(problem: ODEProblem) -> Trajectory:
     if failed is not None:
         x = problem.x0 + failed * h
         raise NumVerifyError(f"trajectory exceeded bound {problem.bound} at x={x}")
-    return Trajectory(problem.x0 + np.arange(n + 1) * h, np.array(ys), np.array(yps))
+    return Trajectory(problem.x0 + np.arange(n + 1) * h, np.frombuffer(ys), np.frombuffer(yps))
 
 
 class GridSpec(namedtuple("GridSpec", "box n h", defaults=(
@@ -221,16 +230,20 @@ def fd_residual(u, grid: GridSpec, f, tol: float = 1e-6, h: float | None = None)
     h = grid.h if h is None else h
     axes = grid.axes()
     Xg, Yg, Tg = np.meshgrid(*axes, indexing="ij", sparse=True)
+    # the dense C-order residual, so the mean sums in the dense grid's order;
+    # the stencil fills it a slab of x rows at a time
+    res = np.empty(tuple(map(len, axes)))
+    rows = max(1, SLAB_POINTS // (len(axes[1]) * len(axes[2])))
     # singular-set intrusion shows up as non-finite values, reported below;
     # suppress the intermediate numpy warnings it would cause
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        u0 = u(Xg, Yg, Tg)
-        utt = (u(Xg, Yg, Tg + h) - 2 * u0 + u(Xg, Yg, Tg - h)) / h**2
-        uxx = (u(Xg + h, Yg, Tg) - 2 * u0 + u(Xg - h, Yg, Tg)) / h**2
-        uyy = (u(Xg, Yg + h, Tg) - 2 * u0 + u(Xg, Yg - h, Tg)) / h**2
-        res = utt - f(u0) * (uxx + uyy)
-    # the dense C-order residual, so the mean sums in the dense grid's order
-    res = np.ascontiguousarray(np.broadcast_to(res, tuple(map(len, axes))))
+        for i in range(0, len(axes[0]), rows):
+            X = Xg[i:i + rows]
+            u0 = u(X, Yg, Tg)
+            utt = (u(X, Yg, Tg + h) - 2 * u0 + u(X, Yg, Tg - h)) / h**2
+            uxx = (u(X + h, Yg, Tg) - 2 * u0 + u(X - h, Yg, Tg)) / h**2
+            uyy = (u(X, Yg + h, Tg) - 2 * u0 + u(X, Yg - h, Tg)) / h**2
+            res[i:i + rows] = utt - f(u0) * (uxx + uyy)
     if not np.all(np.isfinite(res)):
         bad = np.argwhere(~np.isfinite(res))[:5]
         pts = [tuple(float(a[k]) for a, k in zip(axes, i)) for i in bad]

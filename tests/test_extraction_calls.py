@@ -29,11 +29,18 @@ FAMILIES = {
 }
 EXPR_ROUTE = {"exponential": 1457, "power": 1701, "e1=2, e2=1": 1743, "e1=-1/4": 1869,
               "generic": 1250}
+# At e1 = 1/20 the power family folds to a degree-20 polynomial in u.  The
+# extraction makes 896 ``mul`` calls; an ``expand`` that multiplied out
+# th^20 and th^19 without collecting between factors made 2^21 + 2^20 - 4
+# for those two powers alone, and ran past a minute.
+MUL_BOUND_E1_1_20 = 1800
 
 
-@pytest.mark.parametrize("name", list(FAMILIES))
-def test_extraction_calls_no_expr_collection(monkeypatch, name):
-    calls = dict.fromkeys(NEVER + ("expand",), 0)
+def count_calls(monkeypatch, names, limit=None):
+    """Wrap each named routine in every module namespace that binds it;
+    returns the live dict of call counts.  A call past ``limit`` fails at
+    once, so a blow-up fails the test instead of running it for minutes."""
+    calls = dict.fromkeys(names, 0)
     for module in (detsys, jet, linalg, expr):
         for fname in calls:
             real = getattr(module, fname, None)
@@ -42,9 +49,16 @@ def test_extraction_calls_no_expr_collection(monkeypatch, name):
 
             def counted(*args, _real=real, _name=fname, **kwargs):
                 calls[_name] += 1
+                assert limit is None or calls[_name] <= limit, f"over {limit} {_name} calls"
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(module, fname, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_extraction_calls_no_expr_collection(monkeypatch, name):
+    calls = count_calls(monkeypatch, NEVER + ("expand",))
     fam = FAMILIES[name]
     v = opaque_vectorfield() if isinstance(fam, Generic) else opaque_affine_vectorfield()
     ds = extract_determining(v, fam)
@@ -52,3 +66,10 @@ def test_extraction_calls_no_expr_collection(monkeypatch, name):
     assert len(ds) > 0
     assert {n: calls[n] for n in NEVER} == dict.fromkeys(NEVER, 0)
     assert calls["expand"] * 10 <= EXPR_ROUTE[name], calls["expand"]
+
+
+def test_high_reciprocal_exponent_stays_polynomial(monkeypatch):
+    count_calls(monkeypatch, ("mul",), limit=MUL_BOUND_E1_1_20)
+    ds = extract_determining(opaque_affine_vectorfield(), PowerCase(e1=rat(1, 20)))
+    monkeypatch.undo()
+    assert len(ds) > 0

@@ -1,6 +1,7 @@
 """RK4 integrator, finite-difference residuals, reconstructions, transport."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +13,11 @@ from wavesym.expr import (
 )
 from wavesym.liealg import VectorField
 from wavesym.numverify import (
-    DEFAULT_PARAMS, MAX_ODE_STEPS, SIG1_RHS, ZETA1_RHS, ZETA2_RHS, GridSpec,
-    NumVerifyError, ODEProblem, compile_numeric, default_grid, fd_residual,
-    first_integral_drift, flow_transport_check, reconstruct_case_i_v1,
-    reconstruct_case_i_v4, reconstruct_case_ii_v1, reconstruct_case_ii_v4,
-    rk4_solve, verify_reduction_numeric,
+    DEFAULT_PARAMS, MAX_ODE_STEPS, SIG1_RHS, SLAB_POINTS, ZETA1_RHS, ZETA2_RHS,
+    GridSpec, NumVerifyError, ODEProblem, compile_numeric, default_grid,
+    fd_residual, first_integral_drift, flow_transport_check, ode_margins,
+    reconstruct_case_i_v1, reconstruct_case_i_v4, reconstruct_case_ii_v1,
+    reconstruct_case_ii_v4, rk4_solve, verify_reduction_numeric,
 )
 from wavesym import reference
 
@@ -32,6 +33,22 @@ def dense_residual(u, grid, f):
     uyy = (u(Xg, Yg + h, Tg) - 2 * u0 + u(Xg, Yg - h, Tg)) / h**2
     res = np.broadcast_to(utt - f(u0) * (uxx + uyy), Xg.shape)
     return float(np.max(np.abs(res))), float(np.sqrt(np.mean(res**2)))
+
+
+# 61 points per axis: fd_residual fills 61 // rows slabs of x rows and a
+# shorter last one
+N61 = (61, 61, 61)
+
+
+def slab_rows(n):
+    """The x rows per slab of fd_residual on a grid of n points."""
+    return max(1, SLAB_POINTS // (n[1] * n[2]))
+
+
+def test_61_grid_spans_slabs_with_a_short_last_one():
+    rows = slab_rows(N61)
+    assert N61[0] >= 3 * rows and N61[0] % rows
+    assert slab_rows((21, 21, 21)) >= 21  # the default grids are one slab
 
 
 class TestRK4:
@@ -184,14 +201,29 @@ class TestFDResidual:
             "(0.5, 0.5, -0.009000000000000001), (0.5, 0.5, -0.008), "
             "(0.5, 0.5, -0.007), (0.5, 0.5, -0.006)]")
 
+    def test_singular_set_in_a_later_slab_reported(self):
+        # log(1.9 - x) is first non-finite at x row 54 (x = 1.9), past the
+        # first slab; the message lists the same points as the dense grid
+        grid = GridSpec(box=((1.0, 2.0), (0.5, 1.0), (1.0, 2.0)), n=N61)
+        assert grid.axes()[0][54] == 1.9 and 54 >= slab_rows(N61)
+        with pytest.raises(NumVerifyError) as err:
+            fd_residual(lambda x, y, t: np.log(1.9 - x) * t, grid, np.ones_like)
+        assert str(err.value) == (
+            "singular-set intrusion at grid points [(1.9, 0.5, 1.0), "
+            "(1.9, 0.5, 1.0166666666666666), (1.9, 0.5, 1.0333333333333334), "
+            "(1.9, 0.5, 1.05), (1.9, 0.5, 1.0666666666666667)]")
+
     @pytest.mark.parametrize("u,n", [
         (lambda x, y, t: x**3, (21, 21, 21)),
         # e^x at 31x17x9: the rms over the 31 distinct values alone differs
         # from the dense mean in the last bit
         (lambda x, y, t: np.exp(x), (31, 17, 9)),
-    ], ids=["x^3", "exp"])
+        (lambda x, y, t: x**3, N61),
+        # u ignores x: every slab's residual broadcasts along its x rows
+        (lambda x, y, t: y**3, N61),
+    ], ids=["x^3", "exp", "x^3-slabs", "y^3-slabs"])
     def test_one_axis_solution_matches_dense_grid(self, u, n):
-        # u ignores y and t: the residual broadcasts from (n_x, 1, 1), and
+        # u depends on one axis: the residual broadcasts to the box, and
         # its rms must still average all n_x*n_y*n_t points in dense order
         grid = GridSpec(n=n)
         f = lambda uv: np.ones_like(uv)  # noqa: E731
@@ -222,10 +254,13 @@ class TestReconstructions:
         ("ii", "v1", reconstruct_case_ii_v1), ("ii", "v4", reconstruct_case_ii_v4),
     ])
     def test_open_grid_matches_dense_grid(self, case_id, gen, build):
-        grid = default_grid(case_id, gen)
-        u, f = build(dict(DEFAULT_PARAMS[case_id, gen]), grid)
-        r = fd_residual(u, grid, f)
-        assert (r.max_residual, r.rms_residual) == dense_residual(u, grid, f)
+        # the default grid is one slab, 61^3 is several
+        for n in (None, N61):
+            grid = default_grid(case_id, gen)
+            grid = grid._replace(n=n or grid.n)
+            u, f = build(dict(DEFAULT_PARAMS[case_id, gen]), grid)
+            r = fd_residual(u, grid, f)
+            assert (r.max_residual, r.rms_residual) == dense_residual(u, grid, f), n
 
     def test_zero_separation_constant_degenerates_cleanly(self):
         # c1 = 0 makes zeta2'' = 0 and zeta1 integrable; still a solution
@@ -274,15 +309,51 @@ class TestFlowTransport:
             w = [g(x, y, t, np.zeros_like(x), eps) for g in inv]
             return fwd(*w, self.u(*w), eps)
 
-        out = flow_transport_check(self.u, self.f, v, eps, self.grid, base_report=self.base)
-        tr = out["transported"]
-        assert (tr.max_residual, tr.rms_residual) == dense_residual(u_t, self.grid, self.f)
+        for grid in (self.grid, self.grid._replace(n=N61)):
+            out = flow_transport_check(self.u, self.f, v, eps, grid, base_report=self.base)
+            tr = out["transported"]
+            assert (tr.max_residual, tr.rms_residual) == dense_residual(u_t, grid, self.f)
 
     def test_non_symmetry_control(self):
         w = VectorField(RAT0, RAT0, RAT0, jet(""))
         out = flow_transport_check(self.u, self.f, w, 0.3, self.grid, base_report=self.base)
         assert out["transported"].max_residual >= 1e-2
         assert out["ratio"] >= 1e3
+
+
+class TestWorkingMemory:
+    """Peak bytes under tracemalloc, which counts numpy's buffers and does
+    not depend on the heap's layout.  Each kernel runs once untraced so
+    the traced run allocates only its own work."""
+
+    @staticmethod
+    def traced_peak(fn):
+        fn()
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_fd_residual_holds_the_dense_residual_and_a_slab(self):
+        # 2.3x the dense residual's bytes: res, then np.abs(res) or res**2
+        # beside it, and slab-sized stencil terms; whole-box terms took 6.0x
+        grid = default_grid("i", "v4")._replace(n=N61)
+        u, f = reconstruct_case_i_v4(dict(DEFAULT_PARAMS["i", "v4"]), grid)
+        peak = self.traced_peak(lambda: fd_residual(u, grid, f))
+        assert peak < 3 * 8 * math.prod(N61), peak
+
+    def test_rk4_solve_bytes_per_step(self):
+        # sig1 over the (ii, v1) default grid's t range: 55,601 steps at
+        # about 34.5 bytes each (x, y, y' as float64 plus the arange and
+        # array('d') growth); Python float lists took about 90
+        (_, _), (t0, t1) = ode_margins(default_grid("ii", "v1"))
+        problem = ODEProblem(SIG1_RHS, t0, 0.5, 0.0, t1, consts={"c_sep": 1.0})
+        steps = math.ceil((t1 - t0) / problem.step)
+        assert steps > 50_000
+        peak = self.traced_peak(lambda: rk4_solve(problem))
+        assert peak < 48 * steps, peak / steps
 
 
 class TestCompile:
