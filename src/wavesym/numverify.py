@@ -38,7 +38,7 @@ __all__ = [
     "rk4_solve", "fd_residual", "verify_reduction_numeric",
     "first_integral_drift", "flow_transport_check", "compile_numeric",
     "DEFAULT_PARAMS", "default_grid", "ode_margins", "MAX_ODE_STEPS",
-    "ZETA1_RHS", "ZETA2_RHS", "SIG1_RHS",
+    "SLAB_POINTS", "ZETA1_RHS", "ZETA2_RHS", "SIG1_RHS",
 ]
 
 # RK4 steps allowed per solve; the default grids and step need at most ~56k

@@ -345,9 +345,9 @@ class TestWorkingMemory:
         assert peak < 3 * 8 * math.prod(N61), peak
 
     def test_rk4_solve_bytes_per_step(self):
-        # sig1 over the (ii, v1) default grid's t range: 55,601 steps at
-        # about 34.5 bytes each (x, y, y' as float64 plus the arange and
-        # array('d') growth); Python float lists took about 90
+        # sig1 over the (ii, v1) default grid's t range: 55,600 steps at
+        # 33.3 bytes each (x, y, y' as float64 plus the arange and the
+        # array('d') growth); Python float lists took 90
         (_, _), (t0, t1) = ode_margins(default_grid("ii", "v1"))
         problem = ODEProblem(SIG1_RHS, t0, 0.5, 0.0, t1, consts={"c_sep": 1.0})
         steps = math.ceil((t1 - t0) / problem.step)
