@@ -601,8 +601,8 @@ def _diff_form(form: dict, a: Expr, derivation: Derivation) -> dict:
 def _interned(ring: LaurentRing, form: dict) -> tuple:
     """(hashable key, form) of a linear form with its coefficients interned
     in ``ring`` (``LaurentRing.intern``): equal forms have equal keys."""
-    form = {node: ring.intern(p) for node, p in form.items()}
-    return frozenset((node, id(p)) for node, p in form.items()), form
+    form = dict(zip(form, map(ring.intern, form.values())))
+    return frozenset(zip(form, map(id, form.values()))), form
 
 
 def _close_forms(forms: list, prolong_order: int, derivation: Derivation) -> list:
@@ -610,7 +610,11 @@ def _close_forms(forms: list, prolong_order: int, derivation: Derivation) -> lis
     ``prolong_order``, level by level: each form of the last level is
     differentiated in x, y, t, u, in that order, and a derivative that is
     zero or equal to a form already held is not added.  The rows'
-    coefficients are interned in the derivation's ring."""
+    coefficients are interned in the derivation's ring.  Each derivative
+    is ``jet.form_derivative``, so its shifts come from the derivation's
+    shift table, and a pure shift (an x, y or t derivative of generic-f
+    forms) keeps the interned coefficient objects of its form: only the
+    u derivatives' new coefficients are hashed to be interned."""
     ring = derivation.ring
     seen, rows = set(), []
     for form in forms:
@@ -669,12 +673,13 @@ def reference_implication_report(ds: DeterminingSystem) -> tuple:
     consequences up to ``PROLONG_ORDER`` (each differentiated with respect
     to x, y, t, u), since the reference's simplified conditions use such
     consequences.  The closure stays on linear forms (``_close_forms``):
-    differentiating shifts the components' derivative indices and
-    differentiates the coefficients in the ring, each variable's derivative
-    converted once per direction.  A condition is implied iff its form lies
-    in the span of the closed forms over the rational functions of the
-    coefficients' variables (f and its derivatives), decided for all
-    conditions by one exact sweep in the ring (``linalg.sweep_span``).
+    differentiating shifts the components' derivative indices, each
+    component derivative's shifts built once per direction in the
+    derivation's shift table, and differentiates the coefficients in the
+    ring.  A condition is implied iff its form lies in the span of the
+    closed forms over the rational functions of the coefficients'
+    variables (f and its derivatives), decided for all conditions by one
+    exact sweep in the ring (``linalg.sweep_span``).
     That needs those variables to be independent, which they are for
     generic f.  ``check`` carries the number of closed forms, of component
     derivatives and the forms' rank."""

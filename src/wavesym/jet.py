@@ -20,12 +20,14 @@ takes the same route), and each coefficient is converted once into a
 ``LaurentRing`` polynomial (``generator_forms``).  D_d of a form
 (``form_derivative``) raises each node's derivative index in the slot
 whose argument is d, adds u_d times the shift of a slot whose argument is
-u, and differentiates each coefficient in the ring.  D_x, D_y and D_t are
-one ring derivation (``total_derivation``, a ``linalg.Derivation``): its
-table maps each jet to its shifted jet, a coordinate to 1 or 0, a
-parameter to 0 and every other variable (exp(u/c), a power of a sum, a
-function node such as f(u)) to its total derivative, converted from
-``Expr`` once per variable and direction.  An expression is never
+u, and differentiates each coefficient in the ring; the shifts are read
+from the derivation's shift table (``Derivation.shifts``), built once per
+node and direction.  D_x, D_y and D_t are one ring derivation
+(``total_derivation``, a ``linalg.Derivation``): its table maps each jet
+to its shifted jet, a coordinate to 1 or 0, a parameter to 0 and every
+other variable (exp(u/c), a power of a sum, a function node such as
+f(u)) to its total derivative, converted from ``Expr`` once per variable
+and direction.  An expression is never
 prolonged whole; ``Expr`` is built from the ring only where a caller asks
 for it (``ring_form_expr``, ``prolong_coeff_first``/``_second``)."""
 
@@ -140,26 +142,48 @@ def generator_forms(v: VectorField, derivation: Derivation) -> tuple:
         for e in (characteristic(v), v.xi, v.eta, v.tau, v.phi)))
 
 
+_ONE = {0: 1}
+
+
 def form_derivative(form: dict, derivation: Derivation, direction) -> dict:
     """The derivative of a linear form with coefficients in the ring of
-    ``derivation``: a node's derivative index rises by one in each slot
-    whose argument (a variable of the ring) has a nonzero derivative, times
-    that derivative, and each coefficient adds its own derivative to its
-    node.  Contributions to one node are added; zero entries are
-    dropped."""
+    ``derivation``: each node's shifts (``Derivation.shifts``, the node
+    with one derivative index raised, times that argument's derivative)
+    take the node's coefficient, and each coefficient adds its own
+    derivative to its node.  Contributions to one node are added; zero
+    entries are dropped.  A shift with the factor 1 onto a node nothing
+    else reaches keeps the form's own coefficient object, so an x, y or t
+    derivative of the derive closure, a pure shift, builds no
+    polynomial."""
     out: dict = {}
+    owned = set()  # the nodes whose entry is a new polynomial
     for node, c in form.items():
+        if not c:
+            continue
         if type(node) is Fn:
-            for i, arg in enumerate(node.args):
-                da = derivation.variable(arg, direction)
-                if da:
-                    didx = list(node.didx)
-                    didx[i] += 1
-                    add_product(out.setdefault(Fn(node.name, node.args, tuple(didx)), {}), da, c)
+            for shifted, da in derivation.shifts(node, direction):
+                _add_product(out, owned, shifted, da, c)
         dc = derivation(c, direction)
         if dc:
-            add_product(out.setdefault(node, {}), dc, {0: 1})
-    return {node: c for node, c in out.items() if c}
+            _add_product(out, owned, node, _ONE, dc)
+    return {node: c for node, c in out.items() if c} if owned else out
+
+
+def _add_product(out: dict, owned: set, node, p: dict, q: dict) -> None:
+    """Add p*q to the entry of ``node``.  A product with the factor 1 onto
+    a new node is the other factor's object itself, copied before
+    anything is added to it."""
+    prev = out.get(node)
+    if prev is None:
+        if p == _ONE:
+            out[node] = q
+            return
+        prev = out[node] = {}
+        owned.add(node)
+    elif node not in owned:
+        prev = out[node] = dict(prev)
+        owned.add(node)
+    add_product(prev, p, q)
 
 
 def prolong_form(forms: tuple, *dirs) -> dict:

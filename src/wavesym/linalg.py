@@ -41,10 +41,11 @@ on that object.  A monomial is decoded one way, into its nonzero exponents
 variable it does not use.  A ``Derivation`` is a derivation of the ring
 given by each variable's derivative, asked once per variable and
 direction: the extraction's total derivatives and the derive closure's
-partial ones.  For the classify solve's row selection,
-``LaurentRing.eval_mod`` evaluates a polynomial over GF(p) and
-``independent_rows_mod_p`` picks the sparse rows ``{col: residue}`` that
-are independent there.
+partial ones.  Its shift table (``Derivation.shifts``) holds the chain
+rule on each function node met, once per node and direction.  For the
+classify solve's row selection, ``LaurentRing.eval_mod`` evaluates a
+polynomial over GF(p) and ``independent_rows_mod_p`` picks the sparse rows
+``{col: residue}`` that are independent there.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .expr import (
-    EvalDomainError, Expr, Param, Pow, Product, Rat, Sum, UnboundAtomError,
+    EvalDomainError, Expr, Fn, Param, Pow, Product, Rat, Sum, UnboundAtomError,
     RAT0, add, div, expand, mul, pow_, rat, rational_content,
 )
 
@@ -96,6 +97,7 @@ class LaurentRing:
         self._polys: dict = {}  # Expr -> poly
         self._exprs: dict = {}  # frozenset(poly items) -> Expr
         self._interned: dict = {}  # frozenset(poly items) -> poly
+        self._interned_ids: set = set()  # the ids of the interned polys
         self._supports: dict = {}  # monomial -> nonzero (digit, exponent) pairs
         self._params: set = set()  # the digits of the parameters
 
@@ -128,8 +130,13 @@ class LaurentRing:
     def intern(self, p: dict) -> dict:
         """The ring's one polynomial equal to ``p``: the first equal one
         interned.  Interned polynomials are equal exactly when they are
-        the same object."""
-        return self._interned.setdefault(frozenset(p.items()), p)
+        the same object.  The ring keeps them alive, so one already
+        interned is known by its ``id`` without hashing its terms."""
+        if id(p) in self._interned_ids:
+            return p
+        q = self._interned.setdefault(frozenset(p.items()), p)
+        self._interned_ids.add(id(q))
+        return q
 
     def var(self, v: Expr) -> int:
         """The monomial of the variable ``v``, taken whole (a sum too),
@@ -260,12 +267,18 @@ class Derivation:
     """A derivation of a ``LaurentRing``, given on its variables:
     ``rule(variable, direction)`` is the variable's derivative, a
     polynomial of the ring, asked once per variable and direction.  The
-    derivative of each monomial is kept too."""
+    derivative of each monomial is kept too, and so is the shift table of
+    each function node met (``shifts``), which a linear form's derivative
+    reads (``jet.form_derivative``)."""
 
     def __init__(self, ring: LaurentRing, rule):
         self.ring, self.rule = ring, rule
         self._table: dict = {}  # (digit, direction) -> polynomial
         self._monomials: dict = {}  # (monomial, direction) -> polynomial
+        self._shifts: dict = {}  # (node, direction) -> ((node, polynomial), ...)
+        # (arguments, direction) -> ([(slot, polynomial), ...], the arguments' nodes)
+        self._slots: dict = {}
+        self._nodes: dict = {}  # arguments -> {(name, derivative index): node}
 
     def _monomial(self, m: int, direction) -> dict:
         out = self._monomials.get((m, direction))
@@ -283,6 +296,33 @@ class Derivation:
     def variable(self, v: Expr, direction) -> dict:
         """The derivative of ``v`` taken whole as a variable of the ring."""
         return self._monomial(self.ring.var(v), direction)
+
+    def shifts(self, node: Fn, direction) -> tuple:
+        """The chain rule on a function node, as its shift table entry:
+        ((node with the derivative index of slot i raised by one, the
+        derivative of argument i), ...) over the slots whose argument has
+        a nonzero derivative.  Each entry is built once per node and
+        direction, the derivatives of an argument tuple are looked up once
+        per direction, and each shifted node is built once."""
+        out = self._shifts.get((node, direction))
+        if out is None:
+            name, args, didx = node.name, node.args, node.didx
+            entry = self._slots.get((args, direction))
+            if entry is None:
+                derivatives = [self.variable(a, direction) for a in args]
+                entry = self._slots[args, direction] = (
+                    [(i, da) for i, da in enumerate(derivatives) if da],
+                    self._nodes.setdefault(args, {}))
+            slots, nodes = entry
+            out = []
+            for i, da in slots:
+                raised = didx[:i] + (didx[i] + 1,) + didx[i + 1:]
+                shifted = nodes.get((name, raised))
+                if shifted is None:
+                    shifted = nodes[name, raised] = Fn(name, args, raised)
+                out.append((shifted, da))
+            out = self._shifts[node, direction] = tuple(out)
+        return out
 
     def __call__(self, p: dict, direction) -> dict:
         out: dict = {}

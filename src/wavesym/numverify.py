@@ -248,7 +248,9 @@ def fd_residual(u, grid: GridSpec, f, tol: float = 1e-6, h: float | None = None)
         bad = np.argwhere(~np.isfinite(res))[:5]
         pts = [tuple(float(a[k]) for a, k in zip(axes, i)) for i in bad]
         raise NumVerifyError(f"singular-set intrusion at grid points {pts}")
-    mx = float(np.max(np.abs(res)))
+    # the largest |res| without a residual-sized temporary; abs makes the
+    # maximum of an all -0.0 residual 0.0
+    mx = abs(float(max(res.max(), -res.min())))
     with np.errstate(over="ignore"):
         rms = float(np.sqrt(np.mean(res**2)))
     if np.isinf(rms) and np.isfinite(mx):

@@ -8,7 +8,7 @@ import pytest
 from wavesym import detsys, expr
 from wavesym import jet as jet_module
 from wavesym.detsys import (
-    PRIME, SELECTION_SEED, AnsatzSpec, DeterminingSystem, DetSysError,
+    PRIME, PROLONG_ORDER, SELECTION_SEED, AnsatzSpec, DeterminingSystem, DetSysError,
     ExponentialCase, FFamily, Generic, PowerCase, UTag,
     ansatz_solve, check_reference_system, extract_determining,
     invariance_residual, model_residual, on_shell, opaque_affine_vectorfield,
@@ -21,7 +21,7 @@ from wavesym.expr import (
     pow_, rat, sub, substitute, vanishes,
 )
 from conftest import form_expr
-from wavesym.jet import characteristic, linear_form, total_derivative
+from wavesym.jet import characteristic, form_derivative, linear_form, total_derivative
 from wavesym.liealg import VectorField, decompose_field, decompose_fields
 from wavesym.linalg import LaurentRing, add_product, solve_span
 from wavesym.parser import parse
@@ -356,6 +356,25 @@ def _ring_closure(forms, prolong_order, derivation):
     return [{n: ring.poly(c) for n, c in f.items()} for f in rows]
 
 
+def _per_entry_form_derivative(form, derivation, direction):
+    """``jet.form_derivative`` without the shift table: each entry rebuilds
+    its shifted nodes, looks up each argument's derivative and adds every
+    contribution into a new polynomial."""
+    out = {}
+    for node, c in form.items():
+        if type(node) is Fn:
+            for i, arg in enumerate(node.args):
+                da = derivation.variable(arg, direction)
+                if da:
+                    didx = list(node.didx)
+                    didx[i] += 1
+                    add_product(out.setdefault(Fn(node.name, node.args, tuple(didx)), {}), da, c)
+        dc = derivation(c, direction)
+        if dc:
+            add_product(out.setdefault(node, {}), dc, {0: 1})
+    return {node: c for node, c in out.items() if c}
+
+
 def _forms_expr(ds):
     """The extracted entries' linear forms with their ring coefficients as
     ``Expr``."""
@@ -440,6 +459,43 @@ class TestLinearFormClosure:
         monkeypatch.setattr(detsys, "_close_forms", _ring_closure)
         assert reference_implication_report(shuffled) == new
         assert new[1]["rows"] == 412
+
+    @pytest.mark.parametrize("seed", [None, 7, 3])
+    def test_same_rows_as_the_per_entry_derivative(self, monkeypatch, seed):
+        # entry for entry and in row order, on the extraction's order and
+        # on the shuffled orders of the report test above
+        ds = extract_determining(opaque_vectorfield(), Generic())
+        entries = list(zip(ds.keys, ds.ring_forms))
+        if seed is not None:
+            random.Random(seed).shuffle(entries)
+        forms = [form for _, form in entries]
+        rows = _close_forms(forms, PROLONG_ORDER, _partial_derivation(ds.ring))
+        monkeypatch.setattr(detsys, "form_derivative", _per_entry_form_derivative)
+        expected = _close_forms(forms, PROLONG_ORDER, _partial_derivation(ds.ring))
+        assert len(rows) == 412
+        assert [list(r.items()) for r in rows] == [list(r.items()) for r in expected]
+
+    def test_pure_shift_keeps_the_coefficient_objects(self):
+        ring = LaurentRing()
+        form = {node: ring.intern(ring.poly(c)) for node, c in (
+            (self.xi(), self.f), (self.xi(0, 1, 0, 0), mul(rat(2), fn("f", [U], (1,)))))}
+        got = form_derivative(form, _partial_derivation(ring), X)
+        assert list(got) == [self.xi(1, 0, 0, 0), self.xi(1, 1, 0, 0)]
+        assert [id(p) for p in got.values()] == [id(p) for p in form.values()]
+
+    def test_u_derivative_adds_the_coefficient_derivative(self):
+        # d/du (f*xi + f'*xi_u): xi_u takes f from xi's shift and f'' from
+        # its own coefficient, so the shifted f is copied, not changed
+        ring = LaurentRing()
+        f1, f2 = (fn("f", [U], (k,)) for k in (1, 2))
+        form = self.in_ring(ring, {self.xi(): self.f, self.xi(0, 0, 0, 1): f1})
+        before = {node: dict(p) for node, p in form.items()}
+        derivation = _partial_derivation(ring)
+        got = form_derivative(form, derivation, U)
+        assert got == self.in_ring(ring, {
+            self.xi(0, 0, 0, 1): add(self.f, f2), self.xi(): f1, self.xi(0, 0, 0, 2): f1})
+        assert got == _per_entry_form_derivative(form, derivation, U)
+        assert form == before
 
     def test_closure_rows_are_never_decomposed_again(self, monkeypatch):
         ds = extract_determining(opaque_vectorfield(), Generic())

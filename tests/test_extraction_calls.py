@@ -8,14 +8,18 @@ splitting over u, clearing denominators and substituting happen in the
 ring, so those are never called; ``expand`` converts only f, f', the
 generator's components and each variable's derivative.  ``EXPR_ROUTE``
 holds the ``expand`` calls of the route that expanded, collected and split
-every coefficient as an ``Expr``, counted by the same wrapping."""
+every coefficient as an ``Expr``, counted by the same wrapping.
+
+The derive closure is guarded the same way: its form derivatives read the
+derivation's shift table, so each argument's derivative is looked up once
+per direction and each (node, direction) is shifted once."""
 
 import pytest
 
 from wavesym import detsys, expr, jet, linalg
 from wavesym.detsys import (
     ExponentialCase, Generic, PowerCase, extract_determining,
-    opaque_affine_vectorfield, opaque_vectorfield,
+    opaque_affine_vectorfield, opaque_vectorfield, reference_implication_report,
 )
 from wavesym.expr import rat
 
@@ -36,12 +40,13 @@ EXPR_ROUTE = {"exponential": 1457, "power": 1701, "e1=2, e2=1": 1743, "e1=-1/4":
 MUL_BOUND_E1_1_20 = 1800
 
 
-def count_calls(monkeypatch, names, limit=None):
-    """Wrap each named routine in every module namespace that binds it;
-    returns the live dict of call counts.  A call past ``limit`` fails at
-    once, so a blow-up fails the test instead of running it for minutes."""
+def count_calls(monkeypatch, names, limit=None, namespaces=(detsys, jet, linalg, expr)):
+    """Wrap each named routine in every namespace (a module, or a class
+    for its methods) that binds it; returns the live dict of call counts.
+    A call past ``limit`` fails at once, so a blow-up fails the test
+    instead of running it for minutes."""
     calls = dict.fromkeys(names, 0)
-    for module in (detsys, jet, linalg, expr):
+    for module in namespaces:
         for fname in calls:
             real = getattr(module, fname, None)
             if real is None:
@@ -73,3 +78,30 @@ def test_high_reciprocal_exponent_stays_polynomial(monkeypatch):
     ds = extract_determining(opaque_affine_vectorfield(), PowerCase(e1=rat(1, 20)))
     monkeypatch.undo()
     assert len(ds) > 0
+
+
+def test_closure_shifts_each_node_once(monkeypatch):
+    # the per-entry route looked up every argument of every entry: 4,752
+    # ``variable`` calls for 16 (argument, direction) pairs
+    ds = extract_determining(opaque_vectorfield(), Generic())
+    derivations, asked = [], set()
+    partial, derivative = detsys._partial_derivation, detsys.form_derivative
+
+    def kept(ring):
+        derivations.append(partial(ring))
+        return derivations[-1]
+
+    def recorded(form, derivation, direction):
+        asked.update((node, direction) for node in form)
+        return derivative(form, derivation, direction)
+
+    monkeypatch.setattr(detsys, "_partial_derivation", kept)
+    monkeypatch.setattr(detsys, "form_derivative", recorded)
+    calls = count_calls(monkeypatch, ("variable",), namespaces=(linalg.Derivation,))
+    _, check = reference_implication_report(ds)
+    monkeypatch.undo()
+    (derivation,) = derivations
+    pairs = {(arg, direction) for node, direction in asked for arg in node.args}
+    assert check["rows"] == 412 and len(pairs) == 16
+    assert calls["variable"] <= len(pairs)
+    assert set(derivation._shifts) == asked

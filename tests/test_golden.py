@@ -3,12 +3,18 @@
 Each case runs one command through ``main`` and compares the written report
 byte for byte with ``tests/golden/<name>.json``.  A deliberate report change
 regenerates the file with
-``python -m wavesym <args> --format json --out tests/golden/<name>.json``."""
+``python -m wavesym <args> --format json --out tests/golden/<name>.json``.
+Two cases also run in fresh interpreters under two hash seeds, since the
+engine's tables are keyed by hash."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import wavesym
 from wavesym.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -54,4 +60,19 @@ def test_report_matches_golden(tmp_path, name):
     args, code = CASES[name]
     out = tmp_path / f"{name}.json"
     assert main(args + ["--format", "json", "--out", str(out)]) == code
+    assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+@pytest.mark.parametrize("name", ["derive", "classify_ii_d3"])
+def test_report_matches_golden_under_hash_seed(tmp_path, name, seed):
+    args, code = CASES[name]
+    out = tmp_path / f"{name}.json"
+    src = os.path.dirname(os.path.dirname(wavesym.__file__))
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "wavesym", *args, "--format", "json", "--out", str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()

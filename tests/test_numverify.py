@@ -185,6 +185,16 @@ class TestFDResidual:
         assert r.max_residual == 0.0
         assert r.passed
 
+    def test_negative_zero_residual_reports_zero(self):
+        # u is +0.0 on the grid's t values and -0.0 a step off them, so
+        # u_tt and every residual are -0.0: the maximum is 0.0, not -0.0
+        grid = GridSpec(n=(3, 3, 3))
+        on_grid = grid.axes()[2]
+        r = fd_residual(lambda x, y, t: np.where(np.isin(t, on_grid), 0.0, -0.0),
+                        grid, lambda u: 1.0)
+        assert math.copysign(1.0, r.max_residual) == 1.0
+        assert (r.max_residual, r.rms_residual, r.passed) == (0.0, 0.0, True)
+
     def test_static_harmonic_control(self):
         # u = x: u_tt = 0 and u_xx + u_yy = 0, so the residual vanishes
         grid = GridSpec()
@@ -337,8 +347,8 @@ class TestWorkingMemory:
             tracemalloc.stop()
 
     def test_fd_residual_holds_the_dense_residual_and_a_slab(self):
-        # 2.3x the dense residual's bytes: res, then np.abs(res) or res**2
-        # beside it, and slab-sized stencil terms; whole-box terms took 6.0x
+        # 2.3x the dense residual's bytes: res, then res**2 beside it, and
+        # slab-sized stencil terms; whole-box terms took 6.0x
         grid = default_grid("i", "v4")._replace(n=N61)
         u, f = reconstruct_case_i_v4(dict(DEFAULT_PARAMS["i", "v4"]), grid)
         peak = self.traced_peak(lambda: fd_residual(u, grid, f))
