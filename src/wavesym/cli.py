@@ -458,10 +458,10 @@ def _one_of(choices):
 
 
 # the finite-difference check holds one dense float64 residual of NX*NY*NT
-# points, one slab of stencil terms (numverify.SLAB_POINTS) and, while it
-# takes the rms, one residual-sized temporary (the squares): verify at
-# 125^3 = 1,953,125 points peaks at 64 MB RSS (x86-64 Xeon, numpy 2.4);
-# the benchmark's largest grid is 61^3 = 226,981 points
+# points and one slab of stencil terms (numverify.SLAB_POINTS), and squares
+# the residual in place for the rms: verify at 125^3 = 1,953,125 points
+# peaks at 49 MB RSS (x86-64 Xeon, numpy 2.4); the benchmark's largest grid
+# is 61^3 = 226,981 points
 MAX_GRID_POINTS = 2 * 10**6
 
 

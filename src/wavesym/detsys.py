@@ -585,19 +585,6 @@ def _partial_derivation(ring: LaurentRing) -> Derivation:
     return Derivation(ring, lambda v, a: ring.poly(diff(v, a)))
 
 
-def _diff_form(form: dict, a: Expr, derivation: Derivation) -> dict:
-    """d/da of a linear form {component node: ring polynomial}, a one of
-    x, y, t, u (``jet.form_derivative`` under ``derivation``, a
-    ``_partial_derivation``).  A node's derivative raises its derivative
-    index in each slot whose argument is ``a``; the components' arguments
-    must be atoms."""
-    for node in form:
-        for arg in node.args if type(node) is Fn else ():
-            if type(arg) not in (Base, Jet, Param):
-                raise DetSysError(f"component argument {format_expr(arg)} is a non-atom")
-    return form_derivative(form, derivation, a)
-
-
 def _interned(ring: LaurentRing, form: dict) -> tuple:
     """(hashable key, form) of a linear form with its coefficients interned
     in ``ring`` (``LaurentRing.intern``): equal forms have equal keys."""
@@ -614,8 +601,15 @@ def _close_forms(forms: list, prolong_order: int, derivation: Derivation) -> lis
     is ``jet.form_derivative``, so its shifts come from the derivation's
     shift table, and a pure shift (an x, y or t derivative of generic-f
     forms) keeps the interned coefficient objects of its form: only the
-    u derivatives' new coefficients are hashed to be interned."""
+    u derivatives' new coefficients are hashed to be interned.  The
+    components' arguments must be atoms; a derivative's components have
+    the arguments of its form's, so only the input forms are checked."""
     ring = derivation.ring
+    for form in forms:
+        for node in form:
+            for arg in node.args if type(node) is Fn else ():
+                if type(arg) not in (Base, Jet, Param):
+                    raise DetSysError(f"component argument {format_expr(arg)} is a non-atom")
     seen, rows = set(), []
     for form in forms:
         key, form = _interned(ring, form)
@@ -626,7 +620,7 @@ def _close_forms(forms: list, prolong_order: int, derivation: Derivation) -> lis
         nxt = []
         for form in frontier:
             for a in (X, Y, T, U):
-                key, d = _interned(ring, _diff_form(form, a, derivation))
+                key, d = _interned(ring, form_derivative(form, derivation, a))
                 if d and key not in seen:
                     seen.add(key)
                     nxt.append(d)

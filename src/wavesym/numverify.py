@@ -14,8 +14,11 @@ stencil runs slab by slab, on SLAB_POINTS-sized blocks of whole x rows,
 and writes each slab into one dense (C order) residual, so its temporaries
 are slab-sized.  Each grid point still gets the same sequence of IEEE
 operations as on dense meshgrids, and the max and mean read the dense
-residual, so every reported float is the dense grid's.  RK4 keeps its
-states in array('d'), 8 bytes a step, and numpy reads them uncopied.
+residual, so every reported float is the dense grid's; the rms squares it
+in place where no square can overflow.  RK4 writes y and y' into
+array('d') states made once at their final length, 16 bytes a step that
+numpy reads uncopied; a step's position is computed from the start x0
+and the step h, never stored.
 
 Default desk-scale constants: K = 1 (K = -1 where the derived planar
 constraint demands a negative K), c = 1, L = 1, e1 = 1, e2 = 0, c1 = 1,
@@ -25,6 +28,7 @@ x = 0, h = 0) by placement, never by special-casing formulas."""
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from collections import namedtuple
 
@@ -38,7 +42,7 @@ __all__ = [
     "rk4_solve", "fd_residual", "verify_reduction_numeric",
     "first_integral_drift", "flow_transport_check", "compile_numeric",
     "DEFAULT_PARAMS", "default_grid", "ode_margins", "MAX_ODE_STEPS",
-    "SLAB_POINTS", "ZETA1_RHS", "ZETA2_RHS", "SIG1_RHS",
+    "SLAB_POINTS", "SQUARES_LIMIT", "ZETA1_RHS", "ZETA2_RHS", "SIG1_RHS",
 ]
 
 # RK4 steps allowed per solve; the default grids and step need at most ~56k
@@ -47,6 +51,11 @@ MAX_ODE_STEPS = 10**6
 # fd_residual evaluates the stencil on slabs of whole x rows holding about
 # this many points (at least one row), so its temporaries stay slab-sized
 SLAB_POINTS = 2**15
+
+# fd_residual squares its residual in place for the rms when the residual's
+# size times its largest square is at most this: half the largest float, so
+# the rounding of the mean's partial sums cannot carry one past it either
+SQUARES_LIMIT = sys.float_info.max / 2
 
 
 class NumVerifyError(Exception):
@@ -109,19 +118,37 @@ class ODEProblem:
         self.step, self.bound, self.consts = step, bound, {} if consts is None else consts
 
 
-class Trajectory(namedtuple("Trajectory", "xs ys yps")):
-    """RK4 states: the arrays of x, y and y' at every step."""
+class Trajectory(namedtuple("Trajectory", "x0 h ys yps")):
+    """RK4 states: y and y' at every step, step i at x0 + float(i) * h.
+
+    No positions are stored: each is computed where it is needed, the same
+    float as ``x0 + np.arange(n + 1) * h`` holds at index i."""
 
     __slots__ = ()
 
+    @property
+    def xs(self):
+        """The step positions, as one array."""
+        return self.x0 + np.arange(len(self.ys)) * self.h
+
     def __call__(self, x):
-        """Dense evaluation by cubic Hermite interpolation between steps."""
+        """Dense evaluation by cubic Hermite interpolation between steps.
+        A query's step j is the first whose position is >= x (the index
+        ``np.searchsorted(xs, x)`` gives), estimated by ceil((x - x0) / h)
+        and corrected by one step against the positions themselves."""
         x = np.asarray(x, dtype=float)
-        if np.any(x < self.xs[0] - 1e-12) or np.any(x > self.xs[-1] + 1e-12):
+        x0, n = self.x0, len(self.ys) - 1
+        if np.any(x < x0 - 1e-12) or np.any(x > x0 + n * self.h + 1e-12):
             raise NumVerifyError("evaluation outside the integrated interval")
-        idx = np.clip(np.searchsorted(self.xs, x) - 1, 0, len(self.xs) - 2)
-        h = self.xs[idx + 1] - self.xs[idx]
-        th = (x - self.xs[idx]) / h
+        # fmax and fmin give a NaN query (0/0 on a singular set) step 1,
+        # where it still evaluates to NaN
+        j = np.fmin(np.fmax(np.ceil((x - x0) / self.h), 1), n)
+        j += x0 + j * self.h < x
+        j -= x0 + (j - 1) * self.h >= x
+        idx = np.clip(j - 1, 0, n - 1).astype(np.intp)
+        xa = x0 + idx * self.h
+        h = (x0 + (idx + 1) * self.h) - xa
+        th = (x - xa) / h
         h00 = (1 + 2 * th) * (1 - th) ** 2
         h10 = th * (1 - th) ** 2
         h01 = th * th * (3 - 2 * th)
@@ -136,15 +163,18 @@ class Trajectory(namedtuple("Trajectory", "xs ys yps")):
 
 # The classical RK4 step with the right-hand side {rhs} written out at each
 # stage, so a step makes no Python call.  Each stage binds x, y, yp to its
-# arguments; (_x, _y, _yp) is the state.  Returns the y and y' states, as
-# array('d') (8 bytes a step, which rk4_solve hands to numpy uncopied), and
-# the index of the step that left the bound or overflowed (None if none
-# did).  The literal 2.0 keeps every arithmetic operation float by float,
-# which the interpreter specializes; 2 * k and 2.0 * k are the same float.
+# arguments; (_x, _y, _yp) is the state.  The y and y' states are array('d')
+# made once at their final length n + 1 and written by index (16 bytes a
+# step, which rk4_solve hands to numpy uncopied; positions are x0 + i * h,
+# not stored).  Returns them and the index of the step that left the bound
+# or overflowed (None if none did).  The literal 2.0 keeps every arithmetic
+# operation float by float, which the interpreter specializes; 2 * k and
+# 2.0 * k are the same float.
 _RK4_LOOP = """\
 def _loop(_x0, _y, _yp, _h, _n, _bound, exp, {consts}):
     _hh, _h6 = 0.5 * _h, _h / 6.0
-    _x, _ys, _yps, _i = _x0, _array("d", (_y,)), _array("d", (_yp,)), 0
+    _ys, _yps = _array("d", (_y,)) * (_n + 1), _array("d", (_yp,)) * (_n + 1)
+    _x, _i = _x0, 0
     try:
         for _i in range(1, _n + 1):
             x, y, yp = _x, _y, _yp
@@ -164,8 +194,8 @@ def _loop(_x0, _y, _yp, _h, _n, _bound, exp, {consts}):
             _x = _x0 + _i * _h
             if not (abs(_y) < _bound and abs(_yp) < _bound):
                 return _ys, _yps, _i
-            _ys.append(_y)
-            _yps.append(_yp)
+            _ys[_i] = _y
+            _yps[_i] = _yp
     except OverflowError:  # e.g. exp in the right-hand side, before the bound
         return _ys, _yps, _i
     return _ys, _yps, None
@@ -186,7 +216,7 @@ def rk4_solve(problem: ODEProblem) -> Trajectory:
     if failed is not None:
         x = problem.x0 + failed * h
         raise NumVerifyError(f"trajectory exceeded bound {problem.bound} at x={x}")
-    return Trajectory(problem.x0 + np.arange(n + 1) * h, np.frombuffer(ys), np.frombuffer(yps))
+    return Trajectory(problem.x0, h, np.frombuffer(ys), np.frombuffer(yps))
 
 
 class GridSpec(namedtuple("GridSpec", "box n h", defaults=(
@@ -251,11 +281,15 @@ def fd_residual(u, grid: GridSpec, f, tol: float = 1e-6, h: float | None = None)
     # the largest |res| without a residual-sized temporary; abs makes the
     # maximum of an all -0.0 residual 0.0
     mx = abs(float(max(res.max(), -res.min())))
-    with np.errstate(over="ignore"):
-        rms = float(np.sqrt(np.mean(res**2)))
-    if np.isinf(rms) and np.isfinite(mx):
-        # the squares overflow; scaled by the maximum they cannot
-        rms = mx * float(np.sqrt(np.mean((res / mx) ** 2)))
+    if mx * mx * res.size <= SQUARES_LIMIT:
+        # no square and no partial sum can overflow: square res in place
+        rms = float(np.sqrt(np.mean(np.square(res, out=res))))
+    else:
+        with np.errstate(over="ignore"):
+            rms = float(np.sqrt(np.mean(res**2)))
+        if np.isinf(rms):
+            # the squares overflow; scaled by the maximum they cannot
+            rms = mx * float(np.sqrt(np.mean((res / mx) ** 2)))
     return ResidualReport(mx, rms, grid, tol, mx <= tol)
 
 

@@ -71,6 +71,8 @@ class TestExitCodes:
             r = reductions[case]
             assert math.isfinite(r["max_residual"]) and r["max_residual"] > 1e290
             assert 0 < r["rms_residual"] <= r["max_residual"]
+        assert reductions["ii_v1"]["rms_residual"] == pytest.approx(6.184557187071141e+292,
+                                                                   rel=1e-12)
 
     def test_both_m_and_p_zero_in_verify_is_2(self, capsys):
         assert main(["verify", "--param", "m=0", "--param", "p=0"]) == 2

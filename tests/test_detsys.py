@@ -13,7 +13,7 @@ from wavesym.detsys import (
     ansatz_solve, check_reference_system, extract_determining,
     invariance_residual, model_residual, on_shell, opaque_affine_vectorfield,
     opaque_vectorfield, reference_implication_report, split_u_dependence,
-    _certify, _close_forms, _diff_form, _linear_decomposition, _partial_derivation,
+    _certify, _close_forms, _linear_decomposition, _partial_derivation,
 )
 from wavesym.expr import (
     RAT0, RAT1, T, U, X, Y, Fn, Pow, Product, Sum, add, atoms_of, clear_denominators,
@@ -395,7 +395,7 @@ class TestLinearFormClosure:
     def test_u_derivative_shifts_the_index_and_differentiates_the_coefficient(self):
         ring = LaurentRing()
         xi_x, xi_xu = self.xi(1, 0, 0, 0), self.xi(1, 0, 0, 1)
-        got = _diff_form(self.in_ring(ring, {xi_x: self.f}), U, _partial_derivation(ring))
+        got = form_derivative(self.in_ring(ring, {xi_x: self.f}), _partial_derivation(ring), U)
         assert got == self.in_ring(ring, {xi_xu: self.f, xi_x: fn("f", [U], (1,))})
 
     def test_coefficient_differentiated_once_per_direction(self, monkeypatch):
@@ -412,8 +412,8 @@ class TestLinearFormClosure:
         ring = LaurentRing()
         derivation = _partial_derivation(ring)
         form = self.in_ring(ring, {self.xi(): self.f, self.xi(1, 0, 0, 0): self.f})
-        _diff_form(form, U, derivation)
-        _diff_form(form, U, derivation)
+        form_derivative(form, derivation, U)
+        form_derivative(form, derivation, U)
         assert len(converted) == len(set(converted))
         assert {e for e, _ in converted} == {X, Y, T, U, self.f}
 
@@ -421,7 +421,8 @@ class TestLinearFormClosure:
         # d/du (u*xi - u^2/2*xi_u): the two xi_u terms cancel
         ring = LaurentRing()
         form = {self.xi(): U, self.xi(0, 0, 0, 1): mul(rat(-1, 2), pow_(U, 2))}
-        assert _diff_form(self.in_ring(ring, form), U, _partial_derivation(ring)) == self.in_ring(
+        got = form_derivative(self.in_ring(ring, form), _partial_derivation(ring), U)
+        assert got == self.in_ring(
             ring, {self.xi(): RAT1, self.xi(0, 0, 0, 2): mul(rat(-1, 2), pow_(U, 2))})
 
     def test_zero_and_duplicate_rows_not_added(self):
@@ -436,7 +437,8 @@ class TestLinearFormClosure:
     def test_non_atom_argument_rejected(self):
         ring = LaurentRing()
         with pytest.raises(DetSysError, match="non-atom"):
-            _diff_form({fn("xi", [mul(X, Y), T]): ring.poly(RAT1)}, T, _partial_derivation(ring))
+            _close_forms([{fn("xi", [mul(X, Y), T]): ring.poly(RAT1)}], 1,
+                         _partial_derivation(ring))
 
     def test_same_rows_as_the_expression_closure(self):
         ds = extract_determining(opaque_vectorfield(), Generic())

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from wavesym.expr import (
 )
 from wavesym.liealg import VectorField
 from wavesym.numverify import (
-    DEFAULT_PARAMS, MAX_ODE_STEPS, SIG1_RHS, SLAB_POINTS, ZETA1_RHS, ZETA2_RHS,
+    DEFAULT_PARAMS, MAX_ODE_STEPS, SIG1_RHS, SLAB_POINTS, SQUARES_LIMIT, ZETA1_RHS, ZETA2_RHS,
     GridSpec, NumVerifyError, ODEProblem, compile_numeric, default_grid,
     fd_residual, first_integral_drift, flow_transport_check, ode_margins,
     reconstruct_case_i_v1, reconstruct_case_i_v4, reconstruct_case_ii_v1,
@@ -22,17 +23,44 @@ from wavesym.numverify import (
 from wavesym import reference
 
 
-def dense_residual(u, grid, f):
-    """(max, rms) of the FD residual on full 3-D meshgrids: the reference the
-    open-grid evaluation of fd_residual must match float for float."""
+def dense_residual_values(u, grid, f):
+    """The FD residual on full 3-D meshgrids, one value per grid point."""
     h = grid.h
     Xg, Yg, Tg = np.meshgrid(*grid.axes(), indexing="ij")
     u0 = u(Xg, Yg, Tg)
     utt = (u(Xg, Yg, Tg + h) - 2 * u0 + u(Xg, Yg, Tg - h)) / h**2
     uxx = (u(Xg + h, Yg, Tg) - 2 * u0 + u(Xg - h, Yg, Tg)) / h**2
     uyy = (u(Xg, Yg + h, Tg) - 2 * u0 + u(Xg, Yg - h, Tg)) / h**2
-    res = np.broadcast_to(utt - f(u0) * (uxx + uyy), Xg.shape)
+    return np.broadcast_to(utt - f(u0) * (uxx + uyy), Xg.shape)
+
+
+def dense_residual(u, grid, f):
+    """(max, rms) of the FD residual on full 3-D meshgrids: the reference the
+    open-grid evaluation of fd_residual must match float for float."""
+    res = dense_residual_values(u, grid, f)
     return float(np.max(np.abs(res))), float(np.sqrt(np.mean(res**2)))
+
+
+def searchsorted_eval(tr, x):
+    """Dense evaluation of a trajectory from its stored step positions, by
+    np.searchsorted: the reference Trajectory.__call__ must match bit for
+    bit."""
+    xs = tr.xs
+    x = np.asarray(x, dtype=float)
+    idx = np.clip(np.searchsorted(xs, x) - 1, 0, len(xs) - 2)
+    h = xs[idx + 1] - xs[idx]
+    th = (x - xs[idx]) / h
+    h00 = (1 + 2 * th) * (1 - th) ** 2
+    h10 = th * (1 - th) ** 2
+    h01 = th * th * (3 - 2 * th)
+    h11 = th * th * (th - 1)
+    return (h00 * tr.ys[idx] + h10 * h * tr.yps[idx]
+            + h01 * tr.ys[idx + 1] + h11 * h * tr.yps[idx + 1])
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 # 61 points per axis: fd_residual fills 61 // rows slabs of x rows and a
@@ -154,6 +182,42 @@ class TestRK4:
         with pytest.raises(NumVerifyError):
             tr(1.5)
 
+    def test_dense_eval_of_a_nan_query_is_nan(self):
+        # 0/0 on a singular set: no interval, no error, a NaN the residual
+        # reports as an intrusion
+        tr = rk4_solve(ODEProblem("-y", 0.0, 1.0, 0.0, 1.0, 0.1))
+        assert same_bits(tr(np.array([np.nan, 0.5])), searchsorted_eval(tr, [np.nan, 0.5]))
+        assert np.isnan(tr(np.nan))
+
+    def test_dense_eval_matches_the_searchsorted_evaluation(self):
+        # step positions computed as x0 + float(i) * h, each query's interval
+        # from ceil((x - x0) / h) corrected by one step: the same floats as
+        # stored positions and np.searchsorted give, at every step position,
+        # one ulp either side of it, between steps and at both ends
+        from hypothesis import HealthCheck, given, settings, strategies as st
+
+        @settings(derandomize=True, max_examples=300, deadline=None,
+                  database=None, suppress_health_check=list(HealthCheck))
+        @given(st.floats(-1e3, 1e3), st.floats(1e-3, 50.0), st.integers(1, 2000),
+               st.floats(0.2, 1.0))
+        def check(x0, span, steps, last):
+            # steps - 1 whole steps and a last one of `last` of a step
+            step = span / (steps - 1 + last)
+            problem = ODEProblem("-y", x0, 1.0, 0.5, x0 + span, step)
+            tr = rk4_solve(problem)
+            n = len(tr.ys) - 1
+            assert tr.h == (problem.x1 - x0) / n
+            assert np.array_equal(tr.xs, x0 + np.arange(n + 1) * tr.h)
+            xs = tr.xs
+            queries = np.concatenate([
+                xs, np.nextafter(xs, -np.inf), np.nextafter(xs, np.inf),
+                (xs[:-1] + xs[1:]) / 2, [xs[0] - 1e-12, xs[-1] + 1e-12]])
+            queries = queries[(queries >= xs[0] - 1e-12) & (queries <= xs[-1] + 1e-12)]
+            assert same_bits(tr(queries), searchsorted_eval(tr, queries))
+            assert same_bits(tr(queries[-1]), searchsorted_eval(tr, queries[-1]))
+
+        check()
+
 
 class TestSeparatedODEs:
     """Each RK4 right-hand side is its reference ODE solved for the top
@@ -194,6 +258,47 @@ class TestFDResidual:
                         grid, lambda u: 1.0)
         assert math.copysign(1.0, r.max_residual) == 1.0
         assert (r.max_residual, r.rms_residual, r.passed) == (0.0, 0.0, True)
+
+    @staticmethod
+    def off_grid_bump(grid, scale):
+        """(u, f) whose residual is scale * p(x), p rising from -1 to 1 over
+        the x axis: u is 0.0 on the grid's t values and scale/2 * p(x) off
+        them, f is 0, and the grid's step is 1, so u_tt = scale * p(x)."""
+        on_grid = grid.axes()[2]
+        lo, hi = grid.box[0]
+
+        def u(x, y, t):
+            return np.where(np.isin(t, on_grid), 0.0, scale / 2 * ((2 * x - lo - hi) / (hi - lo)))
+
+        return u, lambda uv: 0.0 * uv
+
+    def test_squares_in_place_up_to_the_guard(self):
+        # the largest residual whose squares may be taken in place, and the
+        # next float up, which takes res**2: both give the rms of res**2
+        grid = GridSpec(n=(5, 3, 3), h=1.0)
+        size = math.prod(grid.n)
+        mx = math.sqrt(SQUARES_LIMIT / size)
+        while mx * mx * size > SQUARES_LIMIT:
+            mx = math.nextafter(mx, 0.0)
+        assert math.nextafter(mx, math.inf) ** 2 * size > SQUARES_LIMIT
+        for scale in (mx, math.nextafter(mx, math.inf)):
+            u, f = self.off_grid_bump(grid, scale)
+            res = np.array(dense_residual_values(u, grid, f))
+            assert float(np.max(np.abs(res))) == scale
+            r = fd_residual(u, grid, f)
+            assert r.max_residual == scale
+            assert same_bits(r.rms_residual, np.sqrt(np.mean(res**2)))
+
+    def test_overflowing_squares_take_the_scaled_rms(self):
+        grid = GridSpec(n=(5, 3, 3), h=1.0)
+        u, f = self.off_grid_bump(grid, 1e200)
+        res = np.array(dense_residual_values(u, grid, f))
+        mx = float(np.max(np.abs(res)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = fd_residual(u, grid, f)
+        assert r.max_residual == mx == 1e200
+        assert same_bits(r.rms_residual, mx * np.sqrt(np.mean((res / mx) ** 2)))
 
     def test_static_harmonic_control(self):
         # u = x: u_tt = 0 and u_xx + u_yy = 0, so the residual vanishes
@@ -347,23 +452,25 @@ class TestWorkingMemory:
             tracemalloc.stop()
 
     def test_fd_residual_holds_the_dense_residual_and_a_slab(self):
-        # 2.3x the dense residual's bytes: res, then res**2 beside it, and
-        # slab-sized stencil terms; whole-box terms took 6.0x
+        # 1.92x the dense residual's bytes: res, squared in place for the
+        # rms, and slab-sized stencil terms; a res**2 beside it took 2.33x,
+        # whole-box terms 6.0x
         grid = default_grid("i", "v4")._replace(n=N61)
         u, f = reconstruct_case_i_v4(dict(DEFAULT_PARAMS["i", "v4"]), grid)
         peak = self.traced_peak(lambda: fd_residual(u, grid, f))
-        assert peak < 3 * 8 * math.prod(N61), peak
+        assert peak < 2.15 * 8 * math.prod(N61), peak
 
     def test_rk4_solve_bytes_per_step(self):
         # sig1 over the (ii, v1) default grid's t range: 55,600 steps at
-        # 33.3 bytes each (x, y, y' as float64 plus the arange and the
-        # array('d') growth); Python float lists took 90
+        # 16.1 bytes each (y, y' as float64, preallocated; positions are
+        # computed); stored positions and appended states took 33.3, Python
+        # float lists 90
         (_, _), (t0, t1) = ode_margins(default_grid("ii", "v1"))
         problem = ODEProblem(SIG1_RHS, t0, 0.5, 0.0, t1, consts={"c_sep": 1.0})
         steps = math.ceil((t1 - t0) / problem.step)
         assert steps > 50_000
         peak = self.traced_peak(lambda: rk4_solve(problem))
-        assert peak < 48 * steps, peak / steps
+        assert peak < 20 * steps, peak / steps
 
 
 class TestCompile:

@@ -99,6 +99,7 @@ UNREFERENCED = {
     "reference.rotation_field": "public API: the generator the reference omits",
     "liealg.FlowMap.at": "public API: a flow at a parameter value",
     "liealg.CommutatorTable.closed": "public API: whether the brackets close",
+    "numverify.Trajectory.xs": "the benchmark tracer counts RK4 steps by it; the RK4 tests read it",
 }
 
 
