@@ -34,7 +34,7 @@ from .detsys import (
 from .expr import RAT0, format_expr, jet, param, rat
 from .liealg import VectorField, commutator_table, decompose_fields, jacobi_check
 from .reduction import (
-    GENERATORS, ReductionError, TrivialInvariants, builtin_reduction,
+    GENERATORS, REDUCTION_NAMES, ReductionError, TrivialInvariants, builtin_reduction,
     explicit_solution, explicit_solution_residual, invariance_check, reduce,
     separation_check,
 )
@@ -102,31 +102,24 @@ def _family(config: RunConfig):
     raise ConfigError(f"unknown case {config.case!r}")
 
 
-# --param names: the family parameters and those every reconstruction
-# takes, then the ones only one reconstruction has (see DEFAULT_PARAMS)
-SHARED_PARAMS = ("K", "c", "L", "e1", "e2", "c1", "c_sep", "m", "p", "q")
-PARAM_NAMES = SHARED_PARAMS + ("sig2_a", "sig2_b", "sig1_0", "harmonic_xy")
+# --param names: the family parameters, then the reconstructions' (see
+# numverify.RECONSTRUCTIONS; each reads only its own)
+PARAM_NAMES = ("K", "c", "L", "e1", "e2", "c1", "c_sep", "m", "p", "q",
+               "sig2_a", "sig2_b", "sig1_0", "harmonic_xy")
 
 
 def _numeric_params(config: RunConfig, key) -> dict:
-    from .numverify import DEFAULT_PARAMS
+    from .numverify import RECONSTRUCTIONS
 
-    out = dict(DEFAULT_PARAMS[key])
-    for name, value in config.params.items():
-        if name in out or name in SHARED_PARAMS:
-            out[name] = float(value)
-    return out
+    return {**RECONSTRUCTIONS[key].params,
+            **{name: float(value) for name, value in config.params.items()}}
 
 
 def _grid(config: RunConfig, key):
-    from .numverify import GridSpec, default_grid
+    from .numverify import RECONSTRUCTIONS
 
-    g = default_grid(*key)
-    return GridSpec(
-        box=config.box or g.box,
-        n=config.grid_n,
-        h=g.h,
-    )
+    g = RECONSTRUCTIONS[key].grid
+    return g._replace(box=config.box or g.box, n=config.grid_n)
 
 
 # ---------------------------------------------------------------------------
@@ -264,14 +257,14 @@ def stage_reduce(config: RunConfig) -> dict:
 def stage_verify(config: RunConfig, csv_dir: str) -> dict:
     # numpy comes with numverify, which only verify and report-all load
     from .numverify import (
-        fd_residual, first_integral_drift, flow_transport_check,
+        RECONSTRUCTIONS, fd_residual, first_integral_drift, flow_transport_check,
         reconstruct_case_i_v4, verify_reduction_numeric,
     )
 
     out: dict = {"reductions": {}, "csv_files": []}
     ok = True
     reports = {}
-    for case_id, gen in (("i", "v1"), ("i", "v4"), ("ii", "v1"), ("ii", "v4")):
+    for case_id, gen in RECONSTRUCTIONS:
         r = reports[case_id, gen] = verify_reduction_numeric(
             case_id, gen,
             params=_numeric_params(config, (case_id, gen)),
@@ -555,18 +548,18 @@ def _config_from_args(args) -> RunConfig:
 
 def _check_verify_config(config: RunConfig) -> None:
     """Refuse what ``stage_verify`` cannot run, before any stage does."""
-    from .numverify import MAX_ODE_STEPS, default_grid, ode_margins
+    from .numverify import (
+        MAX_ODE_STEPS, RECONSTRUCTIONS, NumVerifyError, check_params, ode_margins,
+    )
 
-    e1, e2 = config.params.get("e1", 1), config.params.get("e2", 0)
-    if (e1, e2) != (1, 0):
-        raise ConfigError(f"--param e1, e2: the case ii reconstructions of {config.command} "
-                          f"need e1 = 1, e2 = 0, got e1 = {e1}, e2 = {e2}")
+    try:  # each reconstruction's defaults under the exact --param values
+        for rec in RECONSTRUCTIONS.values():
+            check_params({**rec.params, **config.params}, config.command)
+    except NumVerifyError as err:
+        raise ConfigError(f"--param {err}") from None
     for case in ("i", "ii"):  # K, c, L, e1 = 0 leave a family undefined
         _family(config._replace(case=case))
-    p4 = _numeric_params(config, ("i", "v4"))
-    if p4["m"] == 0 and p4["p"] == 0:
-        raise ConfigError("--param m, p: m and p cannot both vanish")
-    pad = 8 * max(default_grid(case, "v1").h for case in ("i", "ii"))
+    pad = 8 * max(RECONSTRUCTIONS[case, "v1"].grid.h for case in ("i", "ii"))
     if config.box and config.box[0][0] <= pad:  # v1 solutions live in y/x
         raise ConfigError(f"bad --box: x0 must exceed 8*h = {pad!r}, got {config.box[0][0]!r}")
     for case in ("i", "ii"):
@@ -615,7 +608,7 @@ def main(argv=None) -> int:
             stages["derive"] = stage_derive(config)
             for case in ("i", "ii"):
                 stages[f"classify_{case}"] = stage_classify(config._replace(case=case))
-            for case, gen in (("i", "v1"), ("i", "v4"), ("ii", "v1"), ("ii", "v4")):
+            for case, gen in REDUCTION_NAMES:
                 stages[f"reduce_{case}_{gen}"] = stage_reduce(
                     config._replace(case=case, generator=gen))
             stages["verify"] = stage_verify(config, csv_dir)

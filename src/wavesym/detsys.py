@@ -45,9 +45,9 @@ from collections.abc import Iterator
 from math import ceil, perm, prod
 
 from .expr import (
-    Base, Expr, ExprError, Fn, Jet, NonPolynomialError, Param, Pow, Product,
-    Rat, Sum, RAT1, add, atoms_of, base, clear_denominators, collect_atoms, diff,
-    expand, fn, fn_nodes_of, format_expr, jet, jets_of, mul, param, pow_, sub,
+    Base, EvalDomainError, Expr, ExprError, Fn, Jet, NonPolynomialError, Param, Pow,
+    Product, Rat, Sum, RAT1, add, atoms_of, base, clear_denominators, collect_atoms,
+    diff, expand, fn, fn_nodes_of, format_expr, jet, jets_of, mul, param, pow_, sub,
     substitute, vanishes,
 )
 from .jet import (
@@ -751,8 +751,11 @@ def _select_and_solve(ring: LaurentRing, rows: list, ncols: int):
     dropped row is then checked to vanish on the kept rows' basis, exactly;
     that proves the two kernels equal.  If one does not, all rows are
     eliminated.  Returns (basis as int polynomials of ``ring``, selection)."""
-    kept = independent_rows_mod_p(
-        _rows_mod_p(ring, rows, random.Random(SELECTION_SEED)), PRIME)
+    try:
+        kept = independent_rows_mod_p(
+            _rows_mod_p(ring, rows, random.Random(SELECTION_SEED)), PRIME)
+    except EvalDomainError:  # a coefficient has no value mod PRIME: keep no row
+        kept = []
     basis = nullspace([rows[i] for i in kept], ncols, ring)
     kept_set = set(kept)
     fallback = not annihilates([r for i, r in enumerate(rows) if i not in kept_set], basis)

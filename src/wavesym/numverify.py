@@ -20,10 +20,12 @@ array('d') states made once at their final length, 16 bytes a step that
 numpy reads uncopied; a step's position is computed from the start x0
 and the step h, never stored.
 
-Default desk-scale constants: K = 1 (K = -1 where the derived planar
-constraint demands a negative K), c = 1, L = 1, e1 = 1, e2 = 0, c1 = 1,
-c_sep = 1.  Boxes keep unit-order distance from the singular sets (t = 0,
-x = 0, h = 0) by placement, never by special-casing formulas."""
+``RECONSTRUCTIONS`` holds the four similarity solutions, in the order of
+``reduction.REDUCTION_NAMES``: builder, desk-scale default parameters, and
+a default grid whose box keeps unit-order distance from the singular sets
+(t = 0, x = 0, h = 0) by placement, never by special-casing formulas.
+``check_params`` holds the rules on their parameters (e1 = 1, e2 = 0; m
+and p not both 0) for ``verify_reduction_numeric`` and the CLI alike."""
 
 from __future__ import annotations
 
@@ -41,7 +43,7 @@ __all__ = [
     "NumVerifyError", "ODEProblem", "Trajectory", "GridSpec", "ResidualReport",
     "rk4_solve", "fd_residual", "verify_reduction_numeric",
     "first_integral_drift", "flow_transport_check", "compile_numeric",
-    "DEFAULT_PARAMS", "default_grid", "ode_margins", "MAX_ODE_STEPS",
+    "Reconstruction", "RECONSTRUCTIONS", "check_params", "ode_margins", "MAX_ODE_STEPS",
     "SLAB_POINTS", "SQUARES_LIMIT", "ZETA1_RHS", "ZETA2_RHS", "SIG1_RHS",
 ]
 
@@ -241,17 +243,12 @@ class ResidualReport(namedtuple(
     __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {
-            "max_residual": self.max_residual,
-            "rms_residual": self.rms_residual,
-            "grid": {"box": list(map(list, self.grid.box)),
-                     "n": list(self.grid.n), "h": self.grid.h},
-            "tol": self.tol,
-            "passed": self.passed,
-            "convergence": [list(row) for row in self.convergence],
-            "convergence_factor": self.convergence_factor,
-            "warnings": list(self.warnings),
-        }
+        """The fields in order, tuples as lists."""
+        g = self.grid
+        return {**self._asdict(),
+                "grid": {"box": list(map(list, g.box)), "n": list(g.n), "h": g.h},
+                "convergence": [list(row) for row in self.convergence],
+                "warnings": list(self.warnings)}
 
 
 def fd_residual(u, grid: GridSpec, f, tol: float = 1e-6, h: float | None = None) -> ResidualReport:
@@ -310,26 +307,6 @@ def _with_convergence(u, grid, f, tol) -> ResidualReport:
             coarse.max_residual / report.max_residual if report.max_residual else None))
 
 
-DEFAULT_PARAMS = {
-    ("i", "v1"): {"K": 1.0, "c": 1.0, "c1": 1.0},
-    ("i", "v4"): {"c": 1.0, "m": 1.0, "p": 0.0, "q": 0.0},
-    ("ii", "v1"): {"L": 1.0, "e1": 1.0, "e2": 0.0, "c_sep": 1.0,
-                   "sig2_a": 0.1, "sig2_b": 0.05, "sig1_0": 0.5},
-    ("ii", "v4"): {"L": 1.0, "e1": 1.0, "e2": 0.0, "harmonic_xy": 0.1},
-}
-
-_DEFAULT_GRIDS = {
-    ("i", "v1"): GridSpec(((3.0, 3.5), (1.5, 2.0), (1.0, 1.5))),
-    ("i", "v4"): GridSpec(((2.0, 2.5), (2.0, 2.5), (2.0, 2.5))),
-    ("ii", "v1"): GridSpec(((2.0, 2.5), (1.0, 1.5), (1.0, 1.5))),
-    ("ii", "v4"): GridSpec(((1.0, 1.5), (1.0, 1.5), (2.5, 3.0))),
-}
-
-
-def default_grid(case_id: str, generator: str) -> GridSpec:
-    return _DEFAULT_GRIDS[(case_id, generator)]
-
-
 def ode_margins(grid: GridSpec):
     """The (y/x, t) intervals the v1 reconstructions integrate over: the
     box's range plus the finite-difference stencil's reach and a margin."""
@@ -348,6 +325,15 @@ ZETA2_RHS = "-K * c1 * exp(y / c)"
 SIG1_RHS = "c_sep * y * y"
 
 
+# f(u) of case i, and of case ii at e1 = 1, e2 = 0, on arrays
+def _exponential_f(K: float, c: float):
+    return lambda uv: K * np.exp(uv / c)
+
+
+def _linear_f(L: float):
+    return lambda uv: L * uv
+
+
 def reconstruct_case_i_v1(params: dict, grid: GridSpec, ode_step: float = 1e-5):
     """u = zeta1(y/x) + zeta2(t) + 2*c*ln(x) with the separated ODEs
     integrated by RK4; returns (u_callable, f_callable)."""
@@ -360,35 +346,25 @@ def reconstruct_case_i_v1(params: dict, grid: GridSpec, ode_step: float = 1e-5):
     def u(x, y, t):
         return z1(y / x) + z2(t) + 2 * c * np.log(x)
 
-    def f(uv):
-        return K * np.exp(uv / c)
-
-    return u, f
+    return u, _exponential_f(K, c)
 
 
-def reconstruct_case_i_v4(params: dict, grid: GridSpec):
+def reconstruct_case_i_v4(params: dict, grid: GridSpec, ode_step: float = 1e-5):
     """Planar solution u = 2*c*ln((m*x + p*y + q)/t) with the derived
     constraint K = -1/(m^2 + p^2)."""
     c, m, p, q = params["c"], params["m"], params["p"], params["q"]
-    if m == 0 and p == 0:
-        raise NumVerifyError("m and p cannot both vanish")
     K = params.get("K", -1.0 / (m * m + p * p))
 
     def u(x, y, t):
         return 2 * c * np.log((m * x + p * y + q) / t)
 
-    def f(uv):
-        return K * np.exp(uv / c)
-
-    return u, f
+    return u, _exponential_f(K, c)
 
 
 def reconstruct_case_ii_v1(params: dict, grid: GridSpec, ode_step: float = 1e-5):
     """theta = sig1(t)*sig2(y/x), u = theta*x^2 (e1 = 1, e2 = 0):
     sig1'' = c_sep*sig1^2 by RK4, sig2 the closed quadratic form."""
     L, c_sep = params["L"], params["c_sep"]
-    if params.get("e1", 1.0) != 1.0 or params.get("e2", 0.0) != 0.0:
-        raise NumVerifyError("the multiplicative reconstruction needs e1 = 1, e2 = 0")
     a, b = params["sig2_a"], params["sig2_b"]
     (p0, p1), (t0, t1) = ode_margins(grid)
     s1 = rk4_solve(ODEProblem(SIG1_RHS, t0, params["sig1_0"], 0.0, t1, ode_step,
@@ -400,26 +376,51 @@ def reconstruct_case_ii_v1(params: dict, grid: GridSpec, ode_step: float = 1e-5)
     def u(x, y, t):
         return s1(t) * sig2(y / x) * x * x
 
-    def f(uv):
-        return L * uv
-
-    return u, f
+    return u, _linear_f(L)
 
 
-def reconstruct_case_ii_v4(params: dict, grid: GridSpec):
+def reconstruct_case_ii_v4(params: dict, grid: GridSpec, ode_step: float = 1e-5):
     """u = l(x,y)/t^2 with l = (3/L)*x^2 + harmonic_xy*x*y, an exact
     solution of the reduced equation Laplacian(l) = 6/L at e1 = 1."""
     L, d = params["L"], params["harmonic_xy"]
-    if params.get("e1", 1.0) != 1.0 or params.get("e2", 0.0) != 0.0:
-        raise NumVerifyError("the closed-form reconstruction needs e1 = 1, e2 = 0")
 
     def u(x, y, t):
         return ((3.0 / L) * x * x + d * x * y) / t**2
 
-    def f(uv):
-        return L * uv
+    return u, _linear_f(L)
 
-    return u, f
+
+# the solutions of the reductions of reduction.REDUCTION_NAMES, in its
+# order: build(params, grid, ode_step) -> (u, f), default parameters and
+# grid.  e1 and e2 are no parameters: case ii holds at e1 = 1, e2 = 0 only
+Reconstruction = namedtuple("Reconstruction", "build params grid")
+RECONSTRUCTIONS = {
+    ("i", "v1"): Reconstruction(
+        reconstruct_case_i_v1, {"K": 1.0, "c": 1.0, "c1": 1.0},
+        GridSpec(((3.0, 3.5), (1.5, 2.0), (1.0, 1.5)))),
+    ("i", "v4"): Reconstruction(
+        reconstruct_case_i_v4, {"c": 1.0, "m": 1.0, "p": 0.0, "q": 0.0},
+        GridSpec(((2.0, 2.5), (2.0, 2.5), (2.0, 2.5)))),
+    ("ii", "v1"): Reconstruction(
+        reconstruct_case_ii_v1,
+        {"L": 1.0, "c_sep": 1.0, "sig2_a": 0.1, "sig2_b": 0.05, "sig1_0": 0.5},
+        GridSpec(((2.0, 2.5), (1.0, 1.5), (1.0, 1.5)))),
+    ("ii", "v4"): Reconstruction(
+        reconstruct_case_ii_v4, {"L": 1.0, "harmonic_xy": 0.1},
+        GridSpec(((1.0, 1.5), (1.0, 1.5), (2.5, 3.0)))),
+}
+
+
+def check_params(params: dict, caller: str) -> None:
+    """The rules on the parameters, which the reconstructions share by name:
+    e1 = 1, e2 = 0 (their values when absent), and m, p not both 0.
+    ``caller`` names whose reconstructions they are in the message."""
+    e1, e2 = params.get("e1", 1), params.get("e2", 0)
+    if (e1, e2) != (1, 0):
+        raise NumVerifyError(f"e1, e2: the case ii reconstructions of {caller} "
+                             f"need e1 = 1, e2 = 0, got e1 = {e1}, e2 = {e2}")
+    if params.get("m") == 0 and params.get("p") == 0:
+        raise NumVerifyError("m, p: m and p cannot both vanish")
 
 
 def verify_reduction_numeric(
@@ -431,21 +432,16 @@ def verify_reduction_numeric(
     ode_step: float = 1e-5,
 ) -> ResidualReport:
     """Reconstruct the similarity solution for one of the four reductions
-    and measure the full PDE residual, with a grid-refinement study."""
+    (``params`` over its defaults) and measure the full PDE residual, with
+    a grid-refinement study."""
     key = (case_id, generator)
-    if key not in DEFAULT_PARAMS:
+    if key not in RECONSTRUCTIONS:
         raise NumVerifyError(f"no numeric reconstruction for {key}")
-    p = dict(DEFAULT_PARAMS[key])
-    p.update(params or {})
-    grid = grid or default_grid(case_id, generator)
-    if key == ("i", "v1"):
-        u, f = reconstruct_case_i_v1(p, grid, ode_step)
-    elif key == ("i", "v4"):
-        u, f = reconstruct_case_i_v4(p, grid)
-    elif key == ("ii", "v1"):
-        u, f = reconstruct_case_ii_v1(p, grid, ode_step)
-    else:
-        u, f = reconstruct_case_ii_v4(p, grid)
+    build, defaults, default_grid = RECONSTRUCTIONS[key]
+    p = {**defaults, **(params or {})}
+    check_params(p, "verify_reduction_numeric")
+    grid = grid or default_grid
+    u, f = build(p, grid, ode_step)
     return _with_convergence(u, grid, f, tol)
 
 
@@ -469,8 +465,8 @@ def first_integral_drift(K: float = 1.0, c: float = 1.0, c1: float = 1.0) -> dic
         tr = rk4_solve(ODEProblem(ZETA2_RHS, 0.0, 0.0, 0.0, DRIFT_SPAN, h,
                                   consts={"K": K, "c": c, "c1": c1}))
         drift[h] = energy(tr)
-    hs = sorted(drift, reverse=True)
-    slope = math.log2(drift[hs[0]] / drift[hs[1]]) if drift[hs[1]] > 0 else float("inf")
+    coarse, fine = drift.values()
+    slope = math.log2(coarse / fine) if fine > 0 else float("inf")
     return {"drift": drift, "order_estimate": slope}
 
 

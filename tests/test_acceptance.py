@@ -31,9 +31,8 @@ from wavesym.expr import (
 from wavesym.jet import prolong_coeff_second, total_derivative
 from wavesym.liealg import VectorField, commutator_table, decompose_field, jacobi_check
 from wavesym.numverify import (
-    DEFAULT_PARAMS, GridSpec, default_grid, fd_residual, first_integral_drift,
-    flow_transport_check, reconstruct_case_i_v1, reconstruct_case_i_v4,
-    reconstruct_case_ii_v1, verify_reduction_numeric,
+    RECONSTRUCTIONS, GridSpec, fd_residual, first_integral_drift, flow_transport_check,
+    reconstruct_case_i_v4, verify_reduction_numeric,
 )
 from wavesym.parser import parse
 from wavesym.reduction import (
@@ -83,21 +82,17 @@ def _conformal_fields(ratio):
     ]
 
 
-_RECONSTRUCT_V1 = {"i": reconstruct_case_i_v1, "ii": reconstruct_case_ii_v1}
-
-
 def _warped_residual(case_id, warp):
     """Max FD residual of the case's v1 similarity solution composed with
     the linear map ``warp`` on the default grid.  The solution is rebuilt
     on the bounding box of the warped grid box (the corner images span it,
     the map being linear), so the composition never leaves its tables."""
-    grid = default_grid(case_id, "v1")
+    build, params, grid = RECONSTRUCTIONS[case_id, "v1"]
     corners = [warp(x, y, t) for x in grid.box[0] for y in grid.box[1]
                for t in grid.box[2]]
     box = tuple((min(p[k] for p in corners), max(p[k] for p in corners))
                 for k in range(3))
-    u, f = _RECONSTRUCT_V1[case_id](
-        dict(DEFAULT_PARAMS[(case_id, "v1")]), GridSpec(box, grid.n, grid.h))
+    u, f = build(dict(params), GridSpec(box, grid.n, grid.h))
     return fd_residual(lambda x, y, t: u(*warp(x, y, t)), grid, f).max_residual
 
 
@@ -283,8 +278,8 @@ def test_criterion_08_explicit_solution():
     expect = add(RAT1, mul(param("K"), pow_(m, 2)), mul(param("K"), pow_(p, 2)))
     sign_as_derived = expand(sub(derived, expect)) == RAT0
     sol = explicit_solution(m, p, q)
-    grid = default_grid("i", "v4")
-    params = dict(DEFAULT_PARAMS[("i", "v4")])
+    grid = RECONSTRUCTIONS["i", "v4"].grid
+    params = dict(RECONSTRUCTIONS["i", "v4"].params)
     u, f = reconstruct_case_i_v4(params, grid)
     good = fd_residual(u, grid, f)
     bad_params = dict(params)
@@ -305,8 +300,8 @@ def test_criterion_08_explicit_solution():
 
 
 def test_criterion_09_symmetry_transport():
-    grid = default_grid("i", "v4")
-    params = dict(DEFAULT_PARAMS[("i", "v4")])
+    grid = RECONSTRUCTIONS["i", "v4"].grid
+    params = dict(RECONSTRUCTIONS["i", "v4"].params)
     u, f = reconstruct_case_i_v4(params, grid)
     base = fd_residual(u, grid, f)
     ratios = {}

@@ -8,6 +8,8 @@ import time
 import pytest
 
 from wavesym.cli import main
+from wavesym.detsys import PRIME
+from wavesym.reduction import REDUCTION_NAMES
 
 
 def run(tmp_path, *args):
@@ -96,6 +98,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: --param e1, e2:")
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["verify", "report-all"])
+    @pytest.mark.parametrize("params, message", [
+        (["e1=2"], "--param e1, e2: the case ii reconstructions of {} need e1 = 1, "
+                   "e2 = 0, got e1 = 2, e2 = 0"),
+        (["e1=1/2", "e2=-1"], "--param e1, e2: the case ii reconstructions of {} need "
+                              "e1 = 1, e2 = 0, got e1 = 1/2, e2 = -1"),
+        (["m=0", "p=0"], "--param m, p: m and p cannot both vanish"),
+        (["m=0"], "--param m, p: m and p cannot both vanish"),  # p's default is 0
+    ], ids=["e1=2", "e1=1/2,e2=-1", "m=p=0", "m=0"])
+    def test_parameter_rule_messages(self, capsys, command, params, message):
+        argv = [command]
+        for p in params:
+            argv += ["--param", p]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message.format(command)}\n"
 
     @pytest.mark.parametrize("command", ["verify", "report-all"])
     @pytest.mark.parametrize("flags, what", [
@@ -260,6 +278,20 @@ class TestExitCodes:
         assert capsys.readouterr().err == ""
         assert report["stages"]["reduce"]["explicit_solution_residual_zero"] is True
 
+    @pytest.mark.parametrize("case, param, dimension", [
+        ("i", f"K=1/{PRIME}", 8), ("i", f"c={PRIME}", 8),
+        ("ii", f"L=1/{PRIME}", 6), ("ii", f"e2=1/{PRIME}", 6),
+    ], ids=["K=1/p", "c=p", "L=1/p", "e2=1/p"])
+    def test_classify_at_a_parameter_without_a_residue(
+            self, tmp_path, capsys, case, param, dimension):
+        # the parameter is 0 or infinite mod the row selection's prime:
+        # every row is eliminated, and the report is written as at any K
+        code, report = run(tmp_path, "classify", "--case", case, "--degree", "2",
+                           "--param", param)
+        assert code == 1 and capsys.readouterr().err == ""
+        stage = report["stages"]["classify"]
+        assert stage["dimension"] == dimension and stage["residual_certificate"] is True
+
     def test_verify_passes(self, tmp_path):
         code, report = run(tmp_path, "verify")
         assert code == 0
@@ -376,6 +408,16 @@ class TestReportContents:
             assert os.path.exists(path)
             header = open(path).readline().strip()
             assert header == "h,max_residual,rms_residual"
+
+    def test_verify_lists_the_reductions_in_reduction_order(self, tmp_path):
+        # the text report keeps the stage's order, which is REDUCTION_NAMES's
+        out = tmp_path / "report.txt"
+        assert main(["verify", "--format", "text", "--out", str(out)]) == 0
+        names = [f"{case}_{gen}" for case, gen in REDUCTION_NAMES]
+        lines = [line.strip() for line in out.read_text().splitlines()]
+        assert [line for line in lines if line[:-1] in names] == [n + ":" for n in names]
+        csv = [os.path.basename(line) for line in lines if line.endswith(".csv")]
+        assert csv == [f"convergence_{n}.csv" for n in names]
 
     def test_report_all_is_the_standalone_stages(self, tmp_path):
         # the default classify degree holds more than the reference basis,

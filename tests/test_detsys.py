@@ -1018,6 +1018,17 @@ class TestRowSelection:
         assert got.selection.rows_kept == 0 and got.selection.fallback
         assert [str(b) for b in got.basis] == TestAnsatzSolve.FROZEN_BASIS_3["exponential"]
 
+    @pytest.mark.parametrize("fam, dimension", [
+        (ExponentialCase(rat(1, PRIME), c), 8), (ExponentialCase(K, rat(PRIME)), 8),
+        (PowerCase(rat(1, PRIME), e1, e2), 6), (PowerCase(L, e1, rat(1, PRIME)), 6),
+    ], ids=["K=1/p", "c=p", "L=1/p", "e2=1/p"])
+    def test_entry_without_a_residue_falls_back(self, fam, dimension):
+        # a coefficient with the denominator PRIME has no value mod PRIME:
+        # no row is kept and every row is eliminated
+        got = ansatz_solve(fam, AnsatzSpec(2))
+        assert got.selection.rows_kept == 0 and got.selection.fallback
+        assert got.certificate and got.dimension == dimension
+
 
 def test_power_family_dimension_at_concrete_exponent():
     # t*d/dt - 2*(e1*u + e2)*d/du is a symmetry for every e1 != 0

@@ -14,11 +14,10 @@ from wavesym.expr import (
 )
 from wavesym.liealg import VectorField
 from wavesym.numverify import (
-    DEFAULT_PARAMS, MAX_ODE_STEPS, SIG1_RHS, SLAB_POINTS, SQUARES_LIMIT, ZETA1_RHS, ZETA2_RHS,
-    GridSpec, NumVerifyError, ODEProblem, compile_numeric, default_grid,
-    fd_residual, first_integral_drift, flow_transport_check, ode_margins,
-    reconstruct_case_i_v1, reconstruct_case_i_v4, reconstruct_case_ii_v1,
-    reconstruct_case_ii_v4, rk4_solve, verify_reduction_numeric,
+    MAX_ODE_STEPS, RECONSTRUCTIONS, SIG1_RHS, SLAB_POINTS, SQUARES_LIMIT, ZETA1_RHS,
+    ZETA2_RHS, GridSpec, NumVerifyError, ODEProblem, compile_numeric, fd_residual,
+    first_integral_drift, flow_transport_check, ode_margins, reconstruct_case_i_v4,
+    rk4_solve, verify_reduction_numeric,
 )
 from wavesym import reference
 
@@ -351,29 +350,54 @@ class TestFDResidual:
         assert not r.passed  # finite-difference floor sits above 1e-12
 
     def test_coarse_grid_suppresses_convergence(self):
-        grid = GridSpec(box=default_grid("i", "v4").box, n=(5, 5, 5))
+        grid = GridSpec(box=RECONSTRUCTIONS["i", "v4"].grid.box, n=(5, 5, 5))
         r = verify_reduction_numeric("i", "v4", grid=grid)
         assert r.convergence_factor is None
         assert any("suppressed" in w for w in r.warnings)
 
 
 class TestReconstructions:
-    @pytest.mark.parametrize("case_id,gen", [("i", "v1"), ("i", "v4"), ("ii", "v1"), ("ii", "v4")])
+    def test_table_follows_the_reduction_names(self):
+        # verify re-checks the reductions reduce derives, in their order
+        from wavesym.reduction import REDUCTION_NAMES
+
+        assert list(RECONSTRUCTIONS) == list(REDUCTION_NAMES)
+
+    @pytest.mark.parametrize("case_id,gen", list(RECONSTRUCTIONS))
+    @pytest.mark.parametrize("params, names", [
+        ({"e1": 2.0}, "e1, e2"), ({"e2": 1.0}, "e1, e2"), ({"m": 0.0, "p": 0.0}, "m, p"),
+    ], ids=["e1=2", "e2=1", "m=p=0"])
+    def test_parameter_rules_checked_before_building(
+            self, monkeypatch, case_id, gen, params, names):
+        def build(*args):
+            raise AssertionError("built")
+
+        rec = RECONSTRUCTIONS[case_id, gen]
+        monkeypatch.setitem(RECONSTRUCTIONS, (case_id, gen), rec._replace(build=build))
+        with pytest.raises(NumVerifyError, match=f"^{names}: "):
+            verify_reduction_numeric(case_id, gen, params=params)
+
+    def test_rule_message_names_the_caller(self):
+        with pytest.raises(NumVerifyError) as err:
+            verify_reduction_numeric("ii", "v4", params={"e1": 0.5})
+        assert str(err.value) == (
+            "e1, e2: the case ii reconstructions of verify_reduction_numeric "
+            "need e1 = 1, e2 = 0, got e1 = 0.5, e2 = 0")
+
+    @pytest.mark.parametrize("case_id,gen", list(RECONSTRUCTIONS))
     def test_residual_within_tolerance(self, case_id, gen):
         r = verify_reduction_numeric(case_id, gen)
         assert r.passed, (case_id, gen, r.max_residual)
         assert 3.5 <= r.convergence_factor <= 4.5
 
     @pytest.mark.parametrize("case_id,gen,build", [
-        ("i", "v1", reconstruct_case_i_v1), ("i", "v4", reconstruct_case_i_v4),
-        ("ii", "v1", reconstruct_case_ii_v1), ("ii", "v4", reconstruct_case_ii_v4),
-    ])
+        (case_id, gen, rec.build) for (case_id, gen), rec in RECONSTRUCTIONS.items()])
     def test_open_grid_matches_dense_grid(self, case_id, gen, build):
         # the default grid is one slab, 61^3 is several
         for n in (None, N61):
-            grid = default_grid(case_id, gen)
+            grid = RECONSTRUCTIONS[case_id, gen].grid
             grid = grid._replace(n=n or grid.n)
-            u, f = build(dict(DEFAULT_PARAMS[case_id, gen]), grid)
+            u, f = build(dict(RECONSTRUCTIONS[case_id, gen].params), grid)
             r = fd_residual(u, grid, f)
             assert (r.max_residual, r.rms_residual) == dense_residual(u, grid, f), n
 
@@ -383,8 +407,8 @@ class TestReconstructions:
         assert r.passed
 
     def test_violated_constraint_detected(self):
-        grid = default_grid("i", "v4")
-        p = dict(DEFAULT_PARAMS[("i", "v4")])
+        grid = RECONSTRUCTIONS["i", "v4"].grid
+        p = dict(RECONSTRUCTIONS["i", "v4"].params)
         p["K"] = -1.0 / 1.1  # 10% violation of 1 + K*(m^2+p^2) = 0
         u, f = reconstruct_case_i_v4(p, grid)
         r = fd_residual(u, grid, f)
@@ -393,8 +417,8 @@ class TestReconstructions:
 
 class TestFlowTransport:
     def setup_method(self):
-        self.grid = default_grid("i", "v4")
-        p = dict(DEFAULT_PARAMS[("i", "v4")])
+        self.grid = RECONSTRUCTIONS["i", "v4"].grid
+        p = dict(RECONSTRUCTIONS["i", "v4"].params)
         self.u, self.f = reconstruct_case_i_v4(p, self.grid)
         self.base = fd_residual(self.u, self.grid, self.f)
 
@@ -455,8 +479,8 @@ class TestWorkingMemory:
         # 1.92x the dense residual's bytes: res, squared in place for the
         # rms, and slab-sized stencil terms; a res**2 beside it took 2.33x,
         # whole-box terms 6.0x
-        grid = default_grid("i", "v4")._replace(n=N61)
-        u, f = reconstruct_case_i_v4(dict(DEFAULT_PARAMS["i", "v4"]), grid)
+        grid = RECONSTRUCTIONS["i", "v4"].grid._replace(n=N61)
+        u, f = reconstruct_case_i_v4(dict(RECONSTRUCTIONS["i", "v4"].params), grid)
         peak = self.traced_peak(lambda: fd_residual(u, grid, f))
         assert peak < 2.15 * 8 * math.prod(N61), peak
 
@@ -465,7 +489,7 @@ class TestWorkingMemory:
         # 16.1 bytes each (y, y' as float64, preallocated; positions are
         # computed); stored positions and appended states took 33.3, Python
         # float lists 90
-        (_, _), (t0, t1) = ode_margins(default_grid("ii", "v1"))
+        (_, _), (t0, t1) = ode_margins(RECONSTRUCTIONS["ii", "v1"].grid)
         problem = ODEProblem(SIG1_RHS, t0, 0.5, 0.0, t1, consts={"c_sep": 1.0})
         steps = math.ceil((t1 - t0) / problem.step)
         assert steps > 50_000
