@@ -92,6 +92,10 @@ def _family(config: RunConfig):
     def sym(name):
         return rat(p[name]) if name in p else param(name)
 
+    e1 = p.get("e1")
+    if config.case == "ii" and e1 and abs((1 / e1).numerator) > MAX_EXPONENT_NUMERATOR:
+        raise ConfigError(f"bad --param: e1={e1} gives f the exponent 1/e1 = {1 / e1}, "
+                          f"whose numerator is larger than {MAX_EXPONENT_NUMERATOR} in magnitude")
     try:
         if config.case == "i":
             return ExponentialCase(sym("K"), sym("c"))
@@ -453,9 +457,15 @@ def _one_of(choices):
 # the finite-difference check holds one dense float64 residual of NX*NY*NT
 # points and one slab of stencil terms (numverify.SLAB_POINTS), and squares
 # the residual in place for the rms: verify at 125^3 = 1,953,125 points
-# peaks at 49 MB RSS (x86-64 Xeon, numpy 2.4); the benchmark's largest grid
+# peaks at 47 MB RSS (x86-64 Xeon, numpy 2.4); the benchmark's largest grid
 # is 61^3 = 226,981 points
 MAX_GRID_POINTS = 2 * 10**6
+
+# the power family's f = L*(e1*u + e2)^(1/e1) is expanded exactly, at a cost
+# that grows with the numerator of 1/e1: classify --case ii --degree 5 takes
+# 1.0 s at e1 = 1/64 and about n^2.2 at 1/n, and reduce at e1 = 1/2147483647
+# did not finish in 120 s (x86-64 Xeon)
+MAX_EXPONENT_NUMERATOR = 64
 
 
 def _parse_grid(value) -> tuple:

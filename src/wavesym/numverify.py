@@ -10,15 +10,20 @@ evaluation with a fixed reduction order.
 Residuals are evaluated on an open grid: x, y and t are shaped (n,1,1),
 (1,n,1) and (1,1,n), so a factor such as z1(y/x) or z2(t) is computed once
 per distinct argument and only the sums broadcast to the full box.  The
-stencil runs slab by slab, on SLAB_POINTS-sized blocks of whole x rows,
-and writes each slab into one dense (C order) residual, so its temporaries
-are slab-sized.  Each grid point still gets the same sequence of IEEE
-operations as on dense meshgrids, and the max and mean read the dense
-residual, so every reported float is the dense grid's; the rms squares it
-in place where no square can overflow.  RK4 writes y and y' into
-array('d') states made once at their final length, 16 bytes a step that
-numpy reads uncopied; a step's position is computed from the start x0
-and the step h, never stored.
+stencil runs slab by slab, on SLAB_POINTS-sized blocks of whole x rows: it
+accumulates u_tt in place in the slab's view of one dense (C order)
+residual and u_xx, u_yy in two slab-sized buffers, so beside the residual
+it holds a few small slabs.  It never writes into an array u returned, so
+the v1 reconstructions answer a repeated trajectory query (z2(t) and
+sig1(t) for every slab, z1(y/x) for the three t shifts) from a small
+store of recent results.  Each grid point still gets the same sequence
+of IEEE operations as on dense meshgrids, and the max and mean read the
+dense residual, so every reported float is the dense grid's; the rms
+squares it in place where no square can overflow.  RK4 writes y and y'
+into array('d') states made once at their final length, 16 bytes a step
+that numpy reads uncopied; a step's position is computed from the start
+x0 and the step h, never stored, and not tracked at all when the
+right-hand side never reads x.
 
 ``RECONSTRUCTIONS`` holds the four similarity solutions, in the order of
 ``reduction.REDUCTION_NAMES``: builder, desk-scale default parameters, and
@@ -29,6 +34,7 @@ and p not both 0) for ``verify_reduction_numeric`` and the CLI alike."""
 
 from __future__ import annotations
 
+import ast
 import math
 import sys
 from array import array
@@ -44,15 +50,22 @@ __all__ = [
     "rk4_solve", "fd_residual", "verify_reduction_numeric",
     "first_integral_drift", "flow_transport_check", "compile_numeric",
     "Reconstruction", "RECONSTRUCTIONS", "check_params", "ode_margins", "MAX_ODE_STEPS",
-    "SLAB_POINTS", "SQUARES_LIMIT", "ZETA1_RHS", "ZETA2_RHS", "SIG1_RHS",
+    "SLAB_POINTS", "RECENT_QUERIES", "SQUARES_LIMIT", "ZETA1_RHS", "ZETA2_RHS", "SIG1_RHS",
 ]
 
 # RK4 steps allowed per solve; the default grids and step need at most ~56k
 MAX_ODE_STEPS = 10**6
 
 # fd_residual evaluates the stencil on slabs of whole x rows holding about
-# this many points (at least one row), so its temporaries stay slab-sized
-SLAB_POINTS = 2**15
+# this many points (at least one row), so its temporaries stay slab-sized:
+# 80 KB at most, below glibc's 128 KB mmap threshold, so the heap reuses
+# them from slab to slab.  A 21^3 grid is one slab, a 61^3 grid 2 x rows
+SLAB_POINTS = 10_000
+
+# the v1 reconstructions answer a trajectory query among the last this many
+# distinct ones from a store (see _recent): a slab asks z1 five distinct y/x
+# arrays, and the refinement study's two steps ask z2 or sig1 five t arrays
+RECENT_QUERIES = 6
 
 # fd_residual squares its residual in place for the rms when the residual's
 # size times its largest square is at most this: half the largest float, so
@@ -165,36 +178,40 @@ class Trajectory(namedtuple("Trajectory", "x0 h ys yps")):
 
 # The classical RK4 step with the right-hand side {rhs} written out at each
 # stage, so a step makes no Python call.  Each stage binds x, y, yp to its
-# arguments; (_x, _y, _yp) is the state.  The y and y' states are array('d')
-# made once at their final length n + 1 and written by index (16 bytes a
-# step, which rk4_solve hands to numpy uncopied; positions are x0 + i * h,
-# not stored).  Returns them and the index of the step that left the bound
-# or overflowed (None if none did).  The literal 2.0 keeps every arithmetic
-# operation float by float, which the interpreter specializes; 2 * k and
-# 2.0 * k are the same float.
+# arguments; (_x, _y, _yp) is the state.  The lines ending in "# x" track x
+# and are left out when the right-hand side never reads it.  The y and y'
+# states are array('d') made once at their final length n + 1 and written
+# by index (16 bytes a step, which rk4_solve hands to numpy uncopied;
+# positions are x0 + i * h, not stored).  Returns them and the index of the
+# step that left the bound or overflowed (None if none did).  The literal
+# 2.0 keeps every arithmetic operation float by float, which the
+# interpreter specializes; 2 * k and 2.0 * k are the same float.
 _RK4_LOOP = """\
 def _loop(_x0, _y, _yp, _h, _n, _bound, exp, {consts}):
-    _hh, _h6 = 0.5 * _h, _h / 6.0
+    _hh, _h6, _lo = 0.5 * _h, _h / 6.0, -_bound
     _ys, _yps = _array("d", (_y,)) * (_n + 1), _array("d", (_yp,)) * (_n + 1)
     _x, _i = _x0, 0
     try:
         for _i in range(1, _n + 1):
-            x, y, yp = _x, _y, _yp
+            x = _x  # x
+            y, yp = _y, _yp
             _k1y = yp
             _k1p = {rhs}
-            x, y, yp = _x + _hh, _y + _hh * _k1y, _yp + _hh * _k1p
+            x = _x + _hh  # x
+            y, yp = _y + _hh * _k1y, _yp + _hh * _k1p
             _k2y = yp
             _k2p = {rhs}
             y, yp = _y + _hh * _k2y, _yp + _hh * _k2p
             _k3y = yp
             _k3p = {rhs}
-            x, y, yp = _x + _h, _y + _h * _k3y, _yp + _h * _k3p
+            x = _x + _h  # x
+            y, yp = _y + _h * _k3y, _yp + _h * _k3p
             _k4y = yp
             _k4p = {rhs}
             _y = _y + _h6 * (_k1y + 2.0 * _k2y + 2.0 * _k3y + _k4y)
             _yp = _yp + _h6 * (_k1p + 2.0 * _k2p + 2.0 * _k3p + _k4p)
-            _x = _x0 + _i * _h
-            if not (abs(_y) < _bound and abs(_yp) < _bound):
+            _x = _x0 + _i * _h  # x
+            if not (_lo < _y < _bound and _lo < _yp < _bound):
                 return _ys, _yps, _i
             _ys[_i] = _y
             _yps[_i] = _yp
@@ -204,17 +221,26 @@ def _loop(_x0, _y, _yp, _h, _n, _bound, exp, {consts}):
 """
 
 
+def _rk4_loop(rhs: str, consts) -> callable:
+    """The loop of _RK4_LOOP with ``rhs`` written out and the names of
+    ``consts`` as its last parameters."""
+    reads_x = any(isinstance(node, ast.Name) and node.id == "x"
+                  for node in ast.walk(ast.parse(rhs, mode="eval")))
+    src = "\n".join(line for line in _RK4_LOOP.splitlines()
+                     if reads_x or not line.endswith("  # x"))
+    scope = {"_array": array}
+    exec(src.format(rhs=f"({rhs})", consts=", ".join(consts)), scope)
+    return scope["_loop"]
+
+
 def rk4_solve(problem: ODEProblem) -> Trajectory:
     """Classical 4th-order Runge-Kutta with a fixed step; rejects the run if
     the state exceeds the configured bound (blow-up guard), or if the
     right-hand side overflows on the way there."""
-    scope = {"_array": array}
-    src = _RK4_LOOP.format(rhs=f"({problem.rhs})", consts=", ".join(problem.consts))
-    exec(src, scope)
     n = max(1, int(math.ceil((problem.x1 - problem.x0) / problem.step)))
     h = (problem.x1 - problem.x0) / n
-    ys, yps, failed = scope["_loop"](problem.x0, problem.y0, problem.yp0, h, n,
-                                     problem.bound, math.exp, **problem.consts)
+    ys, yps, failed = _rk4_loop(problem.rhs, problem.consts)(
+        problem.x0, problem.y0, problem.yp0, h, n, problem.bound, math.exp, **problem.consts)
     if failed is not None:
         x = problem.x0 + failed * h
         raise NumVerifyError(f"trajectory exceeded bound {problem.bound} at x={x}")
@@ -253,31 +279,41 @@ class ResidualReport(namedtuple(
 
 def fd_residual(u, grid: GridSpec, f, tol: float = 1e-6, h: float | None = None) -> ResidualReport:
     """Central second differences of u on the grid box; residual of
-    u_tt - f(u)*(u_xx + u_yy) sampled at every grid point of an open grid."""
+    u_tt - f(u)*(u_xx + u_yy) sampled at every grid point of an open grid.
+    Never writes into the grid axes or into an array u returned."""
     h = grid.h if h is None else h
     axes = grid.axes()
     Xg, Yg, Tg = np.meshgrid(*axes, indexing="ij", sparse=True)
+    Yp, Ym, Tp, Tm = Yg + h, Yg - h, Tg + h, Tg - h
     # the dense C-order residual, so the mean sums in the dense grid's order;
-    # the stencil fills it a slab of x rows at a time
+    # the stencil fills it a slab of x rows at a time, u_tt in the slab's
+    # own view and u_xx, u_yy in two slab-sized buffers
     res = np.empty(tuple(map(len, axes)))
     rows = max(1, SLAB_POINTS // (len(axes[1]) * len(axes[2])))
+    uxx_buf, uyy_buf = np.empty_like(res[:rows]), np.empty_like(res[:rows])
     # singular-set intrusion shows up as non-finite values, reported below;
     # suppress the intermediate numpy warnings it would cause
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for i in range(0, len(axes[0]), rows):
             X = Xg[i:i + rows]
+            utt, uxx, uyy = res[i:i + rows], uxx_buf[:len(X)], uyy_buf[:len(X)]
             u0 = u(X, Yg, Tg)
-            utt = (u(X, Yg, Tg + h) - 2 * u0 + u(X, Yg, Tg - h)) / h**2
-            uxx = (u(X + h, Yg, Tg) - 2 * u0 + u(X - h, Yg, Tg)) / h**2
-            uyy = (u(X, Yg + h, Tg) - 2 * u0 + u(X, Yg - h, Tg)) / h**2
-            res[i:i + rows] = utt - f(u0) * (uxx + uyy)
-    if not np.all(np.isfinite(res)):
+            two_u0 = 2 * u0
+            _second_difference(utt, u, (X, Yg, Tp), two_u0, (X, Yg, Tm), h)
+            _second_difference(uxx, u, (X + h, Yg, Tg), two_u0, (X - h, Yg, Tg), h)
+            _second_difference(uyy, u, (X, Yp, Tg), two_u0, (X, Ym, Tg), h)
+            uxx += uyy
+            uxx *= f(u0)
+            utt -= uxx
+    # the extremes propagate a NaN, so both are finite only if every point is
+    hi, lo = res.max(), res.min()
+    if not (np.isfinite(hi) and np.isfinite(lo)):
         bad = np.argwhere(~np.isfinite(res))[:5]
         pts = [tuple(float(a[k]) for a, k in zip(axes, i)) for i in bad]
         raise NumVerifyError(f"singular-set intrusion at grid points {pts}")
     # the largest |res| without a residual-sized temporary; abs makes the
     # maximum of an all -0.0 residual 0.0
-    mx = abs(float(max(res.max(), -res.min())))
+    mx = abs(float(max(hi, -lo)))
     if mx * mx * res.size <= SQUARES_LIMIT:
         # no square and no partial sum can overflow: square res in place
         rms = float(np.sqrt(np.mean(np.square(res, out=res))))
@@ -288,6 +324,14 @@ def fd_residual(u, grid: GridSpec, f, tol: float = 1e-6, h: float | None = None)
             # the squares overflow; scaled by the maximum they cannot
             rms = mx * float(np.sqrt(np.mean((res / mx) ** 2)))
     return ResidualReport(mx, rms, grid, tol, mx <= tol)
+
+
+def _second_difference(out, u, ahead, two_u0, behind, h: float) -> None:
+    """out = ((u(*ahead) - 2*u0) + u(*behind)) / h**2, computed in out, one
+    value of u alive at a time."""
+    np.subtract(u(*ahead), two_u0, out=out)
+    out += u(*behind)
+    out /= h**2
 
 
 def _with_convergence(u, grid, f, tol) -> ResidualReport:
@@ -325,6 +369,27 @@ ZETA2_RHS = "-K * c1 * exp(y / c)"
 SIG1_RHS = "c_sep * y * y"
 
 
+def _recent(tr: Trajectory):
+    """tr's dense evaluation, answering a query of the same shape and bytes
+    as one of the last RECENT_QUERIES distinct queries with the read-only
+    result computed for it.  fd_residual asks z2(t) and sig1(t) the same
+    three t arrays for every slab and x or y shift, and z1(y/x) the same
+    y/x array for the three t shifts."""
+    store = {}
+
+    def evaluate(q):
+        q = np.asarray(q, dtype=float)
+        key = q.shape, q.tobytes()
+        if key not in store:
+            if len(store) == RECENT_QUERIES:
+                del store[next(iter(store))]
+            value = store[key] = np.asarray(tr(q))
+            value.flags.writeable = False
+        return store[key]
+
+    return evaluate
+
+
 # f(u) of case i, and of case ii at e1 = 1, e2 = 0, on arrays
 def _exponential_f(K: float, c: float):
     return lambda uv: K * np.exp(uv / c)
@@ -340,8 +405,8 @@ def reconstruct_case_i_v1(params: dict, grid: GridSpec, ode_step: float = 1e-5):
     K, c, c1 = params["K"], params["c"], params["c1"]
     (r0, r1), (t0, t1) = ode_margins(grid)
     consts = {"K": K, "c": c, "c1": c1}
-    z1 = rk4_solve(ODEProblem(ZETA1_RHS, r0, 0.0, 0.0, r1, ode_step, consts=consts))
-    z2 = rk4_solve(ODEProblem(ZETA2_RHS, t0, 0.0, 0.0, t1, ode_step, consts=consts))
+    z1 = _recent(rk4_solve(ODEProblem(ZETA1_RHS, r0, 0.0, 0.0, r1, ode_step, consts=consts)))
+    z2 = _recent(rk4_solve(ODEProblem(ZETA2_RHS, t0, 0.0, 0.0, t1, ode_step, consts=consts)))
 
     def u(x, y, t):
         return z1(y / x) + z2(t) + 2 * c * np.log(x)
@@ -367,8 +432,8 @@ def reconstruct_case_ii_v1(params: dict, grid: GridSpec, ode_step: float = 1e-5)
     L, c_sep = params["L"], params["c_sep"]
     a, b = params["sig2_a"], params["sig2_b"]
     (p0, p1), (t0, t1) = ode_margins(grid)
-    s1 = rk4_solve(ODEProblem(SIG1_RHS, t0, params["sig1_0"], 0.0, t1, ode_step,
-                              consts={"c_sep": c_sep}))
+    s1 = _recent(rk4_solve(ODEProblem(SIG1_RHS, t0, params["sig1_0"], 0.0, t1, ode_step,
+                                      consts={"c_sep": c_sep})))
 
     def sig2(p):
         return c_sep / (2 * L) + a * p + b * (p * p - 1.0)

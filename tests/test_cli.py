@@ -221,6 +221,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("config error: bad --param:")
 
+    @pytest.mark.parametrize("command, e1", [
+        ("classify", "1/65"), ("classify", "-1/65"), ("classify", "3/200"),
+        ("classify", "1/2147483647"), ("reduce", "1/65"), ("reduce", "1/2147483647"),
+    ])
+    def test_exponent_numerator_above_the_cap_is_2(self, capsys, command, e1):
+        # f = L*(e1*u + e2)^(1/e1) is expanded exactly: at 1/2147483647
+        # classify and reduce ran for minutes, and classify's time grows
+        # about as n^2.2 at e1 = 1/n
+        from wavesym.cli import MAX_EXPONENT_NUMERATOR
+
+        start = time.perf_counter()
+        assert main([command, "--case", "ii", "--param", f"e1={e1}"]) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"config error: bad --param: e1={e1} ")
+        assert err.endswith(f"numerator is larger than {MAX_EXPONENT_NUMERATOR} in magnitude\n")
+
+    def test_exponent_numerator_at_the_cap_accepted(self):
+        from fractions import Fraction
+
+        from wavesym.cli import MAX_EXPONENT_NUMERATOR, RunConfig, _family
+        from wavesym.expr import rat
+
+        for e1 in (Fraction(1, MAX_EXPONENT_NUMERATOR), Fraction(-3, MAX_EXPONENT_NUMERATOR),
+                   Fraction(2147483647)):
+            assert _family(RunConfig("classify", case="ii", params={"e1": e1})).e1 == rat(e1)
+
     def test_param_at_the_ends_of_the_float_range_accepted(self):
         from wavesym.cli import _parse_rational
 

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -14,12 +15,12 @@ from wavesym.expr import (
 )
 from wavesym.liealg import VectorField
 from wavesym.numverify import (
-    MAX_ODE_STEPS, RECONSTRUCTIONS, SIG1_RHS, SLAB_POINTS, SQUARES_LIMIT, ZETA1_RHS,
-    ZETA2_RHS, GridSpec, NumVerifyError, ODEProblem, compile_numeric, fd_residual,
-    first_integral_drift, flow_transport_check, ode_margins, reconstruct_case_i_v4,
-    rk4_solve, verify_reduction_numeric,
+    MAX_ODE_STEPS, RECENT_QUERIES, RECONSTRUCTIONS, SIG1_RHS, SLAB_POINTS, SQUARES_LIMIT,
+    ZETA1_RHS, ZETA2_RHS, GridSpec, NumVerifyError, ODEProblem, Trajectory, _recent,
+    _rk4_loop, compile_numeric, fd_residual, first_integral_drift, flow_transport_check,
+    ode_margins, reconstruct_case_i_v4, rk4_solve, verify_reduction_numeric,
 )
-from wavesym import reference
+from wavesym import numverify, reference
 
 
 def dense_residual_values(u, grid, f):
@@ -60,6 +61,47 @@ def searchsorted_eval(tr, x):
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# The RK4 loop as it was before it left out the x bookkeeping of right-hand
+# sides that never read x and bounded the state by -bound < y < bound: the
+# reference the compiled loop must match bit for bit
+REFERENCE_RK4_LOOP = """\
+def _loop(_x0, _y, _yp, _h, _n, _bound, exp, {consts}):
+    _hh, _h6 = 0.5 * _h, _h / 6.0
+    _ys, _yps = _array("d", (_y,)) * (_n + 1), _array("d", (_yp,)) * (_n + 1)
+    _x, _i = _x0, 0
+    try:
+        for _i in range(1, _n + 1):
+            x, y, yp = _x, _y, _yp
+            _k1y = yp
+            _k1p = {rhs}
+            x, y, yp = _x + _hh, _y + _hh * _k1y, _yp + _hh * _k1p
+            _k2y = yp
+            _k2p = {rhs}
+            y, yp = _y + _hh * _k2y, _yp + _hh * _k2p
+            _k3y = yp
+            _k3p = {rhs}
+            x, y, yp = _x + _h, _y + _h * _k3y, _yp + _h * _k3p
+            _k4y = yp
+            _k4p = {rhs}
+            _y = _y + _h6 * (_k1y + 2.0 * _k2y + 2.0 * _k3y + _k4y)
+            _yp = _yp + _h6 * (_k1p + 2.0 * _k2p + 2.0 * _k3p + _k4p)
+            _x = _x0 + _i * _h
+            if not (abs(_y) < _bound and abs(_yp) < _bound):
+                return _ys, _yps, _i
+            _ys[_i] = _y
+            _yps[_i] = _yp
+    except OverflowError:
+        return _ys, _yps, _i
+    return _ys, _yps, None
+"""
+
+
+def reference_rk4_loop(rhs, consts):
+    scope = {"_array": array}
+    exec(REFERENCE_RK4_LOOP.format(rhs=f"({rhs})", consts=", ".join(consts)), scope)
+    return scope["_loop"]
 
 
 # 61 points per axis: fd_residual fills 61 // rows slabs of x rows and a
@@ -156,6 +198,30 @@ class TestRK4:
         assert np.array_equal(tr.xs, xs)
         assert np.array_equal(tr.ys, ys)
         assert np.array_equal(tr.yps, yps)
+
+    @pytest.mark.parametrize("rhs, x0, y0, x1, h, bound, failed", [
+        (ZETA1_RHS, 0.3, 0.0, 0.8, 1e-4, 1e6, None),
+        (ZETA2_RHS, 0.9, 0.0, 1.6, 1e-4, 1e6, None),
+        (SIG1_RHS, 0.9, 0.5, 1.6, 1e-4, 1e6, None),
+        ("-(exp(-y) + 2 * (x * yp - 1.0)) / (x * x + 1.0) + y * yp", 0.3, 0.2, 1.1, 7e-3,
+         1e6, None),
+        # the bound crossed, reading x and not
+        ("x * y * y", 1.0, 3.0, 10.0, 1e-3, 1e3, 1224),
+        ("y * y", 0.0, 3.0, 10.0, 1e-3, 1e3, 1536),
+        # exp overflows before the bound is crossed, reading x and not
+        ("exp(x * y)", 1.0, 700.0, 2.0, 1e-3, 1e6, 1),
+        ("exp(y)", 0.0, 700.0, 1.0, 1e-3, 1e6, 1),
+    ], ids=["zeta1", "zeta2", "sig1", "x-dependent", "bound-x", "bound", "overflow-x",
+            "overflow"])
+    def test_loop_matches_the_reference_loop(self, rhs, x0, y0, x1, h, bound, failed):
+        # the same states bit for bit, and the same failure step
+        consts = {"K": 1.0, "c": 1.0, "c1": 1.0, "c_sep": 1.0}
+        n = math.ceil((x1 - x0) / h)
+        args = (x0, y0, -0.4, (x1 - x0) / n, n, bound, math.exp)
+        ys, yps, step = _rk4_loop(rhs, consts)(*args, **consts)
+        ref_ys, ref_yps, ref_step = reference_rk4_loop(rhs, consts)(*args, **consts)
+        assert (step, ref_step) == (failed, failed)
+        assert ys.tobytes() == ref_ys.tobytes() and yps.tobytes() == ref_yps.tobytes()
 
     def test_bad_step_or_interval_refused(self):
         with pytest.raises(NumVerifyError, match="step must be positive"):
@@ -305,6 +371,44 @@ class TestFDResidual:
         r = fd_residual(lambda x, y, t: x, grid, lambda u: 3.0 * u)
         assert r.max_residual < 1e-12
 
+    def test_writes_neither_the_axes_nor_what_u_returned(self, monkeypatch):
+        # one x row a slab, so u gets views of the x axis; u keeps each of
+        # its arguments and results with a copy: u = e^x*y + t^2, u = x (its
+        # argument), and u returning one cached array on every call
+        monkeypatch.setattr(numverify, "SLAB_POINTS", 4 * 3)
+        grid = GridSpec(n=(5, 4, 3))
+        seen = []
+
+        def keep(a):
+            seen.append((a, np.array(a, copy=True)))
+            return a
+
+        def u(x, y, t):
+            keep(x), keep(y), keep(t)
+            return keep(np.exp(x) * y + t * t)
+
+        cached = np.full((1, 1, 1), 2.0)
+        for fn in (u, lambda x, y, t: keep(x), lambda x, y, t: keep(cached)):
+            fd_residual(fn, grid, lambda uv: 3.0 * uv)
+        assert len(seen) == 5 * 7 * 6
+        assert all(same_bits(a, copy) for a, copy in seen)
+
+    def test_slab_size_changes_no_report_byte(self, tmp_path, monkeypatch):
+        # verify's report and CSVs with one x row a slab and with the whole
+        # box in one slab
+        from wavesym.cli import main
+
+        out = tmp_path / "report.json"
+        files = []
+        for slab in (7 * 7, 7 * 7 * 7):
+            monkeypatch.setattr(numverify, "SLAB_POINTS", slab)
+            assert main(["verify", "--grid", "7,7,7", "--format", "json",
+                         "--out", str(out)]) == 0
+            files.append({p.name: p.read_bytes() for p in tmp_path.iterdir()})
+            for p in tmp_path.iterdir():
+                p.unlink()
+        assert len(files[0]) == 5 and files[0] == files[1]
+
     def test_singular_set_intrusion_reported(self):
         grid = GridSpec(box=((0.5, 1.0), (0.5, 1.0), (-0.01, 0.01)))
         with pytest.raises(NumVerifyError) as err:
@@ -401,6 +505,37 @@ class TestReconstructions:
             r = fd_residual(u, grid, f)
             assert (r.max_residual, r.rms_residual) == dense_residual(u, grid, f), n
 
+    def test_v1_reconstructions_evaluate_each_trajectory_query_once(self, monkeypatch):
+        # a slab asks z1 five distinct y/x arrays (at x, x +- h and y +- h,
+        # the t shifts sharing one), and z2 or sig1 the same three t arrays
+        # as every other slab
+        calls = []
+        evaluate = Trajectory.__call__
+        monkeypatch.setattr(Trajectory, "__call__",
+                            lambda tr, q: calls.append(q) or evaluate(tr, q))
+        slabs = math.ceil(N61[0] / slab_rows(N61))
+        for key, per_slab in ((("i", "v1"), 5), (("ii", "v1"), 0)):
+            rec = RECONSTRUCTIONS[key]
+            grid = rec.grid._replace(n=N61)
+            u, f = rec.build(dict(rec.params), grid)
+            calls.clear()
+            fd_residual(u, grid, f)
+            assert len(calls) == per_slab * slabs + 3, key
+
+    def test_recent_queries_are_kept_read_only_and_bounded(self):
+        calls = []
+        evaluate = _recent(lambda q: calls.append(q) or q * 2.0)
+        queries = [np.full(3, k / 10) for k in range(RECENT_QUERIES + 1)]
+        for q in queries:
+            evaluate(q)
+        # the same bytes and shape hit; another shape or the evicted oldest
+        # query is evaluated again
+        again = evaluate(queries[1].copy())
+        assert again is evaluate(queries[1]) and not again.flags.writeable
+        evaluate(queries[1].reshape(3, 1))
+        evaluate(queries[0])
+        assert len(calls) == RECENT_QUERIES + 3
+
     def test_zero_separation_constant_degenerates_cleanly(self):
         # c1 = 0 makes zeta2'' = 0 and zeta1 integrable; still a solution
         r = verify_reduction_numeric("i", "v1", params={"c1": 0.0})
@@ -476,13 +611,22 @@ class TestWorkingMemory:
             tracemalloc.stop()
 
     def test_fd_residual_holds_the_dense_residual_and_a_slab(self):
-        # 1.92x the dense residual's bytes: res, squared in place for the
-        # rms, and slab-sized stencil terms; a res**2 beside it took 2.33x,
-        # whole-box terms 6.0x
+        # 1.24x the dense residual's bytes: res, squared in place for the
+        # rms, and a few terms of a 2-row slab, accumulated in place; 2^15
+        # point slabs of whole-term temporaries took 1.92x, a res**2 beside
+        # res 2.33x, whole-box terms 6.0x
         grid = RECONSTRUCTIONS["i", "v4"].grid._replace(n=N61)
         u, f = reconstruct_case_i_v4(dict(RECONSTRUCTIONS["i", "v4"].params), grid)
         peak = self.traced_peak(lambda: fd_residual(u, grid, f))
-        assert peak < 2.15 * 8 * math.prod(N61), peak
+        assert peak < 1.35 * 8 * math.prod(N61), peak
+
+    def test_v1_check_at_61_points_an_axis(self):
+        # the (i, v1) check with its refinement study: the z1, z2 states
+        # (1.35 MB), the residual (1.73 MB) and a slab's terms peak at
+        # 3.45 MiB; 2^15 point slabs of whole-term temporaries took 4.68 MiB
+        grid = RECONSTRUCTIONS["i", "v1"].grid._replace(n=N61)
+        peak = self.traced_peak(lambda: verify_reduction_numeric("i", "v1", grid=grid))
+        assert peak < 3.8 * 2**20, peak / 2**20
 
     def test_rk4_solve_bytes_per_step(self):
         # sig1 over the (ii, v1) default grid's t range: 55,600 steps at
