@@ -107,22 +107,22 @@ def _family(config: RunConfig):
 
 
 # --param names: the family parameters, then the reconstructions' (see
-# numverify.RECONSTRUCTIONS; each reads only its own)
+# ode.DEFAULTS; each reads only its own)
 PARAM_NAMES = ("K", "c", "L", "e1", "e2", "c1", "c_sep", "m", "p", "q",
                "sig2_a", "sig2_b", "sig1_0", "harmonic_xy")
 
 
 def _numeric_params(config: RunConfig, key) -> dict:
-    from .numverify import RECONSTRUCTIONS
+    from .ode import DEFAULTS
 
-    return {**RECONSTRUCTIONS[key].params,
+    return {**DEFAULTS[key].params,
             **{name: float(value) for name, value in config.params.items()}}
 
 
 def _grid(config: RunConfig, key):
-    from .numverify import RECONSTRUCTIONS
+    from .ode import DEFAULTS
 
-    g = RECONSTRUCTIONS[key].grid
+    g = DEFAULTS[key].grid
     return g._replace(box=config.box or g.box, n=config.grid_n)
 
 
@@ -258,8 +258,11 @@ def stage_reduce(config: RunConfig) -> dict:
     return out
 
 
-def stage_verify(config: RunConfig, csv_dir: str) -> dict:
-    # numpy comes with numverify, which only verify and report-all load
+def stage_verify(config: RunConfig, csv_dir: str, helper=None) -> dict:
+    """The numeric checks; the v1 reconstructions take their ODE states
+    from ``helper`` (see _start_helper) when it has them."""
+    # numpy comes with numverify, which only verify and report-all load,
+    # here, after main has started the helper
     from .numverify import (
         RECONSTRUCTIONS, fd_residual, first_integral_drift, flow_transport_check,
         reconstruct_case_i_v4, verify_reduction_numeric,
@@ -275,6 +278,7 @@ def stage_verify(config: RunConfig, csv_dir: str) -> dict:
             grid=_grid(config, (case_id, gen)),
             tol=config.tol,
             ode_step=config.ode_step,
+            helper=helper,
         )
         out["reductions"][f"{case_id}_{gen}"] = r.to_dict()
         ok = ok and r.passed
@@ -557,19 +561,18 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _check_verify_config(config: RunConfig) -> None:
-    """Refuse what ``stage_verify`` cannot run, before any stage does."""
-    from .numverify import (
-        MAX_ODE_STEPS, RECONSTRUCTIONS, NumVerifyError, check_params, ode_margins,
-    )
+    """Refuse what ``stage_verify`` cannot run, before any stage does (and
+    before numpy is loaded: ``ode`` holds all this needs)."""
+    from .ode import DEFAULTS, MAX_ODE_STEPS, NumVerifyError, check_params, ode_margins
 
     try:  # each reconstruction's defaults under the exact --param values
-        for rec in RECONSTRUCTIONS.values():
-            check_params({**rec.params, **config.params}, config.command)
+        for defaults in DEFAULTS.values():
+            check_params({**defaults.params, **config.params}, config.command)
     except NumVerifyError as err:
         raise ConfigError(f"--param {err}") from None
     for case in ("i", "ii"):  # K, c, L, e1 = 0 leave a family undefined
         _family(config._replace(case=case))
-    pad = 8 * max(RECONSTRUCTIONS[case, "v1"].grid.h for case in ("i", "ii"))
+    pad = 8 * max(DEFAULTS[case, "v1"].grid.h for case in ("i", "ii"))
     if config.box and config.box[0][0] <= pad:  # v1 solutions live in y/x
         raise ConfigError(f"bad --box: x0 must exceed 8*h = {pad!r}, got {config.box[0][0]!r}")
     for case in ("i", "ii"):
@@ -588,11 +591,29 @@ def _check_verify_config(config: RunConfig) -> None:
 
 def _check_failures() -> tuple:
     """The errors main reports as a failed check.  NumVerifyError counts once
-    numverify is loaded, and only numverify raises it, so main need not
-    import numverify (and numpy) to catch it."""
-    numverify = sys.modules.get(f"{__package__}.numverify")
-    numeric = (numverify.NumVerifyError,) if numverify else ()
+    ode is loaded, and only ode and numverify raise it, so main need not
+    import ode to catch it."""
+    ode = sys.modules.get(f"{__package__}.ode")
+    numeric = (ode.NumVerifyError,) if ode else ()
     return (DetSysError, ReductionError) + numeric
+
+
+def _start_helper(config: RunConfig):
+    """For verify and report-all, the ode.Helper integrating the v1
+    reconstructions' ODE problems, in stage order, while this process
+    imports numpy and runs the other stages; None for the other commands,
+    or if a problem cannot be built (stage_verify then meets the error)."""
+    if config.command not in ("verify", "report-all"):
+        return None
+    from .ode import ODE_PROBLEMS, Helper, NumVerifyError
+
+    try:
+        problems = [problem for key, build in ODE_PROBLEMS.items()
+                    for problem in build(_numeric_params(config, key), _grid(config, key),
+                                         config.ode_step)]
+    except NumVerifyError:
+        return None
+    return Helper(problems)
 
 
 def main(argv=None) -> int:
@@ -605,6 +626,7 @@ def main(argv=None) -> int:
 
     csv_dir = os.path.dirname(config.out) or "." if config.out else "."
     stages: dict = {}
+    helper = _start_helper(config)
     try:
         if config.command == "derive":
             stages["derive"] = stage_derive(config)
@@ -613,7 +635,7 @@ def main(argv=None) -> int:
         elif config.command == "reduce":
             stages["reduce"] = stage_reduce(config)
         elif config.command == "verify":
-            stages["verify"] = stage_verify(config, csv_dir)
+            stages["verify"] = stage_verify(config, csv_dir, helper)
         else:  # report-all
             stages["derive"] = stage_derive(config)
             for case in ("i", "ii"):
@@ -621,13 +643,16 @@ def main(argv=None) -> int:
             for case, gen in REDUCTION_NAMES:
                 stages[f"reduce_{case}_{gen}"] = stage_reduce(
                     config._replace(case=case, generator=gen))
-            stages["verify"] = stage_verify(config, csv_dir)
+            stages["verify"] = stage_verify(config, csv_dir, helper)
     except (ConfigError,) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except _check_failures() as err:
         print(f"check failed: {err}", file=sys.stderr)
         return 1
+    finally:
+        if helper is not None:
+            helper.close()
 
     report = _assemble(config, stages)
     _emit(report, config)

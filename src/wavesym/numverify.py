@@ -26,35 +26,37 @@ x0 and the step h, never stored, and not tracked at all when the
 right-hand side never reads x.
 
 ``RECONSTRUCTIONS`` holds the four similarity solutions, in the order of
-``reduction.REDUCTION_NAMES``: builder, desk-scale default parameters, and
-a default grid whose box keeps unit-order distance from the singular sets
-(t = 0, x = 0, h = 0) by placement, never by special-casing formulas.
-``check_params`` holds the rules on their parameters (e1 = 1, e2 = 0; m
-and p not both 0) for ``verify_reduction_numeric`` and the CLI alike."""
+``reduction.REDUCTION_NAMES``: builder, and the desk-scale default
+parameters and default grid of ``ode.DEFAULTS``.  The ODE problems, their
+RK4 loop, those defaults and ``check_params``, the rules on the parameters
+(e1 = 1, e2 = 0; m and p not both 0) for ``verify_reduction_numeric`` and
+the CLI alike, live in ``ode``, which loads no numpy, and are re-exported
+here.  ``rk4_solve`` is every builder's way to its states: the CLI passes
+down the ``ode.Helper`` it started, which integrated them in a child
+process; a library call solves them in process."""
 
 from __future__ import annotations
 
-import ast
 import math
 import sys
-from array import array
 from collections import namedtuple
 
 import numpy as np
 
 from .expr import Expr, format_expr
 from .liealg import COORDS, EPS, VectorField, flow
+from .ode import (
+    DEFAULTS, MAX_ODE_STEPS, ODE_PROBLEMS, SIG1_RHS, ZETA1_RHS, ZETA2_RHS, GridSpec, Helper,
+    NumVerifyError, ODEProblem, check_params, integrate, ode_margins,
+)
 
 __all__ = [
     "NumVerifyError", "ODEProblem", "Trajectory", "GridSpec", "ResidualReport",
     "rk4_solve", "fd_residual", "verify_reduction_numeric",
     "first_integral_drift", "flow_transport_check", "compile_numeric",
-    "Reconstruction", "RECONSTRUCTIONS", "check_params", "ode_margins", "MAX_ODE_STEPS",
+    "Reconstruction", "BUILDERS", "RECONSTRUCTIONS", "check_params", "ode_margins", "MAX_ODE_STEPS",
     "SLAB_POINTS", "RECENT_QUERIES", "SQUARES_LIMIT", "ZETA1_RHS", "ZETA2_RHS", "SIG1_RHS",
 ]
-
-# RK4 steps allowed per solve; the default grids and step need at most ~56k
-MAX_ODE_STEPS = 10**6
 
 # fd_residual evaluates the stencil on slabs of whole x rows holding about
 # this many points (at least one row), so its temporaries stay slab-sized:
@@ -71,10 +73,6 @@ RECENT_QUERIES = 6
 # size times its largest square is at most this: half the largest float, so
 # the rounding of the mean's partial sums cannot carry one past it either
 SQUARES_LIMIT = sys.float_info.max / 2
-
-
-class NumVerifyError(Exception):
-    pass
 
 
 def compile_numeric(e: Expr, arg_atoms) -> callable:
@@ -110,27 +108,6 @@ def compile_numeric(e: Expr, arg_atoms) -> callable:
 
     src = f"lambda {', '.join(names[a] for a in arg_atoms)}, _np=np: {gen(e)}"
     return eval(src, {"np": np})
-
-
-class ODEProblem:
-    """Second-order initial value problem  y'' = rhs.
-
-    ``rhs`` is Python source over x, y, yp, ``exp`` (``math.exp``) and the
-    names bound in ``consts``, which must not start with '_' (the loop's own
-    names do); ``rk4_solve`` inlines it in its loop."""
-
-    __slots__ = ("rhs", "x0", "y0", "yp0", "x1", "step", "bound", "consts")
-
-    def __init__(self, rhs: str, x0: float, y0: float, yp0: float, x1: float,
-                 step: float = 1e-5, bound: float = 1e6, consts: dict | None = None):
-        if step <= 0:
-            raise NumVerifyError("step must be positive")
-        if x1 <= x0:
-            raise NumVerifyError("empty integration interval")
-        if not (x1 - x0) / step <= MAX_ODE_STEPS:
-            raise NumVerifyError(f"step {step!r} needs more than {MAX_ODE_STEPS} RK4 steps")
-        self.rhs, self.x0, self.y0, self.yp0, self.x1 = rhs, x0, y0, yp0, x1
-        self.step, self.bound, self.consts = step, bound, {} if consts is None else consts
 
 
 class Trajectory(namedtuple("Trajectory", "x0 h ys yps")):
@@ -176,88 +153,13 @@ class Trajectory(namedtuple("Trajectory", "x0 h ys yps")):
         )
 
 
-# The classical RK4 step with the right-hand side {rhs} written out at each
-# stage, so a step makes no Python call.  Each stage binds x, y, yp to its
-# arguments; (_x, _y, _yp) is the state.  The lines ending in "# x" track x
-# and are left out when the right-hand side never reads it.  The y and y'
-# states are array('d') made once at their final length n + 1 and written
-# by index (16 bytes a step, which rk4_solve hands to numpy uncopied;
-# positions are x0 + i * h, not stored).  Returns them and the index of the
-# step that left the bound or overflowed (None if none did).  The literal
-# 2.0 keeps every arithmetic operation float by float, which the
-# interpreter specializes; 2 * k and 2.0 * k are the same float.
-_RK4_LOOP = """\
-def _loop(_x0, _y, _yp, _h, _n, _bound, exp, {consts}):
-    _hh, _h6, _lo = 0.5 * _h, _h / 6.0, -_bound
-    _ys, _yps = _array("d", (_y,)) * (_n + 1), _array("d", (_yp,)) * (_n + 1)
-    _x, _i = _x0, 0
-    try:
-        for _i in range(1, _n + 1):
-            x = _x  # x
-            y, yp = _y, _yp
-            _k1y = yp
-            _k1p = {rhs}
-            x = _x + _hh  # x
-            y, yp = _y + _hh * _k1y, _yp + _hh * _k1p
-            _k2y = yp
-            _k2p = {rhs}
-            y, yp = _y + _hh * _k2y, _yp + _hh * _k2p
-            _k3y = yp
-            _k3p = {rhs}
-            x = _x + _h  # x
-            y, yp = _y + _h * _k3y, _yp + _h * _k3p
-            _k4y = yp
-            _k4p = {rhs}
-            _y = _y + _h6 * (_k1y + 2.0 * _k2y + 2.0 * _k3y + _k4y)
-            _yp = _yp + _h6 * (_k1p + 2.0 * _k2p + 2.0 * _k3p + _k4p)
-            _x = _x0 + _i * _h  # x
-            if not (_lo < _y < _bound and _lo < _yp < _bound):
-                return _ys, _yps, _i
-            _ys[_i] = _y
-            _yps[_i] = _yp
-    except OverflowError:  # e.g. exp in the right-hand side, before the bound
-        return _ys, _yps, _i
-    return _ys, _yps, None
-"""
-
-
-def _rk4_loop(rhs: str, consts) -> callable:
-    """The loop of _RK4_LOOP with ``rhs`` written out and the names of
-    ``consts`` as its last parameters."""
-    reads_x = any(isinstance(node, ast.Name) and node.id == "x"
-                  for node in ast.walk(ast.parse(rhs, mode="eval")))
-    src = "\n".join(line for line in _RK4_LOOP.splitlines()
-                     if reads_x or not line.endswith("  # x"))
-    scope = {"_array": array}
-    exec(src.format(rhs=f"({rhs})", consts=", ".join(consts)), scope)
-    return scope["_loop"]
-
-
-def rk4_solve(problem: ODEProblem) -> Trajectory:
-    """Classical 4th-order Runge-Kutta with a fixed step; rejects the run if
-    the state exceeds the configured bound (blow-up guard), or if the
+def rk4_solve(problem: ODEProblem, helper: Helper | None = None) -> Trajectory:
+    """Classical 4th-order Runge-Kutta with a fixed step (``ode.integrate``:
+    from ``helper`` when it has the states, else solved here); rejects the
+    run if the state exceeds the configured bound (blow-up guard), or if the
     right-hand side overflows on the way there."""
-    n = max(1, int(math.ceil((problem.x1 - problem.x0) / problem.step)))
-    h = (problem.x1 - problem.x0) / n
-    ys, yps, failed = _rk4_loop(problem.rhs, problem.consts)(
-        problem.x0, problem.y0, problem.yp0, h, n, problem.bound, math.exp, **problem.consts)
-    if failed is not None:
-        x = problem.x0 + failed * h
-        raise NumVerifyError(f"trajectory exceeded bound {problem.bound} at x={x}")
-    return Trajectory(problem.x0, h, np.frombuffer(ys), np.frombuffer(yps))
-
-
-class GridSpec(namedtuple("GridSpec", "box n h", defaults=(
-        ((2.0, 2.5), (2.0, 2.5), (2.0, 2.5)), (21, 21, 21), 1e-3))):
-    """Evaluation box in (x, y, t), points per axis, and the central
-    finite-difference step (which is independent of the lattice spacing)."""
-
-    __slots__ = ()
-
-    def axes(self):
-        return tuple(
-            np.linspace(lo, hi, k) for (lo, hi), k in zip(self.box, self.n)
-        )
+    ys, yps = integrate(problem, helper)
+    return Trajectory(problem.x0, problem.mesh()[1], np.frombuffer(ys), np.frombuffer(yps))
 
 
 class ResidualReport(namedtuple(
@@ -351,24 +253,6 @@ def _with_convergence(u, grid, f, tol) -> ResidualReport:
             coarse.max_residual / report.max_residual if report.max_residual else None))
 
 
-def ode_margins(grid: GridSpec):
-    """The (y/x, t) intervals the v1 reconstructions integrate over: the
-    box's range plus the finite-difference stencil's reach and a margin."""
-    (x0, x1), (y0, y1), (t0, t1) = grid.box
-    pad = 8 * grid.h
-    r_lo = (y0 - pad) / (x1 + pad)
-    r_hi = (y1 + pad) / (x0 - pad)
-    return (r_lo - 0.02, r_hi + 0.02), (t0 - pad - 0.02, t1 + pad + 0.02)
-
-
-# The separated ODEs of reference.separation_case_i (zeta1 in r = y/x, zeta2
-# in s = t) and separation_case_ii (sig1 in q = t), solved for the second
-# derivative, as RK4 right-hand sides over x, y = the solution, yp = y'
-ZETA1_RHS = "-(c1 * exp(-y / c) + 2 * (x * yp - c)) / (x * x + 1)"
-ZETA2_RHS = "-K * c1 * exp(y / c)"
-SIG1_RHS = "c_sep * y * y"
-
-
 def _recent(tr: Trajectory):
     """tr's dense evaluation, answering a query of the same shape and bytes
     as one of the last RECENT_QUERIES distinct queries with the read-only
@@ -399,14 +283,13 @@ def _linear_f(L: float):
     return lambda uv: L * uv
 
 
-def reconstruct_case_i_v1(params: dict, grid: GridSpec, ode_step: float = 1e-5):
+def reconstruct_case_i_v1(params: dict, grid: GridSpec, ode_step: float = 1e-5,
+                          helper: Helper | None = None):
     """u = zeta1(y/x) + zeta2(t) + 2*c*ln(x) with the separated ODEs
     integrated by RK4; returns (u_callable, f_callable)."""
-    K, c, c1 = params["K"], params["c"], params["c1"]
-    (r0, r1), (t0, t1) = ode_margins(grid)
-    consts = {"K": K, "c": c, "c1": c1}
-    z1 = _recent(rk4_solve(ODEProblem(ZETA1_RHS, r0, 0.0, 0.0, r1, ode_step, consts=consts)))
-    z2 = _recent(rk4_solve(ODEProblem(ZETA2_RHS, t0, 0.0, 0.0, t1, ode_step, consts=consts)))
+    K, c = params["K"], params["c"]
+    z1, z2 = (_recent(rk4_solve(problem, helper))
+              for problem in ODE_PROBLEMS["i", "v1"](params, grid, ode_step))
 
     def u(x, y, t):
         return z1(y / x) + z2(t) + 2 * c * np.log(x)
@@ -414,7 +297,8 @@ def reconstruct_case_i_v1(params: dict, grid: GridSpec, ode_step: float = 1e-5):
     return u, _exponential_f(K, c)
 
 
-def reconstruct_case_i_v4(params: dict, grid: GridSpec, ode_step: float = 1e-5):
+def reconstruct_case_i_v4(params: dict, grid: GridSpec, ode_step: float = 1e-5,
+                          helper: Helper | None = None):
     """Planar solution u = 2*c*ln((m*x + p*y + q)/t) with the derived
     constraint K = -1/(m^2 + p^2)."""
     c, m, p, q = params["c"], params["m"], params["p"], params["q"]
@@ -426,14 +310,14 @@ def reconstruct_case_i_v4(params: dict, grid: GridSpec, ode_step: float = 1e-5):
     return u, _exponential_f(K, c)
 
 
-def reconstruct_case_ii_v1(params: dict, grid: GridSpec, ode_step: float = 1e-5):
+def reconstruct_case_ii_v1(params: dict, grid: GridSpec, ode_step: float = 1e-5,
+                           helper: Helper | None = None):
     """theta = sig1(t)*sig2(y/x), u = theta*x^2 (e1 = 1, e2 = 0):
     sig1'' = c_sep*sig1^2 by RK4, sig2 the closed quadratic form."""
     L, c_sep = params["L"], params["c_sep"]
     a, b = params["sig2_a"], params["sig2_b"]
-    (p0, p1), (t0, t1) = ode_margins(grid)
-    s1 = _recent(rk4_solve(ODEProblem(SIG1_RHS, t0, params["sig1_0"], 0.0, t1, ode_step,
-                                      consts={"c_sep": c_sep})))
+    (problem,) = ODE_PROBLEMS["ii", "v1"](params, grid, ode_step)
+    s1 = _recent(rk4_solve(problem, helper))
 
     def sig2(p):
         return c_sep / (2 * L) + a * p + b * (p * p - 1.0)
@@ -444,7 +328,8 @@ def reconstruct_case_ii_v1(params: dict, grid: GridSpec, ode_step: float = 1e-5)
     return u, _linear_f(L)
 
 
-def reconstruct_case_ii_v4(params: dict, grid: GridSpec, ode_step: float = 1e-5):
+def reconstruct_case_ii_v4(params: dict, grid: GridSpec, ode_step: float = 1e-5,
+                           helper: Helper | None = None):
     """u = l(x,y)/t^2 with l = (3/L)*x^2 + harmonic_xy*x*y, an exact
     solution of the reduced equation Laplacian(l) = 6/L at e1 = 1."""
     L, d = params["L"], params["harmonic_xy"]
@@ -456,36 +341,17 @@ def reconstruct_case_ii_v4(params: dict, grid: GridSpec, ode_step: float = 1e-5)
 
 
 # the solutions of the reductions of reduction.REDUCTION_NAMES, in its
-# order: build(params, grid, ode_step) -> (u, f), default parameters and
-# grid.  e1 and e2 are no parameters: case ii holds at e1 = 1, e2 = 0 only
+# order: build(params, grid, ode_step, helper) -> (u, f), and the default
+# parameters and grid of ode.DEFAULTS
 Reconstruction = namedtuple("Reconstruction", "build params grid")
-RECONSTRUCTIONS = {
-    ("i", "v1"): Reconstruction(
-        reconstruct_case_i_v1, {"K": 1.0, "c": 1.0, "c1": 1.0},
-        GridSpec(((3.0, 3.5), (1.5, 2.0), (1.0, 1.5)))),
-    ("i", "v4"): Reconstruction(
-        reconstruct_case_i_v4, {"c": 1.0, "m": 1.0, "p": 0.0, "q": 0.0},
-        GridSpec(((2.0, 2.5), (2.0, 2.5), (2.0, 2.5)))),
-    ("ii", "v1"): Reconstruction(
-        reconstruct_case_ii_v1,
-        {"L": 1.0, "c_sep": 1.0, "sig2_a": 0.1, "sig2_b": 0.05, "sig1_0": 0.5},
-        GridSpec(((2.0, 2.5), (1.0, 1.5), (1.0, 1.5)))),
-    ("ii", "v4"): Reconstruction(
-        reconstruct_case_ii_v4, {"L": 1.0, "harmonic_xy": 0.1},
-        GridSpec(((1.0, 1.5), (1.0, 1.5), (2.5, 3.0)))),
+BUILDERS = {
+    ("i", "v1"): reconstruct_case_i_v1,
+    ("i", "v4"): reconstruct_case_i_v4,
+    ("ii", "v1"): reconstruct_case_ii_v1,
+    ("ii", "v4"): reconstruct_case_ii_v4,
 }
-
-
-def check_params(params: dict, caller: str) -> None:
-    """The rules on the parameters, which the reconstructions share by name:
-    e1 = 1, e2 = 0 (their values when absent), and m, p not both 0.
-    ``caller`` names whose reconstructions they are in the message."""
-    e1, e2 = params.get("e1", 1), params.get("e2", 0)
-    if (e1, e2) != (1, 0):
-        raise NumVerifyError(f"e1, e2: the case ii reconstructions of {caller} "
-                             f"need e1 = 1, e2 = 0, got e1 = {e1}, e2 = {e2}")
-    if params.get("m") == 0 and params.get("p") == 0:
-        raise NumVerifyError("m, p: m and p cannot both vanish")
+RECONSTRUCTIONS = {key: Reconstruction(BUILDERS[key], *defaults)
+                   for key, defaults in DEFAULTS.items()}
 
 
 def verify_reduction_numeric(
@@ -495,10 +361,11 @@ def verify_reduction_numeric(
     grid: GridSpec | None = None,
     tol: float = 1e-6,
     ode_step: float = 1e-5,
+    helper: Helper | None = None,
 ) -> ResidualReport:
     """Reconstruct the similarity solution for one of the four reductions
-    (``params`` over its defaults) and measure the full PDE residual, with
-    a grid-refinement study."""
+    (``params`` over its defaults; ODE states from ``helper`` when it has
+    them) and measure the full PDE residual, with a grid-refinement study."""
     key = (case_id, generator)
     if key not in RECONSTRUCTIONS:
         raise NumVerifyError(f"no numeric reconstruction for {key}")
@@ -506,7 +373,7 @@ def verify_reduction_numeric(
     p = {**defaults, **(params or {})}
     check_params(p, "verify_reduction_numeric")
     grid = grid or default_grid
-    u, f = build(p, grid, ode_step)
+    u, f = build(p, grid, ode_step, helper)
     return _with_convergence(u, grid, f, tol)
 
 

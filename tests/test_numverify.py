@@ -17,10 +17,11 @@ from wavesym.liealg import VectorField
 from wavesym.numverify import (
     MAX_ODE_STEPS, RECENT_QUERIES, RECONSTRUCTIONS, SIG1_RHS, SLAB_POINTS, SQUARES_LIMIT,
     ZETA1_RHS, ZETA2_RHS, GridSpec, NumVerifyError, ODEProblem, Trajectory, _recent,
-    _rk4_loop, compile_numeric, fd_residual, first_integral_drift, flow_transport_check,
+    compile_numeric, fd_residual, first_integral_drift, flow_transport_check,
     ode_margins, reconstruct_case_i_v4, rk4_solve, verify_reduction_numeric,
 )
-from wavesym import numverify, reference
+from wavesym.ode import _rk4_loop, _trim
+from wavesym import numverify, ode, reference
 
 
 def dense_residual_values(u, grid, f):
@@ -102,6 +103,14 @@ def reference_rk4_loop(rhs, consts):
     scope = {"_array": array}
     exec(REFERENCE_RK4_LOOP.format(rhs=f"({rhs})", consts=", ".join(consts)), scope)
     return scope["_loop"]
+
+
+FLOATS = {"K": 1.0, "c": 1.0, "c1": 1.0, "c_sep": 1.0}
+# an int literal beside x, y or yp, a literal product, a division, and
+# invariant subexpressions whose literals fold only beside float constants
+LITERALS_RHS = "(K + 1 + 1 - K) * c1 * y + 3 * x * yp - (c - 1) / (x + 1) + 2 * 3 + yp / c"
+INTS_2_53 = {"K": 2**53, "c": 3, "c1": 2}
+FLOATS_2_53 = {name: float(value) for name, value in INTS_2_53.items()}
 
 
 # 61 points per axis: fd_residual fills 61 // rows slabs of x rows and a
@@ -199,29 +208,45 @@ class TestRK4:
         assert np.array_equal(tr.ys, ys)
         assert np.array_equal(tr.yps, yps)
 
-    @pytest.mark.parametrize("rhs, x0, y0, x1, h, bound, failed", [
-        (ZETA1_RHS, 0.3, 0.0, 0.8, 1e-4, 1e6, None),
-        (ZETA2_RHS, 0.9, 0.0, 1.6, 1e-4, 1e6, None),
-        (SIG1_RHS, 0.9, 0.5, 1.6, 1e-4, 1e6, None),
+    @pytest.mark.parametrize("rhs, x0, y0, x1, h, bound, failed, consts", [
+        (ZETA1_RHS, 0.3, 0.0, 0.8, 1e-4, 1e6, None, FLOATS),
+        (ZETA2_RHS, 0.9, 0.0, 1.6, 1e-4, 1e6, None, FLOATS),
+        (SIG1_RHS, 0.9, 0.5, 1.6, 1e-4, 1e6, None, FLOATS),
         ("-(exp(-y) + 2 * (x * yp - 1.0)) / (x * x + 1.0) + y * yp", 0.3, 0.2, 1.1, 7e-3,
-         1e6, None),
+         1e6, None, FLOATS),
         # the bound crossed, reading x and not
-        ("x * y * y", 1.0, 3.0, 10.0, 1e-3, 1e3, 1224),
-        ("y * y", 0.0, 3.0, 10.0, 1e-3, 1e3, 1536),
+        ("x * y * y", 1.0, 3.0, 10.0, 1e-3, 1e3, 1224, FLOATS),
+        ("y * y", 0.0, 3.0, 10.0, 1e-3, 1e3, 1536, FLOATS),
         # exp overflows before the bound is crossed, reading x and not
-        ("exp(x * y)", 1.0, 700.0, 2.0, 1e-3, 1e6, 1),
-        ("exp(y)", 0.0, 700.0, 1.0, 1e-3, 1e6, 1),
+        ("exp(x * y)", 1.0, 700.0, 2.0, 1e-3, 1e6, 1, FLOATS),
+        ("exp(y)", 0.0, 700.0, 1.0, 1e-3, 1e6, 1, FLOATS),
+        # int literals beside variables and in invariant subexpressions,
+        # which int constants keep exact: K + 1 + 1 - K is 2 for K = 2^53,
+        # 0.0 in floats
+        (LITERALS_RHS, 0.3, 0.2, 1.1, 7e-3, 1e6, None, FLOATS_2_53),
+        (LITERALS_RHS, 0.3, 0.2, 1.1, 7e-3, 1e6, None, INTS_2_53),
+        (ZETA2_RHS, 0.9, 0.0, 1.6, 1e-3, 1e6, None, {"K": 2, "c": 3, "c1": 5}),
     ], ids=["zeta1", "zeta2", "sig1", "x-dependent", "bound-x", "bound", "overflow-x",
-            "overflow"])
-    def test_loop_matches_the_reference_loop(self, rhs, x0, y0, x1, h, bound, failed):
+            "overflow", "literals-float", "literals-int", "zeta2-int"])
+    def test_loop_matches_the_reference_loop(self, rhs, x0, y0, x1, h, bound, failed, consts):
         # the same states bit for bit, and the same failure step
-        consts = {"K": 1.0, "c": 1.0, "c1": 1.0, "c_sep": 1.0}
         n = math.ceil((x1 - x0) / h)
         args = (x0, y0, -0.4, (x1 - x0) / n, n, bound, math.exp)
-        ys, yps, step = _rk4_loop(rhs, consts)(*args, **consts)
+        ys, yps, step = _rk4_loop(rhs, consts, args[:3])(*args, **consts)
         ref_ys, ref_yps, ref_step = reference_rk4_loop(rhs, consts)(*args, **consts)
         assert (step, ref_step) == (failed, failed)
         assert ys.tobytes() == ref_ys.tobytes() and yps.tobytes() == ref_yps.tobytes()
+
+    def test_float_constants_trim_the_right_hand_side(self):
+        # int literals beside a float fold to floats; subexpressions of
+        # constants under +, -, * are computed once, before the loop
+        assert _trim(ZETA1_RHS, FLOATS) == (
+            "-(c1 * exp(-y / c) + 2.0 * (x * yp - c)) / (x * x + 1.0)", [])
+        assert _trim(ZETA2_RHS, FLOATS) == ("_c0 * exp(y / c)", ["-K * c1"])
+        assert _trim(SIG1_RHS, FLOATS) == (SIG1_RHS, [])
+        assert _trim(LITERALS_RHS, FLOATS) == (
+            "_c0 * y + 3.0 * x * yp - _c1 / (x + 1.0) + 2 * 3 + yp / c",
+            ["(K + 1.0 + 1.0 - K) * c1", "c - 1.0"])
 
     def test_bad_step_or_interval_refused(self):
         with pytest.raises(NumVerifyError, match="step must be positive"):
@@ -466,6 +491,8 @@ class TestReconstructions:
         from wavesym.reduction import REDUCTION_NAMES
 
         assert list(RECONSTRUCTIONS) == list(REDUCTION_NAMES)
+        # the numpy-free defaults and the builders share those keys
+        assert list(ode.DEFAULTS) == list(numverify.BUILDERS) == list(REDUCTION_NAMES)
 
     @pytest.mark.parametrize("case_id,gen", list(RECONSTRUCTIONS))
     @pytest.mark.parametrize("params, names", [
