@@ -258,11 +258,13 @@ def stage_reduce(config: RunConfig) -> dict:
     return out
 
 
-def stage_verify(config: RunConfig, csv_dir: str, helper=None) -> dict:
-    """The numeric checks; the v1 reconstructions take their ODE states
-    from ``helper`` (see _start_helper) when it has them."""
-    # numpy comes with numverify, which only verify and report-all load,
-    # here, after main has started the helper
+def stage_verify(config: RunConfig, csv_dir: str) -> dict:
+    """The numeric checks: each reconstruction's residual with its
+    refinement study ((i, v1) from the closed forms of zeta1 and zeta2,
+    (ii, v1) from sig1's RK4 states at --ode-step), the explicit planar
+    solution and its violated-constraint control, the RK4 first-integral
+    order, and the flow transports."""
+    # numpy comes with numverify, which only verify and report-all load
     from .numverify import (
         RECONSTRUCTIONS, fd_residual, first_integral_drift, flow_transport_check,
         reconstruct_case_i_v4, verify_reduction_numeric,
@@ -278,7 +280,6 @@ def stage_verify(config: RunConfig, csv_dir: str, helper=None) -> dict:
             grid=_grid(config, (case_id, gen)),
             tol=config.tol,
             ode_step=config.ode_step,
-            helper=helper,
         )
         out["reductions"][f"{case_id}_{gen}"] = r.to_dict()
         ok = ok and r.passed
@@ -598,24 +599,6 @@ def _check_failures() -> tuple:
     return (DetSysError, ReductionError) + numeric
 
 
-def _start_helper(config: RunConfig):
-    """For verify and report-all, the ode.Helper integrating the v1
-    reconstructions' ODE problems, in stage order, while this process
-    imports numpy and runs the other stages; None for the other commands,
-    or if a problem cannot be built (stage_verify then meets the error)."""
-    if config.command not in ("verify", "report-all"):
-        return None
-    from .ode import ODE_PROBLEMS, Helper, NumVerifyError
-
-    try:
-        problems = [problem for key, build in ODE_PROBLEMS.items()
-                    for problem in build(_numeric_params(config, key), _grid(config, key),
-                                         config.ode_step)]
-    except NumVerifyError:
-        return None
-    return Helper(problems)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -626,7 +609,6 @@ def main(argv=None) -> int:
 
     csv_dir = os.path.dirname(config.out) or "." if config.out else "."
     stages: dict = {}
-    helper = _start_helper(config)
     try:
         if config.command == "derive":
             stages["derive"] = stage_derive(config)
@@ -635,7 +617,7 @@ def main(argv=None) -> int:
         elif config.command == "reduce":
             stages["reduce"] = stage_reduce(config)
         elif config.command == "verify":
-            stages["verify"] = stage_verify(config, csv_dir, helper)
+            stages["verify"] = stage_verify(config, csv_dir)
         else:  # report-all
             stages["derive"] = stage_derive(config)
             for case in ("i", "ii"):
@@ -643,16 +625,13 @@ def main(argv=None) -> int:
             for case, gen in REDUCTION_NAMES:
                 stages[f"reduce_{case}_{gen}"] = stage_reduce(
                     config._replace(case=case, generator=gen))
-            stages["verify"] = stage_verify(config, csv_dir, helper)
+            stages["verify"] = stage_verify(config, csv_dir)
     except (ConfigError,) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except _check_failures() as err:
         print(f"check failed: {err}", file=sys.stderr)
         return 1
-    finally:
-        if helper is not None:
-            helper.close()
 
     report = _assemble(config, stages)
     _emit(report, config)

@@ -1,11 +1,14 @@
 """Numeric back-stop for the symbolic results.
 
-Classical fixed-step RK4 integrates the separated ODEs; similarity
-solutions are reconstructed on a grid and pushed through a central
-finite-difference residual of the full equation; one-parameter flows
-transport verified solutions and the transported residual is measured.
-Everything is deterministic: fixed steps, fixed grids, vectorized
-evaluation with a fixed reduction order.
+The separated ODEs of the (i, v1) reduction, zeta1 and zeta2, are solved
+by their closed forms: both are Liouville's equation v'' = mu*e^v in
+disguise, whose solutions are elementary.  Classical fixed-step RK4
+integrates sig1 of (ii, v1), an equianharmonic Weierstrass function;
+similarity solutions are reconstructed on a grid and pushed through a
+central finite-difference residual of the full equation; one-parameter
+flows transport verified solutions and the transported residual is
+measured.  Everything is deterministic: fixed steps, fixed grids,
+vectorized evaluation with a fixed reduction order.
 
 Residuals are evaluated on an open grid: x, y and t are shaped (n,1,1),
 (1,n,1) and (1,1,n), so a factor such as z1(y/x) or z2(t) is computed once
@@ -23,7 +26,9 @@ squares it in place where no square can overflow.  RK4 writes y and y'
 into array('d') states made once at their final length, 16 bytes a step
 that numpy reads uncopied; a step's position is computed from the start
 x0 and the step h, never stored, and not tracked at all when the
-right-hand side never reads x.
+right-hand side never reads x.  A closed form keeps RK4's blow-up guard:
+it is checked against the bound at the mesh points where RK4 would check
+its states, and the crossing found is narrowed by bisection.
 
 ``RECONSTRUCTIONS`` holds the four similarity solutions, in the order of
 ``reduction.REDUCTION_NAMES``: builder, and the desk-scale default
@@ -31,9 +36,7 @@ parameters and default grid of ``ode.DEFAULTS``.  The ODE problems, their
 RK4 loop, those defaults and ``check_params``, the rules on the parameters
 (e1 = 1, e2 = 0; m and p not both 0) for ``verify_reduction_numeric`` and
 the CLI alike, live in ``ode``, which loads no numpy, and are re-exported
-here.  ``rk4_solve`` is every builder's way to its states: the CLI passes
-down the ``ode.Helper`` it started, which integrated them in a child
-process; a library call solves them in process."""
+here."""
 
 from __future__ import annotations
 
@@ -46,16 +49,17 @@ import numpy as np
 from .expr import Expr, format_expr
 from .liealg import COORDS, EPS, VectorField, flow
 from .ode import (
-    DEFAULTS, MAX_ODE_STEPS, ODE_PROBLEMS, SIG1_RHS, ZETA1_RHS, ZETA2_RHS, GridSpec, Helper,
+    DEFAULTS, MAX_ODE_STEPS, ODE_PROBLEMS, SIG1_RHS, ZETA1_RHS, ZETA2_RHS, GridSpec,
     NumVerifyError, ODEProblem, check_params, integrate, ode_margins,
 )
 
 __all__ = [
-    "NumVerifyError", "ODEProblem", "Trajectory", "GridSpec", "ResidualReport",
-    "rk4_solve", "fd_residual", "verify_reduction_numeric",
-    "first_integral_drift", "flow_transport_check", "compile_numeric",
-    "Reconstruction", "BUILDERS", "RECONSTRUCTIONS", "check_params", "ode_margins", "MAX_ODE_STEPS",
-    "SLAB_POINTS", "RECENT_QUERIES", "SQUARES_LIMIT", "ZETA1_RHS", "ZETA2_RHS", "SIG1_RHS",
+    "NumVerifyError", "ODEProblem", "Trajectory", "ClosedForm", "GridSpec", "ResidualReport",
+    "rk4_solve", "zeta1_closed_form", "zeta2_closed_form", "fd_residual",
+    "verify_reduction_numeric", "first_integral_drift", "flow_transport_check",
+    "compile_numeric", "Reconstruction", "BUILDERS", "RECONSTRUCTIONS", "check_params",
+    "ode_margins", "MAX_ODE_STEPS", "SLAB_POINTS", "RECENT_QUERIES", "SQUARES_LIMIT",
+    "SCAN_POINTS", "ZETA1_RHS", "ZETA2_RHS", "SIG1_RHS",
 ]
 
 # fd_residual evaluates the stencil on slabs of whole x rows holding about
@@ -130,8 +134,7 @@ class Trajectory(namedtuple("Trajectory", "x0 h ys yps")):
         and corrected by one step against the positions themselves."""
         x = np.asarray(x, dtype=float)
         x0, n = self.x0, len(self.ys) - 1
-        if np.any(x < x0 - 1e-12) or np.any(x > x0 + n * self.h + 1e-12):
-            raise NumVerifyError("evaluation outside the integrated interval")
+        _check_inside(x, x0, x0 + n * self.h)
         # fmax and fmin give a NaN query (0/0 on a singular set) step 1,
         # where it still evaluates to NaN
         j = np.fmin(np.fmax(np.ceil((x - x0) / self.h), 1), n)
@@ -153,13 +156,158 @@ class Trajectory(namedtuple("Trajectory", "x0 h ys yps")):
         )
 
 
-def rk4_solve(problem: ODEProblem, helper: Helper | None = None) -> Trajectory:
-    """Classical 4th-order Runge-Kutta with a fixed step (``ode.integrate``:
-    from ``helper`` when it has the states, else solved here); rejects the
-    run if the state exceeds the configured bound (blow-up guard), or if the
-    right-hand side overflows on the way there."""
-    ys, yps = integrate(problem, helper)
+def _check_inside(x, x0: float, x1: float) -> None:
+    """Refuse a query outside [x0, x1] by more than 1e-12."""
+    if np.any(x < x0 - 1e-12) or np.any(x > x1 + 1e-12):
+        raise NumVerifyError("evaluation outside the integrated interval")
+
+
+def rk4_solve(problem: ODEProblem) -> Trajectory:
+    """Classical 4th-order Runge-Kutta with a fixed step (``ode.integrate``);
+    rejects the run if the state exceeds the configured bound (blow-up
+    guard), or if the right-hand side overflows on the way there."""
+    ys, yps = integrate(problem)
     return Trajectory(problem.x0, problem.mesh()[1], np.frombuffer(ys), np.frombuffer(yps))
+
+
+class ClosedForm(namedtuple("ClosedForm", "x0 x1 y yp")):
+    """The exact solution of an ODE problem on [x0, x1]: y and y' as
+    functions of an array.  Called like a Trajectory, with its guard."""
+
+    __slots__ = ()
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        _check_inside(x, self.x0, self.x1)
+        return self.y(x)
+
+
+# Liouville's v'' = mu*e^v has e^v = 2*k^2/(|mu|*F(w)^2) and v' =
+# -2*k*F'(w)/F(w) at w = k*d + w0, d the distance from the start: F is sin
+# for mu > 0 and E < 0, sinh for mu > 0 and E > 0, cosh for mu < 0, and w
+# itself for E = 0 (with k = 1), where E = v'^2/2 - mu*e^v is conserved and
+# k = sqrt(|E|/2).  Each form as (ln|F(w)|, F'(w)/F(w)), without overflow
+_LN2 = math.log(2.0)
+_SIN = (lambda w: np.log(np.abs(np.sin(w))), lambda w: 1 / np.tan(w))
+_RATIONAL = (lambda w: np.log(np.abs(w)), lambda w: 1 / w)
+_SINH = (lambda w: np.abs(w) + np.log(-np.expm1(-2 * np.abs(w))) - _LN2,
+         lambda w: 1 / np.tanh(w))
+_COSH = (lambda w: np.abs(w) + np.log1p(np.exp(-2 * np.abs(w))) - _LN2, np.tanh)
+
+
+def _atanh(z: float, d: float) -> float:
+    """atanh(z), given d = 1 - z^2 computed without cancellation."""
+    return math.copysign(0.5 * math.log1p(2 * abs(z) * (1 + abs(z)) / d), z)
+
+
+def _liouville(mu: float, ev0: float, p0: float) -> tuple:
+    """v'' = mu*e^v from e^v = ev0 > 0 and v' = p0 at d = 0: (v, v', ahead),
+    v and v' as functions of d >= 0, and ahead the d of the first
+    singularity (inf if there is none).  w0 solves F'/F = -p0/(2k) at d = 0;
+    as E -> 0 the sin and sinh forms tend to the E = 0 one."""
+    if mu == 0:
+        v0 = math.log(ev0)
+        return (lambda d: v0 + p0 * d), (lambda d: p0 + 0.0 * d), math.inf
+    r0, energy = -p0 / 2, p0 * p0 / 2 - mu * ev0
+    k = math.sqrt(abs(energy)) / math.sqrt(2.0)
+    ahead = math.inf
+    if mu < 0:
+        (log_f, ratio), w0 = _COSH, _atanh(r0 / k, -mu * ev0 / energy)
+    elif energy < 0:  # F vanishes at w = 0 and at w = pi
+        (log_f, ratio), w0 = _SIN, math.atan(k / r0) if r0 else -math.pi / 2
+        ahead = (math.pi - w0 if w0 > 0 else -w0) / k
+    else:  # F vanishes at w = 0 only
+        if energy == 0:
+            (log_f, ratio), k, w0 = _RATIONAL, 1.0, 1 / r0
+        else:
+            (log_f, ratio), w0 = _SINH, _atanh(k / r0, 2 * mu * ev0 / (p0 * p0))
+        if w0 < 0:
+            ahead = -w0 / k
+    log_a = _LN2 - math.log(abs(mu)) + 2 * math.log(k)
+
+    def v(d):
+        return log_a - 2 * log_f(k * d + w0)
+
+    def vp(d):
+        return -2 * k * ratio(k * d + w0)
+
+    return v, vp, ahead
+
+
+# the closed forms scan their problem's mesh points in blocks of this many,
+# so the scan's temporaries stay small at any step
+SCAN_POINTS = 1 << 14
+
+
+def _bounded(problem: ODEProblem, y, yp, singular: float) -> ClosedForm:
+    """The closed form y, y' of ``problem`` once it is checked against the
+    bound where RK4 checks its states, at the mesh points: NumVerifyError at
+    the first x where |y| or |y'| reaches it, narrowed by bisection from the
+    mesh point before.  The solution is unbounded at ``singular`` (inf if
+    nowhere), so that is such an x if it lies in [x0, x1]."""
+    x0, bound = problem.x0, problem.bound
+    n, h = problem.mesh()
+
+    def out(x):
+        return ~((np.abs(y(x)) < bound) & (np.abs(yp(x)) < bound))
+
+    with np.errstate(all="ignore"):
+        for start in range(0, n + 1, SCAN_POINTS):
+            points = x0 + np.arange(start, min(start + SCAN_POINTS, n + 1)) * h
+            before = points < singular
+            failed = out(points) | ~before
+            if failed.any():
+                i = start + int(failed.argmax())
+                hi = x0 + i * h if before[i - start] else singular
+                break
+        else:
+            return ClosedForm(x0, problem.x1, y, yp)
+        lo = x0 + (i - 1) * h if i else hi
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            if out(mid):
+                hi = mid
+            else:
+                lo = mid
+    raise NumVerifyError(f"trajectory exceeded bound {bound} at x={float(hi)}")
+
+
+def zeta2_closed_form(problem: ODEProblem) -> ClosedForm:
+    """zeta2'' = -K*c1*e^(zeta2/c) solved exactly: v = zeta2/c solves
+    Liouville's v'' = -(K*c1/c)*e^v.  From zeta2 = 0, zeta2' = 0 at t0 it is
+    -2c*ln cosh(a*(t - t0)) with a^2 = K*c1/(2c) > 0, -2c*ln cos(b*(t - t0))
+    with b^2 = -K*c1/(2c) > 0, and 0 for c1 = 0."""
+    K, c, c1 = (problem.consts[name] for name in ("K", "c", "c1"))
+    t0 = problem.x0
+    v, vp, ahead = _liouville(-K * c1 / c, math.exp(problem.y0 / c), problem.yp0 / c)
+
+    def y(t):
+        return c * v(t - t0)
+
+    def yp(t):
+        return c * vp(t - t0)
+
+    return _bounded(problem, y, yp, t0 + ahead)
+
+
+def zeta1_closed_form(problem: ODEProblem) -> ClosedForm:
+    """(s^2 + 1)*zeta1'' = -c1*e^(-zeta1/c) - 2*(s*zeta1' - c) solved exactly:
+    in theta = arctan(s), v = -(zeta1 + 2c*ln cos theta)/c solves
+    Liouville's v'' = (c1/c)*e^v, from v = -2*ln cos theta0 and
+    v' = 2*tan theta0 when zeta1 = 0, zeta1' = 0 at s0."""
+    c, c1 = problem.consts["c"], problem.consts["c1"]
+    s0 = problem.x0
+    theta0 = math.atan(s0)
+    v, vp, ahead = _liouville(c1 / c, (1 + s0 * s0) * math.exp(-problem.y0 / c),
+                              2 * s0 - problem.yp0 * (1 + s0 * s0) / c)
+
+    def y(s):
+        return c * (np.log1p(s * s) - v(np.arctan(s) - theta0))
+
+    def yp(s):
+        return c * (2 * s - vp(np.arctan(s) - theta0)) / (1 + s * s)
+
+    end = theta0 + ahead
+    return _bounded(problem, y, yp, math.tan(end) if end < math.pi / 2 else math.inf)
 
 
 class ResidualReport(namedtuple(
@@ -283,13 +431,12 @@ def _linear_f(L: float):
     return lambda uv: L * uv
 
 
-def reconstruct_case_i_v1(params: dict, grid: GridSpec, ode_step: float = 1e-5,
-                          helper: Helper | None = None):
-    """u = zeta1(y/x) + zeta2(t) + 2*c*ln(x) with the separated ODEs
-    integrated by RK4; returns (u_callable, f_callable)."""
+def reconstruct_case_i_v1(params: dict, grid: GridSpec, ode_step: float = 1e-5):
+    """u = zeta1(y/x) + zeta2(t) + 2*c*ln(x) with the separated ODEs solved
+    by their closed forms; returns (u_callable, f_callable)."""
     K, c = params["K"], params["c"]
-    z1, z2 = (_recent(rk4_solve(problem, helper))
-              for problem in ODE_PROBLEMS["i", "v1"](params, grid, ode_step))
+    z1_problem, z2_problem = ODE_PROBLEMS["i", "v1"](params, grid, ode_step)
+    z1, z2 = _recent(zeta1_closed_form(z1_problem)), _recent(zeta2_closed_form(z2_problem))
 
     def u(x, y, t):
         return z1(y / x) + z2(t) + 2 * c * np.log(x)
@@ -297,8 +444,7 @@ def reconstruct_case_i_v1(params: dict, grid: GridSpec, ode_step: float = 1e-5,
     return u, _exponential_f(K, c)
 
 
-def reconstruct_case_i_v4(params: dict, grid: GridSpec, ode_step: float = 1e-5,
-                          helper: Helper | None = None):
+def reconstruct_case_i_v4(params: dict, grid: GridSpec, ode_step: float = 1e-5):
     """Planar solution u = 2*c*ln((m*x + p*y + q)/t) with the derived
     constraint K = -1/(m^2 + p^2)."""
     c, m, p, q = params["c"], params["m"], params["p"], params["q"]
@@ -310,14 +456,13 @@ def reconstruct_case_i_v4(params: dict, grid: GridSpec, ode_step: float = 1e-5,
     return u, _exponential_f(K, c)
 
 
-def reconstruct_case_ii_v1(params: dict, grid: GridSpec, ode_step: float = 1e-5,
-                           helper: Helper | None = None):
+def reconstruct_case_ii_v1(params: dict, grid: GridSpec, ode_step: float = 1e-5):
     """theta = sig1(t)*sig2(y/x), u = theta*x^2 (e1 = 1, e2 = 0):
     sig1'' = c_sep*sig1^2 by RK4, sig2 the closed quadratic form."""
     L, c_sep = params["L"], params["c_sep"]
     a, b = params["sig2_a"], params["sig2_b"]
     (problem,) = ODE_PROBLEMS["ii", "v1"](params, grid, ode_step)
-    s1 = _recent(rk4_solve(problem, helper))
+    s1 = _recent(rk4_solve(problem))
 
     def sig2(p):
         return c_sep / (2 * L) + a * p + b * (p * p - 1.0)
@@ -328,8 +473,7 @@ def reconstruct_case_ii_v1(params: dict, grid: GridSpec, ode_step: float = 1e-5,
     return u, _linear_f(L)
 
 
-def reconstruct_case_ii_v4(params: dict, grid: GridSpec, ode_step: float = 1e-5,
-                           helper: Helper | None = None):
+def reconstruct_case_ii_v4(params: dict, grid: GridSpec, ode_step: float = 1e-5):
     """u = l(x,y)/t^2 with l = (3/L)*x^2 + harmonic_xy*x*y, an exact
     solution of the reduced equation Laplacian(l) = 6/L at e1 = 1."""
     L, d = params["L"], params["harmonic_xy"]
@@ -341,7 +485,7 @@ def reconstruct_case_ii_v4(params: dict, grid: GridSpec, ode_step: float = 1e-5,
 
 
 # the solutions of the reductions of reduction.REDUCTION_NAMES, in its
-# order: build(params, grid, ode_step, helper) -> (u, f), and the default
+# order: build(params, grid, ode_step) -> (u, f), and the default
 # parameters and grid of ode.DEFAULTS
 Reconstruction = namedtuple("Reconstruction", "build params grid")
 BUILDERS = {
@@ -361,11 +505,10 @@ def verify_reduction_numeric(
     grid: GridSpec | None = None,
     tol: float = 1e-6,
     ode_step: float = 1e-5,
-    helper: Helper | None = None,
 ) -> ResidualReport:
     """Reconstruct the similarity solution for one of the four reductions
-    (``params`` over its defaults; ODE states from ``helper`` when it has
-    them) and measure the full PDE residual, with a grid-refinement study."""
+    (``params`` over its defaults) and measure the full PDE residual, with a
+    grid-refinement study."""
     key = (case_id, generator)
     if key not in RECONSTRUCTIONS:
         raise NumVerifyError(f"no numeric reconstruction for {key}")
@@ -373,7 +516,7 @@ def verify_reduction_numeric(
     p = {**defaults, **(params or {})}
     check_params(p, "verify_reduction_numeric")
     grid = grid or default_grid
-    u, f = build(p, grid, ode_step, helper)
+    u, f = build(p, grid, ode_step)
     return _with_convergence(u, grid, f, tol)
 
 

@@ -1,32 +1,22 @@
 """The numpy-free half of the numeric back-stop: the separated ODEs of the
-v1 reconstructions and their RK4 loop, the reconstructions' default
-parameters and grids and the rules on their parameters, and the helper
-process that integrates a run's ODE problems while the parent goes on.
+v1 reconstructions and the RK4 loop that integrates them, the
+reconstructions' default parameters and grids, and the rules on their
+parameters.
 
-The CLI checks verify's input from this module alone, then starts one
-``Helper`` before it imports numpy: a forked child that integrates the
-run's problems, in stage order, and sends each result down a pipe.  The
-reconstructions ask ``integrate`` for their states, which takes them from
-the helper when it has them and solves them here otherwise (no fork, a
-failed fork, a short read, a bad status, or a problem the helper was not
-given), with the same loop on the same problem, so every float is the
-same either way.  ``numverify`` re-exports the public names and wraps the
-states in its ``Trajectory``."""
+The CLI checks verify's input from this module alone, before it imports
+numpy.  ``numverify`` re-exports the public names, wraps the RK4 states
+in its ``Trajectory`` (sig1, the first-integral check) and solves the
+(i, v1) problems, zeta1 and zeta2, by their closed forms instead."""
 
 from __future__ import annotations
 
-import ast
-import gc
 import math
-import os
-import signal
-import struct
 from array import array
 from collections import namedtuple
 
 __all__ = [
     "NumVerifyError", "ODEProblem", "GridSpec", "Defaults", "DEFAULTS", "ODE_PROBLEMS",
-    "Helper", "integrate", "check_params", "ode_margins", "MAX_ODE_STEPS",
+    "integrate", "check_params", "ode_margins", "MAX_ODE_STEPS",
     "ZETA1_RHS", "ZETA2_RHS", "SIG1_RHS",
 ]
 
@@ -68,20 +58,18 @@ class ODEProblem:
 # The classical RK4 step with the right-hand side {rhs} written out at each
 # stage, so a step makes no Python call.  Each stage binds x, y, yp to its
 # arguments; (_x, _y, _yp) is the state.  The lines ending in "# x" track x
-# and are left out when the right-hand side never reads it; {hoisted}
-# computes once what the right-hand side computes alike at every stage (see
-# _trim).  The y and y' states are array('d') made once at their final
-# length n + 1 and written by index (16 bytes a step, which numpy reads
-# uncopied; positions are x0 + i * h, not stored).  Returns them and the
-# index of the step that left the bound or overflowed (None if none did).
-# The literal 2.0 keeps every arithmetic operation float by float, which
-# the interpreter specializes; 2 * k and 2.0 * k are the same float.
+# and are left out when the right-hand side never reads it.  The y and y'
+# states are array('d') made once at their final length n + 1 and written
+# by index (16 bytes a step, which numpy reads uncopied; positions are
+# x0 + i * h, not stored).  Returns them and the index of the step that
+# left the bound or overflowed (None if none did).  The literal 2.0 keeps
+# every arithmetic operation float by float, which the interpreter
+# specializes; 2 * k and 2.0 * k are the same float.
 _RK4_LOOP = """\
 def _loop(_x0, _y, _yp, _h, _n, _bound, exp, {consts}):
     _hh, _h6, _lo = 0.5 * _h, _h / 6.0, -_bound
     _ys, _yps = _array("d", (_y,)) * (_n + 1), _array("d", (_yp,)) * (_n + 1)
     _x, _i = _x0, 0
-    {hoisted}
     try:
         for _i in range(1, _n + 1):
             x = _x  # x
@@ -111,135 +99,28 @@ def _loop(_x0, _y, _yp, _h, _n, _bound, exp, {consts}):
     return _ys, _yps, None
 """
 
-# the operators of a hoisted subexpression: on floats they raise nothing,
-# so computing it before the loop cannot change which error the loop meets
-_HOISTABLE_OPS = (ast.Add, ast.Sub, ast.Mult)
-_SIGNS = (ast.USub, ast.UAdd)
-# int literals become floats as operands of these, beside a float
-_FOLDED_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 
-
-def _is_float(node, names) -> bool:
-    """Whether node's value is a float when each of ``names`` is."""
-    if isinstance(node, ast.Name):
-        return node.id in names
-    if isinstance(node, ast.Call):
-        return isinstance(node.func, ast.Name) and node.func.id == "exp"
-    if isinstance(node, ast.Constant):
-        return type(node.value) is float
-    if isinstance(node, ast.UnaryOp):
-        return _is_float(node.operand, names)
-    if isinstance(node, ast.BinOp):
-        return isinstance(node.op, ast.Div) or any(
-            _is_float(side, names) for side in (node.left, node.right))
-    return False
-
-
-def _int_literal(node) -> bool:
-    """An int literal, signed or not, that a float holds exactly."""
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, _SIGNS):
-        node = node.operand
-    return (isinstance(node, ast.Constant) and type(node.value) is int
-            and abs(node.value) <= 2**53)
-
-
-def _fold(tree, names):
-    """Each int literal beside a float under +, -, * or / becomes that
-    float: float op int converts the int exactly, so the result is the same
-    float, and the interpreter specializes float op float.  ``names`` are
-    the names bound to floats.  A fold leaves every node as float or not as
-    it was (the other operand made the operation float), so the order of
-    the walk does not matter."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.BinOp) and isinstance(node.op, _FOLDED_OPS):
-            if _int_literal(node.left) and _is_float(node.right, names):
-                node.left = _as_float(node.left)
-            if _int_literal(node.right) and _is_float(node.left, names):
-                node.right = _as_float(node.right)
-    return tree
-
-
-def _as_float(node):
-    if isinstance(node, ast.UnaryOp):
-        return ast.UnaryOp(node.op, _as_float(node.operand))
-    return ast.Constant(float(node.value))
-
-
-class _Hoist(ast.NodeTransformer):
-    """Each maximal subexpression of constants and float literals under +,
-    -, * and signs (one that reads none of x, y and yp) becomes a name
-    _c<k>, whose value ``hoisted`` holds."""
-
-    def __init__(self, consts):
-        self.consts, self.hoisted = consts, []
-
-    def invariant(self, node) -> bool:
-        if isinstance(node, ast.Name):
-            return node.id in self.consts
-        if isinstance(node, ast.Constant):
-            return type(node.value) is float
-        if isinstance(node, ast.UnaryOp):
-            return isinstance(node.op, _SIGNS) and self.invariant(node.operand)
-        return (isinstance(node, ast.BinOp) and isinstance(node.op, _HOISTABLE_OPS)
-                and self.invariant(node.left) and self.invariant(node.right))
-
-    def visit(self, node):
-        # a name or a signed literal is read as fast as a local
-        leaf = node.operand if isinstance(node, ast.UnaryOp) else node
-        if self.invariant(node) and not isinstance(leaf, (ast.Name, ast.Constant)):
-            self.hoisted.append(ast.unparse(node))
-            return ast.Name(f"_c{len(self.hoisted) - 1}", ast.Load())
-        return self.generic_visit(node)
-
-
-def _trim(rhs: str, consts) -> tuple:
-    """(rhs, hoisted): the right-hand side with its int literals folded and
-    its invariant subexpressions hoisted, and those subexpressions' sources,
-    in the order of their names _c0, _c1, ...  Only for float constants,
-    x0, y0 and y'0: then each stage computes the same floats as the source
-    as written."""
-    hoist = _Hoist(consts)
-    tree = hoist.visit(_fold(ast.parse(rhs, mode="eval"), {"x", "y", "yp", *consts}))
-    return ast.unparse(tree), hoist.hoisted
-
-
-def _rk4_loop(rhs: str, consts, start) -> callable:
+def _rk4_loop(rhs: str, consts) -> callable:
     """The loop of _RK4_LOOP with ``rhs`` written out and the names of
-    ``consts`` as its last parameters.  When every value of ``consts`` and
-    of ``start`` (x0, y0, y'0) is a float, ``rhs`` is trimmed by _trim."""
-    reads_x = any(isinstance(node, ast.Name) and node.id == "x"
-                  for node in ast.walk(ast.parse(rhs, mode="eval")))
-    hoisted = []
-    if all(type(v) is float for v in (*consts.values(), *start)):
-        rhs, hoisted = _trim(rhs, consts)
+    ``consts`` as its last parameters."""
+    reads_x = "x" in compile(rhs, "<rhs>", "eval").co_names
     src = "\n".join(line for line in _RK4_LOOP.splitlines()
                     if reads_x or not line.endswith("  # x"))
-    assign = "; ".join(f"_c{k} = {e}" for k, e in enumerate(hoisted))
     scope = {"_array": array}
-    exec(src.format(rhs=f"({rhs})", consts=", ".join(consts), hoisted=assign or "pass"),
-         scope)
+    exec(src.format(rhs=f"({rhs})", consts=", ".join(consts)), scope)
     return scope["_loop"]
 
 
-def _solve(problem: ODEProblem) -> tuple:
-    """(ys, yps, failed): the RK4 states, and the step at which the state
-    left the bound or the right-hand side overflowed (None if none did)."""
-    n, h = problem.mesh()
-    start = (problem.x0, problem.y0, problem.yp0)
-    return _rk4_loop(problem.rhs, problem.consts, start)(
-        *start, h, n, problem.bound, math.exp, **problem.consts)
-
-
-def integrate(problem: ODEProblem, helper: Helper | None = None) -> tuple:
+def integrate(problem: ODEProblem) -> tuple:
     """(ys, yps): y and y' at every step of ``problem.mesh()``, as
-    array('d'), from ``helper`` when it has them, else solved here.  Rejects
-    the run if the state exceeds the configured bound (blow-up guard), or if
-    the right-hand side overflows on the way there."""
-    result = helper.take(problem) if helper is not None else None
-    ys, yps, failed = result or _solve(problem)
+    array('d').  Rejects the run if the state exceeds the configured bound
+    (blow-up guard), or if the right-hand side overflows on the way there."""
+    n, h = problem.mesh()
+    ys, yps, failed = _rk4_loop(problem.rhs, problem.consts)(
+        problem.x0, problem.y0, problem.yp0, h, n, problem.bound, math.exp, **problem.consts)
     if failed is not None:
-        x = problem.x0 + failed * problem.mesh()[1]
-        raise NumVerifyError(f"trajectory exceeded bound {problem.bound} at x={x}")
+        raise NumVerifyError(
+            f"trajectory exceeded bound {problem.bound} at x={problem.x0 + failed * h}")
     return ys, yps
 
 
@@ -323,137 +204,7 @@ def _case_ii_v1_problems(params: dict, grid: GridSpec, ode_step: float) -> list:
                        consts={"c_sep": params["c_sep"]})]
 
 
-# the ODE problems of each reconstruction that integrates any, in stage
-# order: (params, grid, ode_step) -> [ODEProblem]
+# the ODE problems of each v1 reconstruction, in stage order: (params, grid,
+# ode_step) -> [ODEProblem].  numverify solves (i, v1)'s by their closed
+# forms and (ii, v1)'s by RK4
 ODE_PROBLEMS = {("i", "v1"): _case_i_v1_problems, ("ii", "v1"): _case_ii_v1_problems}
-
-# a result on the helper's pipe: a header (status, value), then for STATES
-# the value's count of y and of y' states as native doubles; for BOUND the
-# value is the failed step, and nothing follows
-_HEADER = struct.Struct("=qq")
-_STATES, _BOUND = 0, 1
-# the helper asks its pipe to hold this many bytes (Linux's default limit
-# for an unprivileged process), so it goes on to the next problem before
-# the parent has read the last: the default grid's z1 is 457 KB
-PIPE_BYTES = 1 << 20
-
-
-def _key(problem: ODEProblem) -> str:
-    """Equal for problems whose every field has the same type and value,
-    which the same loop integrates to the same states."""
-    return repr((problem.rhs, problem.x0, problem.y0, problem.yp0, problem.x1,
-                 problem.step, problem.bound, problem.consts))
-
-
-class Helper:
-    """One forked child that integrates ``problems`` in order and writes
-    each result to a pipe, which only ``take`` reads; ``close`` kills and
-    reaps it.  Without ``os.fork``, or when the fork fails, there is no
-    child and ``take`` has nothing."""
-
-    def __init__(self, problems):
-        self.steps = [problem.mesh()[0] for problem in problems]
-        self.keys = [_key(problem) for problem in problems]
-        self.kept = {}  # results read before they were asked for
-        self.received = 0  # results read from the pipe
-        self.pid = self.fd = None
-        if not problems or not hasattr(os, "fork"):
-            return
-        read_end, write_end = os.pipe()
-        try:
-            import fcntl
-
-            fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
-        except (ImportError, AttributeError, OSError):
-            pass  # the default size: the child waits for reads sooner
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read_end)
-            os.close(write_end)
-            return
-        if pid == 0:
-            try:
-                gc.disable()
-                os.close(read_end)
-                _serve(problems, write_end)
-            finally:
-                os._exit(0)
-        os.close(write_end)
-        self.pid, self.fd = pid, read_end
-
-    def take(self, problem: ODEProblem):
-        """problem's (ys, yps, failed) as ``_solve`` gives them, each result
-        once; None if the helper was not given problem or could not send
-        its result (it is closed then, and solves nothing more)."""
-        try:
-            i = self.keys.index(_key(problem))
-        except ValueError:
-            return None
-        self.keys[i] = None
-        while self.received <= i and self.fd is not None:
-            result = self._receive(self.steps[self.received])
-            if result is None:
-                self.close()
-            else:
-                self.kept[self.received] = result
-                self.received += 1
-        return self.kept.pop(i, None)
-
-    def _receive(self, n: int):
-        """The next result on the pipe for a problem of n steps, or None on
-        a short read or a header that does not fit it."""
-        header = bytearray(_HEADER.size)
-        if not _read_into(self.fd, header):
-            return None
-        status, value = _HEADER.unpack(header)
-        if status == _BOUND and 1 <= value <= n:
-            return None, None, value
-        if status != _STATES or value != n + 1:
-            return None
-        ys, yps = array("d", (0.0,)) * value, array("d", (0.0,)) * value
-        if not (_read_into(self.fd, ys) and _read_into(self.fd, yps)):
-            return None
-        return ys, yps, None
-
-    def close(self) -> None:
-        """Kill and reap the child and close the pipe; harmless twice."""
-        if self.pid is not None:
-            try:
-                os.kill(self.pid, signal.SIGKILL)
-                os.waitpid(self.pid, 0)
-            except (ProcessLookupError, ChildProcessError):
-                pass  # reaped already, as under SIGCHLD = SIG_IGN
-            self.pid = None
-        if self.fd is not None:
-            os.close(self.fd)
-            self.fd = None
-
-
-def _serve(problems, fd: int) -> None:
-    """The child's work: each problem's result, in order, on the pipe."""
-    for problem in problems:
-        ys, yps, failed = _solve(problem)
-        if failed is None:
-            _write(fd, _HEADER.pack(_STATES, len(ys)))
-            _write(fd, ys)
-            _write(fd, yps)
-        else:
-            _write(fd, _HEADER.pack(_BOUND, failed))
-
-
-def _write(fd: int, data) -> None:
-    view = memoryview(data).cast("B")
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _read_into(fd: int, buf) -> bool:
-    """Fill buf from fd; False if the pipe ends first."""
-    view = memoryview(buf).cast("B")
-    while view:
-        got = os.readv(fd, [view])
-        if not got:
-            return False
-        view = view[got:]
-    return True

@@ -46,14 +46,29 @@ class TestExitCodes:
         assert "singular-set intrusion" in capsys.readouterr().err
 
     def test_rk4_overflow_in_verify_is_1(self, tmp_path, capsys):
-        # with this step, e^(-z/c) overflows in the (i, v1) right-hand side
-        # before the state reaches the bound: still one failed-check line
+        # the (i, v1) zeta1 blows up at y/x = 0.4077, just inside its
+        # interval: its closed form reaches the bound there at any step,
+        # where RK4 overflowed e^(-z/c) at this step; one failed-check line
         code, _ = run(tmp_path, "verify", "--param", "c1=1e6", "--grid", "5,5,5",
                       "--ode-step", "1e-4")
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("check failed: trajectory exceeded bound")
+
+    @pytest.mark.parametrize("c1, rk4_x", [
+        ("1e6", 0.40771356416239707),  # zeta1: its cos form's singularity
+        ("-1e6", 0.97422),  # zeta2: -2c*ln cos(b*(t - t0)) with b = 707.1
+    ], ids=["zeta1", "zeta2"])
+    def test_closed_form_bound_crossing_in_verify_is_1(self, tmp_path, capsys, c1, rk4_x):
+        # the x of the crossing lies within one default step of the one the
+        # RK4 states of earlier versions reported
+        code, _ = run(tmp_path, "verify", "--param", f"c1={c1}", "--grid", "5,5,5")
+        assert code == 1
+        err = capsys.readouterr().err
+        prefix = "check failed: trajectory exceeded bound 1000000.0 at x="
+        assert err.count("\n") == 1 and err.startswith(prefix)
+        assert abs(float(err[len(prefix):]) - rk4_x) <= 1e-5
 
     def test_overflowing_squares_give_a_finite_rms(self, tmp_path, capsys):
         # L = 1e-300 makes the power-family residuals ~1e293, whose squares
@@ -351,8 +366,8 @@ class TestExitCodes:
 class TestDeferredNumpy:
     """Only the numeric stage needs numpy: in a fresh interpreter derive,
     classify and reduce leave it unloaded, and so do ast and the ODE module,
-    which only verify and report-all use (they start no helper either);
-    verify refuses its input without numpy, and loads it to run."""
+    which only verify and report-all use; verify refuses its input without
+    numpy, and loads it to run."""
 
     SCRIPT = """
 import sys
@@ -403,103 +418,6 @@ for argv in (["derive"], ["classify", "--degree", "1"], ["reduce"]):
 
     def test_commands_load_no_dataclasses_inspect_or_typing(self, tmp_path):
         self._run(tmp_path, "-S", "-c", self.STARTUP_SCRIPT)
-
-
-class TestHelper:
-    """verify and report-all integrate their ODE problems in one forked
-    helper; without os.fork they solve them in process, with the same
-    bytes, exit code and stderr, and no child is left either way."""
-
-    @staticmethod
-    def forks(monkeypatch):
-        """The pids of the children os.fork starts from now on."""
-        pids, fork = [], os.fork
-
-        def counted():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", counted)
-        return pids
-
-    @staticmethod
-    def main_in(directory, argv):
-        """(exit code, stderr, every file written) of main run in directory."""
-        directory.mkdir()
-        cwd = os.getcwd()
-        os.chdir(directory)
-        try:
-            code = main(argv + ["--format", "json", "--out", "report.json"])
-        finally:
-            os.chdir(cwd)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        return code, {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
-
-    def both_paths(self, tmp_path, monkeypatch, capsys, argv):
-        """main's outcome with the helper (forked once) and in process."""
-        pids = self.forks(monkeypatch)
-        helper = self.main_in(tmp_path / "helper", argv)
-        helper_err = capsys.readouterr().err
-        forked = len(pids)
-        monkeypatch.delattr(os, "fork")
-        alone = self.main_in(tmp_path / "alone", argv)
-        return (forked, helper, helper_err), (alone, capsys.readouterr().err)
-
-    @pytest.mark.parametrize("command, csvs", [("verify", 4), ("report-all", 4)])
-    def test_helper_and_in_process_give_the_same_bytes(
-            self, tmp_path, monkeypatch, capsys, command, csvs):
-        (forked, helper, err), alone = self.both_paths(
-            tmp_path, monkeypatch, capsys, [command, "--grid", "7,7,7"])
-        assert forked == 1
-        assert (helper, err) == alone
-        code, files = helper
-        assert code == (0 if command == "verify" else 1)
-        assert len(files) == csvs + 1 and err == ""
-
-    def test_bound_failure_on_both_paths(self, tmp_path, monkeypatch, capsys):
-        (forked, helper, err), alone = self.both_paths(
-            tmp_path, monkeypatch, capsys, ["verify", "--param", "c1=1e6", "--grid", "5,5,5"])
-        assert forked == 1 and (helper, err) == alone
-        assert helper == (1, {})
-        assert err == ("check failed: trajectory exceeded bound 1000000.0 "
-                       "at x=0.40771356416239707\n")
-
-    def test_refused_input_starts_no_helper(self, tmp_path, monkeypatch, capsys):
-        (forked, helper, err), alone = self.both_paths(
-            tmp_path, monkeypatch, capsys, ["verify", "--param", "e1=2", "--grid", "5,5,5"])
-        assert forked == 0 and (helper, err) == alone
-        assert helper == (2, {}) and err.startswith("config error: --param e1, e2:")
-
-    def test_helper_dying_before_writing_leaves_it_to_the_parent(
-            self, tmp_path, monkeypatch, capsys):
-        from wavesym import ode
-
-        parent, solve = os.getpid(), ode._solve
-        monkeypatch.setattr(
-            ode, "_solve", lambda problem: solve(problem) if os.getpid() == parent else os._exit(3))
-        (forked, helper, err), alone = self.both_paths(
-            tmp_path, monkeypatch, capsys, ["verify", "--grid", "7,7,7"])
-        assert forked == 1 and (helper, err) == alone
-        assert helper[0] == 0 and err == ""
-
-    def test_parent_solves_only_what_the_helper_was_not_given(self, tmp_path, monkeypatch):
-        # the v1 reconstructions' three problems come from the helper; the
-        # first-integral drift's two short ones are solved in process
-        from wavesym import ode
-
-        parent, solve, steps = os.getpid(), ode._solve, []
-
-        def counted(problem):
-            if os.getpid() == parent:
-                steps.append(problem.mesh()[0])
-            return solve(problem)
-
-        monkeypatch.setattr(ode, "_solve", counted)
-        code, _ = self.main_in(tmp_path / "run", ["verify", "--grid", "7,7,7"])
-        assert code == 0 and steps == [20, 40]
 
 
 class TestReportContents:

@@ -1,5 +1,7 @@
-"""RK4 integrator, finite-difference residuals, reconstructions, transport."""
+"""RK4 integrator, closed forms, finite-difference residuals, reconstructions,
+transport."""
 
+import cmath
 import math
 import tracemalloc
 import warnings
@@ -16,11 +18,12 @@ from wavesym.expr import (
 from wavesym.liealg import VectorField
 from wavesym.numverify import (
     MAX_ODE_STEPS, RECENT_QUERIES, RECONSTRUCTIONS, SIG1_RHS, SLAB_POINTS, SQUARES_LIMIT,
-    ZETA1_RHS, ZETA2_RHS, GridSpec, NumVerifyError, ODEProblem, Trajectory, _recent,
+    ZETA1_RHS, ZETA2_RHS, ClosedForm, GridSpec, NumVerifyError, ODEProblem, Trajectory, _recent,
     compile_numeric, fd_residual, first_integral_drift, flow_transport_check,
     ode_margins, reconstruct_case_i_v4, rk4_solve, verify_reduction_numeric,
+    zeta1_closed_form, zeta2_closed_form,
 )
-from wavesym.ode import _rk4_loop, _trim
+from wavesym.ode import _rk4_loop
 from wavesym import numverify, ode, reference
 
 
@@ -107,7 +110,8 @@ def reference_rk4_loop(rhs, consts):
 
 FLOATS = {"K": 1.0, "c": 1.0, "c1": 1.0, "c_sep": 1.0}
 # an int literal beside x, y or yp, a literal product, a division, and
-# invariant subexpressions whose literals fold only beside float constants
+# subexpressions of constants alone, which float and int constants round
+# differently
 LITERALS_RHS = "(K + 1 + 1 - K) * c1 * y + 3 * x * yp - (c - 1) / (x + 1) + 2 * 3 + yp / c"
 INTS_2_53 = {"K": 2**53, "c": 3, "c1": 2}
 FLOATS_2_53 = {name: float(value) for name, value in INTS_2_53.items()}
@@ -232,21 +236,10 @@ class TestRK4:
         # the same states bit for bit, and the same failure step
         n = math.ceil((x1 - x0) / h)
         args = (x0, y0, -0.4, (x1 - x0) / n, n, bound, math.exp)
-        ys, yps, step = _rk4_loop(rhs, consts, args[:3])(*args, **consts)
+        ys, yps, step = _rk4_loop(rhs, consts)(*args, **consts)
         ref_ys, ref_yps, ref_step = reference_rk4_loop(rhs, consts)(*args, **consts)
         assert (step, ref_step) == (failed, failed)
         assert ys.tobytes() == ref_ys.tobytes() and yps.tobytes() == ref_yps.tobytes()
-
-    def test_float_constants_trim_the_right_hand_side(self):
-        # int literals beside a float fold to floats; subexpressions of
-        # constants under +, -, * are computed once, before the loop
-        assert _trim(ZETA1_RHS, FLOATS) == (
-            "-(c1 * exp(-y / c) + 2.0 * (x * yp - c)) / (x * x + 1.0)", [])
-        assert _trim(ZETA2_RHS, FLOATS) == ("_c0 * exp(y / c)", ["-K * c1"])
-        assert _trim(SIG1_RHS, FLOATS) == (SIG1_RHS, [])
-        assert _trim(LITERALS_RHS, FLOATS) == (
-            "_c0 * y + 3.0 * x * yp - _c1 / (x + 1.0) + 2 * 3 + yp / c",
-            ["(K + 1.0 + 1.0 - K) * c1", "c - 1.0"])
 
     def test_bad_step_or_interval_refused(self):
         with pytest.raises(NumVerifyError, match="step must be positive"):
@@ -307,6 +300,169 @@ class TestRK4:
             assert same_bits(tr(queries[-1]), searchsorted_eval(tr, queries[-1]))
 
         check()
+
+
+def carlson_rf(x, y, z):
+    """Carlson's R_F(x, y, z) by duplication: each step keeps R_F and brings
+    the three arguments 4x closer together, so after 40 steps they agree to
+    rounding and R_F is 1/sqrt of their mean.  Complex arguments off the
+    negative real axis are allowed."""
+    for _ in range(40):
+        sx, sy, sz = cmath.sqrt(x), cmath.sqrt(y), cmath.sqrt(z)
+        lam = sx * sy + sx * sz + sy * sz
+        x, y, z = (x + lam) / 4, (y + lam) / 4, (z + lam) / 4
+    return 1 / cmath.sqrt((x + y + z) / 3)
+
+
+def sig1_time(y, sig1_0, c_sep):
+    """The time sig1'' = c_sep*sig1^2 takes from sig1_0 at rest to y: the
+    integral of du/sqrt((2*c_sep/3)*(u^3 - sig1_0^3)) from sig1_0 to y,
+    which is 2*R_F(U12^2, U13^2, U23^2) over the roots r of
+    u^3 - sig1_0^3 (DLMF 19.29.4), with X = sqrt(y - r),
+    Y = sqrt(sig1_0 - r) and U12 = (X1*X2*Y3 + Y1*Y2*X3)/(y - sig1_0)."""
+    w = cmath.exp(2j * math.pi / 3)
+    roots = (sig1_0, sig1_0 * w, sig1_0 * w.conjugate())
+    X = [cmath.sqrt(y - r) for r in roots]
+    Y = [cmath.sqrt(sig1_0 - r) for r in roots]
+
+    def u2(i, j, k):
+        return ((X[i] * X[j] * Y[k] + Y[i] * Y[j] * X[k]) / (y - sig1_0)) ** 2
+
+    t = 2 * carlson_rf(u2(0, 1, 2), u2(0, 2, 1), u2(1, 2, 0)) * math.sqrt(1.5 / c_sep)
+    assert t.imag == 0
+    return t.real
+
+
+def i_v1_problems(K, c, c1, ode_step=1e-5):
+    """zeta1's and zeta2's problems over the default (i, v1) grid."""
+    grid = RECONSTRUCTIONS["i", "v1"].grid
+    return ode.ODE_PROBLEMS["i", "v1"]({"K": K, "c": c, "c1": c1}, grid, ode_step)
+
+
+def at_step(problem, step):
+    return ODEProblem(problem.rhs, problem.x0, problem.y0, problem.yp0, problem.x1, step,
+                      problem.bound, problem.consts)
+
+
+def crossing(solve, problem) -> float:
+    """The x of solve's bound failure on problem."""
+    with pytest.raises(NumVerifyError, match="^trajectory exceeded bound ") as err:
+        solve(problem)
+    return float(str(err.value).rsplit("x=", 1)[1])
+
+
+# zeta1 has E = 0 at c1/c = MU0, for its start S0 = y/x on the default grid
+S0 = i_v1_problems(1.0, 1.0, 1.0)[0].x0
+MU0 = 2 * S0 * S0 / (1 + S0 * S0)
+
+
+class TestClosedForms:
+    """zeta1 and zeta2 from their closed forms against RK4 at step 1e-4:
+    each state within CLOSE of the closed form's y and y' at the same x.
+    They differ by a few 1e-15 where the forms are right; a wrong sign or
+    phase moves them by far more."""
+
+    CLOSE = 1e-13
+
+    def assert_close(self, problem, closed):
+        tr = rk4_solve(at_step(problem, 1e-4))
+        solution = closed(problem)
+        assert np.max(np.abs(solution(tr.xs) - tr.ys)) <= self.CLOSE
+        assert np.max(np.abs(solution.yp(tr.xs) - tr.yps)) <= self.CLOSE
+
+    # (K, c, c1): lam = K*c1/c for zeta2, mu = c1/c and the sign of
+    # E = 2*S0^2 - mu*(1 + S0^2) for zeta1
+    @pytest.mark.parametrize("K, c, c1", [
+        (1.0, 1.0, 1.0), (-2.0, 1.0, 1.0), (1.0, 1.0, 0.0),
+        (1.0, -1.0, 1.0), (1.0, -2.0, -0.5),
+    ], ids=["lam>0", "lam<0", "lam=0", "lam<0,c<0", "lam>0,c<0"])
+    def test_zeta2(self, K, c, c1):
+        self.assert_close(i_v1_problems(K, c, c1)[1], zeta2_closed_form)
+
+    @pytest.mark.parametrize("c, c1, sign", [
+        (1.0, 1.0, -1), (1.0, 0.1, 1), (1.0, -1.0, 1), (1.0, 0.0, 1),
+        (-1.0, 1.0, 1), (-2.0, -0.5, 1), (-1.0, -1.0, -1),
+        (1.0, MU0 * (1 + 1e-12), -1), (1.0, MU0 * (1 - 1e-12), 1),
+    ], ids=["cos", "sinh", "cosh", "linear", "cosh,c<0", "sinh,c<0", "cos,c<0",
+            "E=-0", "E=+0"])
+    def test_zeta1(self, c, c1, sign):
+        energy = 2 * S0 * S0 - c1 / c * (1 + S0 * S0)
+        assert math.copysign(1, energy) == sign
+        if abs(c1 / c - MU0) < 1e-9:
+            assert 0 < abs(energy) <= 1e-12
+        self.assert_close(i_v1_problems(1.0, c, c1)[0], zeta1_closed_form)
+
+    @pytest.mark.parametrize("rhs, closed", [
+        (ZETA1_RHS, zeta1_closed_form), (ZETA2_RHS, zeta2_closed_form),
+    ], ids=["zeta1", "zeta2"])
+    @pytest.mark.parametrize("x0, x1, y0, yp0, c, c1", [
+        (0.3, 0.8, 0.2, -0.4, 1.0, 1.0), (-0.5, 0.2, -0.3, 0.7, -1.5, 0.5),
+        (0.3, 0.8, 0.2, -0.4, 1.0, -2.0),
+    ])
+    def test_any_initial_data(self, rhs, closed, x0, x1, y0, yp0, c, c1):
+        # the verify problems start at rest from 0; the forms take any start
+        problem = ODEProblem(rhs, x0, y0, yp0, x1, consts={"K": 1.0, "c": c, "c1": c1})
+        self.assert_close(problem, closed)
+
+    def test_zeta1_is_continuous_at_zero_energy(self):
+        # from y/x = 1 with c1 = c, E = 2 - 2*c1/c is 0 exactly; E = -+1e-12
+        # take the cos and sinh forms
+        def problem(c1):
+            return ODEProblem(ZETA1_RHS, 1.0, 0.0, 0.0, 1.3, 1e-5,
+                              consts={"K": 1.0, "c": 1.0, "c1": c1})
+
+        exact = zeta1_closed_form(problem(1.0))
+        self.assert_close(problem(1.0), zeta1_closed_form)
+        xs = np.linspace(1.0, 1.3, 301)
+        for c1 in (1 + 5e-13, 1 - 5e-13):
+            near = zeta1_closed_form(problem(c1))
+            assert np.max(np.abs(near(xs) - exact(xs))) <= 1e-12
+            assert np.max(np.abs(near.yp(xs) - exact.yp(xs))) <= 1e-12
+
+    def test_guard_outside_the_interval(self):
+        z1 = zeta1_closed_form(i_v1_problems(1.0, 1.0, 1.0)[0])
+        with pytest.raises(NumVerifyError, match="^evaluation outside the integrated interval$"):
+            z1(z1.x1 + 1e-9)
+        z1(z1.x1 + 1e-13)
+        assert np.isnan(z1(np.nan))
+
+    def test_cos_form_of_zeta1_reaches_the_bound_where_rk4_did(self):
+        # c1 = 1e6: zeta1's singularity is 0.0024 past its start; its y' reaches
+        # the bound 2e-6 before it, at the same x at every step, and within
+        # one 1e-5 step of the x RK4 reported
+        xs = {step: crossing(zeta1_closed_form, i_v1_problems(1.0, 1.0, 1e6, step)[0])
+              for step in (1e-5, 1e-4, 1e-3)}
+        assert max(xs.values()) - min(xs.values()) <= 1e-15
+        assert abs(xs[1e-5] - 0.40771356416239707) <= 1e-5
+
+    def test_cos_form_of_zeta2_reaches_the_bound_where_its_slope_does(self):
+        # c1 = -1e6: zeta2 = -2c*ln cos(b*(t - t0)), b^2 = 5e5, whose slope
+        # 2c*b*tan(b*(t - t0)) reaches 1e6 first
+        problem = i_v1_problems(1.0, 1.0, -1e6)[1]
+        b = math.sqrt(5e5)
+        x = crossing(zeta2_closed_form, problem)
+        assert abs(x - (problem.x0 + math.atan(1e6 / (2 * b)) / b)) <= 1e-13
+        assert abs(x - crossing(rk4_solve, problem)) <= 1e-5
+
+    def test_crossing_in_a_later_scan_block(self, monkeypatch):
+        problem = i_v1_problems(1.0, 1.0, -1e6)[1]
+        x = crossing(zeta2_closed_form, problem)
+        assert (x - problem.x0) / problem.mesh()[1] > 200
+        monkeypatch.setattr(numverify, "SCAN_POINTS", 64)
+        assert crossing(zeta2_closed_form, problem) == x
+
+    def test_sig1_states_match_the_elliptic_integral(self):
+        # the default sig1 RK4 states: at each, the time the exact solution
+        # takes to reach y_i is x_i - x0 to within 1e-13 / y'_i, a
+        # difference in y below 1e-13
+        rec = RECONSTRUCTIONS["ii", "v1"]
+        (problem,) = ode.ODE_PROBLEMS["ii", "v1"](rec.params, rec.grid, 1e-5)
+        tr = rk4_solve(problem)
+        sig1_0, c_sep = rec.params["sig1_0"], rec.params["c_sep"]
+        steps = range(1, len(tr.ys), 53)
+        worst = max(abs(sig1_time(tr.ys[i], sig1_0, c_sep) - i * tr.h) * tr.yps[i]
+                    for i in steps)
+        assert worst <= 1e-13
 
 
 class TestSeparatedODEs:
@@ -535,11 +691,11 @@ class TestReconstructions:
     def test_v1_reconstructions_evaluate_each_trajectory_query_once(self, monkeypatch):
         # a slab asks z1 five distinct y/x arrays (at x, x +- h and y +- h,
         # the t shifts sharing one), and z2 or sig1 the same three t arrays
-        # as every other slab
+        # as every other slab; z1 and z2 are closed forms, sig1 RK4 states
         calls = []
-        evaluate = Trajectory.__call__
-        monkeypatch.setattr(Trajectory, "__call__",
-                            lambda tr, q: calls.append(q) or evaluate(tr, q))
+        for kind in (Trajectory, ClosedForm):
+            monkeypatch.setattr(kind, "__call__", lambda tr, q, evaluate=kind.__call__:
+                                calls.append(q) or evaluate(tr, q))
         slabs = math.ceil(N61[0] / slab_rows(N61))
         for key, per_slab in ((("i", "v1"), 5), (("ii", "v1"), 0)):
             rec = RECONSTRUCTIONS[key]
@@ -648,12 +804,13 @@ class TestWorkingMemory:
         assert peak < 1.35 * 8 * math.prod(N61), peak
 
     def test_v1_check_at_61_points_an_axis(self):
-        # the (i, v1) check with its refinement study: the z1, z2 states
-        # (1.35 MB), the residual (1.73 MB) and a slab's terms peak at
-        # 3.45 MiB; 2^15 point slabs of whole-term temporaries took 4.68 MiB
+        # the (i, v1) check with its refinement study: the residual
+        # (1.73 MB) and a slab's terms peak at 2.16 MiB; with z1 and z2 as
+        # RK4 states (1.35 MB) they took 3.45 MiB, and 2^15 point slabs of
+        # whole-term temporaries 4.68 MiB
         grid = RECONSTRUCTIONS["i", "v1"].grid._replace(n=N61)
         peak = self.traced_peak(lambda: verify_reduction_numeric("i", "v1", grid=grid))
-        assert peak < 3.8 * 2**20, peak / 2**20
+        assert peak < 2.5 * 2**20, peak / 2**20
 
     def test_rk4_solve_bytes_per_step(self):
         # sig1 over the (ii, v1) default grid's t range: 55,600 steps at

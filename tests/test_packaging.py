@@ -32,6 +32,21 @@ def test_no_module_imports_dataclasses_or_typing():
     assert offenders == []
 
 
+def test_no_module_imports_ast_or_forks():
+    # verify solves its ODEs in process, from closed forms and one RK4
+    # loop; numpy imports ast itself, so the source is checked here
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if "ast" in _imported_modules(path):
+            offenders.append(f"{path.stem}: imports ast")
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in ("fork", "forkpty"):
+                offenders.append(f"{path.stem}: {name}")
+    assert offenders == []
+
+
 def test_test_extra_declares_the_test_imports():
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
